@@ -33,6 +33,7 @@ from .errors import NumericalError, ValidationError
 from .modal import modal_report, spectral_gap
 from .profiles import RelaxationProfile
 from .rates import (
+    RateReport,
     alpha_star,
     check_conditions_2v,
     check_conditions_3v,
@@ -178,9 +179,19 @@ def _sigma_of(args) -> RelaxationProfile:
     return RelaxationProfile.parse(args.sigma)
 
 
+def _rate_2v(profile, eps) -> RateReport:
+    """Two-velocity theoretical rate: sharp for constant sigma (eps at 2), else perturbative."""
+    if profile.is_constant:
+        s = profile.sigma_min
+        return constant_rate(s, eps=eps if abs(s - 2.0) <= 1e-14 else None)
+    return perturbative_rate(profile)
+
+
 def cmd_simulate_2v(args) -> int:
     out = _outdir(args)
     profile = _sigma_of(args)
+    rep = _rate_2v(profile, args.eps)
+    theta = args.theta if args.theta is not None else rep.theta
     rng = np.random.default_rng(args.seed)
     u0 = parse_field(args.u0, args.n, rng, zero_mean=True)
     v0 = parse_field(args.v0, args.n, rng)
@@ -190,27 +201,20 @@ def cmd_simulate_2v(args) -> int:
         args.t_final,
         dt=args.dt,
         scheme=args.scheme,
-        theta=args.theta,
+        theta=theta,
         record_every=args.record_every,
     )
     traj.to_csv(out / "trajectory.csv")
 
     window = default_window(traj.times)
-    summary = []
+    e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
+    summary = [("entropy", theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]
     if profile.is_constant:
-        s = profile.sigma_min
-        rep = constant_rate(s, eps=args.eps if abs(s - 2.0) <= 1e-14 else None)
-        e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
-        summary.append(("entropy", rep.theta, rep.rate, e_rate, e_rate - rep.rate, e_r2))
         n_rate, n_r2 = fit_decay_rate(traj.times, traj.pair_norm(), window)
-        summary.append(("pair_norm", rep.theta, rep.mu, n_rate, n_rate - rep.mu, n_r2))
+        summary.append(("pair_norm", theta, rep.mu, n_rate, n_rate - rep.mu, n_r2))
         if rep.defective:
             env_rate, env_r2 = fit_envelope_rate(traj.times, traj.pair_norm(), window)
-            summary.append(("pair_norm_envelope", rep.theta, 1.0, env_rate, env_rate - 1.0, env_r2))
-    else:
-        rep = perturbative_rate(profile)
-        e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
-        summary.append(("entropy", rep.theta, rep.rate, e_rate, e_rate - rep.rate, e_r2))
+            summary.append(("pair_norm_envelope", theta, 1.0, env_rate, env_rate - 1.0, env_r2))
     write_csv(
         out / "summary.csv",
         ["series", "theta", "theoretical_rate", "fitted_rate", "margin", "r_squared"],
@@ -261,14 +265,9 @@ def cmd_simulate_3v(args) -> int:
 def cmd_rates(args) -> int:
     out = _outdir(args)
     profile = _sigma_of(args)
-    rows = []
-    if profile.is_constant:
-        s = profile.sigma_min
-        rep = constant_rate(s, eps=args.eps if abs(s - 2.0) <= 1e-14 else None)
-        rows.append(rep.csv_row())
-    else:
-        rep = perturbative_rate(profile)
-        rows.append(rep.csv_row())
+    rep = _rate_2v(profile, args.eps)
+    rows = [rep.csv_row()]
+    if not profile.is_constant:
         check = check_conditions_2v(rep.theta, rep.rate, profile)
         rows.append(("perturbative-conditions", rep.theta, rep.rate, 1.0 if check else 0.0))
     rep3 = rate_3v(profile.sigma_min, profile.sigma_max)

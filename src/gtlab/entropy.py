@@ -7,26 +7,70 @@ The two-velocity entropy is
 with the real part of the mixed term taken for complex inputs; the
 three-velocity variant adds ||h||^2. For |theta| < 2 and mean-zero f the
 entropy is equivalent to the plain squared norm with factors 1 -+ |theta|/2.
+
+Every formula lives in ``entropy_terms``, which works on plain sample
+arrays; the GridFunction functions below and the solver's record pass call it.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GridMismatchError, ValidationError
 from .profiles import as_samples
-from .torus import GridFunction, antiderivative, average, inner, norm_sq
+from .torus import GridFunction, antiderivative, average
+
+
+class EntropyTerms(NamedTuple):
+    """Squared norms of the components, the entropy, and its evolution rhs."""
+
+    f_sq: float
+    g_sq: float
+    h_sq: float
+    entropy: float
+    rhs: float | None
+
+
+def _norm_sq(a: np.ndarray) -> float:
+    return float((np.vdot(a, a) / a.shape[0]).real)
+
+
+def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
+    """E_theta(f, g) (+ ||h||^2 when h is given) on plain sample arrays.
+
+    f is mean-zero and prim its mean-zero primitive, antiderivative(f).
+    Given sigma samples, rhs is the exact d/dt of E_theta(u - u_avg, v)
+    along the two-velocity flow, for real f = u - u_avg and g = v:
+
+        -theta ||f||^2
+        + (1/2pi) int (theta - 2 sigma) g^2 dx
+        + (theta/2pi) int sigma * prim * g dx
+        - theta * g_avg^2.
+    """
+    parts = (g, prim) if h is None else (g, prim, h)
+    if any(np.shape(a) != np.shape(f) for a in parts):
+        raise GridMismatchError(f"incompatible grids: {[np.shape(a) for a in (f,) + parts]}")
+    f_sq, g_sq = _norm_sq(f), _norm_sq(g)
+    h_sq = 0.0 if h is None else _norm_sq(h)
+    entropy = f_sq + g_sq - theta * float(np.real(np.vdot(g, prim) / f.shape[0])) + h_sq
+    rhs = None
+    if sigma is not None:
+        term_v = float(np.mean((theta - 2.0 * sigma) * g**2))
+        term_mixed = theta * float(np.mean(sigma * prim * g))
+        rhs = -theta * f_sq + term_v + term_mixed - theta * float(np.mean(g)) ** 2
+    return EntropyTerms(f_sq, g_sq, h_sq, entropy, rhs)
 
 
 def entropy_2v(f: GridFunction, g: GridFunction, theta: float) -> float:
     """E_theta(f, g); the caller passes f mean-shifted (e.g. u - u_avg)."""
-    mixed = inner(antiderivative(f), g)
-    return norm_sq(f) + norm_sq(g) - theta * float(np.real(mixed))
+    return entropy_terms(f.values, g.values, antiderivative(f).values, theta).entropy
 
 
 def entropy_3v(f: GridFunction, g: GridFunction, h: GridFunction, theta: float) -> float:
     """Three-velocity entropy: entropy_2v(f, g, theta) + ||h||^2."""
-    return entropy_2v(f, g, theta) + norm_sq(h)
+    return entropy_terms(f.values, g.values, antiderivative(f).values, theta, h=h.values).entropy
 
 
 def equivalence_bounds(theta: float) -> tuple[float, float]:
@@ -40,22 +84,12 @@ def equivalence_bounds(theta: float) -> tuple[float, float]:
 def entropy_evolution_rhs(u: GridFunction, v: GridFunction, sigma, theta: float) -> float:
     """Exact d/dt of E_theta(u - u_avg, v) along the two-velocity flow.
 
-    Evaluates
-        -theta ||u - u_avg||^2
-        + (1/2pi) int (theta - 2 sigma) v^2 dx
-        + (theta/2pi) int sigma * antiderivative(u - u_avg) * v dx
-        - theta * v_avg^2.
-
     u may be passed raw; its average is subtracted internally. Real-valued
-    states only (the identity is stated for real solutions).
+    states only (the identity is stated for real solutions). The formula is
+    in ``entropy_terms``.
     """
     if u.is_complex or v.is_complex:
         raise ValidationError("entropy evolution identity applies to real states")
     sig = as_samples(sigma, u.n)
     udev = u - average(u)
-    vv = v.values
-    term_u = -theta * norm_sq(udev)
-    term_v = float(np.mean((theta - 2.0 * sig) * vv**2))
-    term_mixed = theta * float(np.mean(sig * antiderivative(udev).values * vv))
-    term_avg = -theta * average(v) ** 2
-    return term_u + term_v + term_mixed + term_avg
+    return entropy_terms(udev.values, v.values, antiderivative(udev).values, theta, sigma=sig).rhs

@@ -14,7 +14,6 @@ variant with off-diagonal (2 - eps^2)/(k(2 + eps^2)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -215,21 +214,3 @@ def modal_report(sigma: float, kmax: int, eps: float | None = None) -> list[dict
             }
         )
     return rows
-
-
-def write_modal_report(path, sigma: float, kmax: int, eps: float | None = None) -> None:
-    rows = modal_report(sigma, kmax, eps)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "re_lam_minus", "im_lam_minus", "re_lam_plus", "im_lam_plus",
-             "lyapunov_gap", "case"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row["k"]]
-                + [format(row[c], ".17g") for c in
-                   ("re_lam_minus", "im_lam_minus", "re_lam_plus", "im_lam_plus",
-                    "lyapunov_gap")]
-                + [row["case"]]
-            )

@@ -51,9 +51,9 @@ class RelaxationProfile:
                 raise ValidationError(f"sigma must be positive everywhere, got {vals}")
             if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
                 raise ValidationError(f"breakpoints must be strictly increasing, got {breaks}")
-            if not 0.0 < breaks[0] and breaks[-1] <= TWO_PI + _BREAK_TOL:
-                raise ValidationError(f"breakpoints must lie in (0, 2pi], got {breaks}")
-            if abs(breaks[-1] - TWO_PI) > _BREAK_TOL:
+            if not breaks[0] > 0.0:
+                raise ValidationError(f"first breakpoint must be positive, got {breaks}")
+            if not abs(breaks[-1] - TWO_PI) <= _BREAK_TOL:
                 raise ValidationError("last breakpoint must be 2pi so pieces cover the torus")
         elif self.kind == "sampled":
             if self.grid is None or self.grid.is_complex:

@@ -4,23 +4,27 @@ The default scheme is Strang splitting in kinetic variables with both
 sub-flows exact: relaxation is a pointwise exponential and transport an
 integer index shift (which requires dt to be a multiple of dx = 2*pi/N).
 Its only error is the O(dt^2) splitting commutator, and it has no Gibbs
-artifacts for discontinuous sigma. A spectral RK4 integrator of the
-macroscopic form is available as a cross-check for smooth data.
+artifacts for discontinuous sigma. A spectral RK4 integrator of the same
+kinetic equations is available as a cross-check for smooth data.
+
+Both systems run through one stepper over a (V, n) array of kinetic
+densities, driven by the velocity set: (+1, -1) for two velocities and
+(+1, 0, -1) for three. One record pass computes every diagnostic column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import entropy_2v, entropy_3v, entropy_evolution_rhs
+from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
 from .errors import NumericalError, ValidationError
 from .profiles import as_profile, as_samples
 from .rates import constant_rate, rate_3v, theta_star
-from .torus import TWO_PI, GridFunction, average, norm, norm_sq, wavenumbers
+from .torus import TWO_PI, GridFunction, antiderivative
 
 SCHEME_SPLIT = "split"
 SCHEME_RK4 = "rk4"
@@ -134,7 +138,6 @@ class Trajectory:
     dt: float
     theta: float
     final: object
-    snapshots: list = field(default_factory=list)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -175,7 +178,31 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# shared stepping helpers
+# the kinetic stepper
+
+
+@dataclass(frozen=True)
+class _System:
+    """What the stepper needs to know about one discrete-velocity system."""
+
+    velocities: tuple
+    to_macro: np.ndarray  # kinetic rows -> (mass density, flux[, u3])
+    columns: tuple  # the names of the values _record returns, in order
+    state: type
+
+
+_SYSTEM_2V = _System(
+    velocities=(1, -1),
+    to_macro=np.array([[1.0, 1.0], [1.0, -1.0]]),
+    columns=("entropy", "norm_u_dev", "norm_v", "v_avg", "mass", "rhs"),
+    state=MacroState2V,
+)
+_SYSTEM_3V = _System(
+    velocities=(1, 0, -1),
+    to_macro=TRANSFORM_3V,
+    columns=("entropy", "norm_u1_dev", "norm_u2", "norm_u3", "u2_avg", "mass"),
+    state=MacroState3V,
+)
 
 
 def _resolve_steps(t_final: float, dt: float) -> int:
@@ -195,7 +222,7 @@ def _split_shift_cells(dt: float, dx: float) -> int:
 
 
 def _default_theta(profile) -> float:
-    """Twist recorded in diagnostics when none is given."""
+    """Twist recorded in two-velocity diagnostics when none is given."""
     if profile.is_constant:
         s = profile.sigma_min
         if abs(s - 2.0) <= 1e-14:
@@ -204,35 +231,115 @@ def _default_theta(profile) -> float:
     return theta_star(profile.sigma_min, profile.sigma_max)
 
 
-def _check_finite(arrays, t: float) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
+def _split_step(velocities, sig, dt: float, n: int):
+    """Strang step: relax half a step, shift row i by c_i*m cells, relax again.
+
+    Relaxation moves each f_i toward the pointwise mean over velocities by
+    the factor exp(-sigma dt/2). The returned advance(f) works in place on f
+    and on one spare buffer, and returns the buffer that holds the new state.
+    """
+    cells = _split_shift_cells(dt, TWO_PI / n)
+    shifts = [(c * cells) % n for c in velocities]
+    decay_half = np.exp(-sig * dt / 2.0)
+    count = len(velocities)
+    mean = np.empty(n)
+    spare = np.empty((count, n))
+
+    def relax(f):
+        np.sum(f, axis=0, out=mean)
+        np.divide(mean, count, out=mean)
+        f -= mean
+        f *= decay_half
+        f += mean
+
+    def advance(f):
+        nonlocal spare
+        relax(f)
+        for i, s in enumerate(shifts):
+            spare[i, s:] = f[i, : n - s]
+            spare[i, :s] = f[i, n - s :]
+        relax(spare)
+        f, spare = spare, f
+        return f
+
+    return advance
+
+
+def _rk4_step(velocities, sig, dt: float, n: int):
+    """Classical RK4 of f_i' = -c_i d/dx f_i - sigma (f_i - mean f), spectral in x."""
+    transport = -1j * np.outer(velocities, np.arange(n // 2 + 1))
+    transport[:, n // 2] = 0.0  # the Nyquist mode is zeroed, as in torus.derivative
+
+    def rhs(f):
+        out = np.fft.irfft(transport * np.fft.rfft(f, axis=1), n, axis=1)
+        out -= sig * (f - f.mean(axis=0))
+        return out
+
+    def advance(f):
+        k1 = rhs(f)
+        k2 = rhs(f + 0.5 * dt * k1)
+        k3 = rhs(f + 0.5 * dt * k2)
+        k4 = rhs(f + dt * k3)
+        return f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return advance
+
+
+def _record(u: np.ndarray, sig: np.ndarray, theta: float) -> tuple:
+    """One record of the macroscopic rows u = (mass density, flux[, u3]).
+
+    The mean-zero primitive of the mass deviation is computed once and
+    serves both the entropy and, for two velocities, its evolution rhs.
+    """
+    mass = float(np.mean(u[0]))
+    dev = u[0] - mass
+    prim = antiderivative(GridFunction(dev)).values
+    flux_avg = float(np.mean(u[1]))
+    if len(u) == 2:
+        e = entropy_terms(dev, u[1], prim, theta, sigma=sig)
+        return e.entropy, math.sqrt(e.f_sq), math.sqrt(e.g_sq), flux_avg, mass, e.rhs
+    e = entropy_terms(dev, u[1], prim, theta, h=u[2])
+    return e.entropy, math.sqrt(e.f_sq), math.sqrt(e.g_sq), math.sqrt(e.h_sq), flux_avg, mass
+
+
+def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, record_every) -> Trajectory:
+    """Advance the kinetic array f, shape (V, n), and record system.columns.
+
+    Records fall at t0, every ``record_every`` steps and at the last step.
+    """
+    n = f.shape[1]
+    dx = TWO_PI / n
+    sig = as_samples(profile, n)
+    if dt is None:
+        dt = dx if scheme == SCHEME_SPLIT else dx / 2.0
+    if dt <= 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    steps = _resolve_steps(t_final, dt)
+    if scheme == SCHEME_SPLIT:
+        advance = _split_step(system.velocities, sig, dt, n)
+    elif scheme == SCHEME_RK4:
+        advance = _rk4_step(system.velocities, sig, dt, n)
+    else:
+        raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
+
+    times, rows = [t0], [_record(system.to_macro @ f, sig, theta)]
+    t = t0
+    for step in range(1, steps + 1):
+        f = advance(f)
+        t = t0 + step * dt
+        if not np.isfinite(f).all():
             raise NumericalError(f"non-finite state detected at t = {t:.6g}")
+        if step % record_every == 0 or step == steps:
+            times.append(t)
+            rows.append(_record(system.to_macro @ f, sig, theta))
 
-
-class _Recorder:
-    def __init__(self, names):
-        self.times = []
-        self.cols = {name: [] for name in names}
-
-    def add(self, t, **values):
-        self.times.append(t)
-        for name, val in values.items():
-            self.cols[name].append(val)
-
-    def build(self, dt, theta, final, snapshots) -> Trajectory:
-        return Trajectory(
-            times=np.asarray(self.times),
-            columns={k: np.asarray(v) for k, v in self.cols.items()},
-            dt=dt,
-            theta=theta,
-            final=final,
-            snapshots=snapshots,
-        )
+    final = system.state(*(GridFunction(row) for row in system.to_macro @ f), t)
+    columns = dict(zip(system.columns, np.array(rows).T.copy()))
+    return Trajectory(np.asarray(times), columns, dt, theta, final)
 
 
 # ---------------------------------------------------------------------------
-# two-velocity system
+# the two systems
 
 
 def simulate_2v(
@@ -243,114 +350,25 @@ def simulate_2v(
     scheme: str = SCHEME_SPLIT,
     theta: float | None = None,
     record_every: int = 1,
-    snapshot_every: int | None = None,
 ) -> Trajectory:
-    """Advance the two-velocity system and record entropy diagnostics.
+    """Advance the two-velocity system (velocities +1, -1).
 
     ``init`` may be macroscopic or kinetic. The recorded entropy is
     E_theta(u - u_avg, v) together with its exact evolution right-hand side.
     dt defaults to dx for the split scheme and dx/2 for RK4 (spectral
     advection stability).
     """
-    if isinstance(init, KineticState2V):
-        init = to_macro(init)
-    if not isinstance(init, MacroState2V):
+    if isinstance(init, MacroState2V):
+        init = to_kinetic(init)
+    if not isinstance(init, KineticState2V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    if init.u.is_complex or init.v.is_complex:
+    if init.f_plus.is_complex or init.f_minus.is_complex:
         raise ValidationError("simulation states must be real-valued")
-    n = init.n
-    dx = TWO_PI / n
     profile = as_profile(sigma)
-    sig = as_samples(profile, n)
     if theta is None:
         theta = _default_theta(profile)
-    if dt is None:
-        dt = dx if scheme == SCHEME_SPLIT else dx / 2.0
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    steps = _resolve_steps(t_final, dt)
-
-    u = np.array(init.u.values)
-    v = np.array(init.v.values)
-
-    if scheme == SCHEME_SPLIT:
-        cells = _split_shift_cells(dt, dx)
-        decay_half = np.exp(-sig * dt / 2.0)
-
-        def advance(u, v):
-            fp = 0.5 * (u + v)
-            fm = 0.5 * (u - v)
-            # half-step relaxation: difference decays, sum is preserved
-            s = fp + fm
-            d = (fp - fm) * decay_half
-            fp, fm = 0.5 * (s + d), 0.5 * (s - d)
-            # exact transport: f_+ moves right, f_- moves left
-            fp = np.roll(fp, cells)
-            fm = np.roll(fm, -cells)
-            # half-step relaxation
-            s = fp + fm
-            d = (fp - fm) * decay_half
-            fp, fm = 0.5 * (s + d), 0.5 * (s - d)
-            return fp + fm, fp - fm
-
-    elif scheme == SCHEME_RK4:
-        ik = 1j * wavenumbers(n)
-        ik[n // 2] = 0.0
-
-        def dx_op(a):
-            return np.real(np.fft.ifft(ik * np.fft.fft(a)))
-
-        def rhs(u, v):
-            return -dx_op(v), -dx_op(u) - sig * v
-
-        def advance(u, v):
-            k1u, k1v = rhs(u, v)
-            k2u, k2v = rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-            k3u, k3v = rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-            k4u, k4v = rhs(u + dt * k3u, v + dt * k3v)
-            u = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            return u, v
-
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
-
-    rec = _Recorder(["entropy", "norm_u_dev", "norm_v", "v_avg", "mass", "rhs"])
-    snapshots = []
-
-    def record(t, u, v):
-        gu, gv = GridFunction(u), GridFunction(v)
-        u_avg = average(gu)
-        udev = gu - u_avg
-        rec.add(
-            t,
-            entropy=entropy_2v(udev, gv, theta),
-            norm_u_dev=norm(udev),
-            norm_v=norm(gv),
-            v_avg=average(gv),
-            mass=u_avg,
-            rhs=entropy_evolution_rhs(gu, gv, sig, theta),
-        )
-
-    record(init.t, u, v)
-    if snapshot_every:
-        snapshots.append((init.t, MacroState2V(GridFunction(u), GridFunction(v), init.t)))
-    t = init.t
-    for step in range(1, steps + 1):
-        u, v = advance(u, v)
-        t = init.t + step * dt
-        _check_finite((u, v), t)
-        if step % record_every == 0 or step == steps:
-            record(t, u, v)
-        if snapshot_every and (step % snapshot_every == 0 or step == steps):
-            snapshots.append((t, MacroState2V(GridFunction(u), GridFunction(v), t)))
-
-    final = MacroState2V(GridFunction(u), GridFunction(v), t)
-    return rec.build(dt, theta, final, snapshots)
-
-
-# ---------------------------------------------------------------------------
-# three-velocity system
+    f = np.vstack([init.f_plus.values, init.f_minus.values])
+    return _simulate(f, _SYSTEM_2V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
 def simulate_3v(
@@ -361,112 +379,21 @@ def simulate_3v(
     scheme: str = SCHEME_SPLIT,
     theta: float | None = None,
     record_every: int = 1,
-    snapshot_every: int | None = None,
 ) -> Trajectory:
     """Advance the three-velocity system (velocities +1, 0, -1).
 
-    The split scheme relaxes the kinetic deviations from their pointwise mean
-    by exp(-sigma dt) (the relaxation matrix is a projection) and shifts f1
-    right and f3 left. The recorded entropy is the three-velocity functional
-    of (u1 - avg, u2, u3).
+    The recorded entropy is the three-velocity functional of
+    (u1 - avg, u2, u3); theta defaults to the twist of ``rate_3v``.
     """
     if not isinstance(init, MacroState3V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
     if any(g.is_complex for g in (init.u1, init.u2, init.u3)):
         raise ValidationError("simulation states must be real-valued")
-    n = init.n
-    dx = TWO_PI / n
     profile = as_profile(sigma)
-    sig = as_samples(profile, n)
     if theta is None:
         theta = rate_3v(profile.sigma_min, profile.sigma_max).theta
-    if dt is None:
-        dt = dx if scheme == SCHEME_SPLIT else dx / 2.0
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    steps = _resolve_steps(t_final, dt)
-
     f = np.vstack([g.values for g in to_kinetic3(init)])
-
-    if scheme == SCHEME_SPLIT:
-        cells = _split_shift_cells(dt, dx)
-        decay_half = np.exp(-sig * dt / 2.0)
-
-        def relax(f):
-            m = f.mean(axis=0)
-            return m + (f - m) * decay_half
-
-        def advance(f):
-            f = relax(f)
-            f = np.vstack([np.roll(f[0], cells), f[1], np.roll(f[2], -cells)])
-            return relax(f)
-
-    elif scheme == SCHEME_RK4:
-        ik = 1j * wavenumbers(n)
-        ik[n // 2] = 0.0
-        c23 = math.sqrt(2.0 / 3.0)
-        c13 = 1.0 / math.sqrt(3.0)
-
-        def dx_op(a):
-            return np.real(np.fft.ifft(ik * np.fft.fft(a)))
-
-        def rhs(u):
-            return np.vstack(
-                [
-                    -c23 * dx_op(u[1]),
-                    -c23 * dx_op(u[0]) - c13 * dx_op(u[2]) - sig * u[1],
-                    -c13 * dx_op(u[1]) - sig * u[2],
-                ]
-            )
-
-        def advance(u):
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * dt * k1)
-            k3 = rhs(u + 0.5 * dt * k2)
-            k4 = rhs(u + dt * k3)
-            return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        f = TRANSFORM_3V @ f  # integrate in macro variables
-
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
-
-    rec = _Recorder(["entropy", "norm_u1_dev", "norm_u2", "norm_u3", "u2_avg", "mass"])
-    snapshots = []
-
-    def macro_of(f):
-        u = TRANSFORM_3V @ f if scheme == SCHEME_SPLIT else f
-        return MacroState3V(GridFunction(u[0]), GridFunction(u[1]), GridFunction(u[2]))
-
-    def record(t, f):
-        st = macro_of(f)
-        u1_avg = average(st.u1)
-        u1dev = st.u1 - u1_avg
-        rec.add(
-            t,
-            entropy=entropy_3v(u1dev, st.u2, st.u3, theta),
-            norm_u1_dev=norm(u1dev),
-            norm_u2=norm(st.u2),
-            norm_u3=norm(st.u3),
-            u2_avg=average(st.u2),
-            mass=u1_avg,
-        )
-
-    record(init.t, f)
-    t = init.t
-    for step in range(1, steps + 1):
-        f = advance(f)
-        t = init.t + step * dt
-        _check_finite((f,), t)
-        if step % record_every == 0 or step == steps:
-            record(t, f)
-        if snapshot_every and (step % snapshot_every == 0 or step == steps):
-            st = macro_of(f)
-            snapshots.append((t, MacroState3V(st.u1, st.u2, st.u3, t)))
-
-    st = macro_of(f)
-    final = MacroState3V(st.u1, st.u2, st.u3, t)
-    return rec.build(dt, theta, final, snapshots)
+    return _simulate(f, _SYSTEM_3V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
 # ---------------------------------------------------------------------------

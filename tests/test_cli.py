@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gtlab.cli import main
+from gtlab.errors import ValidationError
 from gtlab.profiles import RelaxationProfile
+from gtlab.rates import constant_rate
 from gtlab.torus import GridFunction
 
 
@@ -43,6 +45,21 @@ class TestSigmaParsing:
         with pytest.raises(Exception):
             RelaxationProfile.parse("nope:1")
 
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [(0.0, 1.0), (2 * np.pi, 2.0)],  # first breakpoint not positive
+            [(-1.0, 1.0), (2 * np.pi, 2.0)],
+            [(4.0, 1.0), (2.0, 2.0), (2 * np.pi, 3.0)],  # unsorted
+            [(np.pi, 1.0), (6.0, 2.0)],  # last breakpoint short of 2pi
+            [(np.pi, 1.0), (7.0, 2.0)],  # last breakpoint past 2pi
+            [(np.pi, 1.0), (float("nan"), 2.0)],
+        ],
+    )
+    def test_bad_breakpoints_rejected(self, pieces):
+        with pytest.raises(ValidationError):
+            RelaxationProfile.piecewise(pieces)
+
 
 class TestSubcommands:
     def test_simulate_2v(self, tmp_path):
@@ -65,6 +82,30 @@ class TestSubcommands:
         )
         assert code == 0
         assert "pair_norm_envelope" in (out / "summary.csv").read_text()
+
+    def test_simulate_2v_defective_entropy_follows_eps(self, tmp_path):
+        entropy = {}
+        for eps in ("0.1", "0.5"):
+            out = tmp_path / eps
+            code = run(
+                "simulate-2v", "--sigma", "const:2", "--eps", eps, "--n", "64",
+                "--t-final", "12", "--out", str(out),
+            )
+            assert code == 0
+            data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+            entropy[eps] = data["entropy"]
+            summary = np.genfromtxt(out / "summary.csv", delimiter=",", names=True, dtype=None)
+            assert summary["theta"][0] == pytest.approx(constant_rate(2.0, eps=float(eps)).theta)
+        assert not np.allclose(entropy["0.1"], entropy["0.5"], rtol=1e-6, atol=0.0)
+
+    def test_simulate_2v_defective_without_eps_fails_before_simulating(self, tmp_path, monkeypatch):
+        import gtlab.cli as cli
+
+        def never(*a, **k):
+            raise AssertionError("simulate_2v called")
+
+        monkeypatch.setattr(cli, "simulate_2v", never)
+        assert run("simulate-2v", "--sigma", "const:2", "--out", str(tmp_path / "o")) == 2
 
     def test_simulate_3v(self, tmp_path):
         out = tmp_path / "o"

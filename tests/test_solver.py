@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs
 from gtlab.errors import NumericalError, ValidationError
 from gtlab.profiles import RelaxationProfile
 from gtlab.rates import alpha_star, constant_rate, rate_3v, theta_star
@@ -255,12 +256,62 @@ class TestTrajectory:
         assert_allclose(data["t"], traj.times)
         assert_allclose(data["entropy"], traj["entropy"])
 
-    def test_snapshots(self):
-        init = MacroState2V(GridFunction.zeros(64), GridFunction.from_function(np.cos, 64))
-        traj = simulate_2v(init, 1.0, 1.0, snapshot_every=16)
-        assert len(traj.snapshots) >= 2
-        t0, s0 = traj.snapshots[0]
-        assert isinstance(s0, MacroState2V)
+
+class TestRecordPass:
+    """Every recorded column against the GridFunction reference functions.
+
+    The state at record k is the final state of the same run cut after k
+    steps, which takes exactly the same arithmetic.
+    """
+
+    PROFILE = RelaxationProfile.two_piece(1.0, 4.0)
+
+    @staticmethod
+    def reference_2v(state, theta, sigma):
+        u_avg = average(state.u)
+        udev = state.u - u_avg
+        return {
+            "entropy": entropy_2v(udev, state.v, theta),
+            "norm_u_dev": norm(udev),
+            "norm_v": norm(state.v),
+            "v_avg": average(state.v),
+            "mass": u_avg,
+            "rhs": entropy_evolution_rhs(state.u, state.v, sigma, theta),
+        }
+
+    @staticmethod
+    def reference_3v(state, theta, sigma):
+        u1_avg = average(state.u1)
+        u1dev = state.u1 - u1_avg
+        return {
+            "entropy": entropy_3v(u1dev, state.u2, state.u3, theta),
+            "norm_u1_dev": norm(u1dev),
+            "norm_u2": norm(state.u2),
+            "norm_u3": norm(state.u3),
+            "u2_avg": average(state.u2),
+            "mass": u1_avg,
+        }
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_columns_match_reference_functions(self, system, scheme):
+        n, steps = 64, 6
+        fields = [random_band_limited(n, seed=s) for s in (31, 32, 33)]
+        if system == "2v":
+            simulate, init, reference = simulate_2v, MacroState2V(*fields[:2]), self.reference_2v
+        else:
+            simulate, init, reference = simulate_3v, to_macro3(*fields), self.reference_3v
+        dt = 2 * np.pi / n
+        traj = simulate(init, self.PROFILE, steps * dt, dt=dt, scheme=scheme, theta=0.9)
+        assert len(traj.times) == steps + 1
+        for k in range(steps + 1):
+            state = init if k == 0 else simulate(
+                init, self.PROFILE, k * dt, dt=dt, scheme=scheme, theta=0.9
+            ).final
+            expected = reference(state, 0.9, self.PROFILE)
+            assert list(expected) == traj.column_names
+            for name, value in expected.items():
+                assert traj[name][k] == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
 
 
 class TestFitting:
