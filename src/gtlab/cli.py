@@ -374,7 +374,8 @@ def cmd_telegrapher(args) -> int:
     )
     print(
         f"gap = {result.gap:.6g} at gamma = {result.eigenvalue:.6g} "
-        f"({'real' if result.minimiser_is_real else 'complex'}); alpha_BS = {rate:.6g}"
+        f"({'real' if result.minimiser_is_real else 'complex'}); alpha_BS = {rate:.6g}; "
+        f"{result.count} eigenvalues in the strip (certified count, multiplicity included)"
     )
     return 0
 

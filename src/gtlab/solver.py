@@ -314,6 +314,8 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
         dt = dx if scheme == SCHEME_SPLIT else dx / 2.0
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
+    if record_every < 1:
+        raise ValidationError(f"record_every must be at least 1, got {record_every}")
     steps = _resolve_steps(t_final, dt)
     if scheme == SCHEME_SPLIT:
         advance = _split_step(system.velocities, sig, dt, n)

@@ -136,7 +136,7 @@ class TestSubcommands:
         iterates = (out / "iterates.csv").read_text().splitlines()
         assert len(iterates) > 3
 
-    def test_telegrapher(self, tmp_path):
+    def test_telegrapher(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("telegrapher", "--sigma", "pc:1@pi,4@2pi", "--out", str(out)) == 0
         summary = (out / "telegrapher_summary.csv").read_text().splitlines()
@@ -144,6 +144,7 @@ class TestSubcommands:
         values = dict(zip(header, summary[1].split(",")))
         assert float(values["gap"]) == pytest.approx(2.72831, abs=1e-3)
         assert float(values["alpha_bs"]) == pytest.approx(0.86845, abs=1e-3)
+        assert "9 eigenvalues in the strip (certified count" in capsys.readouterr().out
 
     def test_appendix_a_ordering(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -221,6 +222,14 @@ class TestExitCodes:
             "--dt", "0.01", "--out", str(tmp_path / "o"),
         )
         assert code == 2  # dt incommensurate with dx for the split scheme
+
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_record_every_below_one(self, tmp_path, every):
+        code = run(
+            "simulate-2v", "--n", "64", "--t-final", "1", "--record-every", every,
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
         import gtlab.cli as cli

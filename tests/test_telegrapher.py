@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gtlab.telegrapher as tele
 from gtlab.errors import NumericalError, ValidationError
 from gtlab.profiles import RelaxationProfile
 from gtlab.telegrapher import (
@@ -88,6 +89,32 @@ class TestDeterminant:
             gamma = math.pi + 1j * math.sqrt(4.0 * math.pi**2 * k**2 - math.pi**2)
             assert abs(det_M_gamma(gamma, p)) < 1e-9
 
+    def test_entire_form_matches_determinant(self):
+        # H = t1 t2 det M at points off the real axis
+        for g in (1.2 + 3.4j, 0.5 - 2.0j, 4.0 + 0.1j, 7.5 + 9.0j, 20.0 - 30.0j):
+            v = tele._h_batch(g, P_14)
+            t1 = np.sqrt(g * (2 * P_14.sigma1 - g))
+            t2 = np.sqrt(g * (2 * P_14.sigma2 - g))
+            want = t1 * t2 * det_M_gamma(g, P_14)
+            assert abs(complex(v.h) - want) <= 1e-12 * abs(want)
+
+    def test_entire_form_is_even_across_the_branch_cut(self):
+        # just above and below the cut gamma > 2 sigma_2, t2 jumps sign; H must not
+        g = 30.0
+        above = complex(tele._h_batch(g + 1e-9j, P_14).h)
+        below = complex(tele._h_batch(g - 1e-9j, P_14).h)
+        assert above == pytest.approx(np.conj(below), rel=1e-6)
+        assert above == pytest.approx(below, rel=1e-6)
+
+    def test_analytic_derivative_matches_central_difference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            g = complex(rng.uniform(0.1, 6.0), rng.uniform(-12.0, 12.0))
+            h = 1e-6 * (1.0 + abs(g))
+            central = (tele._h_batch(g + h, P_14).h - tele._h_batch(g - h, P_14).h) / (2.0 * h)
+            analytic = tele._h_batch(g, P_14).dh
+            assert abs(analytic - central) <= 1e-6 * abs(central)
+
     def test_degenerate_branch_raises(self):
         with pytest.raises(NumericalError):
             det_M_gamma(0.0, P_14)
@@ -132,6 +159,89 @@ class TestGap:
                 TelegrapherProblem(math.pi, 4 * math.pi, re_max=0.5, im_max=0.5),
                 seeds=(10, 10),
             )
+
+
+def _is_double(r: complex, problem: TelegrapherProblem) -> bool:
+    # det ~ c (gamma - r)^2: the central difference over +-h is O(h) of det(r + h)
+    h = 1e-4
+    up, down = det_M_gamma(r + h, problem), det_M_gamma(r - h, problem)
+    return abs(up - down) < 1e-2 * abs(up)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "pair, count", [((1.0, 4.0), 9), ((2.93, 0.402), 2), ((1.34, 5.46), 18)]
+    )
+    def test_count_met_by_simple_roots(self, pair, count):
+        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        res = telegrapher_gap(problem)
+        assert res.count == count
+        assert len(res.roots) == count
+        assert not any(_is_double(r, problem) for r in res.roots)
+
+    def test_double_roots_counted_twice(self):
+        # sigma~ = (pi, pi): det M = -4 sin^2(t/2), double roots where t = 2 pi k,
+        # gamma = pi +- i pi sqrt(4k^2 - 1); k = 1, 2 lie in the strip
+        p = TelegrapherProblem(math.pi, math.pi)
+        res = telegrapher_gap(p)
+        assert res.count == 8
+        assert len(res.roots) == 4
+        for k in (1, 2):
+            for sign in (1, -1):
+                want = math.pi + sign * 1j * math.pi * math.sqrt(4 * k * k - 1)
+                assert min(abs(r - want) for r in res.roots) < 1e-6
+        assert all(_is_double(r, p) for r in res.roots)
+
+    @pytest.mark.parametrize("re_max", [None, 6.0 * math.pi], ids=["default-strip", "wide-strip"])
+    def test_defective_quadruple_root(self, re_max):
+        # sigma == 2: t1 = t2 = t and gamma = 2 pi is a fourfold zero of det M,
+        # fixed only to about eps^(1/4); H is rounding noise on small squares there
+        res = telegrapher_gap(TelegrapherProblem(2.0 * math.pi, 2.0 * math.pi, re_max=re_max))
+        assert res.count == 16
+        assert min(abs(r - 2.0 * math.pi) for r in res.roots) < 1e-6
+        assert res.gap == pytest.approx(2.0 * math.pi, abs=1e-6)
+
+    def test_cut_out_inside_a_wide_strip(self):
+        # re_max past 2 sigma_2 = 2 pi, a spurious zero of H: its square is
+        # subtracted from the count
+        p41 = TelegrapherProblem(4.0 * math.pi, math.pi)
+        default = telegrapher_gap(p41)
+        wide = telegrapher_gap(TelegrapherProblem(4.0 * math.pi, math.pi, re_max=3.0 * math.pi))
+        assert wide.count == len(wide.roots) >= default.count == 9
+        inside = [r for r in wide.roots if r.real < p41.re_max]
+        assert len(inside) == default.count
+
+    def test_near_double_real_pair(self):
+        # det M changes sign twice within 2e-5 near 0.36805: the real scan sees
+        # neither root, and undeflated grid Newton finds only the second
+        p = TelegrapherProblem(17.02 * math.pi, 17.24 * math.pi)
+        assert det_M_gamma(0.368045, p).real < 0.0 < det_M_gamma(0.36805, p).real
+        assert det_M_gamma(0.36806, p).real > 0.0 > det_M_gamma(0.368065, p).real
+        res = telegrapher_gap(p)
+        assert res.count == len(res.roots) == 139
+        assert 0.368045 < res.gap < 0.36805
+
+    def test_roots_whose_determinant_rounds_above_tolerance(self):
+        # the rounding error of det M reaches 1e-4 at some roots here, and 18 of
+        # the 25 have |det M| >= 1e-9: a root passes when H is within its
+        # rounding error
+        res = telegrapher_gap(TelegrapherProblem(0.728 * math.pi, 20.274 * math.pi))
+        assert res.count == len(res.roots) == 25
+
+    def test_small_seed_grid_refined(self, gap_14):
+        res = telegrapher_gap(P_14, seeds=(2, 2))
+        assert res.count == gap_14.count == len(res.roots)
+        for r in gap_14.roots:
+            assert min(abs(r - s) for s in res.roots) < 1e-8
+
+    def test_shortfall_raises(self, monkeypatch):
+        monkeypatch.setattr(tele, "_newton", lambda seeds, *args: seeds)
+        with pytest.raises(NumericalError, match="found 1 of 9 counted roots"):
+            telegrapher_gap(P_14)
+
+    def test_bad_seed_grid_rejected(self):
+        with pytest.raises(ValidationError):
+            telegrapher_gap(P_14, seeds=(0, 30))
 
 
 class TestBsRate:
