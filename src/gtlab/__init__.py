@@ -7,72 +7,4 @@ weighted-Poincare improvement, and the telegrapher-based optimal rate), and
 cross-validates observed against predicted exponential decay.
 """
 
-from .entropy import entropy_2v, entropy_3v, entropy_evolution_rhs, equivalence_bounds
-from .errors import GridMismatchError, NumericalError, ValidationError
-from .modal import (
-    c_matrix,
-    eigenvalues,
-    lyapunov_gap,
-    modal_report,
-    p_matrix,
-    spectral_gap,
-)
-from .poincare import (
-    ImprovedAlphaResult,
-    PoincareResult,
-    TwoPieceWeight,
-    det_M_lambda,
-    improved_alpha,
-    weight_from_sigma,
-    weighted_poincare,
-)
-from .profiles import RelaxationProfile
-from .rates import (
-    ConditionCheck,
-    RateReport,
-    alpha_star,
-    check_conditions_2v,
-    check_conditions_3v,
-    constant_rate,
-    gamma_bounds,
-    perturbative_rate,
-    rate_3v,
-    theta_star,
-)
-from .solver import (
-    KineticState2V,
-    MacroState2V,
-    MacroState3V,
-    Trajectory,
-    fit_decay_rate,
-    fit_envelope_rate,
-    simulate_2v,
-    simulate_3v,
-    to_kinetic,
-    to_kinetic3,
-    to_macro,
-    to_macro3,
-)
-from .telegrapher import (
-    GapResult,
-    TelegrapherProblem,
-    bs_rate,
-    det_M_gamma,
-    rescale_sigma,
-    telegrapher_gap,
-)
-from .torus import (
-    FourierCoeffs,
-    GridFunction,
-    antiderivative,
-    average,
-    derivative,
-    fourier,
-    inner,
-    nodes,
-    norm,
-    norm_sq,
-    random_band_limited,
-)
-
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -33,12 +32,14 @@ from .errors import NumericalError, ValidationError
 from .modal import modal_report, spectral_gap
 from .profiles import RelaxationProfile
 from .rates import (
-    RateReport,
+    SOURCE_BERNARD_SALVARANI,
+    SOURCE_IMPROVED_POINCARE,
+    SOURCE_PERTURBATIVE,
     alpha_star,
     check_conditions_2v,
     check_conditions_3v,
-    constant_rate,
-    perturbative_rate,
+    needs_eps,
+    rate_2v,
     rate_3v,
     theta_star,
 )
@@ -51,29 +52,11 @@ from .solver import (
     simulate_3v,
     to_macro3,
 )
-from .torus import GridFunction, nodes, random_band_limited
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+from .torus import GridFunction, _format_cell, nodes, random_band_limited, write_csv
 
 
 def _print_table(header, rows) -> None:
-    cells = [header] + [[_fmt(v) if not isinstance(v, str) else v for v in r] for r in rows]
+    cells = [header] + [[_format_cell(v) for v in r] for r in rows]
     cells = [[c if len(c) <= 22 else c[:22] for c in r] for r in cells]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     for r in cells:
@@ -179,18 +162,10 @@ def _sigma_of(args) -> RelaxationProfile:
     return RelaxationProfile.parse(args.sigma)
 
 
-def _rate_2v(profile, eps) -> RateReport:
-    """Two-velocity theoretical rate: sharp for constant sigma (eps at 2), else perturbative."""
-    if profile.is_constant:
-        s = profile.sigma_min
-        return constant_rate(s, eps=eps if abs(s - 2.0) <= 1e-14 else None)
-    return perturbative_rate(profile)
-
-
 def cmd_simulate_2v(args) -> int:
     out = _outdir(args)
     profile = _sigma_of(args)
-    rep = _rate_2v(profile, args.eps)
+    rep = rate_2v(profile, args.eps)
     theta = args.theta if args.theta is not None else rep.theta
     rng = np.random.default_rng(args.seed)
     u0 = parse_field(args.u0, args.n, rng, zero_mean=True)
@@ -265,7 +240,7 @@ def cmd_simulate_3v(args) -> int:
 def cmd_rates(args) -> int:
     out = _outdir(args)
     profile = _sigma_of(args)
-    rep = _rate_2v(profile, args.eps)
+    rep = rate_2v(profile, args.eps)
     rows = [rep.csv_row()]
     if not profile.is_constant:
         check = check_conditions_2v(rep.theta, rep.rate, profile)
@@ -285,7 +260,7 @@ def cmd_modal_report(args) -> int:
     if not profile.is_constant:
         raise ValidationError("modal-report needs a constant sigma")
     s = profile.sigma_min
-    rows = modal_report(s, args.kmax, eps=args.eps if abs(s - 2.0) <= 1e-12 else None)
+    rows = modal_report(s, args.kmax, eps=args.eps)
     write_csv(
         out / "modal_report.csv",
         ["k", "re_lam_minus", "im_lam_minus", "re_lam_plus", "im_lam_plus", "lyapunov_gap", "case"],
@@ -389,9 +364,9 @@ def cmd_appendix_a(args) -> int:
     imp = poincare_mod.improved_alpha(profile, theta, a_star)
     bs = tele_mod.bs_rate(profile)
     rows = [
-        ("perturbative", a_star),
-        ("improved-poincare", imp.alpha_max),
-        ("bernard-salvarani", bs.rate),
+        (SOURCE_PERTURBATIVE, a_star),
+        (SOURCE_IMPROVED_POINCARE, imp.alpha_max),
+        (SOURCE_BERNARD_SALVARANI, bs.rate),
     ]
     write_csv(out / "comparison.csv", ["method", "rate"], rows)
     ordered = rows[0][1] < rows[1][1] < rows[2][1]
@@ -412,7 +387,7 @@ def cmd_rate_curve(args) -> int:
     if not (0 < lo < hi and count >= 2):
         raise ValidationError(f"need 0 < LO < HI and COUNT >= 2, got {args.grid!r}")
     sigmas = np.linspace(lo, hi, count)
-    sigmas = sigmas[np.abs(sigmas - 2.0) > 1e-12]  # defective point marked, not sampled
+    sigmas = [s for s in sigmas if not needs_eps(s)]  # defective point not sampled
     rows = []
     for s in sigmas:
         gap = spectral_gap(float(s))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ValidationError
 from .profiles import as_samples
-from .torus import GridFunction, antiderivative, average
+from .torus import GridFunction, average, primitive
 
 
 class EntropyTerms(NamedTuple):
@@ -40,7 +40,7 @@ def _norm_sq(a: np.ndarray) -> float:
 def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
     """E_theta(f, g) (+ ||h||^2 when h is given) on plain sample arrays.
 
-    f is mean-zero and prim its mean-zero primitive, antiderivative(f).
+    f is mean-zero and prim its mean-zero primitive, torus.primitive(f).
     Given sigma samples, rhs is the exact d/dt of E_theta(u - u_avg, v)
     along the two-velocity flow, for real f = u - u_avg and g = v:
 
@@ -65,12 +65,12 @@ def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
 
 def entropy_2v(f: GridFunction, g: GridFunction, theta: float) -> float:
     """E_theta(f, g); the caller passes f mean-shifted (e.g. u - u_avg)."""
-    return entropy_terms(f.values, g.values, antiderivative(f).values, theta).entropy
+    return entropy_terms(f.values, g.values, primitive(f.values), theta).entropy
 
 
 def entropy_3v(f: GridFunction, g: GridFunction, h: GridFunction, theta: float) -> float:
     """Three-velocity entropy: entropy_2v(f, g, theta) + ||h||^2."""
-    return entropy_terms(f.values, g.values, antiderivative(f).values, theta, h=h.values).entropy
+    return entropy_terms(f.values, g.values, primitive(f.values), theta, h=h.values).entropy
 
 
 def equivalence_bounds(theta: float) -> tuple[float, float]:
@@ -91,5 +91,5 @@ def entropy_evolution_rhs(u: GridFunction, v: GridFunction, sigma, theta: float)
     if u.is_complex or v.is_complex:
         raise ValidationError("entropy evolution identity applies to real states")
     sig = as_samples(sigma, u.n)
-    udev = u - average(u)
-    return entropy_terms(udev.values, v.values, antiderivative(udev).values, theta, sigma=sig).rhs
+    udev = u.values - average(u)
+    return entropy_terms(udev, v.values, primitive(udev), theta, sigma=sig).rhs

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .rates import constant_rate
+from .rates import needs_eps
 
 _DEFECT_TOL = 1e-12
 _HERMIT_TOL = 1e-15
@@ -139,7 +139,7 @@ def p_matrix(k: int, sigma: float, eps: float | None = None) -> TwistMatrix:
     _require_mode(k)
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    if abs(sigma - 2.0) <= _DEFECT_TOL:
+    if needs_eps(sigma):
         return p_sufficient_eps(k, eps)
     if eps is not None:
         raise ValidationError("eps applies only to sigma = 2")
@@ -182,7 +182,7 @@ def spectral_gap(sigma: float) -> SpectralGap:
     defective = half >= 1.0 and abs(half - round(half)) < _DEFECT_TOL
     if sigma < 2.0:
         return SpectralGap(half, False)
-    if abs(sigma - 2.0) <= _DEFECT_TOL:
+    if needs_eps(sigma):
         return SpectralGap(1.0, True)
     mu = half - np.sqrt(half**2 - 1.0)
     return SpectralGap(float(mu), defective)
@@ -192,7 +192,7 @@ def modal_report(sigma: float, kmax: int, eps: float | None = None) -> list[dict
     """Rows (k, eigenvalues, Lyapunov gap, eigenvalue case) for k = 1..kmax."""
     if kmax < 1:
         raise ValidationError(f"kmax must be >= 1, got {kmax}")
-    needs_eps = abs(sigma - 2.0) <= _DEFECT_TOL
+    eps = eps if needs_eps(sigma) else None
     rows = []
     for k in range(1, kmax + 1):
         eig = eigenvalues(k, sigma)
@@ -209,7 +209,7 @@ def modal_report(sigma: float, kmax: int, eps: float | None = None) -> list[dict
                 "im_lam_minus": eig.lam_minus.imag,
                 "re_lam_plus": eig.lam_plus.real,
                 "im_lam_plus": eig.lam_plus.imag,
-                "lyapunov_gap": lyapunov_gap(k, sigma, eps if needs_eps else None),
+                "lyapunov_gap": lyapunov_gap(k, sigma, eps),
                 "case": case,
             }
         )

@@ -106,10 +106,6 @@ def det_M_lambda(lam: float, weight: TwoPieceWeight) -> float:
     return float(np.linalg.det(matching_matrix(lam, weight)))
 
 
-def _det_batch(lams: np.ndarray, weight: TwoPieceWeight) -> np.ndarray:
-    return np.linalg.det(matching_matrix(lams, weight))
-
-
 @dataclass(frozen=True)
 class PoincareResult:
     """Smallest constrained eigenvalue and the resulting sharp constant."""
@@ -139,7 +135,7 @@ def weighted_poincare(
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
     grid = np.arange(scan_step, lam_max + scan_step / 2.0, scan_step)
-    dets = _det_batch(grid, weight)
+    dets = np.linalg.det(matching_matrix(grid, weight))
     scale = float(np.max(np.abs(dets)))
     if scale == 0.0:
         raise NumericalError("determinant vanished identically on the scan grid")

@@ -165,13 +165,6 @@ class RelaxationProfile:
         idx = np.searchsorted(breaks, x - _BREAK_TOL, side="left")
         return vals[idx]
 
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"const:{self.value:g}"
-        if self.kind == "piecewise":
-            return "pc:" + ",".join(f"{v:g}@{b:g}" for b, v in self.pieces)
-        return f"sampled(n={self.grid.n})"
-
 
 def as_samples(sigma, n: int) -> np.ndarray:
     """Coerce a profile, grid function, array, or scalar to node samples."""

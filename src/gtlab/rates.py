@@ -34,7 +34,8 @@ SOURCE_BERNARD_SALVARANI = "bernard-salvarani"
 SOURCE_THREE_VELOCITY = "three-velocity"
 
 _SQRT_CLAMP = 1e-14
-_SIGMA_TWO_TOL = 1e-14
+#: Distance from 2 within which a constant sigma counts as the defective value.
+_SIGMA_TWO_TOL = 1e-12
 #: Absolute slack for inequalities that are tight by construction
 #: (condition II holds with equality at sigma_max for the optimal pair).
 _CONDITION_ATOL = 1e-9
@@ -71,11 +72,16 @@ class RateReport:
         return (self.source, self.theta, self.rate, self.prefactor)
 
 
+def needs_eps(sigma: float) -> bool:
+    """True for the defective constant sigma = 2, whose rates and twists need an eps."""
+    return abs(sigma - 2.0) <= _SIGMA_TWO_TOL
+
+
 def constant_rate(sigma: float, eps: float | None = None) -> RateReport:
     """Sharp constant-sigma rate bundle; sigma = 2 needs eps in (0, 1)."""
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    if abs(sigma - 2.0) <= _SIGMA_TWO_TOL:
+    if needs_eps(sigma):
         if eps is None or not 0.0 < eps < 1.0:
             raise ValidationError("sigma = 2 is defective: eps in (0, 1) required")
         theta = 2.0 * (2.0 - eps**2) / (2.0 + eps**2)
@@ -218,6 +224,17 @@ def rate_3v(sigma_min: float, sigma_max: float) -> RateReport:
         raise ValidationError(f"need 0 < sigma_min <= sigma_max, got ({sigma_min}, {sigma_max})")
     alpha = min(sigma_min / 2.0, 3.0 * sigma_min / (9.0 * sigma_max**2 + 1.0))
     return RateReport(source=SOURCE_THREE_VELOCITY, rate=alpha, theta=math.sqrt(6.0) * alpha)
+
+
+def rate_2v(profile: RelaxationProfile, eps: float | None = None) -> RateReport:
+    """Two-velocity theoretical rate: sharp for constant sigma (eps at 2), else perturbative.
+
+    eps is used only at sigma = 2, where it is required.
+    """
+    if profile.is_constant:
+        s = profile.sigma_min
+        return constant_rate(s, eps=eps if needs_eps(s) else None)
+    return perturbative_rate(profile)
 
 
 def perturbative_rate(sigma) -> RateReport:

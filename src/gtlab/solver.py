@@ -14,7 +14,6 @@ densities, driven by the velocity set: (+1, -1) for two velocities and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,8 @@ import numpy as np
 from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
 from .errors import NumericalError, ValidationError
 from .profiles import as_profile, as_samples
-from .rates import constant_rate, rate_3v, theta_star
-from .torus import TWO_PI, GridFunction, antiderivative
+from .rates import rate_2v, rate_3v
+from .torus import TWO_PI, GridFunction, primitive, write_csv
 
 SCHEME_SPLIT = "split"
 SCHEME_RK4 = "rk4"
@@ -166,15 +165,7 @@ class Trajectory:
         return np.abs(quotient - self.columns["rhs"][1:-1])
 
     def to_csv(self, path) -> None:
-        names = self.column_names
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + names)
-            for i, t in enumerate(self.times):
-                writer.writerow(
-                    [format(t, ".17g")]
-                    + [format(self.columns[c][i], ".17g") for c in names]
-                )
+        write_csv(path, ["t"] + self.column_names, zip(self.times, *self.columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +210,6 @@ def _split_shift_cells(dt: float, dx: float) -> int:
             f"split scheme needs dt = m*dx with integer m >= 1, got dt/dx = {m}"
         )
     return int(round(m))
-
-
-def _default_theta(profile) -> float:
-    """Twist recorded in two-velocity diagnostics when none is given."""
-    if profile.is_constant:
-        s = profile.sigma_min
-        if abs(s - 2.0) <= 1e-14:
-            return constant_rate(2.0, eps=0.5).theta
-        return constant_rate(s).theta
-    return theta_star(profile.sigma_min, profile.sigma_max)
 
 
 def _split_step(velocities, sig, dt: float, n: int):
@@ -288,12 +269,13 @@ def _rk4_step(velocities, sig, dt: float, n: int):
 def _record(u: np.ndarray, sig: np.ndarray, theta: float) -> tuple:
     """One record of the macroscopic rows u = (mass density, flux[, u3]).
 
-    The mean-zero primitive of the mass deviation is computed once and
-    serves both the entropy and, for two velocities, its evolution rhs.
+    The mean-zero primitive of the mass deviation is computed once, on the
+    plain array, and serves both the entropy and, for two velocities, its
+    evolution rhs.
     """
     mass = float(np.mean(u[0]))
     dev = u[0] - mass
-    prim = antiderivative(GridFunction(dev)).values
+    prim = primitive(dev)
     flux_avg = float(np.mean(u[1]))
     if len(u) == 2:
         e = entropy_terms(dev, u[1], prim, theta, sigma=sig)
@@ -356,9 +338,10 @@ def simulate_2v(
     """Advance the two-velocity system (velocities +1, -1).
 
     ``init`` may be macroscopic or kinetic. The recorded entropy is
-    E_theta(u - u_avg, v) together with its exact evolution right-hand side.
-    dt defaults to dx for the split scheme and dx/2 for RK4 (spectral
-    advection stability).
+    E_theta(u - u_avg, v) together with its exact evolution right-hand side;
+    theta defaults to the twist of ``rates.rate_2v``, so the defective
+    constant sigma = 2 needs an explicit theta. dt defaults to dx for the
+    split scheme and dx/2 for RK4 (spectral advection stability).
     """
     if isinstance(init, MacroState2V):
         init = to_kinetic(init)
@@ -368,7 +351,7 @@ def simulate_2v(
         raise ValidationError("simulation states must be real-valued")
     profile = as_profile(sigma)
     if theta is None:
-        theta = _default_theta(profile)
+        theta = rate_2v(profile).theta
     f = np.vstack([init.f_plus.values, init.f_minus.values])
     return _simulate(f, _SYSTEM_2V, profile, theta, init.t, t_final, dt, scheme, record_every)
 

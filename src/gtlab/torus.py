@@ -5,27 +5,25 @@ endpoint x = 2*pi is identified with x = 0 and not stored). All integrals
 carry the 1/(2*pi) normalisation, so ``average(one) == 1`` and
 ``inner(sin, sin) == 1/2``.
 
-The anti-derivative operator is the mean-zero primitive: division by ik in
-Fourier space on mean-zero input, the literal cumulative integral minus its
-average otherwise.
+The anti-derivative operator is the mean-zero primitive of f - avg f:
+division by ik in Fourier space, with the k = 0 and Nyquist modes zeroed.
+``primitive`` applies it to plain sample arrays, ``antiderivative`` to grid
+functions.
+
+Every CSV file the package writes goes through ``write_csv``, which prints
+floats with 17 significant digits so that they read back exactly.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridMismatchError, ValidationError
 
 TWO_PI = 2.0 * np.pi
-
-#: Inputs whose average is below this threshold take the exact spectral
-#: anti-derivative path (division by ik).
-MEAN_ZERO_TOL = 1e-13
 
 _MIN_N = 8
 
@@ -134,11 +132,7 @@ class GridFunction:
         """Write rows (x_j, value). Real-valued functions only."""
         if self.is_complex:
             raise ValidationError("CSV serialization is defined for real samples only")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for xj, vj in zip(self.x, self.values):
-                writer.writerow([format(xj, ".17g"), format(vj, ".17g")])
+        write_csv(path, ["x", "value"], zip(self.x, self.values))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
@@ -150,60 +144,27 @@ class GridFunction:
             vals = [float(row[1]) for row in reader if row]
         return cls(np.asarray(vals))
 
-    def to_binary(self, path) -> None:
-        """Compact dump: little-endian int64 N followed by N float64 samples."""
-        if self.is_complex:
-            raise ValidationError("binary serialization is defined for real samples only")
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<q", self.n))
-            fh.write(struct.pack(f"<{self.n}d", *self.values))
 
-    @classmethod
-    def from_binary(cls, path) -> "GridFunction":
-        with open(path, "rb") as fh:
-            (n,) = struct.unpack("<q", fh.read(8))
-            _validate_n(n)
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ValidationError(f"truncated binary dump in {path}")
-            return cls(np.asarray(struct.unpack(f"<{n}d", raw)))
+def _format_cell(x) -> str:
+    """One CSV cell: '' for None, strings as they are, integers exactly, floats to 17 digits."""
+    if isinstance(x, float):  # np.float64 too; nearly every cell is one
+        return format(x, ".17g")
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
 
 
-@dataclass(frozen=True, eq=False)
-class FourierCoeffs:
-    """Fourier coefficients h_hat(k) = (1/2pi) int h e^{-ikx} dx, FFT ordering."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(np.asarray(self.coeffs), dtype=np.complex128)
-        _validate_n(c.shape[0])
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def k(self) -> np.ndarray:
-        return wavenumbers(self.n)
-
-    def __getitem__(self, k: int) -> complex:
-        if not -self.n // 2 <= k < self.n // 2:
-            raise ValidationError(f"mode {k} outside resolved range for n={self.n}")
-        return complex(self.coeffs[k % self.n])
-
-    def to_grid(self) -> GridFunction:
-        vals = np.fft.ifft(self.coeffs) * self.n
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.max(np.abs(vals.imag)) < 1e-12 * scale:
-            vals = vals.real
-        return GridFunction(vals)
-
-
-def fourier(f: GridFunction) -> FourierCoeffs:
-    return FourierCoeffs(np.fft.fft(f.values) / f.n)
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then one row per item of ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
 
 
 def average(f: GridFunction):
@@ -240,25 +201,26 @@ def derivative(f: GridFunction) -> GridFunction:
     return GridFunction(out.real if not f.is_complex else out)
 
 
-def antiderivative(f: GridFunction) -> GridFunction:
-    """Mean-zero primitive of f.
+def primitive(values) -> np.ndarray:
+    """Mean-zero primitive of f - avg f on plain samples of f.
 
-    Mean-zero input takes the exact Fourier route (divide by ik, zero the
-    k = 0 and Nyquist modes); otherwise the cumulative trapezoid integral
-    minus its grid average is returned, which realises the primitive of a
-    non-periodic ramp pointwise at the nodes.
+    Divides by ik in Fourier space and zeroes the k = 0 and Nyquist modes.
+    Real input gives a real result, copied out of the complex transform:
+    dot products with a strided view would sum in another order.
     """
-    if abs(average(f)) < MEAN_ZERO_TOL:
-        c = np.fft.fft(f.values)
-        k = wavenumbers(f.n)
-        c[1:] /= 1j * k[1:]
-        c[0] = 0.0
-        c[f.n // 2] = 0.0
-        out = np.fft.ifft(c)
-        return GridFunction(out.real if not f.is_complex else out)
-    ext = np.concatenate([f.values, f.values[:1]])
-    cum = cumulative_trapezoid(ext, dx=TWO_PI / f.n, initial=0.0)[: f.n]
-    return GridFunction(cum - np.mean(cum))
+    v = np.asarray(values)
+    n = v.shape[0]
+    c = np.fft.fft(v)
+    c[1:] /= 1j * wavenumbers(n)[1:]
+    c[0] = 0.0
+    c[n // 2] = 0.0
+    out = np.fft.ifft(c)
+    return out if np.iscomplexobj(v) else np.ascontiguousarray(out.real)
+
+
+def antiderivative(f: GridFunction) -> GridFunction:
+    """Mean-zero primitive of f - avg f (see ``primitive``)."""
+    return GridFunction(primitive(f.values))
 
 
 def random_band_limited(

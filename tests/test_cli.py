@@ -122,6 +122,14 @@ class TestSubcommands:
         text = (out / "rates.csv").read_text()
         assert "perturbative" in text and "three-velocity" in text
 
+    @pytest.mark.parametrize("sigma", ["const:2.0000000000005", "const:1.9999999999995"])
+    def test_rates_and_modal_report_agree_next_to_two(self, tmp_path, sigma):
+        # both treat a sigma within 1e-12 of 2 as the defective value
+        for command in (["rates"], ["modal-report", "--kmax", "3"]):
+            argv = command + ["--sigma", sigma, "--out", str(tmp_path / command[0])]
+            assert run(*argv) == 2
+            assert run(*argv, "--eps", "0.5") == 0
+
     def test_modal_report(self, tmp_path):
         out = tmp_path / "o"
         assert run("modal-report", "--sigma", "const:5", "--kmax", "10", "--out", str(out)) == 0

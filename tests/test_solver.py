@@ -118,6 +118,20 @@ class TestSimulate2V:
         # the law is exact for the flow; the trajectory carries O(dt^2) error
         assert np.max(np.abs(traj["entropy"] - expected)) < 1e-4
 
+    def test_records_scale_with_the_data(self):
+        # entropy and rhs are quadratic in the state; large data must not
+        # change how the record computes the primitive of u - u_avg
+        u0, v0 = random_band_limited(256, seed=3), random_band_limited(256, seed=4)
+        base = simulate_2v(MacroState2V(u0, v0), 1.0, 10.0)
+        big = simulate_2v(MacroState2V(1e4 * u0, 1e4 * v0), 1.0, 10.0)
+        for name in ("entropy", "rhs"):
+            assert_allclose(big[name], 1e8 * base[name], rtol=1e-12, atol=0.0)
+
+    def test_defective_sigma_needs_theta(self):
+        init = MacroState2V(GridFunction.zeros(64), gf(np.cos, 64))
+        with pytest.raises(ValidationError):
+            simulate_2v(init, 2.0, 1.0)
+
     def test_mass_conservation_split(self):
         init = MacroState2V(random_band_limited(256, seed=3), random_band_limited(256, seed=4))
         traj = simulate_2v(init, RelaxationProfile.two_piece(1.0, 4.0), 10.0)

@@ -12,7 +12,6 @@ from gtlab.torus import (
     antiderivative,
     average,
     derivative,
-    fourier,
     inner,
     nodes,
     norm,
@@ -132,9 +131,9 @@ class TestAntiderivative:
         assert np.max(np.abs(result - np.sin(2 * nodes(n)) / 2)) < 1e-10
 
     def test_nonzero_mean_literal_path(self):
+        # a nonzero mean is dropped: the result is the primitive of f - avg f
         f = gf(lambda x: 1.0 + np.cos(3 * x))
-        g = antiderivative(f)
-        assert abs(average(g)) < 1e-13
+        assert_allclose(antiderivative(f).values, np.sin(3 * nodes(64)) / 3, atol=1e-14)
 
 
 class TestOperatorIdentities:
@@ -166,27 +165,8 @@ class TestOperatorIdentities:
     @given(amplitude_pairs, amplitude)
     def test_plancherel(self, amps, c):
         f = band_limited(amps) + c
-        coeffs = fourier(f)
-        assert np.sum(np.abs(coeffs.coeffs) ** 2) == pytest.approx(norm_sq(f), abs=1e-12)
-
-
-class TestFourier:
-    def test_roundtrip(self):
-        f = random_band_limited(64, seed=11)
-        back = fourier(f).to_grid()
-        assert_allclose(back.values, f.values, rtol=1e-12, atol=1e-13)
-
-    def test_normalisation(self):
-        f = gf(lambda x: np.cos(3 * x))
-        c = fourier(f)
-        assert c[3] == pytest.approx(0.5)
-        assert c[-3] == pytest.approx(0.5)
-        assert abs(c[2]) < 1e-15
-
-    def test_mode_indexing_bounds(self):
-        c = fourier(GridFunction.zeros(16))
-        with pytest.raises(ValidationError):
-            c[8]
+        coeffs = np.fft.fft(f.values) / f.n
+        assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(norm_sq(f), abs=1e-12)
 
 
 class TestSerialization:
@@ -196,18 +176,10 @@ class TestSerialization:
         f.to_csv(path)
         assert_allclose(GridFunction.from_csv(path).values, f.values, rtol=0, atol=0)
 
-    def test_binary_roundtrip(self, tmp_path):
-        f = random_band_limited(32, seed=6)
-        path = tmp_path / "f.bin"
-        f.to_binary(path)
-        assert np.array_equal(GridFunction.from_binary(path).values, f.values)
-
     def test_complex_rejected(self, tmp_path):
         f = gf(lambda x: np.exp(1j * x))
         with pytest.raises(ValidationError):
             f.to_csv(tmp_path / "c.csv")
-        with pytest.raises(ValidationError):
-            f.to_binary(tmp_path / "c.bin")
 
 
 class TestRandomBandLimited:
@@ -222,6 +194,6 @@ class TestRandomBandLimited:
 
     def test_band_limit(self):
         f = random_band_limited(64, seed=3)
-        c = fourier(f).coeffs
-        k = fourier(f).k
+        c = np.fft.fft(f.values) / f.n
+        k = np.fft.fftfreq(f.n, d=1.0 / f.n)
         assert np.max(np.abs(c[np.abs(k) > 8])) < 1e-14
