@@ -11,9 +11,22 @@ Subcommands:
     appendix-a     three-rate comparison for the piecewise {1, 4} profile
     rate-curve     sharp rate mu(sigma) over a sigma grid
 
-Common flags: --sigma (const:V | pc:V@B,... | file:PATH), --n, --dt,
---t-final, --theta, --alpha, --eps, --seed, --out, --config, --plot.
-A config file holds flat KEY = VALUE lines overridden by CLI flags.
+Each subcommand takes only the flags its handler reads, plus --out and --config:
+
+    simulate-2v    --sigma --n --dt --t-final --theta --eps --seed --plot
+                   --scheme --u0 --v0 --record-every
+    simulate-3v    the same with --f1 --f2 --f3 in place of --u0 --v0
+                   (--eps is accepted and ignored: the 3v rate has no eps)
+    rates          --sigma --eps
+    modal-report   --sigma --eps --kmax --plot
+    poincare       --sigma --theta --alpha --w1 --w2 --scan-step --improve --alpha0
+    telegrapher    --sigma
+    appendix-a     --sigma
+    rate-curve     --grid --plot
+
+--sigma is const:V | pc:V@B,... | file:PATH. Any other flag, and any
+abbreviation of a flag, is an error (exit 2). A config file (--config PATH or
+--config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags.
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 """
 
@@ -286,12 +299,18 @@ def cmd_modal_report(args) -> int:
 
 def cmd_poincare(args) -> int:
     out = _outdir(args)
-    if args.w1 is not None and args.w2 is not None:
+    weight_given = args.w1 is not None and args.w2 is not None
+    if not weight_given or args.improve:
+        profile = _sigma_of(args)
+        s_min, s_max = profile.sigma_min, profile.sigma_max
+        theta = args.theta if args.theta is not None else theta_star(s_min, s_max)
+        # alpha* needs s_min < s_max, so it is computed only when a default uses it
+        if (args.alpha is None and not weight_given) or (args.alpha0 is None and args.improve):
+            a_star = alpha_star(s_min, s_max)
+    if weight_given:
         weight = poincare_mod.TwoPieceWeight(args.w1, args.w2)
     else:
-        profile = _sigma_of(args)
-        theta = args.theta if args.theta is not None else theta_star(profile.sigma_min, profile.sigma_max)
-        alpha = args.alpha if args.alpha is not None else alpha_star(profile.sigma_min, profile.sigma_max)
+        alpha = args.alpha if args.alpha is not None else a_star
         weight = poincare_mod.weight_from_sigma(profile, theta, alpha)
     result = poincare_mod.weighted_poincare(weight, scan_step=args.scan_step)
     write_csv(
@@ -304,9 +323,7 @@ def cmd_poincare(args) -> int:
         f"C^2 = {result.c_omega_sq:.8g}, C = {result.c_omega:.8g}"
     )
     if args.improve:
-        profile = _sigma_of(args)
-        theta = args.theta if args.theta is not None else theta_star(profile.sigma_min, profile.sigma_max)
-        alpha0 = args.alpha0 if args.alpha0 is not None else alpha_star(profile.sigma_min, profile.sigma_max)
+        alpha0 = args.alpha0 if args.alpha0 is not None else a_star
         imp = poincare_mod.improved_alpha(profile, theta, alpha0)
         write_csv(
             out / "iterates.csv",
@@ -403,84 +420,103 @@ def cmd_rate_curve(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, sigma_default: str | None = "const:1") -> None:
-    if sigma_default is not None:
-        p.add_argument("--sigma", default=sigma_default, help="const:V | pc:V@B,... | file:PATH")
-    p.add_argument("--n", type=int, default=256, help="grid resolution")
-    p.add_argument("--dt", type=float, default=None, help="time step (default: dx)")
-    p.add_argument("--t-final", type=float, default=30.0, help="final time")
-    p.add_argument("--theta", type=float, default=None, help="entropy twist weight")
-    p.add_argument("--alpha", type=float, default=None, help="decay-rate parameter")
-    p.add_argument("--eps", type=float, default=None, help="epsilon for the defective sigma = 2")
-    p.add_argument("--seed", type=int, default=0, help="seed for random initial data")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--config", default=None, help="flat KEY = VALUE config file")
-    p.add_argument("--plot", action="store_true", help="emit SVG plots")
+#: Every flag of every subcommand, with its add_argument keywords.
+FLAGS = {
+    "sigma": dict(default="const:1", help="const:V | pc:V@B,... | file:PATH"),
+    "n": dict(type=int, default=256, help="grid resolution"),
+    "dt": dict(type=float, help="time step (default: dx for split, dx/2 for rk4)"),
+    "t-final": dict(type=float, default=30.0, help="final time"),
+    "theta": dict(type=float, help="entropy twist weight"),
+    "alpha": dict(type=float, help="decay rate in the weight (default alpha*)"),
+    "eps": dict(type=float, help="epsilon for the defective sigma = 2"),
+    "seed": dict(type=int, default=0, help="seed for random initial data"),
+    "plot": dict(action="store_true", help="emit SVG plots"),
+    "scheme": dict(choices=["split", "rk4"], default="split"),
+    "record-every": dict(type=int, default=1),
+    "u0": dict(default="zero", help="initial mass density preset"),
+    "v0": dict(default="cos", help="initial flux density preset"),
+    "f1": dict(default="one"),
+    "f2": dict(default="cos"),
+    "f3": dict(default="sin"),
+    "kmax": dict(type=int, default=50),
+    "w1": dict(type=float),
+    "w2": dict(type=float),
+    "scan-step": dict(type=float, default=1e-3),
+    "improve": dict(action="store_true", help="run the fixed-point improvement"),
+    "alpha0": dict(type=float, help="starting rate for --improve"),
+    "grid": dict(default="0.05:10:200", help="LO:HI:COUNT"),
+    "out": dict(default="out", help="output directory"),
+    "config": dict(help="flat KEY = VALUE config file"),
+}
+
+_SIMULATE = ("sigma", "n", "dt", "t-final", "theta", "eps", "seed", "plot", "scheme", "record-every")
+_PAPER_SIGMA = {"sigma": dict(default="pc:1@pi,4@2pi")}
+
+#: name -> (handler, help, the flags the handler reads, changes to their FLAGS
+#: entries). Every subcommand also takes --out and --config.
+SUBCOMMANDS = {
+    "simulate-2v": (cmd_simulate_2v, "run the two-velocity system", _SIMULATE + ("u0", "v0"), {}),
+    "simulate-3v": (
+        cmd_simulate_3v,
+        "run the three-velocity system",
+        _SIMULATE + ("f1", "f2", "f3"),
+        {"eps": dict(help="accepted and ignored: the three-velocity rate has no eps")},
+    ),
+    "rates": (cmd_rates, "theoretical rate bundles for a profile", ("sigma", "eps"), {}),
+    "modal-report": (
+        cmd_modal_report,
+        "per-mode eigenvalues and gaps",
+        ("sigma", "eps", "kmax", "plot"),
+        {"sigma": dict(default="const:5")},
+    ),
+    "poincare": (
+        cmd_poincare,
+        "weighted Poincare constant",
+        ("sigma", "theta", "alpha", "w1", "w2", "scan-step", "improve", "alpha0"),
+        _PAPER_SIGMA,
+    ),
+    "telegrapher": (cmd_telegrapher, "damped-wave spectral gap", ("sigma",), _PAPER_SIGMA),
+    "appendix-a": (
+        cmd_appendix_a, "three-rate comparison for pc:1@pi,4@2pi", ("sigma",), _PAPER_SIGMA
+    ),
+    "rate-curve": (cmd_rate_curve, "mu(sigma) over a grid", ("grid", "plot"), {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gtlab", description=__doc__.splitlines()[0])
+    """One subparser per subcommand, registering exactly its SUBCOMMANDS flags.
+
+    Abbreviated flags are rejected, so every accepted flag is one a handler reads.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gtlab", description=__doc__.splitlines()[0], allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate-2v", help="run the two-velocity system")
-    _add_common(p)
-    p.add_argument("--scheme", choices=["split", "rk4"], default="split")
-    p.add_argument("--u0", default="zero", help="initial mass density preset")
-    p.add_argument("--v0", default="cos", help="initial flux density preset")
-    p.add_argument("--record-every", type=int, default=1)
-    p.set_defaults(handler=cmd_simulate_2v)
-
-    p = sub.add_parser("simulate-3v", help="run the three-velocity system")
-    _add_common(p)
-    p.add_argument("--scheme", choices=["split", "rk4"], default="split")
-    p.add_argument("--f1", default="one")
-    p.add_argument("--f2", default="cos")
-    p.add_argument("--f3", default="sin")
-    p.add_argument("--record-every", type=int, default=1)
-    p.set_defaults(handler=cmd_simulate_3v)
-
-    p = sub.add_parser("rates", help="theoretical rate bundles for a profile")
-    _add_common(p)
-    p.set_defaults(handler=cmd_rates)
-
-    p = sub.add_parser("modal-report", help="per-mode eigenvalues and gaps")
-    _add_common(p, sigma_default="const:5")
-    p.add_argument("--kmax", type=int, default=50)
-    p.set_defaults(handler=cmd_modal_report)
-
-    p = sub.add_parser("poincare", help="weighted Poincare constant")
-    _add_common(p, sigma_default="pc:1@pi,4@2pi")
-    p.add_argument("--w1", type=float, default=None)
-    p.add_argument("--w2", type=float, default=None)
-    p.add_argument("--scan-step", type=float, default=1e-3)
-    p.add_argument("--improve", action="store_true", help="run the fixed-point improvement")
-    p.add_argument("--alpha0", type=float, default=None, help="starting rate for --improve")
-    p.set_defaults(handler=cmd_poincare)
-
-    p = sub.add_parser("telegrapher", help="damped-wave spectral gap")
-    _add_common(p, sigma_default="pc:1@pi,4@2pi")
-    p.set_defaults(handler=cmd_telegrapher)
-
-    p = sub.add_parser("appendix-a", help="three-rate comparison for pc:1@pi,4@2pi")
-    _add_common(p, sigma_default="pc:1@pi,4@2pi")
-    p.set_defaults(handler=cmd_appendix_a)
-
-    p = sub.add_parser("rate-curve", help="mu(sigma) over a grid")
-    _add_common(p, sigma_default=None)
-    p.add_argument("--grid", default="0.05:10:200", help="LO:HI:COUNT")
-    p.set_defaults(handler=cmd_rate_curve)
-
+    for name, (handler, help_text, flags, changes) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags + ("out", "config"):
+            p.add_argument(f"--{flag}", **{**FLAGS[flag], **changes.get(flag, {})})
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv) -> list:
+def _config_path(argv) -> str | None:
+    """The PATH of ``--config PATH`` or ``--config=PATH``, if argv has one."""
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 >= len(argv):
+                raise ValidationError("--config needs a file path")
+            return argv[i + 1]
+        if token.startswith("--config="):
+            return token.partition("=")[2]
+    return None
+
+
+def _apply_config(argv) -> list:
     """Fold a flat KEY = VALUE config file into argv as leading defaults."""
-    if "--config" not in argv:
+    path = _config_path(argv)
+    if path is None:
         return list(argv)
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config needs a file path")
-    path = argv[idx + 1]
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -507,7 +543,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.handler(args)
     except ValidationError as exc:

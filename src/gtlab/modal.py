@@ -5,11 +5,11 @@ Each Fourier mode k of the two-velocity system evolves by -C_k with
     C_k = [[0, ik], [ik, sigma]],   eigenvalues sigma/2 +- sqrt(sigma^2/4 - k^2).
 
 Unit-diagonal Hermitian twist matrices P turn the positive-stable C_k into a
-decaying norm via C_k^* P + P C_k >= 2 mu P. The selections used here:
-low modes below sigma/2 get off-diagonal 2k/sigma, high modes sigma/(2k); for
-sigma > 2 the single sufficient family with off-diagonal 2/(k sigma) matches
-the low-mode optimum at k = +-1, and sigma = 2 gets the epsilon-regularised
-variant with off-diagonal (2 - eps^2)/(k(2 + eps^2)).
+decaying norm via C_k^* P + P C_k >= 2 mu P. Mode by mode, the Lyapunov
+functional of the constant case is one symbol: P_k has off-diagonal
+-i theta/(2k), with theta the twist of ``rates.constant_rate`` (sigma below 2,
+4/sigma above, and the eps-regularised 2(2 - eps^2)/(2 + eps^2) at sigma = 2).
+Mode k is defective iff |sigma - 2|k|| <= ``rates.DEFECT_TOL``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import ValidationError
-from .rates import needs_eps
+from .rates import DEFECT_TOL, constant_rate, needs_eps
 
-_DEFECT_TOL = 1e-12
 _HERMIT_TOL = 1e-15
 
 
@@ -49,7 +49,7 @@ def eigenvalues(k: int, sigma: float) -> ModeEigenvalues:
     root = np.sqrt(complex(sigma**2 / 4.0 - k**2))
     lam_minus = sigma / 2.0 - root
     lam_plus = sigma / 2.0 + root
-    defective = k != 0 and abs(sigma / 2.0 - abs(k)) < _DEFECT_TOL
+    defective = k != 0 and abs(sigma - 2.0 * abs(k)) <= DEFECT_TOL
     return ModeEigenvalues(complex(lam_minus), complex(lam_plus), defective)
 
 
@@ -58,7 +58,6 @@ class TwistMatrix:
     """Unit-diagonal Hermitian positive definite 2x2 twist."""
 
     entries: np.ndarray
-    case_tag: str
 
     def __post_init__(self):
         m = np.array(np.asarray(self.entries), dtype=complex)
@@ -85,8 +84,8 @@ class TwistMatrix:
         return float(np.real(y.conj() @ self.entries @ y))
 
 
-def _twist(off_diag: complex, tag: str) -> TwistMatrix:
-    return TwistMatrix(np.array([[1.0, off_diag], [np.conj(off_diag), 1.0]]), tag)
+def _twist(off_diag: complex) -> TwistMatrix:
+    return TwistMatrix(np.array([[1.0, off_diag], [np.conj(off_diag), 1.0]]))
 
 
 def _require_mode(k: int) -> None:
@@ -97,95 +96,48 @@ def _require_mode(k: int) -> None:
 def p_low_mode(k: int, sigma: float) -> TwistMatrix:
     """Real-eigenvalue regime 0 < |k| < sigma/2: off-diagonal -2ki/sigma."""
     _require_mode(k)
-    return _twist(-2j * k / sigma, "low-mode")
-
-
-def p_high_mode(k: int, sigma: float) -> TwistMatrix:
-    """Complex-eigenvalue regime |k| > sigma/2: off-diagonal -i sigma/(2k)."""
-    _require_mode(k)
-    return _twist(-1j * sigma / (2.0 * k), "high-mode")
+    return _twist(-2j * k / sigma)
 
 
 def p_defective(eps: float, k: int) -> TwistMatrix:
-    """Defective pair k = +-1 at sigma = 2, regularised by eps."""
+    """Defective pair k = +-1 at sigma = 2, regularised by eps in (0, 1)."""
     if abs(k) != 1:
         raise ValidationError(f"defective twist is defined for k = +-1, got k={k}")
-    _check_eps(eps)
-    c = (2.0 - eps**2) / (2.0 + eps**2)
-    return _twist(-1j * c / k, "defective")
-
-
-def p_sufficient(k: int, sigma: float) -> TwistMatrix:
-    """High-mode family with sigma -> 4/sigma: off-diagonal -2i/(k sigma)."""
-    _require_mode(k)
-    return _twist(-2j / (k * sigma), "sufficient")
-
-
-def p_sufficient_eps(k: int, eps: float) -> TwistMatrix:
-    """High-mode family with sigma -> 2(2-eps^2)/(2+eps^2) for sigma = 2."""
-    _require_mode(k)
-    _check_eps(eps)
-    c = (2.0 - eps**2) / (2.0 + eps**2)
-    return _twist(-1j * c / k, "sufficient-eps")
-
-
-def _check_eps(eps) -> None:
-    if eps is None or not 0.0 < eps < 1.0:
+    if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps in (0, 1) required, got {eps}")
+    c = (2.0 - eps**2) / (2.0 + eps**2)
+    return _twist(-1j * c / k)
 
 
 def p_matrix(k: int, sigma: float, eps: float | None = None) -> TwistMatrix:
-    """Twist used for mode k at the given sigma (eps required iff sigma = 2)."""
+    """Twist of mode k: the symbol -i theta/(2k) of the constant-sigma functional.
+
+    theta is the twist of ``rates.constant_rate(sigma, eps)``, so eps is
+    required at sigma = 2 and rejected elsewhere, as there.
+    """
     _require_mode(k)
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if needs_eps(sigma):
-        return p_sufficient_eps(k, eps)
-    if eps is not None:
-        raise ValidationError("eps applies only to sigma = 2")
-    if sigma < 2.0:
-        return p_high_mode(k, sigma)
-    return p_sufficient(k, sigma)
-
-
-def _inv_sqrt_unit_diag(p: TwistMatrix) -> np.ndarray:
-    """Closed-form P^(-1/2) for P = [[1, a], [conj(a), 1]], |a| < 1."""
-    a = p.off_diagonal
-    r = abs(a)
-    if r == 0.0:
-        return np.eye(2, dtype=complex)
-    u = a / r
-    fp = 1.0 / np.sqrt(1.0 + r)  # eigenvalue 1 + r, eigenvector (1, conj(u))
-    fm = 1.0 / np.sqrt(1.0 - r)
-    diag = (fp + fm) / 2.0
-    off = (fp - fm) / 2.0
-    return np.array([[diag, off * u], [off * np.conj(u), diag]], dtype=complex)
+    return _twist(-1j * constant_rate(sigma, eps).theta / (2.0 * k))
 
 
 def lyapunov_gap(k: int, sigma: float, eps: float | None = None) -> float:
     """Largest mu with C_k^* P + P C_k - 2 mu P >= 0 for the selected twist."""
-    _require_mode(k)
-    p = p_matrix(k, sigma, eps)
+    p = p_matrix(k, sigma, eps).entries
     c = c_matrix(k, sigma)
-    s = c.conj().T @ p.entries + p.entries @ c
-    w = _inv_sqrt_unit_diag(p)
-    reduced = w @ s @ w
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return float(np.min(np.linalg.eigvalsh(reduced)) / 2.0)
+    s = c.conj().T @ p + p @ c
+    return float(eigh(s, p, eigvals_only=True).min() / 2.0)
 
 
 def spectral_gap(sigma: float) -> SpectralGap:
     """min_k Re lambda over k != 0, with a flag when any mode is defective."""
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    half = sigma / 2.0
-    defective = half >= 1.0 and abs(half - round(half)) < _DEFECT_TOL
-    if sigma < 2.0:
-        return SpectralGap(half, False)
     if needs_eps(sigma):
         return SpectralGap(1.0, True)
+    half = sigma / 2.0
+    if sigma < 2.0:
+        return SpectralGap(half, False)
     mu = half - np.sqrt(half**2 - 1.0)
-    return SpectralGap(float(mu), defective)
+    return SpectralGap(float(mu), eigenvalues(round(half), sigma).defective)
 
 
 def modal_report(sigma: float, kmax: int, eps: float | None = None) -> list[dict]:

@@ -34,6 +34,8 @@ _ROOT_XTOL = 1e-12
 #: |det|/scale below this at a refined local minimum counts as an even root.
 _TOUCH_RTOL = 1e-8
 _CLOSE_ROOT_WINDOW = 1e-3
+#: improved_alpha stops, unconverged, after this many updates
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,6 @@ def improved_alpha(
     theta: float,
     alpha0: float,
     tol: float = 1e-6,
-    max_iter: int = 100,
 ) -> ImprovedAlphaResult:
     """Iterate alpha -> theta - theta^2 C^2_{w_alpha} / 4 to its fixed point.
 
@@ -235,7 +236,7 @@ def improved_alpha(
     alpha = alpha0
     converged = False
     stopped = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         candidate = current_cap  # theta - theta^2 C^2_{w_alpha}/4
         try:
             candidate_cap = cap(candidate)

@@ -34,8 +34,9 @@ SOURCE_BERNARD_SALVARANI = "bernard-salvarani"
 SOURCE_THREE_VELOCITY = "three-velocity"
 
 _SQRT_CLAMP = 1e-14
-#: Distance from 2 within which a constant sigma counts as the defective value.
-_SIGMA_TWO_TOL = 1e-12
+#: Mode k of a constant sigma is defective iff |sigma - 2|k|| <= DEFECT_TOL;
+#: ``needs_eps`` is the case k = +-1.
+DEFECT_TOL = 1e-12
 #: Absolute slack for inequalities that are tight by construction
 #: (condition II holds with equality at sigma_max for the optimal pair).
 _CONDITION_ATOL = 1e-9
@@ -74,7 +75,7 @@ class RateReport:
 
 def needs_eps(sigma: float) -> bool:
     """True for the defective constant sigma = 2, whose rates and twists need an eps."""
-    return abs(sigma - 2.0) <= _SIGMA_TWO_TOL
+    return abs(sigma - 2.0) <= DEFECT_TOL
 
 
 def constant_rate(sigma: float, eps: float | None = None) -> RateReport:

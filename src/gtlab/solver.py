@@ -99,11 +99,6 @@ class MacroState3V:
         return self.u1.n
 
 
-def to_macro(state: KineticState2V) -> MacroState2V:
-    """u = f_+ + f_-, v = f_+ - f_-."""
-    return MacroState2V(state.f_plus + state.f_minus, state.f_plus - state.f_minus, state.t)
-
-
 def to_kinetic(state: MacroState2V) -> KineticState2V:
     """f_+ = (u + v)/2, f_- = (u - v)/2."""
     return KineticState2V(0.5 * (state.u + state.v), 0.5 * (state.u - state.v), state.t)
@@ -177,20 +172,20 @@ class _System:
     """What the stepper needs to know about one discrete-velocity system."""
 
     velocities: tuple
-    to_macro: np.ndarray  # kinetic rows -> (mass density, flux[, u3])
+    macro: np.ndarray  # kinetic rows -> (mass density, flux[, u3])
     columns: tuple  # the names of the values _record returns, in order
     state: type
 
 
 _SYSTEM_2V = _System(
     velocities=(1, -1),
-    to_macro=np.array([[1.0, 1.0], [1.0, -1.0]]),
+    macro=np.array([[1.0, 1.0], [1.0, -1.0]]),
     columns=("entropy", "norm_u_dev", "norm_v", "v_avg", "mass", "rhs"),
     state=MacroState2V,
 )
 _SYSTEM_3V = _System(
     velocities=(1, 0, -1),
-    to_macro=TRANSFORM_3V,
+    macro=TRANSFORM_3V,
     columns=("entropy", "norm_u1_dev", "norm_u2", "norm_u3", "u2_avg", "mass"),
     state=MacroState3V,
 )
@@ -306,7 +301,7 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     else:
         raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
 
-    times, rows = [t0], [_record(system.to_macro @ f, sig, theta)]
+    times, rows = [t0], [_record(system.macro @ f, sig, theta)]
     t = t0
     for step in range(1, steps + 1):
         f = advance(f)
@@ -315,9 +310,9 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
             raise NumericalError(f"non-finite state detected at t = {t:.6g}")
         if step % record_every == 0 or step == steps:
             times.append(t)
-            rows.append(_record(system.to_macro @ f, sig, theta))
+            rows.append(_record(system.macro @ f, sig, theta))
 
-    final = system.state(*(GridFunction(row) for row in system.to_macro @ f), t)
+    final = system.state(*(GridFunction(row) for row in system.macro @ f), t)
     columns = dict(zip(system.columns, np.array(rows).T.copy()))
     return Trajectory(np.asarray(times), columns, dt, theta, final)
 
@@ -392,13 +387,14 @@ def default_window(times) -> tuple[float, float]:
 
 
 VALUE_FLOOR = 1e-12
+MIN_FIT_POINTS = 10
 
 
-def fit_decay_rate(times, values, window=None, min_points: int = 10) -> tuple[float, float]:
+def fit_decay_rate(times, values, window=None) -> tuple[float, float]:
     """Least-squares exponential rate of a positive series: value ~ C e^{-rate t}.
 
     Points below the floating-point floor 1e-12 are dropped; the fit errors
-    out if fewer than ``min_points`` usable points remain in the window.
+    out if fewer than MIN_FIT_POINTS usable points remain in the window.
     Returns (rate, r_squared).
     """
     t = np.asarray(times, dtype=float)
@@ -407,7 +403,7 @@ def fit_decay_rate(times, values, window=None, min_points: int = 10) -> tuple[fl
         window = default_window(t)
     lo, hi = window
     mask = (t >= lo) & (t <= hi) & (y > VALUE_FLOOR)
-    if np.count_nonzero(mask) < min_points:
+    if np.count_nonzero(mask) < MIN_FIT_POINTS:
         raise NumericalError(
             f"only {np.count_nonzero(mask)} usable points in window {window}; "
             "shrink the window or lower t_final"
@@ -420,9 +416,9 @@ def fit_decay_rate(times, values, window=None, min_points: int = 10) -> tuple[fl
     return float(-slope), r2
 
 
-def fit_envelope_rate(times, values, window=None, min_points: int = 10) -> tuple[float, float]:
+def fit_envelope_rate(times, values, window=None) -> tuple[float, float]:
     """Fit against the defective envelope: value ~ C (1 + t) e^{-rate t}."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     corrected = np.where(y > 0, y / (1.0 + np.maximum(t, 0.0)), y)
-    return fit_decay_rate(t, corrected, window=window, min_points=min_points)
+    return fit_decay_rate(t, corrected, window=window)

@@ -52,6 +52,9 @@ _MAX_SAMPLES = 2_000_000
 _MULTIPLICITY_SQUARES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 #: the Newton seed grid doubles up to this many points a side while roots are missing
 _SEED_CAP = 200
+#: Newton stops a seed once its step is below _NEWTON_TOL, or after _NEWTON_ITERS steps
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -284,17 +287,16 @@ def _strip_count(problem: TelegrapherProblem) -> int:
     return count - sum(_zeros_inside(_square(p, rho), problem) for p in holes)
 
 
-def _newton(
-    seeds: np.ndarray, problem: TelegrapherProblem, tol: float, iters: int, known: list
-) -> np.ndarray:
+def _newton(seeds: np.ndarray, problem: TelegrapherProblem, known: list) -> np.ndarray:
     """Newton on H from every seed, deflated by the known (root, multiplicity, _) triples.
 
     Deflation divides H by prod (gamma - r)^m, so no seed returns to a root
-    already found. A seed leaves the active set once its step is below tol.
+    already found. A seed leaves the active set once its step is below
+    _NEWTON_TOL, and every seed stops after _NEWTON_ITERS steps.
     """
     z = seeds.astype(complex)
     active = np.arange(z.size)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         if not active.size:
             break
         za = z[active]
@@ -306,7 +308,7 @@ def _newton(
             step = 1.0 / rate
         moving = np.isfinite(step)
         z[active[moving]] -= step[moving]
-        active = active[moving & (np.abs(step) >= tol)]
+        active = active[moving & (np.abs(step) >= _NEWTON_TOL)]
     return z
 
 
@@ -358,8 +360,6 @@ def _add_roots(cand: np.ndarray, problem: TelegrapherProblem, known: list) -> li
 def telegrapher_gap(
     problem: TelegrapherProblem,
     seeds: tuple[int, int] = (30, 30),
-    newton_tol: float = 1e-12,
-    newton_iters: int = 60,
 ) -> GapResult:
     """Find every eigenvalue in the strip 0 < Re < re_max, |Im| <= im_max.
 
@@ -402,7 +402,7 @@ def telegrapher_gap(
         re_seeds = np.linspace(1e-3, problem.re_max, nre)
         im_seeds = np.linspace(-problem.im_max, problem.im_max, nim)
         grid = (re_seeds[:, None] + 1j * im_seeds[None, :]).ravel()
-        roots = _add_roots(_newton(grid, problem, newton_tol, newton_iters, roots), problem, roots)
+        roots = _add_roots(_newton(grid, problem, roots), problem, roots)
         if (nre, nim) == cap:
             break
         nre, nim = min(2 * nre, cap[0]), min(2 * nim, cap[1])
@@ -423,9 +423,9 @@ def telegrapher_gap(
     )
 
 
-def bs_rate(sigma, **gap_kwargs) -> RateReport:
+def bs_rate(sigma) -> RateReport:
     """Optimal-rate bundle (1/pi) min(|sigma~|_L1, gap) for a two-piece profile."""
     problem = rescale_sigma(sigma)
-    result = telegrapher_gap(problem, **gap_kwargs)
+    result = telegrapher_gap(problem)
     rate = min(problem.l1_norm, result.gap) / math.pi
     return RateReport(source=SOURCE_BERNARD_SALVARANI, rate=rate)

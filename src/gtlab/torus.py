@@ -223,26 +223,18 @@ def antiderivative(f: GridFunction) -> GridFunction:
     return GridFunction(primitive(f.values))
 
 
-def random_band_limited(
-    n: int,
-    seed=None,
-    max_mode: int | None = None,
-    zero_mean: bool = False,
-) -> GridFunction:
-    """Seeded random real trigonometric polynomial with modes |k| <= max_mode.
+def random_band_limited(n: int, seed=None, zero_mean: bool = False) -> GridFunction:
+    """Seeded random real trigonometric polynomial with modes |k| <= n // 8.
 
-    Amplitudes are uniform on [-1, 1]; max_mode defaults to n // 8.
+    Amplitudes are uniform on [-1, 1].
     """
     _validate_n(n)
     rng = np.random.default_rng(seed)
-    kmax = n // 8 if max_mode is None else int(max_mode)
-    if not 1 <= kmax <= n // 2 - 1:
-        raise ValidationError(f"max_mode must lie in [1, n/2-1], got {kmax}")
     x = nodes(n)
     vals = np.zeros(n)
     if not zero_mean:
         vals += rng.uniform(-1.0, 1.0)
-    for k in range(1, kmax + 1):
+    for k in range(1, n // 8 + 1):
         a, b = rng.uniform(-1.0, 1.0, size=2)
         vals += a * np.cos(k * x) + b * np.sin(k * x)
     return GridFunction(vals)

@@ -215,8 +215,35 @@ class TestDeterminismAndConfig:
         last = (out / "trajectory.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(6.0, abs=0.05)
 
+    def test_config_both_spellings(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 64\nt_final = 2\n")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("simulate-2v", "--config", str(cfg), "--out", str(out1)) == 0
+        assert run("simulate-2v", f"--config={cfg}", "--out", str(out2)) == 0
+        data = (out1 / "trajectory.csv").read_bytes()
+        assert len(data.splitlines()) == 22
+        assert (out2 / "trajectory.csv").read_bytes() == data
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--theta", "1"],
+            ["telegrapher", "--n", "64"],
+            ["appendix-a", "--eps", "0.5"],
+            ["rate-curve", "--seed", "1"],
+            ["simulate-2v", "--alpha", "1"],
+            ["simulate-2v", "--t-fin", "5"],  # abbreviations are not accepted
+        ],
+    )
+    def test_flag_no_handler_reads(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_validation_failure(self, tmp_path):
         assert run("rates", "--sigma", "const:0", "--out", str(tmp_path / "o")) == 2
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs, equivalence_bounds
 from gtlab.errors import GridMismatchError, ValidationError
-from gtlab.modal import p_high_mode
+from gtlab.modal import p_matrix
 from gtlab.profiles import RelaxationProfile
 from gtlab.torus import GridFunction, norm_sq, random_band_limited
 
@@ -118,5 +118,5 @@ class TestModalConsistency:
         for k in range(-n // 2 + 1, n // 2):
             if k == 0:
                 continue
-            total += p_high_mode(k, sigma).weighted_norm_sq([fc[k % n], gc[k % n]])
+            total += p_matrix(k, sigma).weighted_norm_sq([fc[k % n], gc[k % n]])
         assert total == pytest.approx(entropy_2v(f, g, sigma), abs=1e-10)

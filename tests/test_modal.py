@@ -13,14 +13,11 @@ from gtlab.modal import (
     lyapunov_gap,
     modal_report,
     p_defective,
-    p_high_mode,
     p_low_mode,
     p_matrix,
-    p_sufficient,
-    p_sufficient_eps,
     spectral_gap,
 )
-from gtlab.rates import constant_rate
+from gtlab.rates import constant_rate, needs_eps
 
 SIGMAS = (0.5, 1.0, 1.9, 2.1, 3.0, 4.0, 5.0, 8.0)
 
@@ -82,12 +79,19 @@ class TestTwistMatrices:
 
     def test_sufficient_matches_low_mode_at_k_one(self):
         for k in (1, -1):
-            assert_allclose(p_sufficient(k, 4.0).entries, p_low_mode(k, 4.0).entries)
-            assert_allclose(p_sufficient(k, 7.3).entries, p_low_mode(k, 7.3).entries)
+            assert_allclose(p_matrix(k, 4.0).entries, p_low_mode(k, 4.0).entries)
+            assert_allclose(p_matrix(k, 7.3).entries, p_low_mode(k, 7.3).entries)
 
     def test_sufficient_eps_matches_defective_at_k_one(self):
         for k in (1, -1):
-            assert_allclose(p_sufficient_eps(k, 0.3).entries, p_defective(0.3, k).entries)
+            assert_allclose(p_matrix(k, 2.0, eps=0.3).entries, p_defective(0.3, k).entries)
+
+    def test_symbol_of_the_constant_rate_twist(self):
+        # off-diagonal -i theta/(2k): sigma/(2k) below 2, 2/(k sigma) above
+        for s in (0.5, 1.9, 2.1, 5.0):
+            for k in (-3, 1, 4):
+                expected = s / (2.0 * k) if s < 2.0 else 2.0 / (k * s)
+                assert p_matrix(k, s).off_diagonal == pytest.approx(-1j * expected, rel=1e-15)
 
     def test_all_selected_twists_are_hermitian_pd_unit_diagonal(self):
         for s in SIGMAS:
@@ -157,3 +161,16 @@ class TestModalReport:
     def test_defective_case_tag(self):
         rows = modal_report(4.0, 3, eps=None)
         assert rows[1]["case"] == "II"
+
+
+@pytest.mark.parametrize(
+    "sigma, k, defective",
+    [(2.0 + 1.5e-12, 1, False), (2.0 + 5e-13, 1, True), (4.0 + 1.5e-12, 2, False)],
+)
+def test_one_defectiveness_rule(sigma, k, defective):
+    # mode k is defective iff |sigma - 2|k|| <= 1e-12, the rule of rates.needs_eps
+    eps = 0.5 if needs_eps(sigma) else None
+    assert needs_eps(sigma) == (defective and k == 1)
+    assert eigenvalues(k, sigma).defective == defective
+    assert spectral_gap(sigma).defective == defective
+    assert (modal_report(sigma, 3, eps=eps)[k - 1]["case"] == "II") == defective

@@ -6,13 +6,19 @@ definition, or be listed below as a test oracle. A use is a name or an
 attribute in the syntax tree, so imports, comments and strings do not count.
 A use in another file counts only if that file also names the defining
 module.
+
+Every flag a CLI subcommand registers must be read by its handler, and every
+flag the handler reads must be registered.
 """
 
+import argparse
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from gtlab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gtlab"
@@ -95,3 +101,59 @@ def test_cli_import_leaves_out_scipy_integrate():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+#: Flags a subcommand registers but never reads, each with its reason.
+#: --config is read from argv before parsing, so it is left out throughout.
+UNREAD = {
+    # the decay-dense benchmark passes --eps to every const:2 call it makes
+    ("simulate-3v", "eps"),
+}
+
+
+def _flags_read(func: ast.FunctionDef, param: int, functions: dict) -> set:
+    """Flags read off parameter ``param`` of ``func``, following it into helpers.
+
+    A read is ``args.name``; a helper is a function of the same module that
+    gets the parameter as a positional argument. Any other use of the
+    parameter fails, because the flags it reads could not be told.
+    """
+    name = func.args.args[param].arg
+    read, followed = set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == name:
+                read.add(node.attr.replace("_", "-"))
+                followed.add(id(node.value))
+        if isinstance(node, ast.Call):
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Name) and arg.id == name:
+                    callee = functions.get(getattr(node.func, "id", None))
+                    assert callee is not None, f"{func.name} passes {name} to {ast.unparse(node.func)}"
+                    read |= _flags_read(callee, i, functions)
+                    followed.add(id(arg))
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and node.id == name:
+            assert id(node) in followed, f"{func.name} uses {name} at line {node.lineno}"
+    return read
+
+
+def test_every_cli_flag_has_a_reader():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    wrong = {}
+    for command, sub in commands.choices.items():
+        registered = {
+            opt[2:] for a in sub._actions for opt in a.option_strings if opt.startswith("--")
+        } - {"help", "config"}
+        read = _flags_read(functions[sub.get_default("handler").__name__], 0, functions)
+        unread = {flag for cmd, flag in UNREAD if cmd == command}
+        if registered - read != unread or read - registered:
+            wrong[command] = {
+                "registered, not read": sorted(registered - read - unread),
+                "read, not registered": sorted(read - registered),
+                "listed unread, but read": sorted(unread & read),
+            }
+    assert wrong == {}
