@@ -20,13 +20,17 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
     rates          --sigma --eps
     modal-report   --sigma --eps --kmax --plot
     poincare       --sigma --theta --alpha --w1 --w2 --scan-step --improve --alpha0
+                   (--w1 and --w2 go together and give the weight; with them
+                   --alpha is an error and --sigma, --theta need --improve,
+                   as --alpha0 always does)
     telegrapher    --sigma
     appendix-a     --sigma
     rate-curve     --grid --plot
 
 --sigma is const:V | pc:V@B,... | file:PATH. Any other flag, and any
 abbreviation of a flag, is an error (exit 2). A config file (--config PATH or
---config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags.
+--config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags; a key
+the subcommand does not take is an error that names the file.
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 """
 
@@ -298,10 +302,27 @@ def cmd_modal_report(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    if (args.w1 is None) != (args.w2 is None):
+        raise ValidationError("poincare takes --w1 and --w2 together, or neither")
+    weight_given = args.w1 is not None
+    unread = [
+        flag
+        for flag, value, read in (
+            ("--alpha", args.alpha, not weight_given),
+            ("--sigma", args.sigma, not weight_given or args.improve),
+            ("--theta", args.theta, not weight_given or args.improve),
+            ("--alpha0", args.alpha0, args.improve),
+        )
+        if value is not None and not read
+    ]
+    if unread:
+        raise ValidationError(
+            f"poincare would ignore {', '.join(unread)}: with --w1/--w2 the weight is given, "
+            "so --alpha is unused and --sigma and --theta serve only --improve, as --alpha0 does"
+        )
     out = _outdir(args)
-    weight_given = args.w1 is not None and args.w2 is not None
     if not weight_given or args.improve:
-        profile = _sigma_of(args)
+        profile = RelaxationProfile.parse(args.sigma if args.sigma is not None else _PAPER_PROFILE)
         s_min, s_max = profile.sigma_min, profile.sigma_max
         theta = args.theta if args.theta is not None else theta_star(s_min, s_max)
         # alpha* needs s_min < s_max, so it is computed only when a default uses it
@@ -343,10 +364,10 @@ def cmd_telegrapher(args) -> int:
     problem = tele_mod.rescale_sigma(profile)
     result = tele_mod.telegrapher_gap(problem)
     rows = sorted(
-        ((r.real, r.imag, abs(tele_mod.det_M_gamma(r, problem))) for r in result.roots),
+        ((r.real, r.imag, abs(tele_mod.characteristic(r, problem))) for r in result.roots),
         key=lambda row: (row[0], row[1]),
     )
-    write_csv(out / "telegrapher_roots.csv", ["re_gamma", "im_gamma", "abs_det"], rows)
+    write_csv(out / "telegrapher_roots.csv", ["re_gamma", "im_gamma", "abs_d"], rows)
     rate = min(problem.l1_norm, result.gap) / math.pi
     write_csv(
         out / "telegrapher_summary.csv",
@@ -450,7 +471,9 @@ FLAGS = {
 }
 
 _SIMULATE = ("sigma", "n", "dt", "t-final", "theta", "eps", "seed", "plot", "scheme", "record-every")
-_PAPER_SIGMA = {"sigma": dict(default="pc:1@pi,4@2pi")}
+#: The paper's Appendix A profile, sigma = 1 then 4.
+_PAPER_PROFILE = "pc:1@pi,4@2pi"
+_PAPER_SIGMA = {"sigma": dict(default=_PAPER_PROFILE)}
 
 #: name -> (handler, help, the flags the handler reads, changes to their FLAGS
 #: entries). Every subcommand also takes --out and --config.
@@ -473,7 +496,8 @@ SUBCOMMANDS = {
         cmd_poincare,
         "weighted Poincare constant",
         ("sigma", "theta", "alpha", "w1", "w2", "scan-step", "improve", "alpha0"),
-        _PAPER_SIGMA,
+        # no default, so that an explicit --sigma can be told apart
+        {"sigma": dict(default=None, help=f"{FLAGS['sigma']['help']} (default {_PAPER_PROFILE})")},
     ),
     "telegrapher": (cmd_telegrapher, "damped-wave spectral gap", ("sigma",), _PAPER_SIGMA),
     "appendix-a": (
@@ -521,15 +545,19 @@ def _apply_config(argv) -> list:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    command = argv[0]
+    takes = SUBCOMMANDS[command][2] + ("out",) if command in SUBCOMMANDS else None
     injected = []
     for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValidationError(f"config line is not KEY = VALUE: {line!r}")
+            raise ValidationError(f"config {path}: line is not KEY = VALUE: {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
+        if takes is not None and key not in takes:
+            raise ValidationError(f"config {path}: {command} takes no --{key}")
         value = value.strip()
         if value.lower() in ("true", "yes", "on"):
             injected.append(f"--{key}")

@@ -144,6 +144,12 @@ class TestSubcommands:
         iterates = (out / "iterates.csv").read_text().splitlines()
         assert len(iterates) > 3
 
+    def test_poincare_given_weight(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("poincare", "--w1", "1", "--w2", "3", "--out", str(out)) == 0
+        row = (out / "poincare.csv").read_text().splitlines()[1].split(",")
+        assert (float(row[0]), float(row[1])) == (1.0, 3.0)
+
     def test_telegrapher(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("telegrapher", "--sigma", "pc:1@pi,4@2pi", "--out", str(out)) == 0
@@ -153,6 +159,9 @@ class TestSubcommands:
         assert float(values["gap"]) == pytest.approx(2.72831, abs=1e-3)
         assert float(values["alpha_bs"]) == pytest.approx(0.86845, abs=1e-3)
         assert "9 eigenvalues in the strip (certified count" in capsys.readouterr().out
+        roots = (out / "telegrapher_roots.csv").read_text().splitlines()
+        assert roots[0] == "re_gamma,im_gamma,abs_d" and len(roots) == 10
+        assert all(float(row.split(",")[2]) < 1e-12 for row in roots[1:])
 
     def test_appendix_a_ordering(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -215,6 +224,13 @@ class TestDeterminismAndConfig:
         last = (out / "trajectory.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(6.0, abs=0.05)
 
+    def test_config_key_the_subcommand_does_not_take(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sigma = const:1\nkmax = 5\n")
+        assert run("rates", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert f"config {cfg}: rates takes no --kmax" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_both_spellings(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 64\nt_final = 2\n")
@@ -242,6 +258,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--w1", "1"],  # one of --w1/--w2 would be dropped
+            ["--w2", "3"],
+            ["--w1", "1", "--w2", "3", "--alpha", "9"],  # the weight is given
+            ["--w1", "1", "--w2", "3", "--alpha", "9", "--improve"],
+            ["--w1", "1", "--w2", "3", "--theta", "5"],  # read only by --improve
+            ["--w1", "1", "--w2", "3", "--sigma", "const:3"],
+            ["--w1", "1", "--w2", "3", "--theta", "5", "--alpha", "9", "--sigma", "const:3"],
+            ["--alpha0", "0.5"],
+        ],
+    )
+    def test_poincare_flag_that_changes_nothing(self, tmp_path, argv):
+        assert run("poincare", *argv, "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o").exists()
 
     def test_validation_failure(self, tmp_path):

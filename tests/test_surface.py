@@ -34,7 +34,6 @@ ORACLES = {
     "modal.p_low_mode",  # the low-mode twist of the paper
     "modal.p_defective",  # the sigma = 2 twist of the paper
     "rates.gamma_bounds",  # alpha* as the maximum of gamma_max
-    "telegrapher.matching_matrix",  # H against the literal 4x4 determinant
     "torus.antiderivative",  # operator identities on grid functions
     "torus.derivative",  # operator identities on grid functions
     "torus.inner",  # the normalised inner product
