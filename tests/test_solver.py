@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gtlab import solver
 from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs
 from gtlab.errors import NumericalError, ValidationError
-from gtlab.profiles import RelaxationProfile
+from gtlab.profiles import RelaxationProfile, as_samples
 from gtlab.rates import alpha_star, constant_rate, rate_3v, theta_star
 from gtlab.solver import (
     TRANSFORM_3V,
@@ -296,11 +297,7 @@ class TestRecordPass:
     @pytest.mark.parametrize("system", ["2v", "3v"])
     def test_columns_match_reference_functions(self, system, scheme):
         n, steps = 64, 6
-        fields = [random_band_limited(n, seed=s) for s in (31, 32, 33)]
-        if system == "2v":
-            simulate, init, reference = simulate_2v, MacroState2V(*fields[:2]), self.reference_2v
-        else:
-            simulate, init, reference = simulate_3v, to_macro3(*fields), self.reference_3v
+        simulate, init, reference = self.setup_run(system, n)
         dt = 2 * np.pi / n
         traj = simulate(init, self.PROFILE, steps * dt, dt=dt, scheme=scheme, theta=0.9)
         assert len(traj.times) == steps + 1
@@ -312,6 +309,103 @@ class TestRecordPass:
             assert list(expected) == traj.column_names
             for name, value in expected.items():
                 assert traj[name][k] == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
+
+    @staticmethod
+    def setup_run(system, n=64):
+        fields = [random_band_limited(n, seed=s) for s in (31, 32, 33)]
+        if system == "2v":
+            return simulate_2v, MacroState2V(*fields[:2]), TestRecordPass.reference_2v
+        return simulate_3v, to_macro3(*fields), TestRecordPass.reference_3v
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_columns_across_block_edges(self, system, scheme, record_every):
+        # 2B + 5 records after t0 fill two blocks and part of a third; with
+        # record_every = 3 the last record falls one step after the one before
+        n, block = 64, solver._BLOCK_RECORDS
+        assert 3 * n * 8 * block <= solver._STAGE_BYTES  # the byte cap leaves B alone here
+        simulate, init, reference = self.setup_run(system, n)
+        dt = 2 * np.pi / n
+        records = 2 * block + 5
+        steps = records if record_every == 1 else record_every * (records - 1) + 1
+        traj = simulate(
+            init, self.PROFILE, steps * dt, dt=dt, scheme=scheme, theta=0.9,
+            record_every=record_every,
+        )
+        record_steps = [0, *range(record_every, steps, record_every), steps]
+        assert len(traj.times) == len(record_steps) == records + 1
+        edges = [0, 1, block, block + 1, 2 * block, 2 * block + 1, records]
+        for k in edges:
+            cut = record_steps[k]
+            state = init if cut == 0 else simulate(
+                init, self.PROFILE, cut * dt, dt=dt, scheme=scheme, theta=0.9
+            ).final
+            assert traj.times[k] == pytest.approx(cut * dt, rel=1e-14)
+            for name, value in reference(state, 0.9, self.PROFILE).items():
+                assert traj[name][k] == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_one_record_blocks_match_default(self, system, scheme, monkeypatch):
+        simulate, init, _ = self.setup_run(system)
+        dt = 2 * np.pi / 64
+        def run():
+            return simulate(
+                init, self.PROFILE, 140 * dt, dt=dt, scheme=scheme, theta=0.9, record_every=2
+            )
+
+        default = run()  # 70 records: a full block of 64 and a part block
+        monkeypatch.setattr(solver, "_STAGE_BYTES", 1)
+        single = run()
+        for name in default.column_names:
+            assert_allclose(single[name], default[name], rtol=1e-13, atol=0.0, err_msg=name)
+
+
+class TestSplitStepOracle:
+    """The merged-relaxation stepper against Strang's R_half T R_half, written out."""
+
+    PROFILE = RelaxationProfile.parse("pc:0.5@pi,12@2pi")
+
+    @staticmethod
+    def strang(f, sig, dt, velocities, steps):
+        half = np.exp(-sig * dt / 2.0)
+
+        def relax(f):
+            mean = f.mean(axis=0)
+            return mean + half * (f - mean)
+
+        for _ in range(steps):
+            f = relax(f)  # dt = dx: each velocity moves c cells per step
+            f = np.array([np.roll(row, c) for row, c in zip(f, velocities)])
+            f = relax(f)
+        return f
+
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_final_state_matches_strang(self, system):
+        n, steps = 128, 200
+        dt = 2 * np.pi / n
+        fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
+        if system == "2v":
+            init = MacroState2V(*fields[:2])
+            kin = to_kinetic(init)
+            f0 = np.vstack([kin.f_plus.values, kin.f_minus.values])
+            macro, velocities = np.array([[1.0, 1.0], [1.0, -1.0]]), (1, -1)
+            traj = simulate_2v(init, self.PROFILE, steps * dt, dt=dt, theta=0.9)
+            got = np.vstack([traj.final.u.values, traj.final.v.values])
+            first = TestRecordPass.reference_2v(init, 0.9, self.PROFILE)
+        else:
+            init = to_macro3(*fields)
+            f0 = np.vstack([g.values for g in to_kinetic3(init)])
+            macro, velocities = TRANSFORM_3V, (1, 0, -1)
+            traj = simulate_3v(init, self.PROFILE, steps * dt, dt=dt, theta=0.9)
+            got = np.vstack([traj.final.u1.values, traj.final.u2.values, traj.final.u3.values])
+            first = TestRecordPass.reference_3v(init, 0.9, self.PROFILE)
+        want = macro @ self.strang(f0, as_samples(self.PROFILE, n), dt, velocities, steps)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # the t0 row is the initial state's own, not that of a relaxed copy
+        for name, value in first.items():
+            assert traj[name][0] == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
 class TestFitting:

@@ -16,7 +16,9 @@ from gtlab.torus import (
     nodes,
     norm,
     norm_sq,
+    primitive,
     random_band_limited,
+    write_csv,
 )
 
 
@@ -169,6 +171,17 @@ class TestOperatorIdentities:
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(norm_sq(f), abs=1e-12)
 
 
+class TestPrimitive:
+    def test_leading_axes_are_separate_functions(self):
+        stack = np.array([random_band_limited(64, seed=s).values for s in range(6)]).reshape(2, 3, 64)
+        rows = np.array([primitive(row) for row in stack.reshape(6, 64)]).reshape(2, 3, 64)
+        assert_allclose(primitive(stack), rows, rtol=0, atol=1e-15)
+
+    def test_complex_is_real_plus_i_imaginary(self):
+        f = gf(lambda x: np.exp(2j * x))  # primitive: exp(2ix) / (2i)
+        assert_allclose(primitive(f.values), f.values / 2j, atol=1e-15)
+
+
 class TestSerialization:
     def test_csv_roundtrip(self, tmp_path):
         f = random_band_limited(32, seed=5)
@@ -180,6 +193,19 @@ class TestSerialization:
         f = gf(lambda x: np.exp(1j * x))
         with pytest.raises(ValidationError):
             f.to_csv(tmp_path / "c.csv")
+
+    def test_float_table_writes_the_bytes_of_its_cells(self, tmp_path):
+        # the one-format-per-row path against the cell-by-cell path
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+        table[0] = [np.nan, np.inf, -np.inf, -0.0]
+        table[1] = [0.0, 1.0, 5e-324, 0.1]
+        header = ["t", "a,b", 'q"x', "c"]
+        write_csv(tmp_path / "array.csv", header, table)
+        write_csv(tmp_path / "cells.csv", header, [tuple(row) for row in table])
+        data = (tmp_path / "array.csv").read_bytes()
+        assert data == (tmp_path / "cells.csv").read_bytes()
+        assert data.count(b"\r\n") == 201
 
 
 class TestRandomBandLimited:
