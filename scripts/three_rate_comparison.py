@@ -14,7 +14,7 @@ from gtlab.poincare import improved_alpha
 from gtlab.profiles import RelaxationProfile
 from gtlab.rates import alpha_star, theta_star
 from gtlab.solver import MacroState2V, fit_decay_rate, simulate_2v
-from gtlab.telegrapher import bs_rate, rescale_sigma, telegrapher_gap
+from gtlab.telegrapher import optimal_rate, rescale_sigma, telegrapher_gap
 from gtlab.torus import random_band_limited
 
 
@@ -30,7 +30,7 @@ def main():
     imp = improved_alpha(profile, theta, a_star)
     problem = rescale_sigma(profile)
     gap = telegrapher_gap(problem)
-    a_bs = bs_rate(profile).rate
+    a_bs = optimal_rate(problem, gap)
 
     print(f"perturbative rate      alpha*    = {a_star:.5f}")
     print(f"weighted-Poincare rate alpha_max = {imp.alpha_max:.5f} ({imp.iterations} updates)")

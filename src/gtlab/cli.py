@@ -37,7 +37,6 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -368,7 +367,7 @@ def cmd_telegrapher(args) -> int:
         key=lambda row: (row[0], row[1]),
     )
     write_csv(out / "telegrapher_roots.csv", ["re_gamma", "im_gamma", "abs_d"], rows)
-    rate = min(problem.l1_norm, result.gap) / math.pi
+    rate = tele_mod.optimal_rate(problem, result)
     write_csv(
         out / "telegrapher_summary.csv",
         ["sigma1", "sigma2", "l1_norm", "gap", "alpha_bs", "eig_re", "eig_im", "minimiser_real"],

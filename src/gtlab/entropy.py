@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .profiles import as_samples
+from .profiles import as_profile
 from .torus import GridFunction, average, primitive
 
 
@@ -100,6 +100,6 @@ def entropy_evolution_rhs(u: GridFunction, v: GridFunction, sigma, theta: float)
     """
     if u.is_complex or v.is_complex:
         raise ValidationError("entropy evolution identity applies to real states")
-    sig = as_samples(sigma, u.n)
+    sig = as_profile(sigma).sample(u.n)
     udev = u.values - average(u)
     return float(entropy_terms(udev, v.values, primitive(udev), theta, sigma=sig).rhs)

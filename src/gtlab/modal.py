@@ -133,11 +133,8 @@ def spectral_gap(sigma: float) -> SpectralGap:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if needs_eps(sigma):
         return SpectralGap(1.0, True)
-    half = sigma / 2.0
-    if sigma < 2.0:
-        return SpectralGap(half, False)
-    mu = half - np.sqrt(half**2 - 1.0)
-    return SpectralGap(float(mu), eigenvalues(round(half), sigma).defective)
+    defective = sigma > 2.0 and eigenvalues(round(sigma / 2.0), sigma).defective
+    return SpectralGap(constant_rate(sigma).mu, defective)
 
 
 def modal_report(sigma: float, kmax: int, eps: float | None = None) -> list[dict]:

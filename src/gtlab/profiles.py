@@ -1,8 +1,12 @@
 """Relaxation profiles sigma(x) > 0 on the torus.
 
-A profile is constant, piecewise constant on half-open pieces
-(x_{i-1}, x_i], or sampled on a grid. At a jump the left-limit value is
-used, so the node x = 0 (= 2*pi) carries the value of the last piece.
+Every profile is a tuple of pieces (x_i, value): the value holds on the
+half-open piece (x_{i-1}, x_i], with x_0 = 0 and the last x_i = 2*pi. At a
+jump the left-limit value is used, so the node x = 0 (= 2*pi) carries the
+value of the last piece. A constant is one piece. Node samples s_j at
+x_j = 2*pi*j/n are n pieces: the piece ending at x_j carries s_j and the
+last one, ending at 2*pi, carries s_0. Such a profile keeps its n and is
+sampled only at that n.
 """
 
 from __future__ import annotations
@@ -31,46 +35,41 @@ def _parse_angle(token: str) -> float:
 
 @dataclass(frozen=True)
 class RelaxationProfile:
-    """sigma(x) with positive essential bounds sigma_min <= sigma <= sigma_max."""
+    """sigma(x) with positive essential bounds sigma_min <= sigma <= sigma_max.
 
-    kind: str  # "constant" | "piecewise" | "sampled"
-    value: float | None = None
-    pieces: tuple[tuple[float, float], ...] | None = None  # (breakpoint, value)
-    grid: GridFunction | None = None
+    ``pieces`` holds (right end x_i, value on (x_{i-1}, x_i]); ``n`` is the
+    sample count of a profile built from node samples, and None otherwise.
+    """
+
+    pieces: tuple[tuple[float, float], ...]
+    n: int | None = None
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.value is None or self.value <= 0:
-                raise ValidationError(f"sigma must be positive, got {self.value}")
-        elif self.kind == "piecewise":
-            if not self.pieces:
-                raise ValidationError("piecewise profile needs at least one piece")
-            breaks = [b for b, _ in self.pieces]
-            vals = [v for _, v in self.pieces]
-            if any(v <= 0 for v in vals):
-                raise ValidationError(f"sigma must be positive everywhere, got {vals}")
-            if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
-                raise ValidationError(f"breakpoints must be strictly increasing, got {breaks}")
-            if not breaks[0] > 0.0:
-                raise ValidationError(f"first breakpoint must be positive, got {breaks}")
-            if not abs(breaks[-1] - TWO_PI) <= _BREAK_TOL:
-                raise ValidationError("last breakpoint must be 2pi so pieces cover the torus")
-        elif self.kind == "sampled":
-            if self.grid is None or self.grid.is_complex:
-                raise ValidationError("sampled profile needs real grid samples")
-            if np.min(self.grid.values) <= 0:
-                raise ValidationError("sigma must be positive at every sample")
-        else:
-            raise ValidationError(f"unknown profile kind {self.kind!r}")
+        if not self.pieces:
+            raise ValidationError("profile needs at least one piece")
+        breaks = [b for b, _ in self.pieces]
+        vals = [v for _, v in self.pieces]
+        if not all(0.0 < v < math.inf for v in vals):
+            raise ValidationError(
+                f"sigma must be positive and finite everywhere, got {min(vals)} to {max(vals)}"
+            )
+        if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
+            raise ValidationError(f"breakpoints must be strictly increasing, got {breaks}")
+        if not breaks[0] > 0.0:
+            raise ValidationError(f"first breakpoint must be positive, got {breaks}")
+        if not abs(breaks[-1] - TWO_PI) <= _BREAK_TOL:
+            raise ValidationError("last breakpoint must be 2pi so pieces cover the torus")
+        if self.n is not None and self.n != len(self.pieces):
+            raise ValidationError(f"{len(self.pieces)} pieces for {self.n} node samples")
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, value: float) -> "RelaxationProfile":
-        return cls(kind="constant", value=float(value))
+        return cls.piecewise([(TWO_PI, value)])
 
     @classmethod
     def piecewise(cls, pieces) -> "RelaxationProfile":
-        return cls(kind="piecewise", pieces=tuple((float(b), float(v)) for b, v in pieces))
+        return cls(tuple((float(b), float(v)) for b, v in pieces))
 
     @classmethod
     def two_piece(cls, value1: float, value2: float) -> "RelaxationProfile":
@@ -79,7 +78,12 @@ class RelaxationProfile:
 
     @classmethod
     def from_grid(cls, grid: GridFunction) -> "RelaxationProfile":
-        return cls(kind="sampled", grid=grid)
+        """n pieces ending at x_1, ..., x_{n-1}, 2*pi and carrying s_1, ..., s_{n-1}, s_0."""
+        if grid.is_complex:
+            raise ValidationError("sampled profile needs real grid samples")
+        ends = np.append(nodes(grid.n)[1:], TWO_PI)
+        values = np.roll(grid.values, -1)
+        return cls(tuple(zip(ends.tolist(), values.tolist())), n=grid.n)
 
     @classmethod
     def parse(cls, text: str) -> "RelaxationProfile":
@@ -107,87 +111,45 @@ class RelaxationProfile:
     # -- queries ----------------------------------------------------------
     @property
     def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "piecewise":
-            vals = {v for _, v in self.pieces}
-            return len(vals) == 1
-        return bool(np.ptp(self.grid.values) == 0.0)
+        return len({v for _, v in self.pieces}) == 1
 
     @property
     def sigma_min(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "piecewise":
-            return min(v for _, v in self.pieces)
-        return float(np.min(self.grid.values))
+        return min(v for _, v in self.pieces)
 
     @property
     def sigma_max(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "piecewise":
-            return max(v for _, v in self.pieces)
-        return float(np.max(self.grid.values))
+        return max(v for _, v in self.pieces)
 
     def as_two_piece(self) -> tuple[float, float]:
-        """(value on (0, pi], value on (pi, 2pi]) or raise if not of that shape."""
-        if self.kind == "constant":
-            return self.value, self.value
-        if self.kind == "piecewise" and len(self.pieces) == 2:
-            (b1, v1), (_, v2) = self.pieces
-            if abs(b1 - math.pi) < _BREAK_TOL:
-                return v1, v2
-        raise ValidationError("profile is not two-piece with breakpoint pi")
+        """(value on (0, pi], value on (pi, 2pi]) or raise if not of that shape.
 
-    def candidate_values(self) -> np.ndarray:
-        """Values at which x-wise conditions are checked (pieces or samples)."""
-        if self.kind == "constant":
-            return np.asarray([self.value])
-        if self.kind == "piecewise":
-            return np.asarray([v for _, v in self.pieces])
-        return np.unique(self.grid.values)
+        A profile built from node samples holds only on its own grid, so it
+        is never of that shape.
+        """
+        breaks = [b for b, _ in self.pieces]
+        if self.n is None and (
+            len(breaks) == 1 or (len(breaks) == 2 and abs(breaks[0] - math.pi) < _BREAK_TOL)
+        ):
+            return self.pieces[0][1], self.pieces[-1][1]
+        raise ValidationError("profile is not two-piece with breakpoint pi")
 
     def sample(self, n: int) -> np.ndarray:
         """Values at the grid nodes x_j = 2*pi*j/n (left limits at jumps)."""
-        if self.kind == "constant":
-            return np.full(n, self.value)
-        if self.kind == "sampled":
-            if self.grid.n != n:
-                raise GridMismatchError(
-                    f"profile sampled at N={self.grid.n}, requested N={n}"
-                )
-            return np.asarray(self.grid.values)
-        x = nodes(n).copy()
+        if self.n is not None and n != self.n:
+            raise GridMismatchError(f"profile sampled at N={self.n}, requested N={n}")
+        x = nodes(n)
         x[x <= 0.0] = TWO_PI  # node 0 belongs to the last half-open piece
-        breaks = np.asarray([b for b, _ in self.pieces])
-        vals = np.asarray([v for _, v in self.pieces])
-        idx = np.searchsorted(breaks, x - _BREAK_TOL, side="left")
-        return vals[idx]
-
-
-def as_samples(sigma, n: int) -> np.ndarray:
-    """Coerce a profile, grid function, array, or scalar to node samples."""
-    if isinstance(sigma, RelaxationProfile):
-        return sigma.sample(n)
-    if isinstance(sigma, GridFunction):
-        if sigma.n != n:
-            raise GridMismatchError(f"sigma sampled at N={sigma.n}, requested N={n}")
-        return np.asarray(sigma.values)
-    if np.isscalar(sigma):
-        return np.full(n, float(sigma))
-    arr = np.asarray(sigma, dtype=float)
-    if arr.shape != (n,):
-        raise GridMismatchError(f"sigma samples have shape {arr.shape}, expected ({n},)")
-    return arr
+        breaks, vals = np.array(self.pieces).T
+        return vals[np.searchsorted(breaks, x - _BREAK_TOL, side="left")]
 
 
 def as_profile(sigma) -> RelaxationProfile:
-    """Coerce a scalar, grid function, or profile to a RelaxationProfile."""
+    """Coerce a profile, scalar, grid function or 1-D array of node samples to a profile."""
     if isinstance(sigma, RelaxationProfile):
         return sigma
-    if isinstance(sigma, GridFunction):
-        return RelaxationProfile.from_grid(sigma)
     if np.isscalar(sigma):
         return RelaxationProfile.constant(float(sigma))
-    raise ValidationError(f"cannot interpret {type(sigma).__name__} as a relaxation profile")
+    if not isinstance(sigma, GridFunction):
+        sigma = GridFunction(np.asarray(sigma, dtype=float))
+    return RelaxationProfile.from_grid(sigma)

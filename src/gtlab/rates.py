@@ -169,15 +169,12 @@ def check_conditions_2v(theta: float, alpha: float, sigma) -> ConditionCheck:
 
     Condition I: alpha < theta and theta + alpha < 2 sigma_min. Condition II:
     theta^2 (sigma-alpha)^2 - 4 (theta-alpha)(2 sigma - theta - alpha) <= 0
-    for every value sigma takes; convexity in sigma makes the endpoint values
-    decisive, and sampled profiles are additionally checked sample-wise.
+    for every value sigma takes, i.e. for every piece value.
     """
     if not (0.0 < theta < 2.0 and 0.0 < alpha < 2.0):
         raise ValidationError(f"need theta, alpha in (0, 2), got ({theta}, {alpha})")
     profile = as_profile(sigma)
-    svals = np.union1d(
-        profile.candidate_values(), [profile.sigma_min, profile.sigma_max]
-    )
+    svals = np.array([v for _, v in profile.pieces])
     quad = theta**2 * (svals - alpha) ** 2 - 4.0 * (theta - alpha) * (
         2.0 * svals - theta - alpha
     )
@@ -195,7 +192,7 @@ def check_conditions_3v(theta: float, alpha: float, sigma) -> ConditionCheck:
     Condition I: sqrt(2/3) theta + alpha < 2 sigma_min and alpha <= sqrt(2/3) theta.
     Condition II bounds the sum of the two weighted suprema by
     sqrt(2/3) theta - alpha. The first ratio is not monotone in sigma, so the
-    suprema run over all piece values / samples, plus the essential bounds.
+    suprema run over every piece value.
     """
     if not (theta > 0.0 and alpha > 0.0):
         raise ValidationError(f"need theta, alpha > 0, got ({theta}, {alpha})")
@@ -205,9 +202,7 @@ def check_conditions_3v(theta: float, alpha: float, sigma) -> ConditionCheck:
         "transport_budget": 2.0 * profile.sigma_min - s23t - alpha,
         "alpha_le_sqrt23_theta": s23t - alpha,
     }
-    svals = np.union1d(
-        profile.candidate_values(), [profile.sigma_min, profile.sigma_max]
-    )
+    svals = np.array([v for _, v in profile.pieces])
     den1 = 8.0 * svals - 4.0 * s23t - 4.0 * alpha
     den2 = 12.0 * (2.0 * svals - alpha)
     if np.min(den1) <= 0.0 or np.min(den2) <= 0.0:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
 from .errors import NumericalError, ValidationError
-from .profiles import as_profile, as_samples
+from .profiles import as_profile
 from .rates import rate_2v, rate_3v
 from .torus import TWO_PI, GridFunction, primitive, write_csv
 
@@ -313,10 +313,13 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     Records fall at t0, every ``record_every`` steps and at the last step.
     Each recorded carried state is copied into a stage; when the stage is
     full, or at the last step, one pass finishes and records the whole block.
+    A blow-up is looked for once per block, before its record pass, and
+    named by the time of the first record that holds a non-finite value:
+    relaxation and transport never turn a NaN or inf back into a finite one.
     """
     n = f.shape[1]
     dx = TWO_PI / n
-    sig = as_samples(profile, n)
+    sig = profile.sample(n)
     if dt is None:
         dt = dx if scheme == SCHEME_SPLIT else dx / 2.0
     if dt <= 0:
@@ -340,14 +343,16 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     done, staged = 1, 0
     for step in range(1, steps + 1):
         f = advance(f)
-        t = t0 + step * dt
-        if not np.isfinite(f).all():
-            raise NumericalError(f"non-finite state detected at t = {t:.6g}")
         if step % record_every == 0 or step == steps:
+            t = t0 + step * dt
             times[done + staged] = t
             stage[staged] = f
             staged += 1
             if staged == block or step == steps:
+                finite = np.isfinite(stage[:staged]).reshape(staged, -1).all(axis=1)
+                if not finite.all():
+                    t_bad = times[done + int(np.argmin(finite))]
+                    raise NumericalError(f"non-finite state detected at t = {t_bad:.6g}")
                 u = system.macro @ finish(stage[:staged])
                 values[:, done : done + staged] = _diagnostics(u, sig, theta)
                 done, staged = done + staged, 0

@@ -376,9 +376,14 @@ def telegrapher_gap(
     )
 
 
+def optimal_rate(problem: TelegrapherProblem, result: GapResult) -> float:
+    """The optimal decay rate (1/pi) min(|sigma~|_L1, gap) from a search of ``problem``."""
+    return min(problem.l1_norm, result.gap) / math.pi
+
+
 def bs_rate(sigma) -> RateReport:
-    """Optimal-rate bundle (1/pi) min(|sigma~|_L1, gap) for a two-piece profile."""
+    """Optimal-rate bundle for a two-piece profile: one search, then ``optimal_rate``."""
     problem = rescale_sigma(sigma)
-    result = telegrapher_gap(problem)
-    rate = min(problem.l1_norm, result.gap) / math.pi
-    return RateReport(source=SOURCE_BERNARD_SALVARANI, rate=rate)
+    return RateReport(
+        source=SOURCE_BERNARD_SALVARANI, rate=optimal_rate(problem, telegrapher_gap(problem))
+    )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gtlab.cli import main
-from gtlab.errors import ValidationError
-from gtlab.profiles import RelaxationProfile
+from gtlab.errors import GridMismatchError, ValidationError
+from gtlab.profiles import RelaxationProfile, as_profile
 from gtlab.rates import constant_rate
 from gtlab.torus import GridFunction
 
@@ -44,6 +44,57 @@ class TestSigmaParsing:
     def test_bad_spec(self):
         with pytest.raises(Exception):
             RelaxationProfile.parse("nope:1")
+
+    def test_constant_is_one_piece(self):
+        const, one_piece = RelaxationProfile.parse("const:5"), RelaxationProfile.parse("pc:5@2pi")
+        assert const == one_piece
+        assert const.as_two_piece() == one_piece.as_two_piece() == (5.0, 5.0)
+
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "pc:1@pi,nan@2pi", "pc:1@pi,0@2pi"])
+    def test_non_positive_or_non_finite_value_rejected(self, spec):
+        with pytest.raises(ValidationError):
+            RelaxationProfile.parse(spec)
+
+    @pytest.mark.parametrize("spec", ["pc:1@1,2@pi,4@2pi", "pc:1@1,4@2pi", "pc:1@pi,2@4,4@2pi"])
+    def test_as_two_piece_rejects_other_shapes(self, spec):
+        with pytest.raises(ValidationError, match="not two-piece"):
+            RelaxationProfile.parse(spec).as_two_piece()
+
+    def _file_profile(self, tmp_path, n):
+        values = np.random.default_rng(n).uniform(0.1, 5.0, n)
+        path = tmp_path / "sigma.csv"
+        GridFunction(values).to_csv(path)
+        return path, values
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_file_samples_back_bit_for_bit_at_its_own_n_only(self, tmp_path, n):
+        path, values = self._file_profile(tmp_path, n)
+        p = RelaxationProfile.parse(f"file:{path}")
+        assert p.n == n and len(p.pieces) == n
+        assert p.sample(n).tobytes() == values.tobytes()
+        assert p == as_profile(values) == as_profile(GridFunction(values))
+        with pytest.raises(GridMismatchError):
+            p.sample(2 * n)
+        with pytest.raises(ValidationError, match="not two-piece"):
+            p.as_two_piece()
+
+    def test_node_samples_are_never_two_piece(self):
+        # two node samples give pieces that break at pi, yet hold only at n = 2
+        p = RelaxationProfile(((np.pi, 1.0), (2 * np.pi, 4.0)), n=2)
+        assert p.sample(2).tolist() == [4.0, 1.0]
+        with pytest.raises(ValidationError, match="not two-piece"):
+            p.as_two_piece()
+
+    def test_file_profile_at_another_n_exits_2(self, tmp_path):
+        path, _ = self._file_profile(tmp_path, 32)
+        code = run(
+            "simulate-2v", "--sigma", f"file:{path}", "--n", "64", "--t-final", "1",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+
+    def test_telegrapher_rejects_a_break_off_pi(self, tmp_path):
+        assert run("telegrapher", "--sigma", "pc:1@1,4@2pi", "--out", str(tmp_path / "o")) == 2
 
     @pytest.mark.parametrize(
         "pieces",

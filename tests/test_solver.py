@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from gtlab import solver
 from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs
 from gtlab.errors import NumericalError, ValidationError
-from gtlab.profiles import RelaxationProfile, as_samples
+from gtlab.profiles import RelaxationProfile
 from gtlab.rates import alpha_star, constant_rate, rate_3v, theta_star
 from gtlab.solver import (
     TRANSFORM_3V,
@@ -193,6 +193,14 @@ class TestSimulate2V:
         init = MacroState2V(GridFunction.zeros(64), GridFunction.zeros(64))
         with pytest.raises(ValidationError):
             simulate_2v(init, 1.0, 1.0, dt=0.01, scheme="split")
+
+    @pytest.mark.parametrize("record_every, t_named", [(1, "48"), (7, "49"), (1000, "200")])
+    def test_blow_up_raises_at_the_first_record_after_it(self, record_every, t_named):
+        # dt = 0.5 is far past RK4's spectral advection limit at n = 64; the
+        # state first turns non-finite at t = 48
+        init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=rf"t = {t_named}$"):
+            simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=record_every)
 
     def test_kinetic_initial_state_accepted(self):
         kin = KineticState2V(gf(np.sin, 64), gf(np.cos, 64))
@@ -401,7 +409,7 @@ class TestSplitStepOracle:
             traj = simulate_3v(init, self.PROFILE, steps * dt, dt=dt, theta=0.9)
             got = np.vstack([traj.final.u1.values, traj.final.u2.values, traj.final.u3.values])
             first = TestRecordPass.reference_3v(init, 0.9, self.PROFILE)
-        want = macro @ self.strang(f0, as_samples(self.PROFILE, n), dt, velocities, steps)
+        want = macro @ self.strang(f0, self.PROFILE.sample(n), dt, velocities, steps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # the t0 row is the initial state's own, not that of a relaxed copy
         for name, value in first.items():
