@@ -16,7 +16,8 @@ by LU with partial pivoting.
 
 Equal weights make the smallest eigenvalue doubly degenerate (the sin/cos
 pair), so besides sign changes the scan also refines even-order touches of
-the determinant.
+the determinant. Nearly equal weights split it into two simple eigenvalues
+closer than one scan step, which the same refinement separates.
 """
 
 from __future__ import annotations
@@ -130,9 +131,12 @@ def weighted_poincare(
 ) -> PoincareResult:
     """Scan (0, lam_max] for the first singular lambda; C_w^2 = 1/c_min.
 
-    Sign changes are bisected to 1e-12; even-order touches (degenerate
-    eigenvalues, e.g. equal weights) are caught by refining local minima of
-    |det| and accepting them when the determinant vanishes to rounding.
+    Sign changes are bisected to 1e-12. Every other local minimum of |det|
+    on the scan grid is refined by minimising det times the sign it has on
+    the grid: a minimum of the other sign lies between two roots closer than
+    a scan step (nearly equal weights), and each is bisected; a minimum where
+    the determinant vanishes to rounding is an even-order touch (degenerate
+    eigenvalues, e.g. equal weights) and is accepted as it is.
     """
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
@@ -142,24 +146,37 @@ def weighted_poincare(
     if scale == 0.0:
         raise NumericalError("determinant vanished identically on the scan grid")
 
+    def det(lam):
+        return det_M_lambda(lam, weight)
+
     roots: list[float] = []
     sign_change = np.nonzero(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0)[0]
     for i in sign_change:
-        roots.append(
-            brentq(lambda lam: det_M_lambda(lam, weight), grid[i], grid[i + 1], xtol=_ROOT_XTOL)
-        )
+        roots.append(brentq(det, grid[i], grid[i + 1], xtol=_ROOT_XTOL))
 
     absdet = np.abs(dets)
     interior = np.nonzero((absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:]))[0] + 1
+    bracketed = set(sign_change) | {i + 1 for i in sign_change}
     for i in interior:
         if absdet[i] > 1e-3 * scale:
             continue  # ordinary valley, not a touch of zero
+        if i in bracketed:
+            continue  # the valley of a simple root, which brentq has found
+        if dets[i] == 0.0:
+            roots.append(float(grid[i]))
+            continue
+        side = np.sign(dets[i])
+        lo, hi = grid[i - 1], grid[i + 1]
         res = minimize_scalar(
-            lambda lam: abs(det_M_lambda(lam, weight)),
-            bounds=(grid[i - 1], grid[i + 1]),
+            lambda lam: side * det(lam),
+            bounds=(lo, hi),
             method="bounded",
             options={"xatol": _ROOT_XTOL},
         )
+        if res.fun < 0.0:  # two simple roots, one on each side of res.x
+            roots.append(brentq(det, lo, res.x, xtol=_ROOT_XTOL))
+            roots.append(brentq(det, res.x, hi, xtol=_ROOT_XTOL))
+            continue
         local_scale = max(float(np.max(absdet[max(0, i - 50) : i + 50])), 1e-30)
         if res.fun < _TOUCH_RTOL * local_scale:
             roots.append(float(res.x))

@@ -237,15 +237,18 @@ def antiderivative(f: GridFunction) -> GridFunction:
 def random_band_limited(n: int, seed=None, zero_mean: bool = False) -> GridFunction:
     """Seeded random real trigonometric polynomial with modes |k| <= n // 8.
 
-    Amplitudes are uniform on [-1, 1].
+    a_0 + sum_k a_k cos(kx) + b_k sin(kx), every amplitude uniform on
+    [-1, 1]: a_0 is drawn first (and is 0, undrawn, when ``zero_mean``),
+    then the pairs (a_k, b_k) in order of k. The samples come from one
+    inverse real FFT of the coefficients n a_0 and (n/2)(a_k - i b_k), so a
+    seed gives the same polynomial as a sum of cosines and sines would, with
+    no rounding of the angles k x_j.
     """
     _validate_n(n)
     rng = np.random.default_rng(seed)
-    x = nodes(n)
-    vals = np.zeros(n)
+    c = np.zeros(n // 2 + 1, dtype=complex)
     if not zero_mean:
-        vals += rng.uniform(-1.0, 1.0)
-    for k in range(1, n // 8 + 1):
-        a, b = rng.uniform(-1.0, 1.0, size=2)
-        vals += a * np.cos(k * x) + b * np.sin(k * x)
-    return GridFunction(vals)
+        c[0] = n * rng.uniform(-1.0, 1.0)
+    a, b = rng.uniform(-1.0, 1.0, size=(n // 8, 2)).T
+    c[1 : n // 8 + 1] = (n / 2) * (a - 1j * b)
+    return GridFunction(np.fft.irfft(c, n))

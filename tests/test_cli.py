@@ -359,3 +359,16 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.tele_mod, "telegrapher_gap", boom)
         assert run("telegrapher", "--out", str(tmp_path / "o")) == 3
+
+    def test_overflowing_entropy_exits_three_without_writing_nan_rates(self, tmp_path, capsys):
+        # RK4 at dt = 0.5 blows up: by t = 25.5 the entropy overflows while
+        # the state is still finite, and at T = 30 the state never turns non-finite
+        code = run(
+            "simulate-2v", "--sigma", "const:1", "--n", "64", "--scheme", "rk4", "--dt", "0.5",
+            "--t-final", "30", "--u0", "random", "--v0", "random", "--out", str(tmp_path / "o"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite diagnostics at t = 25.5" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "o" / "summary.csv").exists()

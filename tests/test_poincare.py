@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gtlab.errors import NumericalError, ValidationError
 from gtlab.poincare import (
@@ -93,6 +94,54 @@ class TestWeightedPoincare:
     def test_no_root_reports_numerical_error(self):
         with pytest.raises(NumericalError):
             weighted_poincare(TwoPieceWeight(1.0, 1.0), lam_max=0.5)
+
+
+def finite_difference_eigenvalues(weight: TwoPieceWeight, n: int) -> np.ndarray:
+    """The two smallest eigenvalues of K u = lambda W u on mean-zero grid functions.
+
+    K = (2I - S - S^T)/h^2 on the periodic n-point grid (S the cyclic shift),
+    W = diag(w(x_j)) with (w1 + w2)/2 at the jump nodes x = 0 and x = pi.
+    The columns of q span the mean-zero subspace.
+    """
+    h = 2.0 * math.pi / n
+    w = np.where(np.arange(n) < n // 2, weight.w1, weight.w2)
+    w[0] = w[n // 2] = (weight.w1 + weight.w2) / 2.0
+    shift = np.roll(np.eye(n), 1, axis=1)
+    k = (2.0 * np.eye(n) - shift - shift.T) / h**2
+    q = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
+    return scipy.linalg.eigh(
+        q.T @ k @ q, q.T @ (w[:, None] * q), eigvals_only=True, subset_by_index=[0, 1]
+    )
+
+
+LOG_UNIFORM_WEIGHTS = np.exp(
+    np.random.default_rng(0).uniform(math.log(0.2), math.log(5.0), size=(5, 2))
+).tolist()
+
+
+class TestFiniteDifferenceOracle:
+    """c_min against a second-order discretisation, Richardson-extrapolated from
+    n = 256 and 512; the two agree to 7e-10 relative on log-uniform weights."""
+
+    @staticmethod
+    def oracle(weight):
+        coarse = finite_difference_eigenvalues(weight, 256)
+        fine = finite_difference_eigenvalues(weight, 512)
+        return (4.0 * fine - coarse) / 3.0
+
+    @pytest.mark.parametrize("w1, w2", LOG_UNIFORM_WEIGHTS)
+    def test_c_min_matches_the_extrapolated_discretisation(self, w1, w2):
+        weight = TwoPieceWeight(w1, w2)
+        res = weighted_poincare(weight)
+        assert res.c_min == pytest.approx(self.oracle(weight)[0], rel=1e-8)
+        assert all(np.diff(res.roots) > 1e-6)  # no simple root reported twice
+
+    def test_nearly_equal_weights_give_both_eigenvalues_of_the_split_pair(self):
+        # two simple eigenvalues 6e-6 apart, inside one scan step
+        weight = TwoPieceWeight(3.14, 3.2)
+        res = weighted_poincare(weight)
+        assert res.roots[:2] == pytest.approx(self.oracle(weight), rel=1e-8)
+        assert res.close_root_flag
 
 
 class TestWeightFromSigma:

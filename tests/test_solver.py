@@ -1,5 +1,7 @@
 """Time integration: exactness properties, conservation laws, decay fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -201,6 +203,22 @@ class TestSimulate2V:
         init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=rf"t = {t_named}$"):
             simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=record_every)
+
+    def test_blow_up_raises_no_numpy_warning(self):
+        init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"state detected at t = 48$"):
+                simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4")
+
+    @pytest.mark.parametrize("record_every, t_named", [(1, "25.5"), (7, "28")])
+    def test_non_finite_diagnostic_of_a_finite_state_raises(self, record_every, t_named):
+        # at T = 30 the state stays finite, but its entropy overflows first at t = 25.5
+        init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"diagnostics at t = {t_named}$"):
+                simulate_2v(init, 1.0, 30.0, dt=0.5, scheme="rk4", record_every=record_every)
 
     def test_kinetic_initial_state_accepted(self):
         kin = KineticState2V(gf(np.sin, 64), gf(np.cos, 64))

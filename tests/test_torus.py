@@ -1,5 +1,7 @@
 """Grid functions and the spectral calculus operators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.torus import (
+    TWO_PI,
     GridFunction,
     antiderivative,
     average,
@@ -223,3 +226,33 @@ class TestRandomBandLimited:
         c = np.fft.fft(f.values) / f.n
         k = np.fft.fftfreq(f.n, d=1.0 / f.n)
         assert np.max(np.abs(c[np.abs(k) > 8])) < 1e-14
+
+    @staticmethod
+    def draws(n, seed, zero_mean):
+        """a_0 and the (a_k, b_k) pairs, drawn in the order the field draws them."""
+        rng = np.random.default_rng(seed)
+        a0 = 0.0 if zero_mean else rng.uniform(-1.0, 1.0)
+        return a0, rng.uniform(-1.0, 1.0, size=(n // 8, 2))
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spectrum_is_the_drawn_amplitudes(self, n, zero_mean, seed):
+        a0, ab = self.draws(n, seed, zero_mean)
+        c = np.fft.rfft(random_band_limited(n, seed, zero_mean).values) * 2.0 / n
+        assert abs(c[0] / 2.0 - a0) < 1e-13
+        assert np.max(np.abs(c[1 : n // 8 + 1] - (ab[:, 0] - 1j * ab[:, 1]))) < 1e-13
+        assert np.max(np.abs(c[n // 8 + 1 :])) < 1e-13
+
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_matches_a_sum_with_exactly_reduced_angles(self, zero_mean):
+        # angle k x_j reduced as 2 pi ((k j) mod n) / n, terms summed exactly;
+        # a sum of cos(k x_j) with rounded k x_j is off by 7.7e-12 here
+        n = 4096
+        a0, ab = self.draws(n, 0, zero_mean)
+        kj = np.outer(np.arange(1, n // 8 + 1), np.arange(n)) % n
+        angle = TWO_PI * kj / n
+        terms = ab[:, :1] * np.cos(angle) + ab[:, 1:] * np.sin(angle)
+        direct = np.array([math.fsum([a0, *column]) for column in terms.T])
+        f = random_band_limited(n, seed=0, zero_mean=zero_mean)
+        assert np.max(np.abs(f.values - direct)) < 1e-13
