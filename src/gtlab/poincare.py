@@ -16,8 +16,18 @@ by LU with partial pivoting.
 
 Equal weights make the smallest eigenvalue doubly degenerate (the sin/cos
 pair), so besides sign changes the scan also refines even-order touches of
-the determinant. Nearly equal weights split it into two simple eigenvalues
-closer than one scan step, which the same refinement separates.
+the determinant, as simple zeros of a symmetric difference of det. Nearly
+equal weights split it into two simple eigenvalues closer than one scan
+step, which the same refinement separates.
+
+The rate-improvement iteration scans once per iterate, and every scan after
+the first is confined to a window proven to hold c_min:
+
+- lower end, the previous c_min: while each piece of the weight is no larger
+  than at the previous scan, c_min = min int f'^2 / int f^2 w is no smaller;
+- upper end, 2/(w1 + w2): sin x and cos x have zero mean and
+  int sin^2 w = int cos^2 w = pi (w1 + w2)/2, so the two smallest
+  eigenvalues (the close-root pair among them) lie at or below it.
 """
 
 from __future__ import annotations
@@ -32,11 +42,18 @@ from .errors import NumericalError, ValidationError
 from .profiles import as_profile
 
 _ROOT_XTOL = 1e-12
+_SCAN_STEP = 1e-3
 #: |det|/scale below this at a refined local minimum counts as an even root.
 _TOUCH_RTOL = 1e-8
+#: half-width, relative to lambda, of the symmetric difference that locates a touch;
+#: its truncation error is about half its square, relative
+_TOUCH_STEP = 1e-6
 _CLOSE_ROOT_WINDOW = 1e-3
 #: improved_alpha stops, unconverged, after this many updates
 _MAX_ITER = 100
+#: a warm scan reaches this many scan steps beyond both ends of its window,
+#: past the 50-point half-width of the touch test's local scale
+_WARM_PAD = 64
 
 
 @dataclass(frozen=True)
@@ -127,20 +144,29 @@ class PoincareResult:
 def weighted_poincare(
     weight: TwoPieceWeight,
     lam_max: float | None = None,
-    scan_step: float = 1e-3,
+    scan_step: float = _SCAN_STEP,
+    *,
+    lam_min: float = 0.0,
 ) -> PoincareResult:
-    """Scan (0, lam_max] for the first singular lambda; C_w^2 = 1/c_min.
+    """Scan [lam_min, lam_max] for the first singular lambda; C_w^2 = 1/c_min.
 
-    Sign changes are bisected to 1e-12. Every other local minimum of |det|
-    on the scan grid is refined by minimising det times the sign it has on
-    the grid: a minimum of the other sign lies between two roots closer than
-    a scan step (nearly equal weights), and each is bisected; a minimum where
-    the determinant vanishes to rounding is an even-order touch (degenerate
-    eigenvalues, e.g. equal weights) and is accepted as it is.
+    The scan grid is the lattice scan_step * (i + 1), i >= 0, from its last
+    point at or below lam_min, so a window of the full scan evaluates the
+    same lambdas as the full scan does there. Sign changes are bisected to
+    1e-12. Every other local minimum of |det| on the scan grid is refined by
+    minimising det times the sign it has on the grid: a minimum of the other
+    sign lies between two roots closer than a scan step (nearly equal
+    weights), and each is bisected; a minimum where the determinant vanishes
+    to rounding is an even-order touch (degenerate eigenvalues, e.g. equal
+    weights). |det| is flat to rounding there, so the touch is located as
+    the simple zero of det(lambda + h) - det(lambda - h), h = 1e-6 lambda.
     """
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
-    grid = np.arange(scan_step, lam_max + scan_step / 2.0, scan_step)
+    # the points of np.arange(scan_step, lam_max + scan_step / 2, scan_step) from index first on
+    first = max(0, math.floor(lam_min / scan_step) - 1)
+    count = math.ceil((lam_max + scan_step / 2.0 - scan_step) / scan_step)
+    grid = scan_step + np.arange(first, count) * scan_step
     dets = np.linalg.det(matching_matrix(grid, weight))
     scale = float(np.max(np.abs(dets)))
     if scale == 0.0:
@@ -179,7 +205,8 @@ def weighted_poincare(
             continue
         local_scale = max(float(np.max(absdet[max(0, i - 50) : i + 50])), 1e-30)
         if res.fun < _TOUCH_RTOL * local_scale:
-            roots.append(float(res.x))
+            h = _TOUCH_STEP * res.x
+            roots.append(brentq(lambda lam: det(lam + h) - det(lam - h), lo, hi, xtol=_ROOT_XTOL))
 
     roots = sorted(roots)
     deduped: list[float] = []
@@ -188,7 +215,7 @@ def weighted_poincare(
             deduped.append(r)
     if not deduped:
         raise NumericalError(
-            f"no singular lambda in (0, {lam_max}]; increase lam_max"
+            f"no singular lambda in [{lam_min}, {lam_max}]; increase lam_max"
         )
     c_min = deduped[0]
     close = len(deduped) > 1 and deduped[1] - c_min < _CLOSE_ROOT_WINDOW
@@ -237,14 +264,37 @@ def improved_alpha(
     iterating from an admissible alpha0 (e.g. the perturbative rate) climbs
     monotonically to the improved rate alpha_max. Stops early, flagged, if an
     iterate leaves the admissible set.
+
+    Only the first scan, at alpha0, covers (0, 4/min w]. Each later one is
+    warm: it scans [c_min of the previous scan, 2/(w1 + w2)], padded by 64
+    scan steps, on the same lattice, so it returns the same c_min.
+    - Lower end: c_min = min int f'^2 / int f^2 w cannot fall while no piece
+      of the weight grows, and that is checked before each warm scan. Along
+      the iterates it holds: w_j = (sigma_j - alpha)^2 / (2 sigma_j - theta
+      - alpha) decreases in alpha for sigma_j >= theta > alpha, and the
+      iterates never decrease, because the cap increases in alpha.
+    - Upper end: sin x and cos x have zero mean and Rayleigh quotient
+      2/(w1 + w2), so the two smallest eigenvalues lie at or below it.
+    A candidate whose weight exceeds the previous one on either piece (one
+    below the previous alpha, which the admission slack allows) is scanned
+    in full.
     """
 
-    def cap(alpha: float) -> float:
-        c2 = weighted_poincare(weight_from_sigma(sigma, theta, alpha)).c_omega_sq
-        return theta - theta**2 * c2 / 4.0
+    def scan(alpha: float, previous=None):
+        """(weight, PoincareResult) at alpha, warm from the previous pair where that is proven."""
+        weight = weight_from_sigma(sigma, theta, alpha)
+        if previous is None or weight.w1 > previous[0].w1 or weight.w2 > previous[0].w2:
+            return weight, weighted_poincare(weight)
+        pad = _WARM_PAD * _SCAN_STEP
+        lam_max = 2.0 / (weight.w1 + weight.w2) + pad
+        return weight, weighted_poincare(weight, lam_max, lam_min=previous[1].c_min - pad)
+
+    def cap(scanned) -> float:
+        return theta - theta**2 * scanned[1].c_omega_sq / 4.0
 
     slack = max(10.0 * tol, 1e-9)
-    current_cap = cap(alpha0)
+    current = scan(alpha0)
+    current_cap = cap(current)
     if not 0.0 < alpha0 <= current_cap + slack:
         raise ValidationError(
             f"alpha0 = {alpha0} is inadmissible: needs 0 < alpha0 <= {current_cap}"
@@ -256,10 +306,11 @@ def improved_alpha(
     for _ in range(_MAX_ITER):
         candidate = current_cap  # theta - theta^2 C^2_{w_alpha}/4
         try:
-            candidate_cap = cap(candidate)
+            scanned = scan(candidate, current)
         except (ValidationError, NumericalError):
             stopped = True
             break
+        candidate_cap = cap(scanned)
         if candidate <= 0.0 or candidate > candidate_cap + slack:
             stopped = True
             break
@@ -269,7 +320,7 @@ def improved_alpha(
             converged = True
             break
         alpha = candidate
-        current_cap = candidate_cap
+        current, current_cap = scanned, candidate_cap
     return ImprovedAlphaResult(
         alpha_max=alpha,
         iterates=tuple(iterates),

@@ -51,6 +51,9 @@ _TRUST = 100.0
 #: limits that stop a contour through a zero
 _SAMPLE_SPACING = 0.1
 _MAX_PHASE_STEP = math.pi / 4.0
+#: near a centre the initial spacing is at most this fraction of the distance to it,
+#: so a simple zero there turns the phase by at most this much per step
+_GRADING = 0.5
 _MIN_SEGMENT = 1e-11
 _MAX_SAMPLES = 2_000_000
 #: half-sides of the squares a root's multiplicity is counted on, tried in turn
@@ -169,10 +172,41 @@ class GapResult:
         return abs(self.eigenvalue.imag) < 1e-9
 
 
-def _zeros_inside(vertices: list, problem: TelegrapherProblem) -> int:
+def _edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
+    """Samples of the edge [a, b): evenly spaced, at most _SAMPLE_SPACING apart,
+    and graded geometrically toward the point of the edge nearest each centre.
+
+    Around that point, at distance d from the centre, the samples are
+    _GRADING d apart out to d, then _GRADING times their offset from it,
+    until that reaches _SAMPLE_SPACING. Every step is then at most _GRADING
+    times the distance of its nearer end from each centre.
+    """
+    length = abs(b - a)
+    n = max(4, math.ceil(length / _SAMPLE_SPACING))
+    arc = [length * np.arange(n) / n]
+    unit = (b - a) / length
+    for c in centres:
+        foot = min(max(((c - a) / unit).real, 0.0), length)
+        d = abs(a + unit * foot - c)
+        if _GRADING * d >= _SAMPLE_SPACING:
+            continue
+        rounds = math.ceil(math.log(_SAMPLE_SPACING / (_GRADING * d)) / math.log1p(_GRADING))
+        offsets = np.concatenate(
+            [
+                _GRADING * d * np.arange(math.ceil(1.0 / _GRADING)),
+                d * (1.0 + _GRADING) ** np.arange(rounds + 1),
+            ]
+        )
+        arc += [foot - offsets, foot + offsets]
+    arc = np.unique(np.concatenate(arc))
+    return a + unit * arc[(arc >= 0.0) & (arc < length)]
+
+
+def _zeros_inside(vertices: list, problem: TelegrapherProblem, centres: tuple = ()) -> int:
     """Zeros of D inside a counter-clockwise polygon, by the argument principle.
 
-    arg D is sampled along the edges, and every step is bisected until its
+    arg D is sampled along the edges (graded toward ``centres``, see
+    _edge_samples), and every step is bisected until its
     phase change, and its length times the larger |D'/D| at its two ends,
     are both at most pi/4; the winding number is the sum of the steps over
     2 pi. The second test sees a pair of zeros close to an edge, whose
@@ -180,10 +214,7 @@ def _zeros_inside(vertices: list, problem: TelegrapherProblem) -> int:
     stand clear of its rounding error, or a step that cannot be bisected
     further, raises.
     """
-    pieces = []
-    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-        n = max(4, math.ceil(abs(b - a) / _SAMPLE_SPACING))
-        pieces.append(a + (b - a) * np.arange(n) / n)
+    pieces = [_edge_samples(a, b, centres) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
     z = np.concatenate(pieces + [np.array(vertices[:1], dtype=complex)])
     d, dd, err = _d_batch(z, problem)
     while True:
@@ -236,12 +267,15 @@ def _strip_count(problem: TelegrapherProblem) -> int:
     """Eigenvalues in the search strip, multiplicity included.
 
     The contour is the strip's rectangle, notched inwards around 0 on its
-    left edge and around re_max on its right edge.
+    left edge and around re_max on its right edge. Its samples are graded
+    toward both notches, where D may vanish (the mass mode at 0, and the
+    flux mode of a constant profile at re_max), so one batch of D resolves
+    the phase there.
     """
     rho, b, y = _EXCLUSION, problem.re_max, problem.im_max
     right = [b - 1j * y, b - 1j * rho, b - rho - 1j * rho, b - rho + 1j * rho, b + 1j * rho]
     left = [b + 1j * y, 1j * y, 1j * rho, rho + 1j * rho, rho - 1j * rho, -1j * rho]
-    return _zeros_inside([-1j * y] + right + left, problem)
+    return _zeros_inside([-1j * y] + right + left, problem, centres=(0.0, complex(b)))
 
 
 def _newton(seeds: np.ndarray, problem: TelegrapherProblem, known: list) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gtlab.poincare as poincare
 from gtlab.errors import NumericalError, ValidationError
 from gtlab.poincare import (
     TwoPieceWeight,
@@ -16,7 +17,7 @@ from gtlab.poincare import (
     weighted_poincare,
 )
 from gtlab.profiles import RelaxationProfile
-from gtlab.rates import alpha_star
+from gtlab.rates import alpha_star, theta_star
 
 ALPHA0 = 2.0 * (2.0 - math.sqrt(3.0))  # starting rate for the {1, 4} profile
 PROFILE_14 = RelaxationProfile.two_piece(1.0, 4.0)
@@ -90,6 +91,20 @@ class TestWeightedPoincare:
         res = weighted_poincare(TwoPieceWeight(0.5, 2.0))
         assert list(res.roots) == sorted(res.roots)
         assert res.c_min == res.roots[0]
+
+    @pytest.mark.parametrize("c", [0.2, 0.5, 1.0, 2.0])
+    def test_double_root_located_as_a_simple_zero(self, c):
+        # equal weights: c_min = 1/c is a touch of det, flat to rounding around it
+        assert weighted_poincare(TwoPieceWeight(c, c)).c_min * c == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("w1, w2", [(0.5, 2.0), (1.0, 1.0), (3.14, 3.2), (0.46, 2.1)])
+    def test_window_of_the_lattice_gives_the_full_scan_c_min(self, w1, w2):
+        weight = TwoPieceWeight(w1, w2)
+        full = weighted_poincare(weight)
+        pad = 0.064  # 64 scan steps
+        window = weighted_poincare(weight, 2.0 / (w1 + w2) + pad, lam_min=full.c_min - pad)
+        assert window.c_min == full.c_min
+        assert window.close_root_flag == full.close_root_flag
 
     def test_no_root_reports_numerical_error(self):
         with pytest.raises(NumericalError):
@@ -195,3 +210,67 @@ class TestImprovedAlpha:
     def test_inadmissible_start_rejected(self):
         with pytest.raises(ValidationError):
             improved_alpha(PROFILE_14, 1.0, 0.9)
+
+
+# the rate-certify profiles, and nearly equal pieces whose c_min lies just below
+# 2/(w1 + w2); with the appendix-a theta and starting rate
+WARM_START_PROFILES = [(1.0, 4.0), (1.34, 5.46), (2.93, 0.402), (3.0, 3.1)]
+
+
+def _appendix_a_iteration(pair):
+    lo, hi = min(pair), max(pair)
+    profile = RelaxationProfile.two_piece(*pair)
+    return improved_alpha(profile, theta_star(lo, hi), alpha_star(lo, hi))
+
+
+class TestWarmStart:
+    """Every scan after the first covers [previous c_min, 2/(w1 + w2)] only."""
+
+    @pytest.mark.parametrize("pair", WARM_START_PROFILES, ids=str)
+    def test_iterates_equal_the_cold_loop_and_c_min_never_falls(self, pair, monkeypatch):
+        warm = _appendix_a_iteration(pair)
+        real = poincare.weighted_poincare
+        c_min = []
+
+        def full_scan(weight, *args, **kwargs):
+            res = real(weight)
+            c_min.append(res.c_min)
+            return res
+
+        monkeypatch.setattr(poincare, "weighted_poincare", full_scan)
+        cold = _appendix_a_iteration(pair)
+        assert warm.iterates == cold.iterates
+        assert warm.alpha_max == cold.alpha_max
+        assert all(b >= a for a, b in zip(c_min, c_min[1:]))
+
+    @pytest.mark.parametrize("pair", WARM_START_PROFILES, ids=str)
+    def test_later_scans_evaluate_fewer_points_than_the_first(self, pair, monkeypatch):
+        points = []  # lambda values given to matching_matrix, per scan
+        real_scan, real_matrix = poincare.weighted_poincare, poincare.matching_matrix
+
+        def scan(*args, **kwargs):
+            points.append(0)
+            return real_scan(*args, **kwargs)
+
+        def matrix(lam, weight):
+            points[-1] += np.size(lam)
+            return real_matrix(lam, weight)
+
+        monkeypatch.setattr(poincare, "weighted_poincare", scan)
+        monkeypatch.setattr(poincare, "matching_matrix", matrix)
+        res = _appendix_a_iteration(pair)
+        assert len(points) == len(res.iterates)
+        assert sum(points[1:]) < points[0]
+
+    def test_candidate_below_the_previous_alpha_is_scanned_in_full(self, monkeypatch):
+        fixed = improved_alpha(PROFILE_14, 1.0, ALPHA0).alpha_max
+        weight = weight_from_sigma(PROFILE_14, 1.0, fixed)
+        alpha0 = 1.0 - weighted_poincare(weight).c_omega_sq / 4.0 + 5e-6  # inside the slack
+        kwargs = []
+        real = poincare.weighted_poincare
+        monkeypatch.setattr(
+            poincare, "weighted_poincare", lambda *a, **k: kwargs.append(k) or real(*a, **k)
+        )
+        res = improved_alpha(PROFILE_14, 1.0, alpha0)
+        assert res.iterates[1] < alpha0
+        assert kwargs[:2] == [{}, {}]  # alpha0, then the candidate below it: full scans

@@ -269,6 +269,19 @@ class TestCertificate:
                 box = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
                 assert tele._zeros_inside(box, p) == 2
 
+    @pytest.mark.parametrize("pair", [(1.0, 4.0), (1.34, 5.46), (17.02, 17.24)])
+    def test_strip_count_takes_at_most_three_batches(self, pair, monkeypatch):
+        # samples graded toward the notches at 0 and re_max resolve the phase
+        # there at once; evenly spaced ones took 17 rounds of bisection toward 0
+        p = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        batches = []
+        real_batch, real_inside = tele._d_batch, tele._zeros_inside
+        monkeypatch.setattr(tele, "_d_batch", lambda g, q: batches.append(1) or real_batch(g, q))
+        count = tele._strip_count(p)
+        assert len(batches) <= 3
+        monkeypatch.setattr(tele, "_zeros_inside", lambda v, q, centres=(): real_inside(v, q))
+        assert tele._strip_count(p) == count  # the same on evenly spaced samples
+
     @pytest.mark.parametrize(
         "pair, count", [((1.0, 4.0), 9), ((2.93, 0.402), 2), ((1.34, 5.46), 18)]
     )
