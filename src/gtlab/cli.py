@@ -19,7 +19,7 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
                    (--eps is accepted and ignored: the 3v rate has no eps)
     rates          --sigma --eps
     modal-report   --sigma --eps --kmax --plot
-    poincare       --sigma --theta --alpha --w1 --w2 --scan-step --improve --alpha0
+    poincare       --sigma --theta --alpha --w1 --w2 --improve --alpha0
                    (--w1 and --w2 go together and give the weight; with them
                    --alpha is an error and --sigma, --theta need --improve,
                    as --alpha0 always does)
@@ -31,7 +31,13 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
 abbreviation of a flag, is an error (exit 2). A config file (--config PATH or
 --config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags; a key
 the subcommand does not take is an error that names the file.
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+
+A handler computes and never writes: it returns the files of the run, by
+name under --out, and the lines it prints. main creates --out, writes the
+files and prints only once the handler has returned, so a run that fails
+leaves no files. An --out that cannot be written is exit 2.
+Exit codes: 0 success, 2 validation failure (or an unwritable --out),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -68,15 +74,16 @@ from .solver import (
     simulate_3v,
     to_macro3,
 )
-from .torus import GridFunction, _format_cell, nodes, random_band_limited, write_csv
+from .torus import GridFunction, nodes, random_band_limited, write_csv
 
 
-def _print_table(header, rows) -> None:
-    cells = [header] + [[_format_cell(v) for v in r] for r in rows]
-    cells = [[c if len(c) <= 22 else c[:22] for c in r] for r in cells]
+def _table(header, rows) -> list:
+    """The lines of an aligned table: numbers in .8g, exponent intact; None is blank."""
+    cells = [header] + [
+        ["" if v is None else v if isinstance(v, str) else format(v, ".8g") for v in r] for r in rows
+    ]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    for r in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +117,8 @@ def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = F
 
 # ---------------------------------------------------------------------------
 # plotting (optional; the numeric pipeline never requires matplotlib)
+#
+# A handler returns a plot as its drawer, fn(plt, fig); main saves it.
 
 
 def _plot_or_skip(fn, path) -> None:
@@ -128,7 +137,7 @@ def _plot_or_skip(fn, path) -> None:
     plt.close(fig)
 
 
-def _plot_decay(traj, theory_rate, path, label) -> None:
+def _decay_plot(traj, theory_rate, label):
     def draw(plt, fig):
         t = traj.times
         e = np.maximum(traj["entropy"], 1e-300)
@@ -138,48 +147,44 @@ def _plot_decay(traj, theory_rate, path, label) -> None:
         plt.ylabel(label)
         plt.legend()
 
-    _plot_or_skip(draw, path)
+    return draw
 
 
-def _plot_eigenvalues(rows, sigma, path) -> None:
+def _eigenvalue_plot(rows, gap):
     def draw(plt, fig):
         re = [r["re_lam_minus"] for r in rows] + [r["re_lam_plus"] for r in rows]
         im = [r["im_lam_minus"] for r in rows] + [r["im_lam_plus"] for r in rows]
         plt.scatter(re, im, s=12)
-        gap = spectral_gap(sigma).mu
         plt.axvline(gap, linestyle="--", color="tab:red", label=f"gap {gap:.5g}")
         plt.xlabel("Re lambda")
         plt.ylabel("Im lambda")
         plt.legend()
 
-    _plot_or_skip(draw, path)
+    return draw
 
 
-def _plot_rate_curve(sigmas, mus, path) -> None:
+def _rate_curve_plot(sigmas, mus):
     def draw(plt, fig):
         plt.plot(sigmas, mus)
         plt.xlabel("sigma")
         plt.ylabel("mu(sigma)")
 
-    _plot_or_skip(draw, path)
+    return draw
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# subcommand handlers: each returns (files, lines), the files main writes
+# under --out, by name, and the lines it prints
 
 
 def _sigma_of(args) -> RelaxationProfile:
     return RelaxationProfile.parse(args.sigma)
 
 
-def cmd_simulate_2v(args) -> int:
-    out = _outdir(args)
+_SUMMARY = ["series", "theta", "theoretical_rate", "fitted_rate", "margin", "r_squared"]
+
+
+def cmd_simulate_2v(args):
     profile = _sigma_of(args)
     rep = rate_2v(profile, args.eps)
     theta = args.theta if args.theta is not None else rep.theta
@@ -195,8 +200,6 @@ def cmd_simulate_2v(args) -> int:
         theta=theta,
         record_every=args.record_every,
     )
-    traj.to_csv(out / "trajectory.csv")
-
     window = default_window(traj.times)
     e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
     summary = [("entropy", theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]
@@ -206,22 +209,13 @@ def cmd_simulate_2v(args) -> int:
         if rep.defective:
             env_rate, env_r2 = fit_envelope_rate(traj.times, traj.pair_norm(), window)
             summary.append(("pair_norm_envelope", theta, 1.0, env_rate, env_rate - 1.0, env_r2))
-    write_csv(
-        out / "summary.csv",
-        ["series", "theta", "theoretical_rate", "fitted_rate", "margin", "r_squared"],
-        summary,
-    )
+    files = {"trajectory.csv": traj, "summary.csv": (_SUMMARY, summary)}
     if args.plot:
-        _plot_decay(traj, summary[0][2], out / "entropy_decay.svg", "E_theta")
-    _print_table(
-        ["series", "theta", "theoretical", "fitted", "margin", "r2"],
-        summary,
-    )
-    return 0
+        files["entropy_decay.svg"] = _decay_plot(traj, rep.rate, "E_theta")
+    return files, _table(["series", "theta", "theoretical", "fitted", "margin", "r2"], summary)
 
 
-def cmd_simulate_3v(args) -> int:
-    out = _outdir(args)
+def cmd_simulate_3v(args):
     profile = _sigma_of(args)
     rng = np.random.default_rng(args.seed)
     f1 = parse_field(args.f1, args.n, rng)
@@ -239,22 +233,18 @@ def cmd_simulate_3v(args) -> int:
         theta=theta,
         record_every=args.record_every,
     )
-    traj.to_csv(out / "trajectory.csv")
     window = default_window(traj.times)
     e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
-    write_csv(
-        out / "summary.csv",
-        ["series", "theta", "theoretical_rate", "fitted_rate", "margin", "r_squared"],
-        [("entropy3", theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)],
-    )
+    files = {
+        "trajectory.csv": traj,
+        "summary.csv": (_SUMMARY, [("entropy3", theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]),
+    }
     if args.plot:
-        _plot_decay(traj, rep.rate, out / "entropy_decay.svg", "E3_theta")
-    print(f"entropy3: theoretical {rep.rate:.6g}, fitted {e_rate:.6g} (r2={e_r2:.6f})")
-    return 0
+        files["entropy_decay.svg"] = _decay_plot(traj, rep.rate, "E3_theta")
+    return files, [f"entropy3: theoretical {rep.rate:.6g}, fitted {e_rate:.6g} (r2={e_r2:.6f})"]
 
 
-def cmd_rates(args) -> int:
-    out = _outdir(args)
+def cmd_rates(args):
     profile = _sigma_of(args)
     rep = rate_2v(profile, args.eps)
     rows = [rep.csv_row()]
@@ -265,42 +255,25 @@ def cmd_rates(args) -> int:
     rows.append(rep3.csv_row())
     check3 = check_conditions_3v(rep3.theta, rep3.rate, profile)
     rows.append(("three-velocity-conditions", rep3.theta, rep3.rate, 1.0 if check3 else 0.0))
-    write_csv(out / "rates.csv", ["source", "theta", "rate", "prefactor"], rows)
-    _print_table(["source", "theta", "rate", "prefactor"], rows)
-    return 0
+    header = ["source", "theta", "rate", "prefactor"]
+    return {"rates.csv": (header, rows)}, _table(header, rows)
 
 
-def cmd_modal_report(args) -> int:
-    out = _outdir(args)
+def cmd_modal_report(args):
     profile = _sigma_of(args)
     if not profile.is_constant:
         raise ValidationError("modal-report needs a constant sigma")
     s = profile.sigma_min
     rows = modal_report(s, args.kmax, eps=args.eps)
-    write_csv(
-        out / "modal_report.csv",
-        ["k", "re_lam_minus", "im_lam_minus", "re_lam_plus", "im_lam_plus", "lyapunov_gap", "case"],
-        [
-            (
-                r["k"],
-                r["re_lam_minus"],
-                r["im_lam_minus"],
-                r["re_lam_plus"],
-                r["im_lam_plus"],
-                r["lyapunov_gap"],
-                r["case"],
-            )
-            for r in rows
-        ],
-    )
     gap = spectral_gap(s)
-    print(f"spectral gap mu({s:g}) = {gap.mu:.8g}" + (" (defective)" if gap.defective else ""))
+    header = ["k", "re_lam_minus", "im_lam_minus", "re_lam_plus", "im_lam_plus", "lyapunov_gap", "case"]
+    files = {"modal_report.csv": (header, [[r[h] for h in header] for r in rows])}
     if args.plot:
-        _plot_eigenvalues(rows, s, out / "eigenvalues.svg")
-    return 0
+        files["eigenvalues.svg"] = _eigenvalue_plot(rows, gap.mu)
+    return files, [f"spectral gap mu({s:g}) = {gap.mu:.8g}" + (" (defective)" if gap.defective else "")]
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args):
     if (args.w1 is None) != (args.w2 is None):
         raise ValidationError("poincare takes --w1 and --w2 together, or neither")
     weight_given = args.w1 is not None
@@ -319,7 +292,6 @@ def cmd_poincare(args) -> int:
             f"poincare would ignore {', '.join(unread)}: with --w1/--w2 the weight is given, "
             "so --alpha is unused and --sigma and --theta serve only --improve, as --alpha0 does"
         )
-    out = _outdir(args)
     if not weight_given or args.improve:
         profile = RelaxationProfile.parse(args.sigma if args.sigma is not None else _PAPER_PROFILE)
         s_min, s_max = profile.sigma_min, profile.sigma_max
@@ -332,33 +304,29 @@ def cmd_poincare(args) -> int:
     else:
         alpha = args.alpha if args.alpha is not None else a_star
         weight = poincare_mod.weight_from_sigma(profile, theta, alpha)
-    result = poincare_mod.weighted_poincare(weight, scan_step=args.scan_step)
-    write_csv(
-        out / "poincare.csv",
-        ["w1", "w2", "c_min", "c_omega_sq", "close_root_flag"],
-        [(weight.w1, weight.w2, result.c_min, result.c_omega_sq, int(result.close_root_flag))],
-    )
-    print(
+    result = poincare_mod.weighted_poincare(weight)
+    files = {
+        "poincare.csv": (
+            ["w1", "w2", "c_min", "c_omega_sq", "close_root_flag"],
+            [(weight.w1, weight.w2, result.c_min, result.c_omega_sq, int(result.close_root_flag))],
+        )
+    }
+    lines = [
         f"weight ({weight.w1:.6g}, {weight.w2:.6g}): c_min = {result.c_min:.8g}, "
         f"C^2 = {result.c_omega_sq:.8g}, C = {result.c_omega:.8g}"
-    )
+    ]
     if args.improve:
         alpha0 = args.alpha0 if args.alpha0 is not None else a_star
         imp = poincare_mod.improved_alpha(profile, theta, alpha0)
-        write_csv(
-            out / "iterates.csv",
-            ["n", "alpha"],
-            [(i, a) for i, a in enumerate(imp.iterates)],
-        )
-        print(
+        files["iterates.csv"] = (["n", "alpha"], list(enumerate(imp.iterates)))
+        lines.append(
             f"improved rate: alpha_max = {imp.alpha_max:.6g} after {imp.iterations} updates"
             + ("" if imp.converged else " (not converged)")
         )
-    return 0
+    return files, lines
 
 
-def cmd_telegrapher(args) -> int:
-    out = _outdir(args)
+def cmd_telegrapher(args):
     profile = _sigma_of(args)
     problem = tele_mod.rescale_sigma(profile)
     result = tele_mod.telegrapher_gap(problem)
@@ -366,34 +334,33 @@ def cmd_telegrapher(args) -> int:
         ((r.real, r.imag, abs(tele_mod.characteristic(r, problem))) for r in result.roots),
         key=lambda row: (row[0], row[1]),
     )
-    write_csv(out / "telegrapher_roots.csv", ["re_gamma", "im_gamma", "abs_d"], rows)
     rate = tele_mod.optimal_rate(problem, result)
-    write_csv(
-        out / "telegrapher_summary.csv",
-        ["sigma1", "sigma2", "l1_norm", "gap", "alpha_bs", "eig_re", "eig_im", "minimiser_real"],
-        [
-            (
-                problem.sigma1,
-                problem.sigma2,
-                problem.l1_norm,
-                result.gap,
-                rate,
-                result.eigenvalue.real,
-                result.eigenvalue.imag,
-                int(result.minimiser_is_real),
-            )
-        ],
-    )
-    print(
+    files = {
+        "telegrapher_roots.csv": (["re_gamma", "im_gamma", "abs_d"], rows),
+        "telegrapher_summary.csv": (
+            ["sigma1", "sigma2", "l1_norm", "gap", "alpha_bs", "eig_re", "eig_im", "minimiser_real"],
+            [
+                (
+                    problem.sigma1,
+                    problem.sigma2,
+                    problem.l1_norm,
+                    result.gap,
+                    rate,
+                    result.eigenvalue.real,
+                    result.eigenvalue.imag,
+                    int(result.minimiser_is_real),
+                )
+            ],
+        ),
+    }
+    return files, [
         f"gap = {result.gap:.6g} at gamma = {result.eigenvalue:.6g} "
         f"({'real' if result.minimiser_is_real else 'complex'}); alpha_BS = {rate:.6g}; "
         f"{result.count} eigenvalues in the strip (certified count, multiplicity included)"
-    )
-    return 0
+    ]
 
 
-def cmd_appendix_a(args) -> int:
-    out = _outdir(args)
+def cmd_appendix_a(args):
     profile = _sigma_of(args)
     s_min, s_max = profile.sigma_min, profile.sigma_max
     theta = theta_star(s_min, s_max)
@@ -405,17 +372,14 @@ def cmd_appendix_a(args) -> int:
         (SOURCE_IMPROVED_POINCARE, imp.alpha_max),
         (SOURCE_BERNARD_SALVARANI, bs.rate),
     ]
-    write_csv(out / "comparison.csv", ["method", "rate"], rows)
     ordered = rows[0][1] < rows[1][1] < rows[2][1]
-    print(
+    return {"comparison.csv": (["method", "rate"], rows)}, [
         f"rates: perturbative {a_star:.6g} < improved {imp.alpha_max:.6g} "
         f"< optimal {bs.rate:.6g}: ordering {'holds' if ordered else 'VIOLATED'}"
-    )
-    return 0
+    ]
 
 
-def cmd_rate_curve(args) -> int:
-    out = _outdir(args)
+def cmd_rate_curve(args):
     try:
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -429,11 +393,10 @@ def cmd_rate_curve(args) -> int:
     for s in sigmas:
         gap = spectral_gap(float(s))
         rows.append((s, gap.mu, int(gap.defective)))
-    write_csv(out / "rate_curve.csv", ["sigma", "mu", "defective"], rows)
+    files = {"rate_curve.csv": (["sigma", "mu", "defective"], rows)}
     if args.plot:
-        _plot_rate_curve([r[0] for r in rows], [r[1] for r in rows], out / "rate_curve.svg")
-    print(f"tabulated mu(sigma) at {len(rows)} points into {out / 'rate_curve.csv'}")
-    return 0
+        files["rate_curve.svg"] = _rate_curve_plot([r[0] for r in rows], [r[1] for r in rows])
+    return files, [f"tabulated mu(sigma) at {len(rows)} points into {Path(args.out) / 'rate_curve.csv'}"]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +424,6 @@ FLAGS = {
     "kmax": dict(type=int, default=50),
     "w1": dict(type=float),
     "w2": dict(type=float),
-    "scan-step": dict(type=float, default=1e-3),
     "improve": dict(action="store_true", help="run the fixed-point improvement"),
     "alpha0": dict(type=float, help="starting rate for --improve"),
     "grid": dict(default="0.05:10:200", help="LO:HI:COUNT"),
@@ -494,7 +456,7 @@ SUBCOMMANDS = {
     "poincare": (
         cmd_poincare,
         "weighted Poincare constant",
-        ("sigma", "theta", "alpha", "w1", "w2", "scan-step", "improve", "alpha0"),
+        ("sigma", "theta", "alpha", "w1", "w2", "improve", "alpha0"),
         # no default, so that an explicit --sigma can be told apart
         {"sigma": dict(default=None, help=f"{FLAGS['sigma']['help']} (default {_PAPER_PROFILE})")},
     ),
@@ -570,15 +532,29 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = parser.parse_args(_apply_config(argv))
+        files, lines = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if isinstance(content, tuple):  # (header, rows)
+                write_csv(out / name, *content)
+            elif callable(content):  # a plot drawer
+                _plot_or_skip(content, out / name)
+            else:  # a Trajectory
+                content.to_csv(out / name)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return 2
+    print(*lines, sep="\n")
+    return 0
 
 
 if __name__ == "__main__":

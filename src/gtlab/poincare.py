@@ -42,6 +42,7 @@ from .errors import NumericalError, ValidationError
 from .profiles import as_profile
 
 _ROOT_XTOL = 1e-12
+#: the scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0
 _SCAN_STEP = 1e-3
 #: |det|/scale below this at a refined local minimum counts as an even root.
 _TOUCH_RTOL = 1e-8
@@ -51,8 +52,8 @@ _TOUCH_STEP = 1e-6
 _CLOSE_ROOT_WINDOW = 1e-3
 #: improved_alpha stops, unconverged, after this many updates
 _MAX_ITER = 100
-#: a warm scan reaches this many scan steps beyond both ends of its window,
-#: past the 50-point half-width of the touch test's local scale
+#: a warm scan reaches this many _SCAN_STEP lattice steps beyond both ends of
+#: its window, past the 50-point half-width of the touch test's local scale
 _WARM_PAD = 64
 
 
@@ -144,15 +145,15 @@ class PoincareResult:
 def weighted_poincare(
     weight: TwoPieceWeight,
     lam_max: float | None = None,
-    scan_step: float = _SCAN_STEP,
     *,
     lam_min: float = 0.0,
 ) -> PoincareResult:
     """Scan [lam_min, lam_max] for the first singular lambda; C_w^2 = 1/c_min.
 
-    The scan grid is the lattice scan_step * (i + 1), i >= 0, from its last
+    The scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0, from its last
     point at or below lam_min, so a window of the full scan evaluates the
-    same lambdas as the full scan does there. Sign changes are bisected to
+    same lambdas as the full scan does there; a grid that holds no point of
+    the lattice is a NumericalError. Sign changes are bisected to
     1e-12. Every other local minimum of |det| on the scan grid is refined by
     minimising det times the sign it has on the grid: a minimum of the other
     sign lies between two roots closer than a scan step (nearly equal
@@ -163,10 +164,15 @@ def weighted_poincare(
     """
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
-    # the points of np.arange(scan_step, lam_max + scan_step / 2, scan_step) from index first on
-    first = max(0, math.floor(lam_min / scan_step) - 1)
-    count = math.ceil((lam_max + scan_step / 2.0 - scan_step) / scan_step)
-    grid = scan_step + np.arange(first, count) * scan_step
+    # the points of np.arange(step, lam_max + step / 2, step) from index first on
+    step = _SCAN_STEP
+    first = max(0, math.floor(lam_min / step) - 1)
+    count = math.ceil((lam_max + step / 2.0 - step) / step)
+    if count <= first:
+        raise NumericalError(
+            f"empty scan grid: lam_max = {lam_max:.6g} lies below its first point {step * (first + 1):g}"
+        )
+    grid = step + np.arange(first, count) * step
     dets = np.linalg.det(matching_matrix(grid, weight))
     scale = float(np.max(np.abs(dets)))
     if scale == 0.0:
@@ -266,8 +272,9 @@ def improved_alpha(
     iterate leaves the admissible set.
 
     Only the first scan, at alpha0, covers (0, 4/min w]. Each later one is
-    warm: it scans [c_min of the previous scan, 2/(w1 + w2)], padded by 64
-    scan steps, on the same lattice, so it returns the same c_min.
+    warm: it scans [c_min of the previous scan, 2/(w1 + w2)], padded by
+    _WARM_PAD steps of the _SCAN_STEP lattice, on that same lattice, so it
+    returns the same c_min.
     - Lower end: c_min = min int f'^2 / int f^2 w cannot fall while no piece
       of the weight grows, and that is checked before each warm scan. Along
       the iterates it holds: w_j = (sigma_j - alpha)^2 / (2 sigma_j - theta

@@ -303,6 +303,7 @@ class TestExitCodes:
             ["rate-curve", "--seed", "1"],
             ["simulate-2v", "--alpha", "1"],
             ["simulate-2v", "--t-fin", "5"],  # abbreviations are not accepted
+            ["poincare", "--w1", "1", "--w2", "1", "--scan-step", "10"],  # the scan lattice is fixed
         ],
     )
     def test_flag_no_handler_reads(self, tmp_path, argv):
@@ -334,8 +335,8 @@ class TestExitCodes:
     def test_bad_sigma_spec(self, tmp_path):
         assert run("rates", "--sigma", "huh:1", "--out", str(tmp_path / "o")) == 2
 
-    def test_numerical_failure(self, tmp_path):
-        # far-too-small search strip: no eigenvalues found
+    def test_dt_off_the_shift_lattice_exits_two(self, tmp_path):
+        # the split scheme shifts by whole cells, so dt must be a multiple of dx
         code = run(
             "simulate-2v", "--sigma", "const:1", "--n", "128", "--t-final", "0.5",
             "--dt", "0.01", "--out", str(tmp_path / "o"),
@@ -372,3 +373,41 @@ class TestExitCodes:
         assert "non-finite diagnostics at t = 25.5" in err
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "o" / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # the fit fails after the whole simulation
+            (["simulate-2v", "--n", "64", "--t-final", "1", "--record-every", "8"], 3, "usable points"),
+            # the constant of the alpha* weight is found, then the weight at alpha0 = 5 is not one
+            (["poincare", "--sigma", "pc:1@pi,4@2pi", "--improve", "--alpha0", "5"], 2, "nonpositive"),
+            (["simulate-2v", "--u0", "file:/nonexistent"], 2, "cannot parse field spec"),
+            # --out names an existing file
+            (["rates"], 2, "cannot write --out"),
+            # 4/min w = 4e-4 lies below the first lattice point 1e-3
+            (["poincare", "--w1", "10000", "--w2", "10000"], 3, "lam_max = 0.0004"),
+        ],
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "o"
+        out_is_file = message == "cannot write --out"
+        if out_is_file:
+            out.write_text("kept")
+        assert run(*argv, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert (out.read_text() == "kept") if out_is_file else not out.exists()
+
+
+def test_printed_table_reads_back_to_the_csv(tmp_path, capsys):
+    # the entropy margin here is about -4e-9: its exponent must survive printing
+    out = tmp_path / "o"
+    assert run("simulate-2v", "--sigma", "const:1", "--n", "128", "--t-final", "20", "--out", str(out)) == 0
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    written = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert len(printed) == len(written) == 2
+    for shown, row in zip(printed, written):
+        assert shown[0] == row[0]
+        for cell, value in zip(shown[1:], row[1:]):
+            assert cell == format(float(value), ".8g")
+            assert float(cell) == pytest.approx(float(value), rel=5e-8, abs=0.0)
