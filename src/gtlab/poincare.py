@@ -153,14 +153,17 @@ def weighted_poincare(
     The scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0, from its last
     point at or below lam_min, so a window of the full scan evaluates the
     same lambdas as the full scan does there; a grid that holds no point of
-    the lattice is a NumericalError. Sign changes are bisected to
-    1e-12. Every other local minimum of |det| on the scan grid is refined by
-    minimising det times the sign it has on the grid: a minimum of the other
-    sign lies between two roots closer than a scan step (nearly equal
-    weights), and each is bisected; a minimum where the determinant vanishes
-    to rounding is an even-order touch (degenerate eigenvalues, e.g. equal
-    weights). |det| is flat to rounding there, so the touch is located as
-    the simple zero of det(lambda + h) - det(lambda - h), h = 1e-6 lambda.
+    the lattice is a NumericalError, and so is a grid with no root on it.
+    That error names the Rayleigh bound c_min >= 1/max w when the bound lies
+    below the grid's first point, where no larger lam_max can help. Sign
+    changes are bisected to 1e-12. Every other local minimum of |det| on the
+    scan grid is refined by minimising det times the sign it has on the
+    grid: a minimum of the other sign lies between two roots closer than a
+    scan step (nearly equal weights), and each is bisected; a minimum where
+    the determinant vanishes to rounding is an even-order touch (degenerate
+    eigenvalues, e.g. equal weights). |det| is flat to rounding there, so
+    the touch is located as the simple zero of det(lambda + h) -
+    det(lambda - h), h = 1e-6 lambda.
     """
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
@@ -220,9 +223,13 @@ def weighted_poincare(
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
     if not deduped:
-        raise NumericalError(
-            f"no singular lambda in [{lam_min}, {lam_max}]; increase lam_max"
+        bound = 1.0 / weight.sup  # c_min >= 1/max w, by Wirtinger's inequality
+        advice = (
+            f"the Rayleigh bound 1/max w = {bound:.6g} lies below the scan's first point {grid[0]:g}"
+            if bound < grid[0]
+            else "increase lam_max"
         )
+        raise NumericalError(f"no singular lambda in [{lam_min}, {lam_max}]; {advice}")
     c_min = deduped[0]
     close = len(deduped) > 1 and deduped[1] - c_min < _CLOSE_ROOT_WINDOW
     return PoincareResult(

@@ -14,6 +14,14 @@ single relaxation factor exp(-sigma dt) per step. The kinetic state at a
 record is f = R_half g; the stepper's ``finish`` applies it (for RK4,
 ``finish`` is the identity). The t0 record is taken from the initial state.
 
+Both relaxations are written f_i <- e f_i + w S, with S the sum over
+velocities, e = exp(-sigma tau) and w = (1 - e)/V. A step forms the shared
+row w S once and writes e g_i + w S straight into row i's shifted place in
+a spare buffer, so relaxation and transport together make one pass over
+each row. RK4 is evaluated by Horner: the kinetic generator A is linear and
+time-independent, so the four-stage step is exactly the degree-4 Taylor
+polynomial of exp(hA).
+
 Both systems run through one stepper over a (V, n) array of kinetic
 densities, driven by the velocity set: (+1, -1) for two velocities and
 (+1, 0, -1) for three. Recorded states are staged in a (B, V, n) block and
@@ -221,63 +229,87 @@ def _split_shift_cells(dt: float, dx: float) -> int:
 def _split_step(velocities, sig, dt: float, n: int):
     """Strang steps with merged half-relaxations; returns (advance, finish).
 
-    Relaxation moves each f_i toward the pointwise mean over velocities by a
-    factor exp(-sigma tau). advance(g) relaxes g in place, by half a step on
-    the first call and a full step after it, then shifts row i by c_i*m cells
-    into a spare buffer, which it returns. finish(states) applies the closing
-    half-relaxation in place to the carried states, stacked on any leading
-    axes, and returns them.
+    Relaxation over a time tau moves each f_i toward the pointwise mean over
+    the V velocities: f_i <- e f_i + w S, with S = sum_j f_j,
+    e = exp(-sigma tau) and w = (1 - e)/V. advance(g) forms the shared row
+    w S once, scales g by e in place, and writes e g_i + w S straight into
+    row i of a spare buffer, shifted by c_i*m cells. The shift is a list of
+    moves (row, source slice, destination slice), built once: one per row,
+    plus one for the wrap when the row's shift is nonzero. advance uses the
+    half-step factors on its first call and the full-step ones after it, and
+    returns the spare buffer. finish(states) applies the closing
+    half-relaxation, in the same form, in place to the carried states,
+    stacked on any leading axes, and returns them.
     """
     cells = _split_shift_cells(dt, TWO_PI / n)
-    shifts = [(c * cells) % n for c in velocities]
-    decay_half = np.exp(-sig * dt / 2.0)
-    decay_full = np.exp(-sig * dt)
-    decay = decay_half
     count = len(velocities)
+    moves = []
+    for i, c in enumerate(velocities):
+        s = (c * cells) % n
+        moves.append((i, slice(0, n - s), slice(s, n)))
+        if s:
+            moves.append((i, slice(n - s, n), slice(0, s)))
+    half, full = np.exp(-sig * dt / 2.0), np.exp(-sig * dt)
+    half_factors = (half, (1.0 - half) / count)
+    full_factors = (full, (1.0 - full) / count)
+    factors = half_factors
     spare = np.empty((count, n))
-
-    def relax(f, factor):
-        mean = f.sum(axis=-2, keepdims=True)
-        mean /= count
-        f -= mean
-        f *= factor
-        f += mean
-        return f
+    shared = np.empty(n)
 
     def advance(g):
-        nonlocal spare, decay
-        relax(g, decay)
-        decay = decay_full
-        for i, s in enumerate(shifts):
-            spare[i, s:] = g[i, : n - s]
-            spare[i, :s] = g[i, n - s :]
+        nonlocal spare, shared, factors
+        decay, weight = factors
+        factors = full_factors
+        np.add(g[0], g[1], out=shared)
+        for row in g[2:]:
+            shared += row
+        shared *= weight
+        for row in g:
+            row *= decay
+        for i, src, dst in moves:
+            np.add(g[i, src], shared[src], out=spare[i, dst])
         g, spare = spare, g
         return g
 
-    return advance, lambda states: relax(states, decay_half)
+    def finish(states):
+        decay, weight = half_factors
+        total = states.sum(axis=-2, keepdims=True)
+        total *= weight
+        states *= decay
+        states += total
+        return states
+
+    return advance, finish
 
 
 def _rk4_step(velocities, sig, dt: float, n: int):
-    """Classical RK4 of f_i' = -c_i d/dx f_i - sigma (f_i - mean f), spectral in x.
+    """Classical RK4 of f' = A f, A f_i = -c_i d/dx f_i - sigma (f_i - mean f), spectral in x.
 
-    Returns (advance, finish); the carried state is f itself, so finish is
-    the identity.
+    A is linear and does not depend on time, so the four-stage RK4 step is
+    exactly the Taylor polynomial 1 + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+    h = dt. advance evaluates it by Horner, y <- f + (h/k) A y for
+    k = 4, 3, 2, 1, with h/k folded into the transport and sigma arrays of
+    each stage. A time-dependent or nonlinear A would need the stages
+    k1..k4 instead. Returns (advance, finish); the carried state is f
+    itself, so finish is the identity.
     """
     transport = -1j * np.outer(velocities, np.arange(n // 2 + 1))
     transport[:, n // 2] = 0.0  # the Nyquist mode is zeroed, as in torus.derivative
     count = len(velocities)
-
-    def rhs(f):
-        out = np.fft.irfft(transport * np.fft.rfft(f, axis=1), n, axis=1)
-        out -= sig * (f - np.add.reduce(f, axis=0) / count)  # f.mean(axis=0), without its overhead
-        return out
+    stages = [(dt / k * transport, dt / k * sig) for k in (4, 3, 2, 1)]
 
     def advance(f):
-        k1 = rhs(f)
-        k2 = rhs(f + 0.5 * dt * k1)
-        k3 = rhs(f + 0.5 * dt * k2)
-        k4 = rhs(f + dt * k3)
-        return f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = f
+        for scaled_transport, scaled_sig in stages:
+            y_hat = np.fft.rfft(y, axis=1)
+            y_hat *= scaled_transport
+            out = np.fft.irfft(y_hat, n, axis=1)
+            dev = y - np.add.reduce(y, axis=0) / count  # y - y.mean(axis=0), without its overhead
+            dev *= scaled_sig
+            out -= dev
+            out += f
+            y = out
+        return y
 
     return advance, lambda states: states
 

@@ -386,6 +386,12 @@ class TestExitCodes:
             (["rates"], 2, "cannot write --out"),
             # 4/min w = 4e-4 lies below the first lattice point 1e-3
             (["poincare", "--w1", "10000", "--w2", "10000"], 3, "lam_max = 0.0004"),
+            # c_min = 1/w = 3.3e-4 lies below the one scan point 1e-3 of (0, 4/w]
+            (
+                ["poincare", "--w1", "3000", "--w2", "3000"],
+                3,
+                "1/max w = 0.000333333 lies below the scan's first point 0.001",
+            ),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):

@@ -107,7 +107,7 @@ class TestWeightedPoincare:
         assert window.close_root_flag == full.close_root_flag
 
     def test_no_root_reports_numerical_error(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="increase lam_max"):
             weighted_poincare(TwoPieceWeight(1.0, 1.0), lam_max=0.5)
 
 

@@ -27,6 +27,7 @@ from gtlab.solver import (
 from gtlab.torus import (
     GridFunction,
     average,
+    derivative,
     nodes,
     norm,
     norm_sq,
@@ -388,13 +389,38 @@ class TestRecordPass:
             assert_allclose(single[name], default[name], rtol=1e-13, atol=0.0, err_msg=name)
 
 
+def oracle_run(system, profile, steps, dt, scheme, n):
+    """Run one system from seeded data; return (f0, macro, velocities, traj, got, first).
+
+    f0 is the initial kinetic array, got the final macroscopic rows and first
+    the reference record columns of the initial state.
+    """
+    fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
+    if system == "2v":
+        init = MacroState2V(*fields[:2])
+        kin = to_kinetic(init)
+        f0 = np.vstack([kin.f_plus.values, kin.f_minus.values])
+        macro, velocities = np.array([[1.0, 1.0], [1.0, -1.0]]), (1, -1)
+        traj = simulate_2v(init, profile, steps * dt, dt=dt, scheme=scheme, theta=0.9)
+        got = np.vstack([traj.final.u.values, traj.final.v.values])
+        first = TestRecordPass.reference_2v(init, 0.9, profile)
+    else:
+        init = to_macro3(*fields)
+        f0 = np.vstack([g.values for g in to_kinetic3(init)])
+        macro, velocities = TRANSFORM_3V, (1, 0, -1)
+        traj = simulate_3v(init, profile, steps * dt, dt=dt, scheme=scheme, theta=0.9)
+        got = np.vstack([traj.final.u1.values, traj.final.u2.values, traj.final.u3.values])
+        first = TestRecordPass.reference_3v(init, 0.9, profile)
+    return f0, macro, velocities, traj, got, first
+
+
 class TestSplitStepOracle:
     """The merged-relaxation stepper against Strang's R_half T R_half, written out."""
 
     PROFILE = RelaxationProfile.parse("pc:0.5@pi,12@2pi")
 
     @staticmethod
-    def strang(f, sig, dt, velocities, steps):
+    def strang(f, sig, dt, velocities, cells, steps):
         half = np.exp(-sig * dt / 2.0)
 
         def relax(f):
@@ -402,36 +428,54 @@ class TestSplitStepOracle:
             return mean + half * (f - mean)
 
         for _ in range(steps):
-            f = relax(f)  # dt = dx: each velocity moves c cells per step
-            f = np.array([np.roll(row, c) for row, c in zip(f, velocities)])
+            f = relax(f)  # dt = cells*dx: each velocity moves c*cells cells per step
+            f = np.array([np.roll(row, c * cells) for row, c in zip(f, velocities)])
             f = relax(f)
         return f
 
-    @pytest.mark.parametrize("system", ["2v", "3v"])
-    def test_final_state_matches_strang(self, system):
+    @pytest.mark.parametrize(
+        "system, cells",
+        [("2v", 1), ("3v", 1), ("2v", 3), ("3v", 3)],
+        ids=["2v", "3v", "2v-3cells", "3v-3cells"],
+    )
+    def test_final_state_matches_strang(self, system, cells):
         n, steps = 128, 200
-        dt = 2 * np.pi / n
-        fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
-        if system == "2v":
-            init = MacroState2V(*fields[:2])
-            kin = to_kinetic(init)
-            f0 = np.vstack([kin.f_plus.values, kin.f_minus.values])
-            macro, velocities = np.array([[1.0, 1.0], [1.0, -1.0]]), (1, -1)
-            traj = simulate_2v(init, self.PROFILE, steps * dt, dt=dt, theta=0.9)
-            got = np.vstack([traj.final.u.values, traj.final.v.values])
-            first = TestRecordPass.reference_2v(init, 0.9, self.PROFILE)
-        else:
-            init = to_macro3(*fields)
-            f0 = np.vstack([g.values for g in to_kinetic3(init)])
-            macro, velocities = TRANSFORM_3V, (1, 0, -1)
-            traj = simulate_3v(init, self.PROFILE, steps * dt, dt=dt, theta=0.9)
-            got = np.vstack([traj.final.u1.values, traj.final.u2.values, traj.final.u3.values])
-            first = TestRecordPass.reference_3v(init, 0.9, self.PROFILE)
-        want = macro @ self.strang(f0, self.PROFILE.sample(n), dt, velocities, steps)
+        dt = cells * 2 * np.pi / n
+        f0, macro, velocities, traj, got, first = oracle_run(system, self.PROFILE, steps, dt, "split", n)
+        want = macro @ self.strang(f0, self.PROFILE.sample(n), dt, velocities, cells, steps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # the t0 row is the initial state's own, not that of a relaxed copy
         for name, value in first.items():
             assert traj[name][0] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+class TestRK4Oracle:
+    """The Horner-form RK4 stepper against the four stages k1..k4, written out."""
+
+    PROFILE = RelaxationProfile.parse("pc:0.5@pi,12@2pi")
+
+    @staticmethod
+    def rk4(f, sig, dt, velocities, steps):
+        def rhs(f):
+            transport = [-c * derivative(GridFunction(row)).values for row, c in zip(f, velocities)]
+            return np.array(transport) - sig * (f - f.mean(axis=0))
+
+        for _ in range(steps):
+            k1 = rhs(f)
+            k2 = rhs(f + dt / 2 * k1)
+            k3 = rhs(f + dt / 2 * k2)
+            k4 = rhs(f + dt * k3)
+            f = f + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return f
+
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_final_state_matches_four_stages(self, system):
+        n, steps = 128, 50
+        dt = np.pi / n  # the RK4 default, dx/2
+        f0, macro, velocities, traj, got, _ = oracle_run(system, self.PROFILE, steps, dt, "rk4", n)
+        assert traj.times[-1] == pytest.approx(steps * dt, rel=1e-12)
+        want = macro @ self.rk4(f0, self.PROFILE.sample(n), dt, velocities, steps)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestFitting:
