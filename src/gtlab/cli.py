@@ -28,9 +28,12 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
     rate-curve     --grid --plot
 
 --sigma is const:V | pc:V@B,... | file:PATH. Any other flag, and any
-abbreviation of a flag, is an error (exit 2). A config file (--config PATH or
---config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags; a key
-the subcommand does not take is an error that names the file.
+abbreviation of a flag, is an error (exit 2). A number flag takes only a
+finite number: nan and +-inf are exit 2. A file: field must hold --n
+samples. An argument error is one line, like every other error. A config
+file (--config PATH or --config=PATH) holds flat KEY = VALUE lines,
+overridden by CLI flags; a key the subcommand does not take is an error
+that names the file.
 
 A handler computes and never writes: it returns the files of the run, by
 name under --out, and the lines it prints. main creates --out, writes the
@@ -43,6 +46,7 @@ Exit codes: 0 success, 2 validation failure (or an unwritable --out),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -91,7 +95,7 @@ def _table(header, rows) -> list:
 
 
 def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = False) -> GridFunction:
-    """'zero', 'one', 'const:C', 'sin[:k]', 'cos[:k]', 'random', 'file:PATH'."""
+    """'zero', 'one', 'const:C', 'sin[:k]', 'cos[:k]', 'random', 'file:PATH' (n samples)."""
     x = nodes(n)
     tag, _, body = spec.partition(":")
     try:
@@ -109,7 +113,10 @@ def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = F
             seed = int(rng.integers(0, 2**31 - 1))
             return random_band_limited(n, seed=seed, zero_mean=zero_mean)
         if tag == "file":
-            return GridFunction.from_csv(body)
+            field = GridFunction.from_csv(body)
+            if field.n != n:
+                raise ValidationError(f"{body} holds {field.n} samples, but --n is {n}")
+            return field
     except (ValueError, OSError) as exc:
         raise ValidationError(f"cannot parse field spec {spec!r}: {exc}") from exc
     raise ValidationError(f"unknown field spec {spec!r}")
@@ -403,15 +410,26 @@ def cmd_rate_curve(args):
 # parser
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every number flag: a float that is neither nan nor +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 #: Every flag of every subcommand, with its add_argument keywords.
 FLAGS = {
     "sigma": dict(default="const:1", help="const:V | pc:V@B,... | file:PATH"),
     "n": dict(type=int, default=256, help="grid resolution"),
-    "dt": dict(type=float, help="time step (default: dx for split, dx/2 for rk4)"),
-    "t-final": dict(type=float, default=30.0, help="final time"),
-    "theta": dict(type=float, help="entropy twist weight"),
-    "alpha": dict(type=float, help="decay rate in the weight (default alpha*)"),
-    "eps": dict(type=float, help="epsilon for the defective sigma = 2"),
+    "dt": dict(type=_finite, help="time step (default: dx for split, dx/2 for rk4)"),
+    "t-final": dict(type=_finite, default=30.0, help="final time"),
+    "theta": dict(type=_finite, help="entropy twist weight"),
+    "alpha": dict(type=_finite, help="decay rate in the weight (default alpha*)"),
+    "eps": dict(type=_finite, help="epsilon for the defective sigma = 2"),
     "seed": dict(type=int, default=0, help="seed for random initial data"),
     "plot": dict(action="store_true", help="emit SVG plots"),
     "scheme": dict(choices=["split", "rk4"], default="split"),
@@ -422,10 +440,10 @@ FLAGS = {
     "f2": dict(default="cos"),
     "f3": dict(default="sin"),
     "kmax": dict(type=int, default=50),
-    "w1": dict(type=float),
-    "w2": dict(type=float),
+    "w1": dict(type=_finite),
+    "w2": dict(type=_finite),
     "improve": dict(action="store_true", help="run the fixed-point improvement"),
-    "alpha0": dict(type=float, help="starting rate for --improve"),
+    "alpha0": dict(type=_finite, help="starting rate for --improve"),
     "grid": dict(default="0.05:10:200", help="LO:HI:COUNT"),
     "out": dict(default="out", help="output directory"),
     "config": dict(help="flat KEY = VALUE config file"),
@@ -468,14 +486,19 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors, for main to report in one line (exit 2)."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, registering exactly its SUBCOMMANDS flags.
 
     Abbreviated flags are rejected, so every accepted flag is one a handler reads.
     """
-    parser = argparse.ArgumentParser(
-        prog="gtlab", description=__doc__.splitlines()[0], allow_abbrev=False
-    )
+    parser = _Parser(prog="gtlab", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags, changes) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)

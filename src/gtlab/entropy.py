@@ -4,9 +4,9 @@ The two-velocity entropy is
 
     E_theta(f, g) = ||f||^2 + ||g||^2 - theta * <antiderivative(f), g>,
 
-with the real part of the mixed term taken for complex inputs; the
-three-velocity variant adds ||h||^2. For |theta| < 2 and mean-zero f the
-entropy is equivalent to the plain squared norm with factors 1 -+ |theta|/2.
+and the three-velocity variant adds ||h||^2. For |theta| < 2 and mean-zero f
+the entropy is equivalent to the plain squared norm with factors
+1 -+ |theta|/2.
 
 Every formula lives in ``entropy_terms``, which works on plain sample
 arrays, one state or a stack of them; the GridFunction functions below and
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError
+from .errors import GridMismatchError
 from .profiles import as_profile
 from .torus import GridFunction, average, primitive
 
@@ -39,10 +39,8 @@ class EntropyTerms(NamedTuple):
 
 
 def _mean_dot(a: np.ndarray, b: np.ndarray):
-    """Re (1/n) sum conj(a) b along the last axis."""
-    if np.iscomplexobj(a):
-        a = a.conj()
-    return np.einsum("...i,...i->...", a, b).real / a.shape[-1]
+    """(1/n) sum a b along the last axis."""
+    return np.einsum("...i,...i->...", a, b) / a.shape[-1]
 
 
 def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
@@ -51,7 +49,7 @@ def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
     The samples run along the last axis; leading axes index separate states
     and give one value each. f is mean-zero and prim its mean-zero
     primitive, torus.primitive(f). Given sigma samples, rhs is the exact
-    d/dt of E_theta(u - u_avg, v) along the two-velocity flow, for real
+    d/dt of E_theta(u - u_avg, v) along the two-velocity flow, for
     f = u - u_avg and g = v:
 
         -theta ||f||^2
@@ -94,12 +92,9 @@ def equivalence_bounds(theta: float) -> tuple[float, float]:
 def entropy_evolution_rhs(u: GridFunction, v: GridFunction, sigma, theta: float) -> float:
     """Exact d/dt of E_theta(u - u_avg, v) along the two-velocity flow.
 
-    u may be passed raw; its average is subtracted internally. Real-valued
-    states only (the identity is stated for real solutions). The formula is
-    in ``entropy_terms``.
+    u may be passed raw; its average is subtracted internally. The formula
+    is in ``entropy_terms``.
     """
-    if u.is_complex or v.is_complex:
-        raise ValidationError("entropy evolution identity applies to real states")
     sig = as_profile(sigma).sample(u.n)
     udev = u.values - average(u)
     return float(entropy_terms(udev, v.values, primitive(udev), theta, sigma=sig).rhs)

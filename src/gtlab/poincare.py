@@ -65,8 +65,10 @@ class TwoPieceWeight:
     w2: float
 
     def __post_init__(self):
-        if self.w1 <= 0 or self.w2 <= 0:
-            raise ValidationError(f"weights must be positive, got ({self.w1}, {self.w2})")
+        if not (0.0 < self.w1 < math.inf and 0.0 < self.w2 < math.inf):
+            raise ValidationError(
+                f"weights must be positive and finite, got ({self.w1}, {self.w2})"
+            )
 
     def scaled(self, c: float) -> "TwoPieceWeight":
         return TwoPieceWeight(c * self.w1, c * self.w2)

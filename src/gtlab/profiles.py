@@ -48,11 +48,12 @@ class RelaxationProfile:
         if not self.pieces:
             raise ValidationError("profile needs at least one piece")
         breaks = [b for b, _ in self.pieces]
-        vals = [v for _, v in self.pieces]
-        if not all(0.0 < v < math.inf for v in vals):
-            raise ValidationError(
-                f"sigma must be positive and finite everywhere, got {min(vals)} to {max(vals)}"
-            )
+        for end, value in self.pieces:
+            if not 0.0 < value < math.inf:
+                raise ValidationError(
+                    f"sigma must be positive and finite everywhere, got {value} on the piece "
+                    f"ending at x = {end:.6g}"
+                )
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise ValidationError(f"breakpoints must be strictly increasing, got {breaks}")
         if not breaks[0] > 0.0:
@@ -79,8 +80,6 @@ class RelaxationProfile:
     @classmethod
     def from_grid(cls, grid: GridFunction) -> "RelaxationProfile":
         """n pieces ending at x_1, ..., x_{n-1}, 2*pi and carrying s_1, ..., s_{n-1}, s_0."""
-        if grid.is_complex:
-            raise ValidationError("sampled profile needs real grid samples")
         ends = np.append(nodes(grid.n)[1:], TWO_PI)
         values = np.roll(grid.values, -1)
         return cls(tuple(zip(ends.tolist(), values.tolist())), n=grid.n)

@@ -64,7 +64,8 @@ TRANSFORM_3V = np.array(
 def _check_same_grid(*gfs: GridFunction) -> int:
     n = gfs[0].n
     if any(g.n != n for g in gfs):
-        raise ValidationError("state components must share one grid")
+        sizes = ", ".join(str(g.n) for g in gfs)
+        raise ValidationError(f"state components must share one grid, got n = {sizes}")
     return n
 
 
@@ -85,22 +86,6 @@ class MacroState2V:
 
 
 @dataclass(frozen=True)
-class KineticState2V:
-    """Right- and left-moving densities f_+ and f_-."""
-
-    f_plus: GridFunction
-    f_minus: GridFunction
-    t: float = 0.0
-
-    def __post_init__(self):
-        _check_same_grid(self.f_plus, self.f_minus)
-
-    @property
-    def n(self) -> int:
-        return self.f_plus.n
-
-
-@dataclass(frozen=True)
 class MacroState3V:
     """Macroscopic triple (u1, u2, u3): mass, flux, energy-like combination."""
 
@@ -117,24 +102,11 @@ class MacroState3V:
         return self.u1.n
 
 
-def to_kinetic(state: MacroState2V) -> KineticState2V:
-    """f_+ = (u + v)/2, f_- = (u - v)/2."""
-    return KineticState2V(0.5 * (state.u + state.v), 0.5 * (state.u - state.v), state.t)
-
-
 def to_macro3(f1: GridFunction, f2: GridFunction, f3: GridFunction, t: float = 0.0) -> MacroState3V:
     """Apply the orthogonal kinetic-to-macro transform."""
     _check_same_grid(f1, f2, f3)
-    stack = np.vstack([f1.values, f2.values, f3.values])
-    u = TRANSFORM_3V @ stack
+    u = _SYSTEM_3V.macro @ np.vstack([f1.values, f2.values, f3.values])
     return MacroState3V(GridFunction(u[0]), GridFunction(u[1]), GridFunction(u[2]), t)
-
-
-def to_kinetic3(state: MacroState3V) -> tuple[GridFunction, GridFunction, GridFunction]:
-    """Inverse of to_macro3 (the transpose of the orthogonal transform)."""
-    stack = np.vstack([state.u1.values, state.u2.values, state.u3.values])
-    f = TRANSFORM_3V.T @ stack
-    return GridFunction(f[0]), GridFunction(f[1]), GridFunction(f[2])
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +164,7 @@ class _System:
 
     velocities: tuple
     macro: np.ndarray  # kinetic rows -> (mass density, flux[, u3])
+    kinetic: np.ndarray  # its inverse: macroscopic rows -> kinetic rows
     columns: tuple  # the names of the values _diagnostics returns, in order
     state: type
 
@@ -199,12 +172,14 @@ class _System:
 _SYSTEM_2V = _System(
     velocities=(1, -1),
     macro=np.array([[1.0, 1.0], [1.0, -1.0]]),
+    kinetic=np.array([[0.5, 0.5], [0.5, -0.5]]),  # f_+- = (u +- v)/2
     columns=("entropy", "norm_u_dev", "norm_v", "v_avg", "mass", "rhs"),
     state=MacroState2V,
 )
 _SYSTEM_3V = _System(
     velocities=(1, 0, -1),
     macro=TRANSFORM_3V,
+    kinetic=TRANSFORM_3V.T,  # the transform is orthogonal
     columns=("entropy", "norm_u1_dev", "norm_u2", "norm_u3", "u2_avg", "mass"),
     state=MacroState3V,
 )
@@ -416,24 +391,20 @@ def simulate_2v(
     theta: float | None = None,
     record_every: int = 1,
 ) -> Trajectory:
-    """Advance the two-velocity system (velocities +1, -1).
+    """Advance the two-velocity system (velocities +1, -1) from a macroscopic state.
 
-    ``init`` may be macroscopic or kinetic. The recorded entropy is
-    E_theta(u - u_avg, v) together with its exact evolution right-hand side;
-    theta defaults to the twist of ``rates.rate_2v``, so the defective
-    constant sigma = 2 needs an explicit theta. dt defaults to dx for the
-    split scheme and dx/2 for RK4 (spectral advection stability).
+    The recorded entropy is E_theta(u - u_avg, v) together with its exact
+    evolution right-hand side; theta defaults to the twist of
+    ``rates.rate_2v``, so the defective constant sigma = 2 needs an explicit
+    theta. dt defaults to dx for the split scheme and dx/2 for RK4 (spectral
+    advection stability).
     """
-    if isinstance(init, MacroState2V):
-        init = to_kinetic(init)
-    if not isinstance(init, KineticState2V):
+    if not isinstance(init, MacroState2V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    if init.f_plus.is_complex or init.f_minus.is_complex:
-        raise ValidationError("simulation states must be real-valued")
     profile = as_profile(sigma)
     if theta is None:
         theta = rate_2v(profile).theta
-    f = np.vstack([init.f_plus.values, init.f_minus.values])
+    f = _SYSTEM_2V.kinetic @ np.vstack([init.u.values, init.v.values])
     return _simulate(f, _SYSTEM_2V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
@@ -453,12 +424,10 @@ def simulate_3v(
     """
     if not isinstance(init, MacroState3V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    if any(g.is_complex for g in (init.u1, init.u2, init.u3)):
-        raise ValidationError("simulation states must be real-valued")
     profile = as_profile(sigma)
     if theta is None:
         theta = rate_3v(profile.sigma_min, profile.sigma_max).theta
-    f = np.vstack([g.values for g in to_kinetic3(init)])
+    f = _SYSTEM_3V.kinetic @ np.vstack([init.u1.values, init.u2.values, init.u3.values])
     return _simulate(f, _SYSTEM_3V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 

@@ -1,14 +1,15 @@
 """Periodic grid functions on the torus [0, 2pi) with spectral calculus.
 
-Functions are sampled at the uniform nodes x_j = 2*pi*j/N, j = 0..N-1 (the
-endpoint x = 2*pi is identified with x = 0 and not stored). All integrals
+Functions are real, sampled at the uniform nodes x_j = 2*pi*j/N, j = 0..N-1
+(the endpoint x = 2*pi is identified with x = 0 and not stored). All integrals
 carry the 1/(2*pi) normalisation, so ``average(one) == 1`` and
 ``inner(sin, sin) == 1/2``.
 
-The anti-derivative operator is the mean-zero primitive of f - avg f:
-division by ik in Fourier space, with the k = 0 and Nyquist modes zeroed.
-``primitive`` applies it to plain sample arrays, ``antiderivative`` to grid
-functions.
+The derivative and the anti-derivative are Fourier multipliers on the real
+transform, with the Nyquist mode zeroed. The anti-derivative is the
+mean-zero primitive of f - avg f: division by ik, with the k = 0 mode zeroed
+too. ``primitive`` applies it to plain sample arrays, ``antiderivative`` to
+grid functions.
 
 Every CSV file the package writes goes through ``write_csv``, which prints
 floats with 17 significant digits so that they read back exactly.
@@ -33,11 +34,6 @@ def nodes(n: int) -> np.ndarray:
     return np.arange(n) * (TWO_PI / n)
 
 
-def wavenumbers(n: int) -> np.ndarray:
-    """Integer Fourier modes in numpy FFT ordering: 0, 1, ..., -n/2, ..., -1."""
-    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-
-
 def _validate_n(n: int) -> None:
     if n < _MIN_N or n % 2 != 0:
         raise ValidationError(
@@ -47,7 +43,7 @@ def _validate_n(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Immutable samples of a 2*pi-periodic function on a uniform grid."""
+    """Immutable real samples of a 2*pi-periodic function on a uniform grid."""
 
     values: np.ndarray
 
@@ -56,8 +52,9 @@ class GridFunction:
         if v.ndim != 1:
             raise ValidationError(f"samples must be one-dimensional, got shape {v.shape}")
         _validate_n(v.shape[0])
-        dtype = np.complex128 if np.iscomplexobj(v) else np.float64
-        v = np.array(v, dtype=dtype)
+        if np.iscomplexobj(v):
+            raise ValidationError("grid function samples must be real")
+        v = np.array(v, dtype=np.float64)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -86,13 +83,6 @@ class GridFunction:
     @property
     def x(self) -> np.ndarray:
         return nodes(self.n)
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
-
-    def real(self) -> "GridFunction":
-        return GridFunction(self.values.real)
 
     # -- arithmetic ------------------------------------------------------
     def _coerce(self, other):
@@ -124,24 +114,26 @@ class GridFunction:
         return GridFunction(-self.values)
 
     def __repr__(self) -> str:
-        kind = "complex" if self.is_complex else "real"
-        return f"GridFunction(n={self.n}, {kind})"
+        return f"GridFunction(n={self.n})"
 
     # -- serialization -----------------------------------------------------
     def to_csv(self, path) -> None:
-        """Write rows (x_j, value). Real-valued functions only."""
-        if self.is_complex:
-            raise ValidationError("CSV serialization is defined for real samples only")
+        """Write rows (x_j, value)."""
         write_csv(path, ["x", "value"], np.column_stack([self.x, self.values]))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
+        """The value column of a CSV file: a header row, then rows (x, value)."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if len(header) < 2:
-                raise ValidationError(f"expected (x, value) columns in {path}")
-            vals = [float(row[1]) for row in reader if row]
+            if len(next(reader, [])) < 2:
+                raise ValidationError(f"expected an (x, value) header row in {path}")
+            try:
+                vals = [float(row[1]) for row in reader if row]
+            except (IndexError, ValueError, csv.Error) as exc:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: expected a row (x, value) of numbers"
+                ) from exc
         return cls(np.asarray(vals))
 
 
@@ -174,59 +166,57 @@ def write_csv(path, header, rows) -> None:
             writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
-def average(f: GridFunction):
+def average(f: GridFunction) -> float:
     """(1/2pi) int f dx; on the uniform periodic grid this is the sample mean."""
-    m = np.mean(f.values)
-    return complex(m) if f.is_complex else float(m)
+    return float(np.mean(f.values))
 
 
-def inner(f: GridFunction, g: GridFunction):
-    """<f, g> = (1/2pi) int f conj(g) dx via the grid mean."""
+def inner(f: GridFunction, g: GridFunction) -> float:
+    """<f, g> = (1/2pi) int f g dx via the grid mean."""
     if f.n != g.n:
         raise GridMismatchError(f"incompatible grids: N={f.n} vs N={g.n}")
-    val = np.vdot(g.values, f.values) / f.n
-    if f.is_complex or g.is_complex:
-        return complex(val)
-    return float(val.real)
+    return float(np.dot(f.values, g.values) / f.n)
 
 
 def norm_sq(f: GridFunction) -> float:
-    return float((np.vdot(f.values, f.values) / f.n).real)
+    return float(np.dot(f.values, f.values) / f.n)
 
 
 def norm(f: GridFunction) -> float:
     return float(np.sqrt(norm_sq(f)))
 
 
+def _fourier_multiply(values, multiplier: np.ndarray) -> np.ndarray:
+    """Samples times a Fourier multiplier on the modes k = 0..n/2, along the last axis.
+
+    The multiplier goes through the real transform as one product over the
+    contiguous spectrum (in-place complex arithmetic on a strided slice is
+    several times slower).
+    """
+    v = np.asarray(values)
+    c = np.fft.rfft(v, axis=-1)
+    c *= multiplier
+    return np.fft.irfft(c, v.shape[-1], axis=-1)
+
+
 def derivative(f: GridFunction) -> GridFunction:
     """Spectral derivative: multiply by ik; the Nyquist mode is zeroed."""
-    c = np.fft.fft(f.values)
-    k = wavenumbers(f.n)
-    c *= 1j * k
-    c[f.n // 2] = 0.0
-    out = np.fft.ifft(c)
-    return GridFunction(out.real if not f.is_complex else out)
+    ik = 1j * np.arange(f.n // 2 + 1)
+    ik[-1] = 0.0
+    return GridFunction(_fourier_multiply(f.values, ik))
 
 
 def primitive(values) -> np.ndarray:
     """Mean-zero primitive of f - avg f on plain samples of f, along the last axis.
 
     Leading axes index separate functions, so one call serves a whole block
-    of records. Real samples go through the real transform, times 1/(ik) with
-    the k = 0 and Nyquist modes zeroed, as one product over the contiguous
-    spectrum (in-place complex arithmetic on a strided slice is several times
-    slower). A complex input is the primitive of its real part plus i times
-    that of its imaginary part.
+    of records. The multiplier is 1/(ik), with the k = 0 and Nyquist modes
+    zeroed.
     """
-    v = np.asarray(values)
-    if np.iscomplexobj(v):
-        return primitive(v.real) + 1j * primitive(v.imag)
-    n = v.shape[-1]
-    c = np.fft.rfft(v, axis=-1)
-    inverse_ik = np.zeros(c.shape[-1], dtype=complex)  # 0 at k = 0 and n/2
+    n = np.shape(values)[-1]
+    inverse_ik = np.zeros(n // 2 + 1, dtype=complex)  # 0 at k = 0 and n/2
     inverse_ik[1 : n // 2] = -1j / np.arange(1, n // 2)
-    c *= inverse_ik
-    return np.fft.irfft(c, n, axis=-1)
+    return _fourier_multiply(values, inverse_ik)
 
 
 def antiderivative(f: GridFunction) -> GridFunction:

@@ -7,7 +7,7 @@ from gtlab.cli import main
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.profiles import RelaxationProfile, as_profile
 from gtlab.rates import constant_rate
-from gtlab.torus import GridFunction
+from gtlab.torus import GridFunction, random_band_limited
 
 
 def run(*argv) -> int:
@@ -306,10 +306,10 @@ class TestExitCodes:
             ["poincare", "--w1", "1", "--w2", "1", "--scan-step", "10"],  # the scan lattice is fixed
         ],
     )
-    def test_flag_no_handler_reads(self, tmp_path, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(*argv, "--out", str(tmp_path / "o"))
-        assert exc.value.code == 2
+    def test_flag_no_handler_reads(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --") and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -392,9 +392,32 @@ class TestExitCodes:
                 3,
                 "1/max w = 0.000333333 lies below the scan's first point 0.001",
             ),
+            # non-finite numbers are refused as the flags are read
+            (["simulate-2v", "--t-final", "nan"], 2, "--t-final: expected a finite number, got 'nan'"),
+            (["simulate-2v", "--t-final", "inf"], 2, "--t-final: expected a finite number, got 'inf'"),
+            (["simulate-2v", "--dt", "nan"], 2, "--dt: expected a finite number, got 'nan'"),
+            (["simulate-3v", "--dt", "inf"], 2, "--dt: expected a finite number, got 'inf'"),
+            (["poincare", "--w1", "nan", "--w2", "1"], 2, "--w1: expected a finite number"),
+            (["poincare", "--alpha", "nan"], 2, "--alpha: expected a finite number"),
+            (["poincare", "--theta", "nan"], 2, "--theta: expected a finite number"),
+            (["rates", "--sigma", "pc:1@pi,nan@2pi"], 2, "got nan on the piece ending at x = 6.28319"),
+            # malformed or mis-sized file: data ({tmp} is the test's directory)
+            (["simulate-2v", "--u0", "file:{tmp}/one_cell.csv"], 2, "one_cell.csv, line 3: expected"),
+            (["simulate-2v", "--sigma", "file:{tmp}/one_cell.csv"], 2, "one_cell.csv, line 3: expected"),
+            (["simulate-2v", "--u0", "file:{tmp}/empty.csv"], 2, "header row in"),
+            (["rates", "--sigma", "file:{tmp}/empty.csv"], 2, "header row in"),
+            (
+                ["simulate-2v", "--n", "64", "--u0", "file:{tmp}/n16.csv", "--v0", "file:{tmp}/n16.csv"],
+                2,
+                "n16.csv holds 16 samples, but --n is 64",
+            ),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
+        (tmp_path / "one_cell.csv").write_text("x,value\n0,1\n0.5\n")
+        (tmp_path / "empty.csv").write_text("")
+        random_band_limited(16, seed=1).to_csv(tmp_path / "n16.csv")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         out = tmp_path / "o"
         out_is_file = message == "cannot write --out"
         if out_is_file:

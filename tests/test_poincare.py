@@ -179,6 +179,11 @@ class TestWeightFromSigma:
         with pytest.raises(ValidationError):
             weight_from_sigma(three, 1.0, 0.1)
 
+    @pytest.mark.parametrize("w1, w2", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (0.0, 1.0)])
+    def test_weight_must_be_positive_and_finite(self, w1, w2):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            TwoPieceWeight(w1, w2)
+
 
 class TestImprovedAlpha:
     def test_reference_iteration(self):

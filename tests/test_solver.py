@@ -13,15 +13,12 @@ from gtlab.profiles import RelaxationProfile
 from gtlab.rates import alpha_star, constant_rate, rate_3v, theta_star
 from gtlab.solver import (
     TRANSFORM_3V,
-    KineticState2V,
     MacroState2V,
     MacroState3V,
     fit_decay_rate,
     fit_envelope_rate,
     simulate_2v,
     simulate_3v,
-    to_kinetic,
-    to_kinetic3,
     to_macro3,
 )
 from gtlab.torus import (
@@ -41,17 +38,16 @@ def gf(fn, n=256):
 
 class TestChangesOfVariables:
     def test_flat_kinetic_state_from_macro(self):
-        u = GridFunction.constant(2.0, 64)
-        k = to_kinetic(MacroState2V(u, GridFunction.zeros(64)))
-        assert_allclose(k.f_plus.values, 1.0)  # f_inf = u_avg / 2
-        assert_allclose(k.f_minus.values, 1.0)
+        k = solver._SYSTEM_2V.kinetic @ np.vstack([np.full(64, 2.0), np.zeros(64)])
+        assert_allclose(k, 1.0)  # f_inf = u_avg / 2
 
     def test_round_trip(self):
-        fp = random_band_limited(64, seed=1)
-        fm = random_band_limited(64, seed=2)
-        back = to_kinetic(MacroState2V(fp + fm, fp - fm))
-        assert np.max(np.abs(back.f_plus.values - fp.values)) < 1e-14
-        assert np.max(np.abs(back.f_minus.values - fm.values)) < 1e-14
+        # the 2v maps are inverses exactly: every entry is 0.5 or 1 in size
+        system = solver._SYSTEM_2V
+        assert np.array_equal(system.kinetic @ system.macro, np.eye(2))
+        assert np.array_equal(system.macro @ system.kinetic, np.eye(2))
+        f = np.vstack([random_band_limited(64, seed=s).values for s in (1, 2)])
+        assert np.max(np.abs(system.kinetic @ (system.macro @ f) - f)) < 1e-14
 
 
 class TestTransform3V:
@@ -72,10 +68,13 @@ class TestTransform3V:
         assert average(m.u1) == pytest.approx(np.sqrt(3.0))
 
     def test_round_trip(self):
+        system = solver._SYSTEM_3V
+        assert np.max(np.abs(system.kinetic @ system.macro - np.eye(3))) < 1e-15
+        assert np.max(np.abs(system.macro @ system.kinetic - np.eye(3))) < 1e-15
         fs = [random_band_limited(64, seed=s) for s in (3, 4, 5)]
-        back = to_kinetic3(to_macro3(*fs))
-        for a, b in zip(back, fs):
-            assert np.max(np.abs(a.values - b.values)) < 1e-14
+        m = to_macro3(*fs)
+        back = system.kinetic @ np.vstack([m.u1.values, m.u2.values, m.u3.values])
+        assert np.max(np.abs(back - np.vstack([f.values for f in fs]))) < 1e-14
 
 
 class TestSimulate2V:
@@ -221,15 +220,15 @@ class TestSimulate2V:
             with pytest.raises(NumericalError, match=rf"diagnostics at t = {t_named}$"):
                 simulate_2v(init, 1.0, 30.0, dt=0.5, scheme="rk4", record_every=record_every)
 
-    def test_kinetic_initial_state_accepted(self):
-        kin = KineticState2V(gf(np.sin, 64), gf(np.cos, 64))
-        traj = simulate_2v(kin, 1.0, 1.0)
-        assert traj.times[-1] == pytest.approx(1.0, abs=0.1)
-
     def test_complex_rejected(self):
-        c = GridFunction.from_function(lambda x: np.exp(1j * x), 64)
-        with pytest.raises(ValidationError):
-            simulate_2v(MacroState2V(c.real(), c), 1.0, 1.0)
+        # a complex state cannot be built: the grid function rejects it
+        with pytest.raises(ValidationError, match="must be real"):
+            c = GridFunction.from_function(lambda x: np.exp(1j * x), 64)
+            simulate_2v(MacroState2V(GridFunction(c.values.real), c), 1.0, 1.0)
+
+    def test_mismatched_grids_name_the_sizes(self):
+        with pytest.raises(ValidationError, match="share one grid, got n = 64, 32"):
+            MacroState2V(GridFunction.zeros(64), GridFunction.zeros(32))
 
 
 class TestSimulate3V:
@@ -397,21 +396,18 @@ def oracle_run(system, profile, steps, dt, scheme, n):
     """
     fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
     if system == "2v":
-        init = MacroState2V(*fields[:2])
-        kin = to_kinetic(init)
-        f0 = np.vstack([kin.f_plus.values, kin.f_minus.values])
-        macro, velocities = np.array([[1.0, 1.0], [1.0, -1.0]]), (1, -1)
+        system, init = solver._SYSTEM_2V, MacroState2V(*fields[:2])
+        macro0 = np.vstack([init.u.values, init.v.values])
         traj = simulate_2v(init, profile, steps * dt, dt=dt, scheme=scheme, theta=0.9)
         got = np.vstack([traj.final.u.values, traj.final.v.values])
         first = TestRecordPass.reference_2v(init, 0.9, profile)
     else:
-        init = to_macro3(*fields)
-        f0 = np.vstack([g.values for g in to_kinetic3(init)])
-        macro, velocities = TRANSFORM_3V, (1, 0, -1)
+        system, init = solver._SYSTEM_3V, to_macro3(*fields)
+        macro0 = np.vstack([init.u1.values, init.u2.values, init.u3.values])
         traj = simulate_3v(init, profile, steps * dt, dt=dt, scheme=scheme, theta=0.9)
         got = np.vstack([traj.final.u1.values, traj.final.u2.values, traj.final.u3.values])
         first = TestRecordPass.reference_3v(init, 0.9, profile)
-    return f0, macro, velocities, traj, got, first
+    return system.kinetic @ macro0, system.macro, system.velocities, traj, got, first
 
 
 class TestSplitStepOracle:

@@ -10,7 +10,8 @@ module.
 Every flag a CLI subcommand registers must be read by its handler, and every
 flag the handler reads must be registered. ``main`` reads --out for every
 subcommand, since it alone writes the files, so --out counts as read by
-``main``; --config is read from argv before parsing.
+``main``; --config is read from argv before parsing. Every number flag
+refuses nan and +-inf in one line, with exit 2.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gtlab.cli import build_parser
+from gtlab.cli import FLAGS, SUBCOMMANDS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gtlab"
@@ -165,3 +166,20 @@ def test_every_cli_flag_has_a_reader():
                 "listed unread, but read": sorted(unread & read),
             }
     assert wrong == {}
+
+
+def test_every_number_flag_refuses_non_finite_values(tmp_path, capsys):
+    """Every flag with a number type, read from FLAGS, so a new one is covered too."""
+    out = tmp_path / "o"
+    wrong, checked = [], set()
+    for command, (_, _, flags, _) in SUBCOMMANDS.items():
+        for flag in (f for f in flags if FLAGS[f].get("type") is not None):
+            for value in ("nan", "inf", "-inf"):
+                code = main([command, f"--{flag}={value}", "--out", str(out)])
+                err = capsys.readouterr().err
+                one_line = err.startswith(f"error: argument --{flag}: ") and len(err.splitlines()) == 1
+                if code != 2 or not one_line or out.exists():
+                    wrong.append((command, flag, value, code, err))
+                checked.add(flag)
+    assert wrong == []
+    assert checked == {flag for flag, kw in FLAGS.items() if kw.get("type") is not None}
