@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import ValidationError
 from .rates import DEFECT_TOL, constant_rate, needs_eps
@@ -120,11 +119,16 @@ def p_matrix(k: int, sigma: float, eps: float | None = None) -> TwistMatrix:
 
 
 def lyapunov_gap(k: int, sigma: float, eps: float | None = None) -> float:
-    """Largest mu with C_k^* P + P C_k - 2 mu P >= 0 for the selected twist."""
+    """Largest mu with C_k^* P + P C_k - 2 mu P >= 0 for the selected twist.
+
+    The pencil (S, P) is reduced as LAPACK's zhegv does: with P = L L^*,
+    its eigenvalues are those of L^-1 S L^-*.
+    """
     p = p_matrix(k, sigma, eps).entries
     c = c_matrix(k, sigma)
     s = c.conj().T @ p + p @ c
-    return float(eigh(s, p, eigvals_only=True).min() / 2.0)
+    li = np.linalg.inv(np.linalg.cholesky(p))
+    return float(np.linalg.eigvalsh(li @ s @ li.conj().T).min() / 2.0)
 
 
 def spectral_gap(sigma: float) -> SpectralGap:

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NumericalError, ValidationError
 from .profiles import as_profile
@@ -167,6 +166,8 @@ def weighted_poincare(
     the touch is located as the simple zero of det(lambda + h) -
     det(lambda - h), h = 1e-6 lambda.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
     # the points of np.arange(step, lam_max + step / 2, step) from index first on

@@ -348,9 +348,15 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
 
     records = 1 + steps // record_every + (steps % record_every > 0)
     block = max(1, min(_BLOCK_RECORDS, records - 1, _STAGE_BYTES // f.nbytes))
-    stage = np.empty((block,) + f.shape)
-    times = np.empty(records)
-    values = np.empty((len(system.columns), records))
+    try:
+        stage = np.empty((block,) + f.shape)
+        times = np.empty(records)
+        values = np.empty((len(system.columns), records))
+    except MemoryError:
+        raise ValidationError(
+            f"{records} records ({steps} steps, one record every {record_every}) "
+            "do not fit in memory; raise --record-every"
+        ) from None
     times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
     done, staged = 1, 0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError
 from .profiles import as_profile
@@ -365,6 +364,8 @@ def telegrapher_gap(
     Squares of half-side 1e-6 around gamma = 0 and gamma = re_max are left
     out of the strip, for the count and the roots alike.
     """
+    from scipy.optimize import brentq
+
     if min(seeds) < 1:
         raise ValidationError(f"seeds must be positive, got {seeds}")
     count = _strip_count(problem)

@@ -123,18 +123,35 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
-        """The value column of a CSV file: a header row, then rows (x, value)."""
+        """The value column of a CSV file: a header row, then rows (x, value).
+
+        Row j's x must be the node 2*pi*j/n to within 1 % of the grid spacing.
+        """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             if len(next(reader, [])) < 2:
                 raise ValidationError(f"expected an (x, value) header row in {path}")
+            xs, vals, lines = [], [], []
             try:
-                vals = [float(row[1]) for row in reader if row]
+                for row in reader:
+                    if row:
+                        xs.append(float(row[0]))
+                        vals.append(float(row[1]))
+                        lines.append(reader.line_num)
             except (IndexError, ValueError, csv.Error) as exc:
                 raise ValidationError(
                     f"{path}, line {reader.line_num}: expected a row (x, value) of numbers"
                 ) from exc
-        return cls(np.asarray(vals))
+        f = cls(np.asarray(vals))
+        # negated, so that a NaN x is off the grid too
+        off = np.flatnonzero(~(np.abs(np.asarray(xs) - f.x) <= 0.01 * TWO_PI / f.n))
+        if off.size:
+            j = off[0]
+            raise ValidationError(
+                f"{path}, line {lines[j]}: x = {xs[j]!r} is not the grid node "
+                f"2*pi*{j}/{f.n} = {float(f.x[j])!r}"
+            )
+        return f
 
 
 def _format_cell(x) -> str:

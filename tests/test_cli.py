@@ -1,5 +1,11 @@
 """CLI harness: subcommands, outputs, determinism, exit codes."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -411,10 +417,19 @@ class TestExitCodes:
                 2,
                 "n16.csv holds 16 samples, but --n is 64",
             ),
+            # x = 100, 99, ..., 37 are not the nodes 2 pi j / 64
+            (["rates", "--sigma", "file:{tmp}/off_grid.csv"], 2, "off_grid.csv, line 2: x = 100.0 is not"),
+            (
+                ["simulate-2v", "--n", "64", "--u0", "file:{tmp}/off_grid.csv"],
+                2,
+                "off_grid.csv, line 2: x = 100.0 is not",
+            ),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
         (tmp_path / "one_cell.csv").write_text("x,value\n0,1\n0.5\n")
+        rows = "".join(f"{x},1\n" for x in range(100, 36, -1))
+        (tmp_path / "off_grid.csv").write_text("x,value\n" + rows)
         (tmp_path / "empty.csv").write_text("")
         random_band_limited(16, seed=1).to_csv(tmp_path / "n16.csv")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -440,3 +455,26 @@ def test_printed_table_reads_back_to_the_csv(tmp_path, capsys):
         for cell, value in zip(shown[1:], row[1:]):
             assert cell == format(float(value), ".8g")
             assert float(cell) == pytest.approx(float(value), rel=5e-8, abs=0.0)
+
+
+def test_records_beyond_memory_exit_two(tmp_path):
+    # 3e10 records of RK4 steps at dt = 1e-9, under a 2 GiB address-space cap
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "o"
+    argv = ["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-9", "--t-final", "30"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtlab", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        preexec_fn=cap,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: 30000000001 records (30000000000 steps, one record every 1) "
+        "do not fit in memory; raise --record-every"
+    ]
+    assert not out.exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gtlab.errors import ValidationError
@@ -123,6 +124,19 @@ class TestLyapunovGap:
 
     def test_defective_regularised(self):
         assert lyapunov_gap(1, 2.0, eps=0.25) >= 0.75 - 1e-12
+
+    @pytest.mark.parametrize(
+        "k, sigma, eps",
+        [(k, s, None) for s in (0.1, 0.5, 1.0, 3.0, 5.0, 12.0) for k in (1, 2, 3, 7)]
+        + [(k, 2.0, e) for e in (0.1, 0.5) for k in (1, -1)],
+    )
+    def test_matches_the_generalised_eigensolver(self, k, sigma, eps):
+        # oracle: LAPACK's generalised Hermitian solver on the pencil (S, P)
+        p = p_matrix(k, sigma, eps).entries
+        c = c_matrix(k, sigma)
+        s = c.conj().T @ p + p @ c
+        expected = scipy.linalg.eigh(s, p, eigvals_only=True).min() / 2.0
+        assert lyapunov_gap(k, sigma, eps) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_gap_dominates_mu_everywhere(self):
         for s in SIGMAS:

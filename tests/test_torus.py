@@ -183,6 +183,19 @@ class TestSerialization:
         f.to_csv(path)
         assert_allclose(GridFunction.from_csv(path).values, f.values, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("shift, ok", [(0.009, True), (-0.009, True), (0.011, False), (np.nan, False)])
+    def test_x_column_must_hold_the_nodes(self, tmp_path, shift, ok):
+        # row j = 5 (line 7) moved by a share of the grid spacing
+        x = nodes(16)
+        x[5] += shift * (2 * np.pi / 16)
+        path = tmp_path / "f.csv"
+        path.write_text("x,value\n" + "".join(f"{xj!r},1\n" for xj in x.tolist()))
+        if ok:
+            assert np.array_equal(GridFunction.from_csv(path).values, np.ones(16))
+        else:
+            with pytest.raises(ValidationError, match="line 7: x = .* is not the grid node"):
+                GridFunction.from_csv(path)
+
     def test_complex_rejected(self, tmp_path):
         # grid functions are real: complex samples never reach a CSV
         with pytest.raises(ValidationError, match="must be real"):
