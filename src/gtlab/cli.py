@@ -30,10 +30,10 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
 --sigma is const:V | pc:V@B,... | file:PATH. Any other flag, and any
 abbreviation of a flag, is an error (exit 2). A number flag takes only a
 finite number: nan and +-inf are exit 2. A file: field must hold --n
-samples. An argument error is one line, like every other error. A config
-file (--config PATH or --config=PATH) holds flat KEY = VALUE lines,
-overridden by CLI flags; a key the subcommand does not take is an error
-that names the file.
+samples. --kmax and the COUNT of --grid are at most 100 000. An argument
+error is one line, like every other error. A config file (--config PATH or
+--config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags; a key
+the subcommand does not take is an error that names the file.
 
 A handler computes and never writes: it returns the files of the run, by
 name under --out, and the lines it prints. main creates --out, writes the
@@ -266,7 +266,14 @@ def cmd_rates(args):
     return {"rates.csv": (header, rows)}, _table(header, rows)
 
 
+def _bounded_rows(count: int, flag: str) -> None:
+    """Refuse a table of more than _MAX_ROWS rows before any is computed."""
+    if count > _MAX_ROWS:
+        raise ValidationError(f"{flag} asks for {count} rows; the bound is {_MAX_ROWS}")
+
+
 def cmd_modal_report(args):
+    _bounded_rows(args.kmax, "--kmax")
     profile = _sigma_of(args)
     if not profile.is_constant:
         raise ValidationError("modal-report needs a constant sigma")
@@ -394,6 +401,7 @@ def cmd_rate_curve(args):
         raise ValidationError(f"bad --grid spec {args.grid!r}; want LO:HI:COUNT") from exc
     if not (0 < lo < hi and count >= 2):
         raise ValidationError(f"need 0 < LO < HI and COUNT >= 2, got {args.grid!r}")
+    _bounded_rows(count, "--grid COUNT")
     sigmas = np.linspace(lo, hi, count)
     sigmas = [s for s in sigmas if not needs_eps(s)]  # defective point not sampled
     rows = []
@@ -449,6 +457,9 @@ FLAGS = {
     "config": dict(help="flat KEY = VALUE config file"),
 }
 
+#: The most rows a table subcommand computes: --kmax of modal-report, the COUNT
+#: of rate-curve's --grid.
+_MAX_ROWS = 100_000
 _SIMULATE = ("sigma", "n", "dt", "t-final", "theta", "eps", "seed", "plot", "scheme", "record-every")
 #: The paper's Appendix A profile, sigma = 1 then 4.
 _PAPER_PROFILE = "pc:1@pi,4@2pi"

@@ -14,11 +14,12 @@ becomes singular. The matrix is assembled literally (no symbolic
 simplification) so every entry can be audited; the determinant is evaluated
 by LU with partial pivoting.
 
-Equal weights make the smallest eigenvalue doubly degenerate (the sin/cos
-pair), so besides sign changes the scan also refines even-order touches of
-the determinant, as simple zeros of a symmetric difference of det. Nearly
-equal weights split it into two simple eigenvalues closer than one scan
-step, which the same refinement separates.
+Every root is refined from a sign change of det on the scan grid to one at
+most 1e-12 wide, by regula falsi batched over the sign changes. Equal
+weights make the smallest eigenvalue doubly degenerate (the sin/cos pair),
+an even-order touch of det, and nearly equal weights split it into two
+simple eigenvalues closer than one scan step; the scan finds both as valleys
+of |det|, and refines each valley's bottom first.
 
 The rate-improvement iteration scans once per iterate, and every scan after
 the first is confined to a window proven to hold c_min:
@@ -119,13 +120,7 @@ def matching_matrix(lam, weight: TwoPieceWeight) -> np.ndarray:
             math.pi * (w2 + w1) / (np.sqrt(lam) * w1 * w2),
         ],
     ]
-    m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    return m
-
-
-def det_M_lambda(lam: float, weight: TwoPieceWeight) -> float:
-    """Determinant of the matching matrix at one lambda > 0."""
-    return float(np.linalg.det(matching_matrix(lam, weight)))
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -143,6 +138,31 @@ class PoincareResult:
         return math.sqrt(self.c_omega_sq)
 
 
+def _refine(f, lo, hi, flo, fhi) -> np.ndarray:
+    """A root of f in each bracket [lo, hi] whose ends f takes with opposite signs flo, fhi.
+
+    Illinois regula falsi on every bracket at once: each step moves the end
+    whose sign f shares at the secant point, and halves the value at an end
+    kept twice in a row, so both ends close in. A bracket stops once it is
+    at most _ROOT_XTOL wide, or is two adjacent doubles; the sign change it
+    keeps certifies the root, and its midpoint is returned.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    kept = np.zeros(lo.shape)  # +1: lo was kept by the last step, -1: hi was
+    while (active := np.flatnonzero((hi - lo > _ROOT_XTOL) & (np.nextafter(lo, hi) < hi))).size:
+        a, b, fa, fb, k = lo[active], hi[active], flo[active], fhi[active], kept[active]
+        x = (a * fb - b * fa) / (fb - fa)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        fx = f(x)
+        up = np.sign(fx) == np.sign(fa)  # the root lies in [x, b]
+        lo[active] = np.where(up | (fx == 0.0), x, a)
+        hi[active] = np.where(up, b, x)
+        flo[active] = np.where(up, fx, np.where(k == 1.0, 0.5 * fa, fa))
+        fhi[active] = np.where(up, np.where(k == -1.0, 0.5 * fb, fb), fx)
+        kept[active] = np.where(up, -1.0, 1.0)
+    return 0.5 * (lo + hi)
+
+
 def weighted_poincare(
     weight: TwoPieceWeight,
     lam_max: float | None = None,
@@ -156,18 +176,16 @@ def weighted_poincare(
     same lambdas as the full scan does there; a grid that holds no point of
     the lattice is a NumericalError, and so is a grid with no root on it.
     That error names the Rayleigh bound c_min >= 1/max w when the bound lies
-    below the grid's first point, where no larger lam_max can help. Sign
-    changes are bisected to 1e-12. Every other local minimum of |det| on the
-    scan grid is refined by minimising det times the sign it has on the
-    grid: a minimum of the other sign lies between two roots closer than a
-    scan step (nearly equal weights), and each is bisected; a minimum where
-    the determinant vanishes to rounding is an even-order touch (degenerate
-    eigenvalues, e.g. equal weights). |det| is flat to rounding there, so
-    the touch is located as the simple zero of det(lambda + h) -
-    det(lambda - h), h = 1e-6 lambda.
-    """
-    from scipy.optimize import brentq, minimize_scalar
+    below the grid's first point, where no larger lam_max can help.
 
+    _refine takes the grid's sign changes of det. Every other local minimum
+    of |det| near zero is a valley, whose bottom is refined first, as the
+    zero of det(lambda + h) - det(lambda - h), h = 1e-6 lambda. Where det has
+    the other sign there, two roots closer than a scan step flank the bottom
+    (nearly equal weights), and each is refined; where det vanishes to
+    rounding, the bottom is an even-order touch (equal weights), and is the
+    root. A valley whose symmetric difference keeps its sign raises.
+    """
     if lam_max is None:
         lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
     # the points of np.arange(step, lam_max + step / 2, step) from index first on
@@ -178,53 +196,49 @@ def weighted_poincare(
         raise NumericalError(
             f"empty scan grid: lam_max = {lam_max:.6g} lies below its first point {step * (first + 1):g}"
         )
+
+    def det(lam):
+        return np.linalg.det(matching_matrix(lam, weight))
+
+    def slope(lam):
+        d = det(np.concatenate([lam * (1.0 + _TOUCH_STEP), lam * (1.0 - _TOUCH_STEP)]))
+        return d[: lam.size] - d[lam.size :]
+
     grid = step + np.arange(first, count) * step
-    dets = np.linalg.det(matching_matrix(grid, weight))
-    scale = float(np.max(np.abs(dets)))
+    dets = det(grid)
+    absdet = np.abs(dets)
+    scale = float(np.max(absdet))
     if scale == 0.0:
         raise NumericalError("determinant vanished identically on the scan grid")
 
-    def det(lam):
-        return det_M_lambda(lam, weight)
-
-    roots: list[float] = []
-    sign_change = np.nonzero(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0)[0]
-    for i in sign_change:
-        roots.append(brentq(det, grid[i], grid[i + 1], xtol=_ROOT_XTOL))
-
-    absdet = np.abs(dets)
-    interior = np.nonzero((absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:]))[0] + 1
-    bracketed = set(sign_change) | {i + 1 for i in sign_change}
-    for i in interior:
-        if absdet[i] > 1e-3 * scale:
-            continue  # ordinary valley, not a touch of zero
-        if i in bracketed:
-            continue  # the valley of a simple root, which brentq has found
-        if dets[i] == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        side = np.sign(dets[i])
-        lo, hi = grid[i - 1], grid[i + 1]
-        res = minimize_scalar(
-            lambda lam: side * det(lam),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": _ROOT_XTOL},
-        )
-        if res.fun < 0.0:  # two simple roots, one on each side of res.x
-            roots.append(brentq(det, lo, res.x, xtol=_ROOT_XTOL))
-            roots.append(brentq(det, res.x, hi, xtol=_ROOT_XTOL))
-            continue
-        local_scale = max(float(np.max(absdet[max(0, i - 50) : i + 50])), 1e-30)
-        if res.fun < _TOUCH_RTOL * local_scale:
-            h = _TOUCH_STEP * res.x
-            roots.append(brentq(lambda lam: det(lam + h) - det(lam - h), lo, hi, xtol=_ROOT_XTOL))
-
-    roots = sorted(roots)
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
+    change = np.sign(dets[:-1]) * np.sign(dets[1:]) < 0
+    interior = np.flatnonzero(
+        (absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:]) & ~change[:-1] & ~change[1:]
+    ) + 1
+    valley = interior[(absdet[interior] <= 1e-3 * scale) & (dets[interior] != 0.0)]
+    roots = [grid[dets == 0.0]]
+    lam, d = grid, dets
+    if valley.size:
+        lo, hi = grid[valley - 1], grid[valley + 1]
+        s_lo, s_hi = np.split(slope(np.concatenate([lo, hi])), 2)
+        if (flat := np.flatnonzero(np.sign(s_lo) == np.sign(s_hi))).size:
+            raise NumericalError(
+                "valley refinement failed: det(lambda + h) - det(lambda - h) keeps its sign "
+                f"around lambda = {grid[valley[flat[0]]]:.10g}"
+            )
+        bottom = _refine(slope, lo, hi, s_lo, s_hi)
+        d_bottom = det(bottom)
+        side = np.sign(dets[valley])
+        split = side * d_bottom < 0.0  # two roots, one on each side of the bottom
+        local_scale = np.array([max(absdet[max(0, i - 50) : i + 50].max(), 1e-30) for i in valley])
+        roots.append(bottom[~split & (side * d_bottom < _TOUCH_RTOL * local_scale)])
+        # a split bottom joins the grid, where it brackets both roots
+        at = np.searchsorted(grid, bottom[split])
+        lam, d = np.insert(grid, at, bottom[split]), np.insert(dets, at, d_bottom[split])
+    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+    roots.append(_refine(det, lam[i], lam[i + 1], d[i], d[i + 1]))
+    roots = np.sort(np.concatenate(roots))
+    deduped = roots[np.diff(roots, prepend=-math.inf) > 1e-9].tolist()  # closer roots count once
     if not deduped:
         bound = 1.0 / weight.sup  # c_min >= 1/max w, by Wirtinger's inequality
         advice = (

@@ -20,12 +20,12 @@ optimal rate is (1/pi) min(|sigma~|_L1, gap).
 
 The root search is certified: it counts the zeros of D in its strip by the
 argument principle (Delves & Lyness, Math. Comp. 1967), then finds exactly
-that many. A real-axis scan and Newton from a seed grid, refined while roots
-are missing, locate them. Two squares of half-side 1e-6 are left out of the
-strip, for the count and the roots alike: one around gamma = 0, the mass
-mode, and one around the right edge's real point gamma = re_max, where a
-constant profile has the simple zero 2 sigma~ (the k = 0 flux mode) at the
-default re_max.
+that many, all by Newton on D: from the sign changes of a real-axis scan,
+then from a seed grid, refined while roots are missing. Two squares of
+half-side 1e-6 are left out of the strip, for the count and the roots alike:
+one around gamma = 0, the mass mode, and one around the right edge's real
+point gamma = re_max, where a constant profile has the simple zero 2 sigma~
+(the k = 0 flux mode) at the default re_max.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def telegrapher_gap(
     """Find every eigenvalue in the strip 0 < Re < re_max, |Im| <= im_max.
 
     1. Count them, multiplicity included, by the argument principle on D.
-    2. Locate them: real roots by a dense scan with bisection (D is real on
-       the real axis), complex ones by Newton on D from a ``seeds`` grid.
+    2. Locate them by Newton on D: from the sign changes of a dense real-axis
+       scan (D is real there), then from a ``seeds`` grid over the strip.
        Each root's multiplicity is counted on a small square around it.
        While the roots found fall short of the count, the grid doubles, up
        to 200 x 200, and Newton is deflated by the roots already found.
@@ -364,26 +364,18 @@ def telegrapher_gap(
     Squares of half-side 1e-6 around gamma = 0 and gamma = re_max are left
     out of the strip, for the count and the roots alike.
     """
-    from scipy.optimize import brentq
-
     if min(seeds) < 1:
         raise ValidationError(f"seeds must be positive, got {seeds}")
     count = _strip_count(problem)
     if count == 0:
-        raise NumericalError(
-            "no eigenvalues found in the search strip; enlarge re_max/im_max"
-        )
+        raise NumericalError("no eigenvalues found in the search strip; enlarge re_max/im_max")
 
     xs = np.linspace(_EXCLUSION, problem.re_max - _EXCLUSION, 4001)
     ds = _d_batch(xs, problem)[0].real
-    sign_change = np.flatnonzero(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)
-    real_roots = [
-        brentq(lambda x: _d_batch(x, problem)[0].real, xs[i], xs[i + 1], xtol=1e-14)
-        for i in sign_change
-    ]
-    roots = _add_roots(np.array(real_roots, dtype=complex), problem, [])
+    change = np.flatnonzero(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)
+    roots = _add_roots(_newton(0.5 * (xs[change] + xs[change + 1]), problem, []), problem, [])
 
-    # Newton over the complex strip, on finer seed grids until the count is met
+    # then over the complex strip, on finer seed grids until the count is met
     nre, nim = seeds
     cap = (max(nre, _SEED_CAP), max(nim, _SEED_CAP))
     while sum(m for _, m, _ in roots) < count:
@@ -401,14 +393,8 @@ def telegrapher_gap(
             f"with Newton from seed grids up to {nre}x{nim}"
         )
     located = sorted((r for r, _, _ in roots), key=lambda c: (c.real, c.imag))
-    best = min(located, key=lambda c: c.real)
-    return GapResult(
-        gap=best.real,
-        eigenvalue=best,
-        roots=tuple(located),
-        count=count,
-        on_boundary=best.real > problem.re_max - 1e-3,
-    )
+    best = located[0]  # the smallest real part
+    return GapResult(best.real, best, tuple(located), count, best.real > problem.re_max - 1e-3)
 
 
 def optimal_rate(problem: TelegrapherProblem, result: GapResult) -> float:

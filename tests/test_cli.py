@@ -424,6 +424,13 @@ class TestExitCodes:
                 2,
                 "off_grid.csv, line 2: x = 100.0 is not",
             ),
+            # row counts above 100 000 are refused before any row is computed
+            (["modal-report", "--kmax", "1000000000"], 2, "--kmax asks for 1000000000 rows; the bound is 100000"),
+            (
+                ["rate-curve", "--grid", "0.05:10:1000000000"],
+                2,
+                "--grid COUNT asks for 1000000000 rows; the bound is 100000",
+            ),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):

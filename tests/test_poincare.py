@@ -10,7 +10,6 @@ import gtlab.poincare as poincare
 from gtlab.errors import NumericalError, ValidationError
 from gtlab.poincare import (
     TwoPieceWeight,
-    det_M_lambda,
     improved_alpha,
     matching_matrix,
     weight_from_sigma,
@@ -29,18 +28,22 @@ C_MIN_ALPHA0 = 0.796969
 C_SQ_ALPHA0 = 1.254753
 
 
+def det(lam, weight):
+    return np.linalg.det(matching_matrix(lam, weight))
+
+
 class TestDeterminant:
     def test_uniform_weight_root_at_one(self):
         # equal weights reduce to the classical problem with eigenvalue 1
-        assert abs(det_M_lambda(1.0, TwoPieceWeight(1.0, 1.0))) < 1e-12
+        assert abs(det(1.0, TwoPieceWeight(1.0, 1.0))) < 1e-12
 
     def test_uniform_weight_nonzero_between_roots(self):
-        assert abs(det_M_lambda(0.5, TwoPieceWeight(1.0, 1.0))) > 1.0
+        assert abs(det(0.5, TwoPieceWeight(1.0, 1.0))) > 1.0
 
     def test_sign_change_brackets_a_root(self):
         w = weight_from_sigma(PROFILE_14, 1.0, ALPHA0)
         lo, hi = 0.7, 0.8  # brackets the first eigenvalue ~ 0.797
-        assert det_M_lambda(lo, w) * det_M_lambda(hi, w) < 0.0
+        assert det(lo, w) * det(hi, w) < 0.0
 
     def test_matrix_shape_and_tau_column(self):
         m = matching_matrix(0.8, TwoPieceWeight(0.5, 2.0))
@@ -105,6 +108,19 @@ class TestWeightedPoincare:
         window = weighted_poincare(weight, 2.0 / (w1 + w2) + pad, lam_min=full.c_min - pad)
         assert window.c_min == full.c_min
         assert window.close_root_flag == full.close_root_flag
+
+    @pytest.mark.parametrize("w1, w2", [(0.3, 0.30009), (0.25, 0.250025), (0.4, 0.40012)])
+    def test_near_double_pair_gives_two_certified_roots(self, w1, w2):
+        # pairs 1.4e-8, 1.9e-9 and 1.1e-8 apart, below what the finite-difference
+        # oracle resolves: each root must carry a sign change of det of its own
+        weight = TwoPieceWeight(w1, w2)
+        res = weighted_poincare(weight)
+        low, high = res.roots[:2]
+        assert high <= 2.0 / (w1 + w2)  # the two smallest eigenvalues lie at or below it
+        offset = min(3e-9, (high - low) / 4.0)
+        for r in (low, high):
+            assert det(r - offset, weight) * det(r + offset, weight) < 0.0
+        assert res.close_root_flag
 
     def test_no_root_reports_numerical_error(self):
         with pytest.raises(NumericalError, match="increase lam_max"):

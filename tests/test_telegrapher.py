@@ -355,7 +355,7 @@ class TestCertificate:
 
     def test_shortfall_raises(self, monkeypatch):
         monkeypatch.setattr(tele, "_newton", lambda seeds, *args: seeds)
-        with pytest.raises(NumericalError, match="found 1 of 9 counted roots"):
+        with pytest.raises(NumericalError, match="found 0 of 9 counted roots"):
             telegrapher_gap(P_14)
 
     def test_bad_seed_grid_rejected(self):
