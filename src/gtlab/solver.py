@@ -20,14 +20,18 @@ row w S once and writes e g_i + w S straight into row i's shifted place in
 a spare buffer, so relaxation and transport together make one pass over
 each row. RK4 is evaluated by Horner: the kinetic generator A is linear and
 time-independent, so the four-stage step is exactly the degree-4 Taylor
-polynomial of exp(hA).
+polynomial of exp(hA). That makes the RK4 step a fixed linear map: when its
+dense matrix, (V*n)^2 * 8 bytes, fits _STEP_MATRIX_BYTES, the matrix is
+built once per run from the Horner stages and a step is one vector-matrix
+product; on larger grids the Horner stages step the state.
 
 Both systems run through one stepper over a (V, n) array of kinetic
 densities, driven by the velocity set: (+1, -1) for two velocities and
 (+1, 0, -1) for three. Recorded states are staged in a (B, V, n) block and
 one record pass computes every diagnostic column of a block at once. The
 block holds at most _BLOCK_RECORDS states and at most _STAGE_BYTES bytes,
-which bounds the staging memory at large n.
+which bounds the staging memory at large n. A run asks for at most
+_MAX_CELL_UPDATES cell updates (steps times V*n), which bounds its time.
 """
 
 from __future__ import annotations
@@ -257,38 +261,79 @@ def _split_step(velocities, sig, dt: float, n: int):
     return advance, finish
 
 
+#: Largest RK4 step matrix, (V*n)^2 * 8 bytes, that _rk4_step caches in place
+#: of the Horner stages. Below it a Horner step is dominated by numpy's
+#: per-call cost of four rfft/irfft pairs, not by arithmetic, while the
+#: vector-matrix product reads a matrix that stays in cache. Per step on a
+#: shared 2-core Xeon VM (2 MiB L2 per core, numpy 2.4.6, OpenBLAS with 1 or
+#: 2 threads), matrix vs Horner: 2v n = 256 (2 MiB) 54-62 us vs 100-116 us,
+#: 3v n = 192 (2.53 MiB) 100-103 us vs 110-160 us, 2v n = 320 (3.12 MiB)
+#: 137-152 us vs 104-121 us, 2v n = 512 (8 MiB) 190-387 us vs 123-160 us
+#: (BENCH_rk4_step.json). 2.5 MiB admits 2v up to n = 286 and 3v up to n = 190.
+_STEP_MATRIX_BYTES = 2560 * 1024
+#: Unit states pushed through the Horner stages at once while the step matrix
+#: is built; at n = 256 each of the build's temporaries is about 256 kB.
+_MATRIX_CHUNK = 64
+
+
 def _rk4_step(velocities, sig, dt: float, n: int):
     """Classical RK4 of f' = A f, A f_i = -c_i d/dx f_i - sigma (f_i - mean f), spectral in x.
 
     A is linear and does not depend on time, so the four-stage RK4 step is
     exactly the Taylor polynomial 1 + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
-    h = dt. advance evaluates it by Horner, y <- f + (h/k) A y for
+    h = dt. The Horner stages evaluate it, y <- f + (h/k) A y for
     k = 4, 3, 2, 1, with h/k folded into the transport and sigma arrays of
-    each stage. A time-dependent or nonlinear A would need the stages
-    k1..k4 instead. Returns (advance, finish); the carried state is f
-    itself, so finish is the identity.
+    each stage; they step states of shape (..., V, n). A time-dependent or
+    nonlinear A would need the stages k1..k4 instead.
+
+    The step is a fixed linear map, so when its dense matrix, (V*n)^2 * 8
+    bytes, fits _STEP_MATRIX_BYTES, the matrix is built once by pushing the
+    unit states through the Horner stages, _MATRIX_CHUNK at a time, and
+    advance is one vector-matrix product. On larger grids advance runs the
+    Horner stages. Returns (advance, finish); the carried state is f itself,
+    so finish is the identity.
     """
     transport = -1j * np.outer(velocities, np.arange(n // 2 + 1))
     transport[:, n // 2] = 0.0  # the Nyquist mode is zeroed, as in torus.derivative
     count = len(velocities)
     stages = [(dt / k * transport, dt / k * sig) for k in (4, 3, 2, 1)]
 
-    def advance(f):
+    def horner(f):
         y = f
         for scaled_transport, scaled_sig in stages:
-            y_hat = np.fft.rfft(y, axis=1)
+            y_hat = np.fft.rfft(y, axis=-1)
             y_hat *= scaled_transport
-            out = np.fft.irfft(y_hat, n, axis=1)
-            dev = y - np.add.reduce(y, axis=0) / count  # y - y.mean(axis=0), without its overhead
+            out = np.fft.irfft(y_hat, n, axis=-1)
+            # y - y.mean(axis=-2), without its overhead
+            dev = y - np.add.reduce(y, axis=-2, keepdims=True) / count
             dev *= scaled_sig
             out -= dev
             out += f
             y = out
         return y
 
+    cells = count * n
+    if cells * cells * 8 > _STEP_MATRIX_BYTES:
+        advance = horner
+    else:
+        # row j is the step of unit state j, so a flat state steps as f @ matrix
+        matrix = np.empty((cells, cells))
+        for start in range(0, cells, _MATRIX_CHUNK):
+            rows = matrix[start : start + _MATRIX_CHUNK]
+            units = np.zeros_like(rows)
+            units[:, start : start + len(rows)] = np.eye(len(rows))
+            rows[:] = horner(units.reshape(-1, count, n)).reshape(len(rows), cells)
+
+        def advance(f):
+            return (f.reshape(cells) @ matrix).reshape(count, n)
+
     return advance, lambda states: states
 
 
+#: Most cell updates, steps times V*n cells, one run may ask for: about 70 s
+#: of split steps at the 1.4e8 cell updates per second measured at n = 4096
+#: (BENCH_split_step.json). The largest benchmark run asks for 4e7.
+_MAX_CELL_UPDATES = 10**10
 #: Most records staged for one record pass.
 _BLOCK_RECORDS = 64
 #: Most bytes of kinetic states staged for one record pass: 64 records at
@@ -352,11 +397,16 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
         stage = np.empty((block,) + f.shape)
         times = np.empty(records)
         values = np.empty((len(system.columns), records))
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: a length past numpy's largest dimension
         raise ValidationError(
             f"{records} records ({steps} steps, one record every {record_every}) "
             "do not fit in memory; raise --record-every"
         ) from None
+    if steps * f.size > _MAX_CELL_UPDATES:
+        raise ValidationError(
+            f"{steps} steps of {f.size} cells exceed the bound of {_MAX_CELL_UPDATES:.0e} "
+            "cell updates; raise --dt or lower --t-final"
+        )
     times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
     done, staged = 1, 0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -431,6 +431,8 @@ class TestExitCodes:
                 2,
                 "--grid COUNT asks for 1000000000 rows; the bound is 100000",
             ),
+            # 3e301 records: past the largest array length, refused before any allocation
+            (["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-300"], 2, "do not fit in memory"),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
@@ -464,14 +466,13 @@ def test_printed_table_reads_back_to_the_csv(tmp_path, capsys):
             assert float(cell) == pytest.approx(float(value), rel=5e-8, abs=0.0)
 
 
-def test_records_beyond_memory_exit_two(tmp_path):
-    # 3e10 records of RK4 steps at dt = 1e-9, under a 2 GiB address-space cap
+def run_capped(out, *argv):
+    """Run gtlab in a child process under a 2 GiB address-space cap."""
+
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    out = tmp_path / "o"
-    argv = ["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-9", "--t-final", "30"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "gtlab", *argv, "--out", str(out)],
         capture_output=True,
         text=True,
@@ -479,9 +480,28 @@ def test_records_beyond_memory_exit_two(tmp_path):
         preexec_fn=cap,
         timeout=120,
     )
+
+
+def test_records_beyond_memory_exit_two(tmp_path):
+    # 3e10 records of RK4 steps at dt = 1e-9
+    out = tmp_path / "o"
+    proc = run_capped(out, "simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-9", "--t-final", "30")
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: 30000000001 records (30000000000 steps, one record every 1) "
         "do not fit in memory; raise --record-every"
+    ]
+    assert not out.exists()
+
+
+def test_steps_beyond_the_work_bound_exit_two(tmp_path):
+    # 4 records fit, but 3e10 steps of 128 cells would not end in bounded time
+    out = tmp_path / "o"
+    argv = ["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-9", "--t-final", "30"]
+    proc = run_capped(out, *argv, "--record-every", "10000000000")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: 30000000000 steps of 128 cells exceed the bound of 1e+10 cell updates; "
+        "raise --dt or lower --t-final"
     ]
     assert not out.exists()

@@ -196,11 +196,17 @@ class TestSimulate2V:
         with pytest.raises(ValidationError):
             simulate_2v(init, 1.0, 1.0, dt=0.01, scheme="split")
 
-    @pytest.mark.parametrize("record_every, t_named", [(1, "48"), (7, "49"), (1000, "200")])
-    def test_blow_up_raises_at_the_first_record_after_it(self, record_every, t_named):
-        # dt = 0.5 is far past RK4's spectral advection limit at n = 64; the
-        # state first turns non-finite at t = 48
-        init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+    @pytest.mark.parametrize(
+        "n, record_every, t_named",
+        [(64, 1, "48.5"), (64, 7, "49"), (64, 1000, "200"), (512, 1, "23")],
+        ids=["1-48.5", "7-49", "1000-200", "horner-1-23"],
+    )
+    def test_blow_up_raises_at_the_first_record_after_it(self, n, record_every, t_named):
+        # dt = 0.5 is far past RK4's spectral advection limit. At n = 64 the
+        # cached step matrix steps the state, which first turns non-finite at
+        # t = 48.5 (the Horner stages' irfft overflows one step earlier); n = 512
+        # is over the matrix bound, so the Horner stages step it
+        init = MacroState2V(random_band_limited(n, seed=0), random_band_limited(n, seed=1))
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=rf"t = {t_named}$"):
             simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=record_every)
 
@@ -208,7 +214,7 @@ class TestSimulate2V:
         init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=r"state detected at t = 48$"):
+            with pytest.raises(NumericalError, match=r"state detected at t = 48.5$"):
                 simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4")
 
     @pytest.mark.parametrize("record_every, t_named", [(1, "25.5"), (7, "28")])
@@ -446,7 +452,7 @@ class TestSplitStepOracle:
 
 
 class TestRK4Oracle:
-    """The Horner-form RK4 stepper against the four stages k1..k4, written out."""
+    """Both RK4 paths, step matrix and Horner stages, against the four stages k1..k4 written out."""
 
     PROFILE = RelaxationProfile.parse("pc:0.5@pi,12@2pi")
 
@@ -464,11 +470,18 @@ class TestRK4Oracle:
             f = f + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return f
 
-    @pytest.mark.parametrize("system", ["2v", "3v"])
-    def test_final_state_matches_four_stages(self, system):
-        n, steps = 128, 50
+    @pytest.mark.parametrize(
+        "system, n",
+        [("2v", 128), ("3v", 128), ("2v", 512), ("3v", 512)],
+        ids=["2v", "3v", "2v-horner", "3v-horner"],
+    )
+    def test_final_state_matches_four_stages(self, system, n):
+        steps = 50
         dt = np.pi / n  # the RK4 default, dx/2
         f0, macro, velocities, traj, got, _ = oracle_run(system, self.PROFILE, steps, dt, "rk4", n)
+        # n = 128 steps by the cached step matrix, n = 512 by the Horner stages
+        cells = len(velocities) * n
+        assert (cells * cells * 8 <= solver._STEP_MATRIX_BYTES) == (n == 128)
         assert traj.times[-1] == pytest.approx(steps * dt, rel=1e-12)
         want = macro @ self.rk4(f0, self.PROFILE.sample(n), dt, velocities, steps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
