@@ -3,7 +3,7 @@
 Subcommands:
 
     simulate-2v    two-velocity run: trajectory CSV + fitted-vs-theory summary
-    simulate-3v    three-velocity run, same outputs
+    simulate-3v    three-velocity run, same outputs and printed summary table
     rates          theoretical rate bundles for a given sigma
     modal-report   per-mode eigenvalues and Lyapunov gaps (constant sigma)
     poincare       weighted Poincare constant, optionally the improvement iteration
@@ -30,8 +30,9 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
 --sigma is const:V | pc:V@B,... | file:PATH. Any other flag, and any
 abbreviation of a flag, is an error (exit 2). A number flag takes only a
 finite number: nan and +-inf are exit 2. A file: field must hold --n
-samples. --kmax and the COUNT of --grid are at most 100 000. An argument
-error is one line, like every other error. A config file (--config PATH or
+samples. --n is at most 2**20, and --kmax and the COUNT of --grid are at
+most 100 000, each checked before any array is built. An argument error is
+one line, like every other error. A config file (--config PATH or
 --config=PATH) holds flat KEY = VALUE lines, overridden by CLI flags; a key
 the subcommand does not take is an error that names the file.
 
@@ -71,7 +72,6 @@ from .rates import (
 )
 from .solver import (
     MacroState2V,
-    default_window,
     fit_decay_rate,
     fit_envelope_rate,
     simulate_2v,
@@ -96,7 +96,6 @@ def _table(header, rows) -> list:
 
 def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = False) -> GridFunction:
     """'zero', 'one', 'const:C', 'sin[:k]', 'cos[:k]', 'random', 'file:PATH' (n samples)."""
-    x = nodes(n)
     tag, _, body = spec.partition(":")
     try:
         if tag == "zero":
@@ -108,7 +107,7 @@ def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = F
         if tag in ("sin", "cos"):
             k = int(body) if body else 1
             fn = np.sin if tag == "sin" else np.cos
-            return GridFunction(fn(k * x))
+            return GridFunction(fn(k * nodes(n)))
         if tag == "random":
             seed = int(rng.integers(0, 2**31 - 1))
             return random_band_limited(n, seed=seed, zero_mean=zero_mean)
@@ -191,64 +190,71 @@ def _sigma_of(args) -> RelaxationProfile:
 _SUMMARY = ["series", "theta", "theoretical_rate", "fitted_rate", "margin", "r_squared"]
 
 
-def cmd_simulate_2v(args):
+def _simulate_command(args, rate, initial_state, simulate, series, label, extra_rows=None):
+    """The body both simulate handlers share: simulate, fit the entropy, tabulate, plot.
+
+    ``rate(profile)`` is the theoretical RateReport and ``initial_state(rng)``
+    builds the initial state; ``extra_rows(traj, profile, rep)`` adds
+    summary rows after the entropy row.
+    """
+    if args.n > _MAX_N:
+        raise ValidationError(f"--n {args.n} exceeds the bound of {_MAX_N} grid nodes")
     profile = _sigma_of(args)
-    rep = rate_2v(profile, args.eps)
-    theta = args.theta if args.theta is not None else rep.theta
-    rng = np.random.default_rng(args.seed)
-    u0 = parse_field(args.u0, args.n, rng, zero_mean=True)
-    v0 = parse_field(args.v0, args.n, rng)
-    traj = simulate_2v(
-        MacroState2V(u0, v0),
+    rep = rate(profile)
+    traj = simulate(
+        initial_state(np.random.default_rng(args.seed)),
         profile,
         args.t_final,
         dt=args.dt,
         scheme=args.scheme,
-        theta=theta,
+        theta=args.theta if args.theta is not None else rep.theta,
         record_every=args.record_every,
     )
-    window = default_window(traj.times)
-    e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
-    summary = [("entropy", theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]
-    if profile.is_constant:
-        n_rate, n_r2 = fit_decay_rate(traj.times, traj.pair_norm(), window)
-        summary.append(("pair_norm", theta, rep.mu, n_rate, n_rate - rep.mu, n_r2))
-        if rep.defective:
-            env_rate, env_r2 = fit_envelope_rate(traj.times, traj.pair_norm(), window)
-            summary.append(("pair_norm_envelope", theta, 1.0, env_rate, env_rate - 1.0, env_r2))
+    e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"])
+    summary = [(series, traj.theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]
+    if extra_rows is not None:
+        summary += extra_rows(traj, profile, rep)
     files = {"trajectory.csv": traj, "summary.csv": (_SUMMARY, summary)}
     if args.plot:
-        files["entropy_decay.svg"] = _decay_plot(traj, rep.rate, "E_theta")
+        files["entropy_decay.svg"] = _decay_plot(traj, rep.rate, label)
     return files, _table(["series", "theta", "theoretical", "fitted", "margin", "r2"], summary)
 
 
-def cmd_simulate_3v(args):
-    profile = _sigma_of(args)
-    rng = np.random.default_rng(args.seed)
-    f1 = parse_field(args.f1, args.n, rng)
-    f2 = parse_field(args.f2, args.n, rng)
-    f3 = parse_field(args.f3, args.n, rng)
-    init = to_macro3(f1, f2, f3)
-    rep = rate_3v(profile.sigma_min, profile.sigma_max)
-    theta = args.theta if args.theta is not None else rep.theta
-    traj = simulate_3v(
-        init,
-        profile,
-        args.t_final,
-        dt=args.dt,
-        scheme=args.scheme,
-        theta=theta,
-        record_every=args.record_every,
+def _pair_norm_rows(traj, profile, rep) -> list:
+    """Constant sigma: the pair norm against mu, and the (1 + t) envelope when defective."""
+    if not profile.is_constant:
+        return []
+    n_rate, n_r2 = fit_decay_rate(traj.times, traj.pair_norm())
+    rows = [("pair_norm", traj.theta, rep.mu, n_rate, n_rate - rep.mu, n_r2)]
+    if rep.defective:
+        env_rate, env_r2 = fit_envelope_rate(traj.times, traj.pair_norm())
+        rows.append(("pair_norm_envelope", traj.theta, 1.0, env_rate, env_rate - 1.0, env_r2))
+    return rows
+
+
+def cmd_simulate_2v(args):
+    return _simulate_command(
+        args,
+        lambda profile: rate_2v(profile, args.eps),
+        lambda rng: MacroState2V(
+            parse_field(args.u0, args.n, rng, zero_mean=True), parse_field(args.v0, args.n, rng)
+        ),
+        simulate_2v,
+        "entropy",
+        "E_theta",
+        _pair_norm_rows,
     )
-    window = default_window(traj.times)
-    e_rate, e_r2 = fit_decay_rate(traj.times, traj["entropy"], window)
-    files = {
-        "trajectory.csv": traj,
-        "summary.csv": (_SUMMARY, [("entropy3", theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]),
-    }
-    if args.plot:
-        files["entropy_decay.svg"] = _decay_plot(traj, rep.rate, "E3_theta")
-    return files, [f"entropy3: theoretical {rep.rate:.6g}, fitted {e_rate:.6g} (r2={e_r2:.6f})"]
+
+
+def cmd_simulate_3v(args):
+    return _simulate_command(
+        args,
+        lambda profile: rate_3v(profile.sigma_min, profile.sigma_max),
+        lambda rng: to_macro3(*(parse_field(f, args.n, rng) for f in (args.f1, args.f2, args.f3))),
+        simulate_3v,
+        "entropy3",
+        "E3_theta",
+    )
 
 
 def cmd_rates(args):
@@ -460,6 +466,10 @@ FLAGS = {
 #: The most rows a table subcommand computes: --kmax of modal-report, the COUNT
 #: of rate-curve's --grid.
 _MAX_ROWS = 100_000
+#: The largest --n a simulation takes, checked before any array is built. A run
+#: at the bound peaks at 446 MB resident (simulate-3v --scheme rk4, random data;
+#: 263 MB split). At T = 1 it would need 5e11 cell updates, past the solver's bound.
+_MAX_N = 2**20
 _SIMULATE = ("sigma", "n", "dt", "t-final", "theta", "eps", "seed", "plot", "scheme", "record-every")
 #: The paper's Appendix A profile, sigma = 1 then 4.
 _PAPER_PROFILE = "pc:1@pi,4@2pi"

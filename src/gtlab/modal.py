@@ -73,10 +73,6 @@ class TwistMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def off_diagonal(self) -> complex:
-        return complex(self.entries[0, 1])
-
     def weighted_norm_sq(self, y) -> float:
         """y* P y for a length-2 vector."""
         y = np.asarray(y, dtype=complex)

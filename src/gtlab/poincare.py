@@ -70,9 +70,6 @@ class TwoPieceWeight:
                 f"weights must be positive and finite, got ({self.w1}, {self.w2})"
             )
 
-    def scaled(self, c: float) -> "TwoPieceWeight":
-        return TwoPieceWeight(c * self.w1, c * self.w2)
-
     @property
     def sup(self) -> float:
         return max(self.w1, self.w2)
@@ -237,9 +234,8 @@ def weighted_poincare(
         lam, d = np.insert(grid, at, bottom[split]), np.insert(dets, at, d_bottom[split])
     i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
     roots.append(_refine(det, lam[i], lam[i + 1], d[i], d[i + 1]))
-    roots = np.sort(np.concatenate(roots))
-    deduped = roots[np.diff(roots, prepend=-math.inf) > 1e-9].tolist()  # closer roots count once
-    if not deduped:
+    roots = np.sort(np.concatenate(roots)).tolist()
+    if not roots:
         bound = 1.0 / weight.sup  # c_min >= 1/max w, by Wirtinger's inequality
         advice = (
             f"the Rayleigh bound 1/max w = {bound:.6g} lies below the scan's first point {grid[0]:g}"
@@ -247,11 +243,9 @@ def weighted_poincare(
             else "increase lam_max"
         )
         raise NumericalError(f"no singular lambda in [{lam_min}, {lam_max}]; {advice}")
-    c_min = deduped[0]
-    close = len(deduped) > 1 and deduped[1] - c_min < _CLOSE_ROOT_WINDOW
-    return PoincareResult(
-        c_min=c_min, c_omega_sq=1.0 / c_min, roots=tuple(deduped), close_root_flag=close
-    )
+    c_min = roots[0]
+    close = len(roots) > 1 and roots[1] - c_min < _CLOSE_ROOT_WINDOW
+    return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, roots=tuple(roots), close_root_flag=close)
 
 
 def weight_from_sigma(sigma, theta: float, alpha: float) -> TwoPieceWeight:
@@ -274,7 +268,6 @@ class ImprovedAlphaResult:
     alpha_max: float
     iterates: tuple
     converged: bool
-    stopped_inadmissible: bool = False
 
     @property
     def iterations(self) -> int:
@@ -292,8 +285,8 @@ def improved_alpha(
     Replacing the plain Poincare step by the weighted inequality turns the
     admissibility condition into alpha <= theta - theta^2 C^2_{w_alpha}/4;
     iterating from an admissible alpha0 (e.g. the perturbative rate) climbs
-    monotonically to the improved rate alpha_max. Stops early, flagged, if an
-    iterate leaves the admissible set.
+    monotonically to the improved rate alpha_max. Stops early, unconverged,
+    if an iterate leaves the admissible set.
 
     Only the first scan, at alpha0, covers (0, 4/min w]. Each later one is
     warm: it scans [c_min of the previous scan, 2/(w1 + w2)], padded by
@@ -333,17 +326,14 @@ def improved_alpha(
     iterates = [alpha0]
     alpha = alpha0
     converged = False
-    stopped = False
     for _ in range(_MAX_ITER):
         candidate = current_cap  # theta - theta^2 C^2_{w_alpha}/4
         try:
             scanned = scan(candidate, current)
         except (ValidationError, NumericalError):
-            stopped = True
             break
         candidate_cap = cap(scanned)
         if candidate <= 0.0 or candidate > candidate_cap + slack:
-            stopped = True
             break
         iterates.append(candidate)
         if abs(candidate - alpha) < tol:
@@ -352,9 +342,4 @@ def improved_alpha(
             break
         alpha = candidate
         current, current_cap = scanned, candidate_cap
-    return ImprovedAlphaResult(
-        alpha_max=alpha,
-        iterates=tuple(iterates),
-        converged=converged,
-        stopped_inadmissible=stopped,
-    )
+    return ImprovedAlphaResult(alpha_max=alpha, iterates=tuple(iterates), converged=converged)

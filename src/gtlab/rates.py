@@ -57,7 +57,6 @@ class RateReport:
     rate: float  # exponential decay rate of the stated functional
     theta: float | None = None
     prefactor: float | None = None
-    epsilon: float | None = None
     defective: bool = False
 
     def __post_init__(self):
@@ -91,7 +90,6 @@ def constant_rate(sigma: float, eps: float | None = None) -> RateReport:
             rate=2.0 * (1.0 - eps),
             theta=theta,
             prefactor=math.sqrt(2.0) / eps,
-            epsilon=eps,
             defective=True,
         )
     if eps is not None:

@@ -130,10 +130,6 @@ class Trajectory:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 
-    @property
-    def column_names(self) -> list:
-        return list(self.columns)
-
     def pair_norm(self) -> np.ndarray:
         """L2 norm of the deviation pair, sqrt(||u - u_avg||^2 + ||v||^2)."""
         return np.sqrt(self.columns["norm_u_dev"] ** 2 + self.columns["norm_v"] ** 2)
@@ -155,7 +151,7 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         table = np.column_stack([self.times, *self.columns.values()])
-        write_csv(path, ["t"] + self.column_names, table)
+        write_csv(path, ["t", *self.columns], table)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,6 @@ class GapResult:
     eigenvalue: complex
     roots: tuple
     count: int
-    on_boundary: bool = False  # minimum sits at the strip edge: widen re_max
 
     @property
     def minimiser_is_real(self) -> bool:
@@ -211,9 +210,15 @@ def _zeros_inside(vertices: list, problem: TelegrapherProblem, centres: tuple = 
     2 pi. The second test sees a pair of zeros close to an edge, whose
     2 pi turn can fall between two samples. A sample where |D| does not
     stand clear of its rounding error, or a step that cannot be bisected
-    further, raises.
+    further, raises. So does a contour of more than _MAX_SAMPLES samples,
+    checked on the evenly spaced samples before any is built, and again
+    after each round of bisection.
     """
-    pieces = [_edge_samples(a, b, centres) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    too_many = f"argument-principle count failed: over {_MAX_SAMPLES} samples on one contour"
+    if sum(math.ceil(abs(b - a) / _SAMPLE_SPACING) for a, b in edges) > _MAX_SAMPLES:
+        raise NumericalError(too_many)
+    pieces = [_edge_samples(a, b, centres) for a, b in edges]
     z = np.concatenate(pieces + [np.array(vertices[:1], dtype=complex)])
     d, dd, err = _d_batch(z, problem)
     while True:
@@ -224,9 +229,7 @@ def _zeros_inside(vertices: list, problem: TelegrapherProblem, centres: tuple = 
                 f"near gamma = {z[np.argmax(lost)]:.6g}"
             )
         if z.size > _MAX_SAMPLES:
-            raise NumericalError(
-                f"argument-principle count failed: over {_MAX_SAMPLES} samples on one contour"
-            )
+            raise NumericalError(too_many)
         step = np.angle(d[1:] / d[:-1])
         slope = np.abs(dd / d)
         width = np.abs(np.diff(z))
@@ -394,7 +397,7 @@ def telegrapher_gap(
         )
     located = sorted((r for r, _, _ in roots), key=lambda c: (c.real, c.imag))
     best = located[0]  # the smallest real part
-    return GapResult(best.real, best, tuple(located), count, best.real > problem.re_max - 1e-3)
+    return GapResult(best.real, best, tuple(located), count)
 
 
 def optimal_rate(problem: TelegrapherProblem, result: GapResult) -> float:

@@ -31,6 +31,8 @@ _MIN_N = 8
 
 def nodes(n: int) -> np.ndarray:
     """Grid nodes x_j = 2*pi*j/n, j = 0..n-1."""
+    if n < 1:
+        raise ValidationError(f"a grid needs at least one node, got n = {n}")
     return np.arange(n) * (TWO_PI / n)
 
 
@@ -68,12 +70,6 @@ class GridFunction:
     def constant(cls, value: float, n: int) -> "GridFunction":
         _validate_n(n)
         return cls(np.full(n, value))
-
-    @classmethod
-    def from_function(cls, fn, n: int) -> "GridFunction":
-        """Sample a callable of x on the n-point grid."""
-        _validate_n(n)
-        return cls(np.asarray(fn(nodes(n))))
 
     # -- basic queries -------------------------------------------------
     @property

@@ -53,7 +53,7 @@ class Stopwatch:
 def test_criterion_1_constant_sigma_sharp_rate():
     with Stopwatch() as sw:
         init = MacroState2V(
-            GridFunction.zeros(256), GridFunction.from_function(np.cos, 256)
+            GridFunction.zeros(256), GridFunction(np.cos(nodes(256)))
         )
         traj = simulate_2v(init, 1.0, 30.0)
         fitted, _ = fit_decay_rate(traj.times, traj.pair_norm())
@@ -67,7 +67,7 @@ def test_criterion_2_sigma_five_spectral_gap():
     mu = (5.0 - math.sqrt(21.0)) / 2.0
     with Stopwatch() as sw:
         init = MacroState2V(
-            GridFunction.zeros(256), GridFunction.from_function(np.cos, 256)
+            GridFunction.zeros(256), GridFunction(np.cos(nodes(256)))
         )
         traj = simulate_2v(init, 5.0, 30.0)
         fitted, _ = fit_decay_rate(traj.times, traj.pair_norm())
@@ -210,9 +210,9 @@ def test_criterion_10_three_velocity_decay():
     assert rep.theta == pytest.approx(math.sqrt(6.0) * 0.3)
     with Stopwatch() as sw:
         init = to_macro3(
-            GridFunction.from_function(lambda x: 1.0 + np.cos(x), 256),
-            GridFunction.from_function(np.sin, 256),
-            GridFunction.from_function(lambda x: np.cos(2 * x), 256),
+            GridFunction(1.0 + np.cos(nodes(256))),
+            GridFunction(np.sin(nodes(256))),
+            GridFunction(np.cos(2 * nodes(256))),
         )
         traj = simulate_3v(init, 1.0, 30.0, theta=rep.theta)
         increase = float(np.max(traj.entropy_increases()))

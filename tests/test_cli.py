@@ -433,6 +433,8 @@ class TestExitCodes:
             ),
             # 3e301 records: past the largest array length, refused before any allocation
             (["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-300"], 2, "do not fit in memory"),
+            # 0 nodes: refused, not a division by zero while the nodes are built
+            (["simulate-2v", "--n", "0", "--u0", "sin"], 2, "a grid needs at least one node, got n = 0"),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
@@ -452,18 +454,31 @@ class TestExitCodes:
         assert (out.read_text() == "kept") if out_is_file else not out.exists()
 
 
-def test_printed_table_reads_back_to_the_csv(tmp_path, capsys):
-    # the entropy margin here is about -4e-9: its exponent must survive printing
-    out = tmp_path / "o"
-    assert run("simulate-2v", "--sigma", "const:1", "--n", "128", "--t-final", "20", "--out", str(out)) == 0
-    printed = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+def assert_printed_summary(out, printed_text, rows):
+    """The printed table holds the rows of summary.csv, each number to 8 digits."""
+    printed = [line.split() for line in printed_text.splitlines()[1:]]
     written = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
-    assert len(printed) == len(written) == 2
+    assert len(printed) == len(written) == rows
     for shown, row in zip(printed, written):
         assert shown[0] == row[0]
         for cell, value in zip(shown[1:], row[1:]):
             assert cell == format(float(value), ".8g")
             assert float(cell) == pytest.approx(float(value), rel=5e-8, abs=0.0)
+
+
+def test_printed_table_reads_back_to_the_csv(tmp_path, capsys):
+    # the entropy margin here is about -4e-9: its exponent must survive printing
+    out = tmp_path / "o"
+    assert run("simulate-2v", "--sigma", "const:1", "--n", "128", "--t-final", "20", "--out", str(out)) == 0
+    assert_printed_summary(out, capsys.readouterr().out, 2)
+
+
+def test_simulate_3v_prints_the_same_table(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("simulate-3v", "--sigma", "const:1", "--n", "64", "--t-final", "20", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert printed.split()[:6] == ["series", "theta", "theoretical", "fitted", "margin", "r2"]
+    assert_printed_summary(out, printed, 1)
 
 
 def run_capped(out, *argv):
@@ -503,5 +518,25 @@ def test_steps_beyond_the_work_bound_exit_two(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: 30000000000 steps of 128 cells exceed the bound of 1e+10 cell updates; "
         "raise --dt or lower --t-final"
+    ]
+    assert not out.exists()
+
+
+def test_grid_beyond_the_node_bound_exits_two(tmp_path):
+    # 1e9 nodes would need 7.45 GiB for the node array alone
+    out = tmp_path / "o"
+    proc = run_capped(out, "simulate-2v", "--n", "1000000000", "--t-final", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: --n 1000000000 exceeds the bound of 1048576 grid nodes"]
+    assert not out.exists()
+
+
+def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
+    # the strip's contour would take 125.7M samples, 959 MiB for their positions alone
+    out = tmp_path / "o"
+    proc = run_capped(out, "telegrapher", "--sigma", "pc:1e-6@pi,1e6@2pi")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "numerical failure: argument-principle count failed: over 2000000 samples on one contour"
     ]
     assert not out.exists()

@@ -9,11 +9,11 @@ from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs, equival
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.modal import p_matrix
 from gtlab.profiles import RelaxationProfile
-from gtlab.torus import GridFunction, norm_sq, random_band_limited
+from gtlab.torus import GridFunction, nodes, norm_sq, random_band_limited
 
 
 def gf(fn, n=128):
-    return GridFunction.from_function(fn, n)
+    return GridFunction(fn(nodes(n)))
 
 
 class TestEntropy2V:

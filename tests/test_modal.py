@@ -76,7 +76,7 @@ class TestTwistMatrices:
 
     def test_defective_magnitude(self):
         p = p_matrix(1, 2.0, eps=0.5)
-        assert abs(p.off_diagonal) == pytest.approx(7.0 / 9.0)
+        assert abs(p.entries[0, 1]) == pytest.approx(7.0 / 9.0)
 
     def test_sufficient_matches_low_mode_at_k_one(self):
         for k in (1, -1):
@@ -92,7 +92,7 @@ class TestTwistMatrices:
         for s in (0.5, 1.9, 2.1, 5.0):
             for k in (-3, 1, 4):
                 expected = s / (2.0 * k) if s < 2.0 else 2.0 / (k * s)
-                assert p_matrix(k, s).off_diagonal == pytest.approx(-1j * expected, rel=1e-15)
+                assert p_matrix(k, s).entries[0, 1] == pytest.approx(-1j * expected, rel=1e-15)
 
     def test_all_selected_twists_are_hermitian_pd_unit_diagonal(self):
         for s in SIGMAS:

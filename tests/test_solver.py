@@ -33,7 +33,7 @@ from gtlab.torus import (
 
 
 def gf(fn, n=256):
-    return GridFunction.from_function(fn, n)
+    return GridFunction(fn(nodes(n)))
 
 
 class TestChangesOfVariables:
@@ -229,7 +229,7 @@ class TestSimulate2V:
     def test_complex_rejected(self):
         # a complex state cannot be built: the grid function rejects it
         with pytest.raises(ValidationError, match="must be real"):
-            c = GridFunction.from_function(lambda x: np.exp(1j * x), 64)
+            c = GridFunction(np.exp(1j * nodes(64)))
             simulate_2v(MacroState2V(GridFunction(c.values.real), c), 1.0, 1.0)
 
     def test_mismatched_grids_name_the_sizes(self):
@@ -281,7 +281,7 @@ class TestSimulate3V:
 
 class TestTrajectory:
     def test_csv_roundtrip(self, tmp_path):
-        init = MacroState2V(GridFunction.zeros(64), GridFunction.from_function(np.cos, 64))
+        init = MacroState2V(GridFunction.zeros(64), GridFunction(np.cos(nodes(64))))
         traj = simulate_2v(init, 1.0, 1.0)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
@@ -338,7 +338,7 @@ class TestRecordPass:
                 init, self.PROFILE, k * dt, dt=dt, scheme=scheme, theta=0.9
             ).final
             expected = reference(state, 0.9, self.PROFILE)
-            assert list(expected) == traj.column_names
+            assert list(expected) == list(traj.columns)
             for name, value in expected.items():
                 assert traj[name][k] == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
 
@@ -390,7 +390,7 @@ class TestRecordPass:
         default = run()  # 70 records: a full block of 64 and a part block
         monkeypatch.setattr(solver, "_STAGE_BYTES", 1)
         single = run()
-        for name in default.column_names:
+        for name in default.columns:
             assert_allclose(single[name], default[name], rtol=1e-13, atol=0.0, err_msg=name)
 
 

@@ -7,6 +7,12 @@ attribute in the syntax tree, so imports, comments and strings do not count.
 A use in another file counts only if that file also names the defining
 module.
 
+So must every public member of a public class: its methods, properties and
+dataclass or NamedTuple fields. A use of a member is a read of an attribute
+of that name, anywhere in the program outside the member's own definition.
+Passing a field to the constructor, or storing it, is not a read. The types
+are not known, so a read of a same-named member of another class counts.
+
 Every flag a CLI subcommand registers must be read by its handler, and every
 flag the handler reads must be registered. ``main`` reads --out for every
 subcommand, since it alone writes the files, so --out counts as read by
@@ -41,6 +47,12 @@ ORACLES = {
     "torus.derivative",  # operator identities on grid functions
     "torus.inner",  # the normalised inner product
     "torus.norm",  # norm bounds on trajectories
+    # members: each checks the program's own output, and a run manifest would report it
+    "modal.TwistMatrix.weighted_norm_sq",  # the entropy as a sum of twisted mode norms
+    "rates.ConditionCheck.margins",  # the slack of each admissibility inequality
+    "rates.ConditionCheck.failures",  # which admissibility inequalities fail
+    "solver.Trajectory.entropy_increases",  # the entropy never grows along a run
+    "solver.Trajectory.evolution_residuals",  # the recorded rhs is dE/dt
 }
 
 
@@ -65,6 +77,16 @@ def _modules_named(tree) -> set:
     return out
 
 
+def _reads(tree, skip) -> set:
+    """Attribute names read in a tree, leaving out the subtree ``skip``."""
+    inside = {id(n) for n in ast.walk(skip)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+
+
 def _public_definitions():
     """(module path, name, uses in the module outside the definition)."""
     for module in sorted(PACKAGE.glob("*.py")):
@@ -72,6 +94,21 @@ def _public_definitions():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield module, node.name, _uses(tree, skip=node)
+
+
+def _public_members(tree):
+    """(class name, member name, definition) of the public members of public classes."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield cls.name, name, node
 
 
 def test_every_public_name_has_a_caller():
@@ -88,6 +125,13 @@ def test_every_public_name_has_a_caller():
         )
         if not used and qualified not in ORACLES:
             unused.append(qualified)
+    for module in sorted(PACKAGE.glob("*.py")):
+        for cls, name, node in _public_members(trees[module]):
+            qualified = f"{module.stem}.{cls}.{name}"
+            defined.add(qualified)
+            used = any(name in _reads(tree, skip=node) for tree in trees.values())
+            if not used and qualified not in ORACLES:
+                unused.append(qualified)
     assert unused == []
     assert sorted(ORACLES - defined) == []
 

@@ -26,7 +26,7 @@ from gtlab.torus import (
 
 
 def gf(fn, n=64):
-    return GridFunction.from_function(fn, n)
+    return GridFunction(fn(nodes(n)))
 
 
 def band_limited(draw_amplitudes, n=64):
