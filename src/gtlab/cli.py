@@ -47,6 +47,7 @@ Exit codes: 0 success, 2 validation failure (or an unwritable --out),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -514,10 +515,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, registering exactly its SUBCOMMANDS flags.
 
     Abbreviated flags are rejected, so every accepted flag is one a handler reads.
+    Built once per process, on the first call: each parse_args fills a fresh
+    namespace, so in-process callers of main share one parser.
     """
     parser = _Parser(prog="gtlab", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,9 +10,9 @@ matching matrix of the constrained Euler-Lagrange problem
 
     u'' + lambda w u = tau,  periodic C^1 matching, zero mean
 
-becomes singular. The matrix is assembled literally (no symbolic
-simplification) so every entry can be audited; the determinant is evaluated
-by LU with partial pivoting.
+becomes singular. The matrix is filled in place, entry by entry, each from
+its literal formula (no symbolic simplification), so every entry can be
+audited; the determinant is evaluated by LU with partial pivoting.
 
 Every root is refined from a sign change of det on the scan grid to one at
 most 1e-12 wide, by regula falsi batched over the sign changes. Equal
@@ -83,6 +83,11 @@ def matching_matrix(lam, weight: TwoPieceWeight) -> np.ndarray:
     w2 analogue); rows are value/derivative matching at 0 and pi and the
     zero-average constraint. ``lam`` may be a scalar or an array; the result
     is (..., 5, 5).
+
+    The result is allocated once and filled in place, entry by entry, each
+    from its literal formula with no symbolic simplification, so every entry
+    can be audited; the sines and cosines of the two phases and of twice the
+    second are computed once each.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
@@ -90,34 +95,34 @@ def matching_matrix(lam, weight: TwoPieceWeight) -> np.ndarray:
     w1, w2 = weight.w1, weight.w2
     r1 = math.pi * np.sqrt(lam * w1)  # phase of the first piece over its half period
     r2 = math.pi * np.sqrt(lam * w2)
+    sin1, cos1 = np.sin(r1), np.cos(r1)
+    sin2, cos2 = np.sin(r2), np.cos(r2)
+    sin22, cos22 = np.sin(2 * r2), np.cos(2 * r2)
     tau_col = (w2 - w1) / (lam * w1 * w2)
-    zeros = np.zeros_like(lam)
-    rows = [
-        [zeros + 0.0, zeros + 1.0, -np.sin(2 * r2), -np.cos(2 * r2), tau_col],
-        [np.sin(r1), np.cos(r1), -np.sin(r2), -np.cos(r2), tau_col],
-        [
-            zeros + math.sqrt(w1),
-            zeros,
-            -math.sqrt(w2) * np.cos(2 * r2),
-            math.sqrt(w2) * np.sin(2 * r2),
-            zeros,
-        ],
-        [
-            math.sqrt(w1) * np.cos(r1),
-            -math.sqrt(w1) * np.sin(r1),
-            -math.sqrt(w2) * np.cos(r2),
-            math.sqrt(w2) * np.sin(r2),
-            zeros,
-        ],
-        [
-            (1.0 - np.cos(r1)) / math.sqrt(w1),
-            np.sin(r1) / math.sqrt(w1),
-            (np.cos(r2) - np.cos(2 * r2)) / math.sqrt(w2),
-            (np.sin(2 * r2) - np.sin(r2)) / math.sqrt(w2),
-            math.pi * (w2 + w1) / (np.sqrt(lam) * w1 * w2),
-        ],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    # entries (0, 0), (2, 1), (2, 4) and (3, 4) are structural zeros
+    m = np.zeros(lam.shape + (5, 5))
+    m[..., 0, 1] = 1.0
+    m[..., 0, 2] = -sin22
+    m[..., 0, 3] = -cos22
+    m[..., 0, 4] = tau_col
+    m[..., 1, 0] = sin1
+    m[..., 1, 1] = cos1
+    m[..., 1, 2] = -sin2
+    m[..., 1, 3] = -cos2
+    m[..., 1, 4] = tau_col
+    m[..., 2, 0] = math.sqrt(w1)
+    m[..., 2, 2] = -math.sqrt(w2) * cos22
+    m[..., 2, 3] = math.sqrt(w2) * sin22
+    m[..., 3, 0] = math.sqrt(w1) * cos1
+    m[..., 3, 1] = -math.sqrt(w1) * sin1
+    m[..., 3, 2] = -math.sqrt(w2) * cos2
+    m[..., 3, 3] = math.sqrt(w2) * sin2
+    m[..., 4, 0] = (1.0 - cos1) / math.sqrt(w1)
+    m[..., 4, 1] = sin1 / math.sqrt(w1)
+    m[..., 4, 2] = (cos2 - cos22) / math.sqrt(w2)
+    m[..., 4, 3] = (sin22 - sin2) / math.sqrt(w2)
+    m[..., 4, 4] = math.pi * (w2 + w1) / (np.sqrt(lam) * w1 * w2)
+    return m
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtlab.cli import main
+from gtlab.cli import build_parser, main
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.profiles import RelaxationProfile, as_profile
 from gtlab.rates import constant_rate
@@ -297,6 +297,24 @@ class TestDeterminismAndConfig:
         data = (out1 / "trajectory.csv").read_bytes()
         assert len(data.splitlines()) == 22
         assert (out2 / "trajectory.csv").read_bytes() == data
+
+    def test_one_parser_serves_every_call_and_nothing_leaks_between_calls(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        out = tmp_path / "o"
+        assert run("rates", "--sigma", "const:2", "--eps", "0.5", "--out", str(out / "eps")) == 0
+        # the --eps of the call before does not carry over
+        assert run("rates", "--sigma", "const:2", "--out", str(out / "no-eps")) == 2
+        assert "eps" in capsys.readouterr().err
+        assert not (out / "no-eps").exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = const:2\neps = 0.5\n")
+        assert run("rates", "--config", str(cfg), "--out", str(out / "config")) == 0
+        # nor do the config's values: the default sigma, const:1, comes back
+        assert run("rates", "--out", str(out / "default")) == 0
+        assert run("rates", "--sigma", "const:1", "--out", str(out / "const1")) == 0
+        rates = {d.name: (d / "rates.csv").read_bytes() for d in out.iterdir()}
+        assert rates["config"] == rates["eps"]
+        assert rates["default"] == rates["const1"] != rates["eps"]
 
 
 class TestExitCodes:

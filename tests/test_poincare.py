@@ -56,6 +56,76 @@ class TestDeterminant:
         assert m[0, 4] == 0.0 and m[1, 4] == 0.0
 
 
+def stacked_matching_matrix(lam, weight):
+    """The matching matrix as it was assembled before it was filled in place:
+    25 entry arrays stacked into rows, then the rows into the matrix."""
+    lam = np.asarray(lam, dtype=float)
+    w1, w2 = weight.w1, weight.w2
+    r1 = math.pi * np.sqrt(lam * w1)
+    r2 = math.pi * np.sqrt(lam * w2)
+    tau_col = (w2 - w1) / (lam * w1 * w2)
+    zeros = np.zeros_like(lam)
+    rows = [
+        [zeros + 0.0, zeros + 1.0, -np.sin(2 * r2), -np.cos(2 * r2), tau_col],
+        [np.sin(r1), np.cos(r1), -np.sin(r2), -np.cos(r2), tau_col],
+        [
+            zeros + math.sqrt(w1),
+            zeros,
+            -math.sqrt(w2) * np.cos(2 * r2),
+            math.sqrt(w2) * np.sin(2 * r2),
+            zeros,
+        ],
+        [
+            math.sqrt(w1) * np.cos(r1),
+            -math.sqrt(w1) * np.sin(r1),
+            -math.sqrt(w2) * np.cos(r2),
+            math.sqrt(w2) * np.sin(r2),
+            zeros,
+        ],
+        [
+            (1.0 - np.cos(r1)) / math.sqrt(w1),
+            np.sin(r1) / math.sqrt(w1),
+            (np.cos(r2) - np.cos(2 * r2)) / math.sqrt(w2),
+            (np.sin(2 * r2) - np.sin(r2)) / math.sqrt(w2),
+            math.pi * (w2 + w1) / (np.sqrt(lam) * w1 * w2),
+        ],
+    ]
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+def _oracle_weights():
+    rng = np.random.default_rng(18)
+    pairs = [tuple(np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2))) for _ in range(12)]
+    pairs += [(1.0, 1.0), (3.7, 3.7)]  # equal weights
+    # the weight of the (0.05, 1) profile at alpha*: its first piece is tiny
+    sigma = RelaxationProfile.two_piece(0.05, 1.0)
+    extremes = sigma.sigma_min, sigma.sigma_max
+    pairs.append(weight_from_sigma(sigma, theta_star(*extremes), alpha_star(*extremes)))
+    return [p if isinstance(p, TwoPieceWeight) else TwoPieceWeight(*p) for p in pairs]
+
+
+class TestMatchingMatrixOracle:
+    """The in-place matrix is bit for bit the stacked one, so every det, root and rate is too."""
+
+    @pytest.mark.parametrize("weight", _oracle_weights(), ids=lambda w: f"{w.w1:.4g}-{w.w2:.4g}")
+    def test_equal_to_the_stacked_assembly(self, weight):
+        rng = np.random.default_rng(int(1e6 * weight.w1) % 2**32)
+        for lam in (
+            0.8,
+            1e-3,
+            np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 300)),
+            1e-3 * np.arange(1, 201),  # the scan lattice's first points
+            np.exp(rng.uniform(math.log(1e-3), math.log(50.0), (7, 11))),
+        ):
+            m, reference = matching_matrix(lam, weight), stacked_matching_matrix(lam, weight)
+            assert m.shape == reference.shape == np.shape(lam) + (5, 5)
+            assert m.dtype == reference.dtype and m.flags.c_contiguous
+            assert np.array_equal(m, reference)
+            assert np.array_equal(np.linalg.det(m), np.linalg.det(reference))
+            # the structural zeros (0, 0), (2, 1), (2, 4) and (3, 4)
+            assert not m[..., [0, 2, 2, 3], [0, 1, 4, 4]].any()
+
+
 class TestWeightedPoincare:
     def test_uniform_weight_recovers_classical_constant(self):
         res = weighted_poincare(TwoPieceWeight(1.0, 1.0))
