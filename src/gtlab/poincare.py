@@ -44,6 +44,12 @@ from .profiles import as_profile
 _ROOT_XTOL = 1e-12
 #: the scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0
 _SCAN_STEP = 1e-3
+#: Most lattice points a scan may ask numpy for: half the float64 elements
+#: an array can index (np.iinfo(np.intp).max // 8), as np.arange already
+#: refuses a few dozen points below that. numpy refuses a grid past that
+#: size with ValueError, not MemoryError; every grid under the bound is left
+#: to the allocator.
+_MAX_SCAN_POINTS = np.iinfo(np.intp).max // 16
 #: |det|/scale below this at a refined local minimum counts as an even root.
 _TOUCH_RTOL = 1e-8
 #: half-width, relative to lambda, of the symmetric difference that locates a touch;
@@ -176,7 +182,9 @@ def weighted_poincare(
     The scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0, from its last
     point at or below lam_min, so a window of the full scan evaluates the
     same lambdas as the full scan does there; a grid that holds no point of
-    the lattice is a NumericalError, and so is a grid with no root on it.
+    the lattice is a NumericalError, and so are a grid of more than
+    _MAX_SCAN_POINTS points, raised before any array is built, and a grid
+    with no root on it.
     That error names the Rayleigh bound c_min >= 1/max w when the bound lies
     below the grid's first point, where no larger lam_max can help.
 
@@ -193,7 +201,13 @@ def weighted_poincare(
     # the points of np.arange(step, lam_max + step / 2, step) from index first on
     step = _SCAN_STEP
     first = max(0, math.floor(lam_min / step) - 1)
-    count = math.ceil((lam_max + step / 2.0 - step) / step)
+    last = (lam_max + step / 2.0 - step) / step
+    if not last - first <= _MAX_SCAN_POINTS:  # an infinite lam_max fails this too
+        raise NumericalError(
+            f"scan grid of {last - first:.3g} points up to lam_max = {lam_max:.6g} "
+            f"exceeds the bound of {_MAX_SCAN_POINTS:.3g} scan points"
+        )
+    count = math.ceil(last)
     if count <= first:
         raise NumericalError(
             f"empty scan grid: lam_max = {lam_max:.6g} lies below its first point {step * (first + 1):g}"

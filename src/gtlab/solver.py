@@ -20,10 +20,15 @@ row w S once and writes e g_i + w S straight into row i's shifted place in
 a spare buffer, so relaxation and transport together make one pass over
 each row. RK4 is evaluated by Horner: the kinetic generator A is linear and
 time-independent, so the four-stage step is exactly the degree-4 Taylor
-polynomial of exp(hA). That makes the RK4 step a fixed linear map: when its
-dense matrix, (V*n)^2 * 8 bytes, fits _STEP_MATRIX_BYTES, the matrix is
-built once per run from the Horner stages and a step is one vector-matrix
-product; on larger grids the Horner stages step the state.
+polynomial of exp(hA). That makes the RK4 step a fixed linear map M, and a
+record interval of r steps the fixed map M^r: when the dense step matrix,
+(V*n)^2 * 8 bytes, fits _STEP_MATRIX_BYTES, M^r is built once per run by
+binary powering from the Horner stages and a whole record interval is one
+vector-matrix product; on larger grids the Horner stages step the state.
+So the record stride changes the rounding of an RK4 run, not its scheme.
+
+Steppers advance the carried state by k steps at a time, and the run
+advances it one record interval at a time.
 
 Both systems run through one stepper over a (V, n) array of kinetic
 densities, driven by the velocity set: (+1, -1) for two velocities and
@@ -36,6 +41,7 @@ _MAX_CELL_UPDATES cell updates (steps times V*n), which bounds its time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,13 +212,14 @@ def _split_step(velocities, sig, dt: float, n: int):
 
     Relaxation over a time tau moves each f_i toward the pointwise mean over
     the V velocities: f_i <- e f_i + w S, with S = sum_j f_j,
-    e = exp(-sigma tau) and w = (1 - e)/V. advance(g) forms the shared row
-    w S once, scales g by e in place, and writes e g_i + w S straight into
-    row i of a spare buffer, shifted by c_i*m cells. The shift is a list of
-    moves (row, source slice, destination slice), built once: one per row,
-    plus one for the wrap when the row's shift is nonzero. advance uses the
-    half-step factors on its first call and the full-step ones after it, and
-    returns the spare buffer. finish(states) applies the closing
+    e = exp(-sigma tau) and w = (1 - e)/V. advance(g, k) takes k steps; each
+    forms the shared row w S once, scales g by e in place, and writes
+    e g_i + w S straight into row i of a spare buffer, shifted by c_i*m
+    cells. The shift is a list of moves (row, source slice, destination
+    slice), built once: one per row, plus one for the wrap when the row's
+    shift is nonzero. The run's first step uses the half-step factors and
+    every later one the full-step ones; advance returns the buffer the last
+    step wrote. finish(states) applies the closing
     half-relaxation, in the same form, in place to the carried states,
     stacked on any leading axes, and returns them.
     """
@@ -231,19 +238,20 @@ def _split_step(velocities, sig, dt: float, n: int):
     spare = np.empty((count, n))
     shared = np.empty(n)
 
-    def advance(g):
+    def advance(g, k):
         nonlocal spare, shared, factors
-        decay, weight = factors
-        factors = full_factors
-        np.add(g[0], g[1], out=shared)
-        for row in g[2:]:
-            shared += row
-        shared *= weight
-        for row in g:
-            row *= decay
-        for i, src, dst in moves:
-            np.add(g[i, src], shared[src], out=spare[i, dst])
-        g, spare = spare, g
+        for _ in range(k):
+            decay, weight = factors
+            factors = full_factors
+            np.add(g[0], g[1], out=shared)
+            for row in g[2:]:
+                shared += row
+            shared *= weight
+            for row in g:
+                row *= decay
+            for i, src, dst in moves:
+                np.add(g[i, src], shared[src], out=spare[i, dst])
+            g, spare = spare, g
         return g
 
     def finish(states):
@@ -267,12 +275,13 @@ def _split_step(velocities, sig, dt: float, n: int):
 #: 137-152 us vs 104-121 us, 2v n = 512 (8 MiB) 190-387 us vs 123-160 us
 #: (BENCH_rk4_step.json). 2.5 MiB admits 2v up to n = 286 and 3v up to n = 190.
 _STEP_MATRIX_BYTES = 2560 * 1024
-#: Unit states pushed through the Horner stages at once while the step matrix
-#: is built; at n = 256 each of the build's temporaries is about 256 kB.
+#: Rows pushed through the Horner stages, or squared, at once while the step
+#: matrix and its power are built; at n = 256 each of the build's temporaries
+#: is about 256 kB.
 _MATRIX_CHUNK = 64
 
 
-def _rk4_step(velocities, sig, dt: float, n: int):
+def _rk4_step(velocities, sig, dt: float, n: int, stride: int):
     """Classical RK4 of f' = A f, A f_i = -c_i d/dx f_i - sigma (f_i - mean f), spectral in x.
 
     A is linear and does not depend on time, so the four-stage RK4 step is
@@ -282,12 +291,17 @@ def _rk4_step(velocities, sig, dt: float, n: int):
     each stage; they step states of shape (..., V, n). A time-dependent or
     nonlinear A would need the stages k1..k4 instead.
 
-    The step is a fixed linear map, so when its dense matrix, (V*n)^2 * 8
-    bytes, fits _STEP_MATRIX_BYTES, the matrix is built once by pushing the
-    unit states through the Horner stages, _MATRIX_CHUNK at a time, and
-    advance is one vector-matrix product. On larger grids advance runs the
-    Horner stages. Returns (advance, finish); the carried state is f itself,
-    so finish is the identity.
+    The step is a fixed linear map M, and so is a record interval of
+    ``stride`` steps: M^stride. When the dense step matrix, (V*n)^2 * 8
+    bytes, fits _STEP_MATRIX_BYTES, M^stride is built once by _step_power
+    and advance(f, k) steps each whole stride by one vector-matrix product
+    and a shorter rest by the Horner stages. A product with M^stride rounds
+    differently from stride single steps, but it is the same scheme. If
+    M^stride has a non-finite entry, which happens only far past RK4's
+    stability limit, M itself is cached instead and every step is one
+    product. On larger grids advance runs the Horner stages k times.
+    Returns (advance, finish); the carried state is f itself, so finish is
+    the identity.
     """
     transport = -1j * np.outer(velocities, np.arange(n // 2 + 1))
     transport[:, n // 2] = 0.0  # the Nyquist mode is zeroed, as in torus.derivative
@@ -308,22 +322,58 @@ def _rk4_step(velocities, sig, dt: float, n: int):
             y = out
         return y
 
+    def horner_steps(f, k):
+        for _ in range(k):
+            f = horner(f)
+        return f
+
     cells = count * n
     if cells * cells * 8 > _STEP_MATRIX_BYTES:
-        advance = horner
-    else:
-        # row j is the step of unit state j, so a flat state steps as f @ matrix
-        matrix = np.empty((cells, cells))
-        for start in range(0, cells, _MATRIX_CHUNK):
-            rows = matrix[start : start + _MATRIX_CHUNK]
-            units = np.zeros_like(rows)
-            units[:, start : start + len(rows)] = np.eye(len(rows))
-            rows[:] = horner(units.reshape(-1, count, n)).reshape(len(rows), cells)
+        return horner_steps, lambda states: states
+    power = _step_power(horner, count, n, stride)
+    if stride > 1 and not np.isfinite(power).all():
+        stride, power = 1, _step_power(horner, count, n, 1)
 
-        def advance(f):
-            return (f.reshape(cells) @ matrix).reshape(count, n)
+    def advance(f, k):
+        for _ in range(k // stride):
+            f = (f.reshape(cells) @ power).reshape(count, n)
+        return horner_steps(f, k % stride)
 
     return advance, lambda states: states
+
+
+def _step_power(horner, count: int, n: int, stride: int) -> np.ndarray:
+    """M^stride, M the dense RK4 step matrix whose row j is the step of unit state j.
+
+    A flat state steps as f @ M. Binary powering, from the leading bit of
+    stride down: each bit squares the power into one spare matrix, which
+    then swaps roles with it, and each set bit multiplies it by M. That
+    product pushes the power's rows through the Horner stages, _MATRIX_CHUNK
+    rows at a time, in place; pushing the identity builds M. So at most two
+    matrices are held while building, and one, the power, afterwards. The
+    squares too are taken _MATRIX_CHUNK rows at a time: a whole-matrix
+    product packs larger BLAS panels, and in one 8 s decay-sparse benchmark
+    run (seed 3) peaked at 48.8 MB resident against 47.7 MB (45.1 MB when
+    RK4 cached M alone).
+    """
+    cells = count * n
+
+    def times_step(rows):
+        for start in range(0, cells, _MATRIX_CHUNK):
+            chunk = rows[start : start + _MATRIX_CHUNK]
+            chunk[:] = horner(chunk.reshape(-1, count, n)).reshape(len(chunk), cells)
+
+    power = np.eye(cells)
+    times_step(power)
+    spare = np.empty_like(power) if stride > 1 else None
+    for bit in bin(stride)[3:]:
+        for start in range(0, cells, _MATRIX_CHUNK):
+            rows = slice(start, start + _MATRIX_CHUNK)
+            np.matmul(power[rows], power, out=spare[rows])
+        power, spare = spare, power
+        if bit == "1":
+            times_step(power)
+    return power
 
 
 #: Most cell updates, steps times V*n cells, one run may ask for: about 70 s
@@ -359,7 +409,9 @@ def _diagnostics(u: np.ndarray, sig: np.ndarray, theta: float) -> tuple:
 def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, record_every) -> Trajectory:
     """Advance the kinetic array f, shape (V, n), and record system.columns.
 
-    Records fall at t0, every ``record_every`` steps and at the last step.
+    Records fall at t0, every ``record_every`` steps and at the last step;
+    the stepper advances one record interval per call, so the RK4 stepper
+    caches the power of its step matrix for r = min(record_every, steps).
     Each recorded carried state is copied into a stage; when the stage is
     full, or at the last step, one pass finishes and records the whole block.
     A blow-up is looked for once per block, before its record pass, and
@@ -380,11 +432,7 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     if record_every < 1:
         raise ValidationError(f"record_every must be at least 1, got {record_every}")
     steps = _resolve_steps(t_final, dt)
-    if scheme == SCHEME_SPLIT:
-        advance, finish = _split_step(system.velocities, sig, dt, n)
-    elif scheme == SCHEME_RK4:
-        advance, finish = _rk4_step(system.velocities, sig, dt, n)
-    else:
+    if scheme not in (SCHEME_SPLIT, SCHEME_RK4):
         raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
 
     records = 1 + steps // record_every + (steps % record_every > 0)
@@ -404,23 +452,27 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
             "cell updates; raise --dt or lower --t-final"
         )
     times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
-    done, staged = 1, 0
+    done, staged, previous = 1, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            f = advance(f)
-            if step % record_every == 0 or step == steps:
-                t = t0 + step * dt
-                times[done + staged] = t
-                stage[staged] = f
-                staged += 1
-                if staged == block or step == steps:
-                    finite = np.isfinite(stage[:staged]).reshape(staged, -1).all(axis=1)
-                    if not finite.all():
-                        t_bad = times[done + int(np.argmin(finite))]
-                        raise NumericalError(f"non-finite state detected at t = {t_bad:.6g}")
-                    u = system.macro @ finish(stage[:staged])
-                    values[:, done : done + staged] = _diagnostics(u, sig, theta)
-                    done, staged = done + staged, 0
+        if scheme == SCHEME_SPLIT:
+            advance, finish = _split_step(system.velocities, sig, dt, n)
+        else:
+            advance, finish = _rk4_step(system.velocities, sig, dt, n, min(record_every, steps))
+        for step in itertools.chain(range(record_every, steps, record_every), [steps]):
+            f = advance(f, step - previous)
+            previous = step
+            t = t0 + step * dt
+            times[done + staged] = t
+            stage[staged] = f
+            staged += 1
+            if staged == block or step == steps:
+                finite = np.isfinite(stage[:staged]).reshape(staged, -1).all(axis=1)
+                if not finite.all():
+                    t_bad = times[done + int(np.argmin(finite))]
+                    raise NumericalError(f"non-finite state detected at t = {t_bad:.6g}")
+                u = system.macro @ finish(stage[:staged])
+                values[:, done : done + staged] = _diagnostics(u, sig, theta)
+                done, staged = done + staged, 0
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         t_bad = times[int(np.argmin(finite))]

@@ -549,6 +549,21 @@ def test_grid_beyond_the_node_bound_exits_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "w1, points, lam_max", [("1e-300", "4e+303", "4e+300"), ("1e-320", "inf", "inf")]
+)
+def test_scan_beyond_what_numpy_can_index_exits_three(tmp_path, w1, points, lam_max):
+    # lam_max = 4/w1 puts the 1e-3 lattice past any array numpy can describe
+    out = tmp_path / "o"
+    proc = run_capped(out, "poincare", "--w1", w1, "--w2", "1")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"numerical failure: scan grid of {points} points up to lam_max = {lam_max} "
+        "exceeds the bound of 5.76e+17 scan points"
+    ]
+    assert not out.exists()
+
+
 def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
     # the strip's contour would take 125.7M samples, 959 MiB for their positions alone
     out = tmp_path / "o"

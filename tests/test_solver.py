@@ -1,5 +1,6 @@
 """Time integration: exactness properties, conservation laws, decay fits."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,8 +294,8 @@ class TestTrajectory:
 class TestRecordPass:
     """Every recorded column against the GridFunction reference functions.
 
-    The state at record k is the final state of the same run cut after k
-    steps, which takes exactly the same arithmetic.
+    The state at record k is the final state of the same run, with the same
+    record_every, cut after k records, which takes exactly the same arithmetic.
     """
 
     PROFILE = RelaxationProfile.two_piece(1.0, 4.0)
@@ -354,7 +355,14 @@ class TestRecordPass:
     @pytest.mark.parametrize("system", ["2v", "3v"])
     def test_columns_across_block_edges(self, system, scheme, record_every):
         # 2B + 5 records after t0 fill two blocks and part of a third; with
-        # record_every = 3 the last record falls one step after the one before
+        # record_every = 3 the last record falls one step after the one before.
+        # Each reference state comes from a run with the same record_every:
+        # RK4 steps a record interval by one cached matrix power, which rounds
+        # differently from single steps. At this dt, twice RK4's stable step,
+        # the state grows to 1e43 (3v) and 7e57 (2v) by the last record; the
+        # two roundings' entropies and norms differ there by up to 2e-13
+        # relative, and their mass and flux averages, rounding noise at that
+        # scale, by up to 13 times their value
         n, block = 64, solver._BLOCK_RECORDS
         assert 3 * n * 8 * block <= solver._STAGE_BYTES  # the byte cap leaves B alone here
         simulate, init, reference = self.setup_run(system, n)
@@ -371,7 +379,8 @@ class TestRecordPass:
         for k in edges:
             cut = record_steps[k]
             state = init if cut == 0 else simulate(
-                init, self.PROFILE, cut * dt, dt=dt, scheme=scheme, theta=0.9
+                init, self.PROFILE, cut * dt, dt=dt, scheme=scheme, theta=0.9,
+                record_every=record_every,
             ).final
             assert traj.times[k] == pytest.approx(cut * dt, rel=1e-14)
             for name, value in reference(state, 0.9, self.PROFILE).items():
@@ -485,6 +494,76 @@ class TestRK4Oracle:
         assert traj.times[-1] == pytest.approx(steps * dt, rel=1e-12)
         want = macro @ self.rk4(f0, self.PROFILE.sample(n), dt, velocities, steps)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @staticmethod
+    def stride_run(system, n, sigma, record_every):
+        fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
+        simulate, init = (
+            (simulate_2v, MacroState2V(*fields[:2])) if system == "2v" else (simulate_3v, to_macro3(*fields))
+        )
+        return simulate(init, sigma, 20.0, scheme="rk4", theta=0.9, record_every=record_every)
+
+    @pytest.mark.parametrize("sigma", ["const:1", "const:5", "pc:1.27@pi,1.49@2pi", "pc:1@pi,4@2pi"])
+    @pytest.mark.parametrize("system, n", [("2v", 256), ("3v", 160)])
+    def test_record_stride_matches_single_steps(self, system, n, sigma):
+        # a record interval of r steps is one product with M^r, which rounds
+        # differently from r single steps. At T = 20 (1630 steps at n = 256,
+        # 1019 at n = 160, both leaving a remainder for stride 64 and 7) each
+        # column measured within 1.05e-14 of its column maximum and the mass
+        # within 4.2e-13 relative; the bounds allow about five times that
+        profile = RelaxationProfile.parse(sigma)
+        one = self.stride_run(system, n, profile, 1)
+        steps = len(one.times) - 1
+        cells = int(system[0]) * n
+        assert cells * cells * 8 <= solver._STEP_MATRIX_BYTES  # the cached power steps it
+        for record_every in (64, 7):
+            assert steps % record_every
+            traj = self.stride_run(system, n, profile, record_every)
+            at = [*range(0, steps, record_every), steps]
+            assert_allclose(traj.times, one.times[at], rtol=1e-14, atol=0.0)
+            for name, want in one.columns.items():
+                got, want = traj[name], want[at]
+                if name == "mass":
+                    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-12, (record_every, name)
+                else:
+                    assert np.max(np.abs(got - want)) < 5e-14 * np.max(np.abs(want)), (record_every, name)
+
+    def test_stride_past_the_run_is_the_whole_run(self):
+        # a stride beyond the step count builds M^steps, not M^record_every
+        init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+        runs = [simulate_2v(init, 1.0, 5.0, scheme="rk4", record_every=r) for r in (10**9, 102)]
+        assert len(runs[1].times) == 2  # 102 steps: t0 and the end
+        for name in runs[1].columns:
+            assert np.array_equal(runs[0][name], runs[1][name]), name
+        assert np.array_equal(runs[0].times, runs[1].times)
+
+    def test_overflowing_power_falls_back_to_single_steps(self):
+        # at dt = 0.5, far past RK4's stability limit, M^400 overflows, and a
+        # product with it would turn even the zero state into NaN (0 * inf);
+        # single steps keep it zero
+        zero = MacroState2V(GridFunction.zeros(64), GridFunction.zeros(64))
+        traj = simulate_2v(zero, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=1000)
+        assert traj.times.tolist() == [0.0, 200.0]
+        for name, column in traj.columns.items():
+            assert np.array_equal(column, [0.0, 0.0]), name
+
+    @pytest.mark.parametrize("stride", [1, 7, 64, 1000])
+    def test_power_build_holds_at_most_one_extra_matrix(self, stride):
+        # the power, one spare for the squarings and the Horner temporaries
+        # of one chunk (0.8 of a matrix at n = 256) while building; the power
+        # alone afterwards. Measured peaks: 1.80 matrices at stride 1, 2.02 at
+        # 64, 2.74 at 7 and 1000
+        n = 256
+        matrix_bytes = (2 * n) ** 2 * 8
+        sig = self.PROFILE.sample(n)
+        tracemalloc.start()
+        try:
+            advance, _ = solver._rk4_step((1, -1), sig, np.pi / n, n, stride)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * matrix_bytes
+        assert peak < (2 if stride == 1 else 3) * matrix_bytes
 
 
 class TestFitting:
