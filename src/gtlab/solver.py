@@ -15,11 +15,15 @@ record is f = R_half g; the stepper's ``finish`` applies it (for RK4,
 ``finish`` is the identity). The t0 record is taken from the initial state.
 
 Both relaxations are written f_i <- e f_i + w S, with S the sum over
-velocities, e = exp(-sigma tau) and w = (1 - e)/V. A step forms the shared
-row w S once and writes e g_i + w S straight into row i's shifted place in
-a spare buffer, so relaxation and transport together make one pass over
-each row. RK4 is evaluated by Horner: the kinetic generator A is linear and
-time-independent, so the four-stage step is exactly the degree-4 Taylor
+velocities, e = exp(-sigma tau) and w = (1 - e)/V. In the split stepper
+transport moves no data: each velocity row stays in place in its own moving
+frame, between periodic halos that feed it for up to _FRAME_STEPS steps, and
+the rows lined up in physical x are one strided view. A split step is four
+ufunc calls over that view for any number of velocities: the operations of
+relaxing and shifting row by row, in their order, so the same bits. Once
+per _FRAME_STEPS steps or fewer each row is copied back to the middle of
+its frame. RK4 is evaluated by Horner: the kinetic generator A is linear
+and time-independent, so the four-stage step is exactly the degree-4 Taylor
 polynomial of exp(hA). That makes the RK4 step a fixed linear map M, and a
 record interval of r steps the fixed map M^r: when the dense step matrix,
 (V*n)^2 * 8 bytes, fits _STEP_MATRIX_BYTES, M^r is built once per run by
@@ -27,8 +31,9 @@ binary powering from the Horner stages and a whole record interval is one
 vector-matrix product; on larger grids the Horner stages step the state.
 So the record stride changes the rounding of an RK4 run, not its scheme.
 
-Steppers advance the carried state by k steps at a time, and the run
-advances it one record interval at a time.
+Each stepper is built on the initial kinetic array and advances the state
+it carries k steps per call; the run advances it one record interval at a
+time.
 
 Both systems run through one stepper over a (V, n) array of kinetic
 densities, driven by the velocity set: (+1, -1) for two velocities and
@@ -207,52 +212,110 @@ def _split_shift_cells(dt: float, dx: float) -> int:
     return int(round(m))
 
 
-def _split_step(velocities, sig, dt: float, n: int):
-    """Strang steps with merged half-relaxations; returns (advance, finish).
+#: Most split steps per block of the moving frames: each row of the split
+#: stepper carries a block's shifts of halo on either side and is re-centred
+#: once per block. Blocks are shorter at large shifts, so that the halos hold
+#: at most max(n/4, |m|) cells: the frames then take at most twice the state.
+_FRAME_STEPS = 64
+
+
+def _split_step(velocities, sig, dt: float, n: int, f):
+    """Strang steps with merged half-relaxations from the kinetic array f; returns (advance, finish).
 
     Relaxation over a time tau moves each f_i toward the pointwise mean over
     the V velocities: f_i <- e f_i + w S, with S = sum_j f_j,
-    e = exp(-sigma tau) and w = (1 - e)/V. advance(g, k) takes k steps; each
-    forms the shared row w S once, scales g by e in place, and writes
-    e g_i + w S straight into row i of a spare buffer, shifted by c_i*m
-    cells. The shift is a list of moves (row, source slice, destination
-    slice), built once: one per row, plus one for the wrap when the row's
-    shift is nonzero. The run's first step uses the half-step factors and
-    every later one the full-step ones; advance returns the buffer the last
-    step wrote. finish(states) applies the closing
-    half-relaxation, in the same form, in place to the carried states,
-    stacked on any leading axes, and returns them.
+    e = exp(-sigma tau) and w = (1 - e)/V. Transport moves row i by c_i*m
+    cells, m folded into (-n/2, n/2], and moves no data: row i stays in
+    place in its own frame, whose origin moves c_i*m cells per step. The
+    frame is n + 2H cells long: the row's n cells between two halos of
+    H = K|m| cells, K = min(_FRAME_STEPS, max(1, n // (4|m|))) (H = 0 when
+    m = 0).
+
+    Steps go in blocks of K. Step 0 of a block relaxes the n cells in the
+    middle of each frame and copies them periodically into the halos, which
+    then feed the shifting window for the rest of the block. Step k relaxes
+    the n + 2(H - k|m|) cells of each row that the block's last window still
+    depends on. The velocities are linear in the row index, so those cells
+    of all rows, lined up in physical x, form one strided view W, of row
+    stride n + 2H + (c_0 - c_1) m k, and a step is four ufunc calls for any
+    V: S = W summed over rows, S *= w, W *= e, W += S. These are the
+    operations of relaxing and shifting row by row, in their order, so they
+    give the same bits. After K steps each row's window is copied back to
+    the middle of its frame.
+
+    advance(k) takes k steps and returns a (V, n) view of the carried state,
+    valid until the next call. The run's first step uses the half-step
+    factors and every later one the full-step ones. finish(states) applies
+    the closing half-relaxation, in the same form, in place to the carried
+    states, stacked on any leading axes, and returns them.
     """
-    cells = _split_shift_cells(dt, TWO_PI / n)
-    count = len(velocities)
-    moves = []
-    for i, c in enumerate(velocities):
-        s = (c * cells) % n
-        moves.append((i, slice(0, n - s), slice(s, n)))
-        if s:
-            moves.append((i, slice(n - s, n), slice(0, s)))
+    shift = _split_shift_cells(dt, TWO_PI / n) % n
+    if shift > n // 2:
+        shift -= n
+    count, c0 = len(velocities), velocities[0]
+    spread = c0 - velocities[1]  # c_i = c0 - i * spread for both velocity sets
+    reach = abs(shift)
+    blocks = min(_FRAME_STEPS, max(1, n // (4 * reach))) if reach else _FRAME_STEPS
+    halo = blocks * reach
+    length = n + 2 * halo
+    buffer = np.empty((count, length))
+    buffer[:, halo : halo + n] = f
+    flat = buffer.reshape(-1)
+    shared = np.empty(length)
+
+    def frame(k, margin):
+        """The rows at block step k, lined up in physical x over [-margin, n + margin)."""
+        start = halo - margin - c0 * shift * k
+        stride = length + spread * shift * k
+        return np.ndarray(
+            (count, n + 2 * margin), buffer=flat, offset=start * 8, strides=(stride * 8, 8)
+        )
+
     half, full = np.exp(-sig * dt / 2.0), np.exp(-sig * dt)
     half_factors = (half, (1.0 - half) / count)
-    full_factors = (full, (1.0 - full) / count)
-    factors = half_factors
-    spare = np.empty((count, n))
-    shared = np.empty(n)
+    # the full-step factors over [-H, n + H), lined up with the widest W
+    decay, weight = (
+        np.concatenate([row[n - halo :], row, row[:halo]]) for row in (full, (1.0 - full) / count)
+    )
+    full_factors = (decay[halo : halo + n], weight[halo : halo + n])
+    later = [  # (W, S, e, w) of block steps 1 .. K - 1
+        (
+            frame(k, halo - k * reach),
+            shared[: length - 2 * k * reach],
+            decay[k * reach : length - k * reach],
+            weight[k * reach : length - k * reach],
+        )
+        for k in range(1, blocks)
+    ]
+    windows = [frame(k, 0) for k in range(blocks + 1)]  # the (V, n) state after k block steps
+    factors, position = half_factors, 0
 
-    def advance(g, k):
-        nonlocal spare, shared, factors
-        for _ in range(k):
-            decay, weight = factors
-            factors = full_factors
-            np.add(g[0], g[1], out=shared)
-            for row in g[2:]:
-                shared += row
-            shared *= weight
-            for row in g:
-                row *= decay
-            for i, src, dst in moves:
-                np.add(g[i, src], shared[src], out=spare[i, dst])
-            g, spare = spare, g
-        return g
+    def relax(steps):
+        for rows, total, decay, weight in steps:
+            np.add.reduce(rows, axis=0, out=total)
+            total *= weight
+            rows *= decay
+            rows += total
+
+    def advance(k):
+        nonlocal factors, position
+        while k:
+            if position == blocks:
+                for row, cells in zip(buffer, windows[blocks]):
+                    shared[:n] = cells
+                    row[halo : halo + n] = shared[:n]
+                position = 0
+            if position == 0:
+                relax([(windows[0], shared[:n], *factors)])
+                factors = full_factors
+                buffer[:, :halo] = buffer[:, n : n + halo]
+                buffer[:, n + halo :] = buffer[:, halo : 2 * halo]
+                position, k = 1, k - 1
+            else:
+                take = min(k, blocks - position)
+                relax(later[position - 1 : position - 1 + take])
+                position, k = position + take, k - take
+        return windows[position]
 
     def finish(states):
         decay, weight = half_factors
@@ -281,7 +344,7 @@ _STEP_MATRIX_BYTES = 2560 * 1024
 _MATRIX_CHUNK = 64
 
 
-def _rk4_step(velocities, sig, dt: float, n: int, stride: int):
+def _rk4_step(velocities, sig, dt: float, n: int, stride: int, f):
     """Classical RK4 of f' = A f, A f_i = -c_i d/dx f_i - sigma (f_i - mean f), spectral in x.
 
     A is linear and does not depend on time, so the four-stage RK4 step is
@@ -294,14 +357,15 @@ def _rk4_step(velocities, sig, dt: float, n: int, stride: int):
     The step is a fixed linear map M, and so is a record interval of
     ``stride`` steps: M^stride. When the dense step matrix, (V*n)^2 * 8
     bytes, fits _STEP_MATRIX_BYTES, M^stride is built once by _step_power
-    and advance(f, k) steps each whole stride by one vector-matrix product
+    and advance(k) steps each whole stride by one vector-matrix product
     and a shorter rest by the Horner stages. A product with M^stride rounds
     differently from stride single steps, but it is the same scheme. If
     M^stride has a non-finite entry, which happens only far past RK4's
     stability limit, M itself is cached instead and every step is one
     product. On larger grids advance runs the Horner stages k times.
-    Returns (advance, finish); the carried state is f itself, so finish is
-    the identity.
+    Returns (advance, finish): advance(k) steps the kinetic array f by k
+    steps and returns it. The carried state is f itself, so finish is the
+    identity.
     """
     transport = -1j * np.outer(velocities, np.arange(n // 2 + 1))
     transport[:, n // 2] = 0.0  # the Nyquist mode is zeroed, as in torus.derivative
@@ -322,22 +386,22 @@ def _rk4_step(velocities, sig, dt: float, n: int, stride: int):
             y = out
         return y
 
-    def horner_steps(f, k):
+    cells = count * n
+    power = None
+    if cells * cells * 8 <= _STEP_MATRIX_BYTES:
+        power = _step_power(horner, count, n, stride)
+        if stride > 1 and not np.isfinite(power).all():
+            stride, power = 1, _step_power(horner, count, n, 1)
+
+    def advance(k):
+        nonlocal f
+        if power is not None:
+            for _ in range(k // stride):
+                f = (f.reshape(cells) @ power).reshape(count, n)
+            k %= stride
         for _ in range(k):
             f = horner(f)
         return f
-
-    cells = count * n
-    if cells * cells * 8 > _STEP_MATRIX_BYTES:
-        return horner_steps, lambda states: states
-    power = _step_power(horner, count, n, stride)
-    if stride > 1 and not np.isfinite(power).all():
-        stride, power = 1, _step_power(horner, count, n, 1)
-
-    def advance(f, k):
-        for _ in range(k // stride):
-            f = (f.reshape(cells) @ power).reshape(count, n)
-        return horner_steps(f, k % stride)
 
     return advance, lambda states: states
 
@@ -376,9 +440,10 @@ def _step_power(horner, count: int, n: int, stride: int) -> np.ndarray:
     return power
 
 
-#: Most cell updates, steps times V*n cells, one run may ask for: about 70 s
-#: of split steps at the 1.4e8 cell updates per second measured at n = 4096
-#: (BENCH_split_step.json). The largest benchmark run asks for 4e7.
+#: Most cell updates, steps times V*n cells, one run may ask for: about 20 s
+#: of split steps at the 4e8 to 6e8 cell updates per second measured at
+#: n = 4096, two and three velocities (BENCH_split_frames.json). The largest
+#: benchmark run asks for 4e7.
 _MAX_CELL_UPDATES = 10**10
 #: Most records staged for one record pass.
 _BLOCK_RECORDS = 64
@@ -455,11 +520,11 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     done, staged, previous = 1, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme == SCHEME_SPLIT:
-            advance, finish = _split_step(system.velocities, sig, dt, n)
+            advance, finish = _split_step(system.velocities, sig, dt, n, f)
         else:
-            advance, finish = _rk4_step(system.velocities, sig, dt, n, min(record_every, steps))
+            advance, finish = _rk4_step(system.velocities, sig, dt, n, min(record_every, steps), f)
         for step in itertools.chain(range(record_every, steps, record_every), [steps]):
-            f = advance(f, step - previous)
+            f = advance(step - previous)
             previous = step
             t = t0 + step * dt
             times[done + staged] = t

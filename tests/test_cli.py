@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gtlab import cli
 from gtlab.cli import build_parser, main
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.profiles import RelaxationProfile, as_profile
@@ -573,3 +574,55 @@ def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
         "numerical failure: argument-principle count failed: over 2000000 samples on one contour"
     ]
     assert not out.exists()
+
+
+class TestNyquistInvariant:
+    """Both two-velocity schemes conserve sum_j (-1)^j u_j up to sign, so that mode never decays."""
+
+    ARGV = ("simulate-2v", "--sigma", "const:1", "--n", "64", "--v0", "zero", "--t-final", "30")
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cli, "simulate_2v", refuse)
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    def test_nyquist_u0_exits_two_before_simulating(self, tmp_path, capsys, no_simulation, scheme):
+        out = tmp_path / "o"
+        assert run(*self.ARGV, "--u0", "cos:32", "--scheme", scheme, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --u0 has Nyquist component sum_j (-1)^j u_j / n = 1; "
+            "the two-velocity schemes conserve it, so it never decays"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    def test_nyquist_in_a_file_field_exits_two(self, tmp_path, capsys, no_simulation, scheme):
+        x = 2 * np.pi * np.arange(64) / 64
+        path = tmp_path / "u0.csv"
+        GridFunction(np.sin(x) + (-1.0) ** np.arange(64)).to_csv(path)
+        code = run(*self.ARGV, "--u0", f"file:{path}", "--scheme", scheme, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "--u0 has Nyquist component sum_j (-1)^j u_j / n = 1;" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "u0, scheme",
+        [("cos:31", "split"), ("sin", "split"), ("sin", "rk4"), ("random", "split"), ("random", "rk4")],
+    )
+    def test_data_without_it_still_runs(self, tmp_path, u0, scheme):
+        assert run(*self.ARGV, "--u0", u0, "--scheme", scheme, "--out", str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate-2v", "simulate-3v"])
+def test_split_run_at_the_grid_bound_fits_the_memory_cap(tmp_path, command):
+    # 30 split steps at n = 2**20 (dt = dx), recorded at t0 and every second
+    # step: 16 records, the fewest that leave the fit its 10 points, so the
+    # run ends in exit 0 under the 2 GiB address-space cap
+    t_final = repr(30 * 2 * np.pi / 2**20)
+    out = tmp_path / "o"
+    argv = [command, "--n", str(2**20), "--t-final", t_final, "--record-every", "2", "--seed", "1"]
+    proc = run_capped(out, *argv, *(["--u0", "random"] if command == "simulate-2v" else []))
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 17

@@ -117,6 +117,19 @@ class TestSimulate2V:
         for name in ("entropy", "rhs"):
             assert_allclose(big[name], 1e8 * base[name], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("scheme, cells", [("split", 1), ("split", 2), ("rk4", None)])
+    def test_nyquist_sum_of_u_is_conserved_up_to_sign(self, scheme, cells):
+        # L(u) = sum_j (-1)^j u_j: an odd shift anticommutes with diag((-1)^j),
+        # an even one conserves the even and the odd nodes' mass apart, and
+        # the spectral derivative is zero at Nyquist. So this mode never decays
+        n = 64
+        alternating = (-1.0) ** np.arange(n)
+        u0 = random_band_limited(n, seed=1).values + alternating
+        init = MacroState2V(GridFunction(u0), random_band_limited(n, seed=2))
+        dt = None if cells is None else cells * 2 * np.pi / n
+        traj = simulate_2v(init, RelaxationProfile.two_piece(1.0, 4.0), 20.0, dt=dt, scheme=scheme)
+        assert abs(traj.final.u.values @ alternating) == pytest.approx(n, rel=1e-12)
+
     def test_defective_sigma_needs_theta(self):
         init = MacroState2V(GridFunction.zeros(64), gf(np.cos, 64))
         with pytest.raises(ValidationError):
@@ -460,6 +473,75 @@ class TestSplitStepOracle:
             assert traj[name][0] == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
+def rowwise_split_step(velocities, sig, dt, n):
+    """The split step written row by row, with no moving frames; returns advance(g, k).
+
+    Each step forms w S, scales g by e in place and writes e g_i + w S into
+    row i of a spare buffer, shifted by c_i*m cells, as one add plus one for
+    the wrap. The first step uses the half-step factors, every later one the
+    full-step ones. advance returns the buffer the last step wrote.
+    """
+    cells = round(dt / (2 * np.pi / n))
+    count = len(velocities)
+    moves = []
+    for i, c in enumerate(velocities):
+        s = (c * cells) % n
+        moves.append((i, slice(0, n - s), slice(s, n)))
+        if s:
+            moves.append((i, slice(n - s, n), slice(0, s)))
+    half, full = np.exp(-sig * dt / 2.0), np.exp(-sig * dt)
+    factors, full_factors = (half, (1.0 - half) / count), (full, (1.0 - full) / count)
+    spare, shared = np.empty((count, n)), np.empty(n)
+
+    def advance(g, k):
+        nonlocal spare, shared, factors
+        for _ in range(k):
+            decay, weight = factors
+            factors = full_factors
+            np.add(g[0], g[1], out=shared)
+            for row in g[2:]:
+                shared += row
+            shared *= weight
+            for row in g:
+                row *= decay
+            for i, src, dst in moves:
+                np.add(g[i, src], shared[src], out=spare[i, dst])
+            g, spare = spare, g
+        return g
+
+    return advance
+
+
+class TestMovingFrameOracle:
+    """The moving-frame split stepper against the row-wise one, bit for bit, at every record.
+
+    At n = 256 a shift of m cells folds to 1, 3, 128, -127, -1 and 0 cells,
+    so the frames' blocks are 64, 21, 1, 1, 64 steps long, and 64 with no
+    halo. 333 steps is a multiple of none of them but 1, so block boundaries
+    fall inside record intervals. The first step of both is the half-step
+    one.
+    """
+
+    PROFILE = RelaxationProfile.parse("pc:0.5@pi,12@2pi")
+
+    @pytest.mark.parametrize("stride", [1, 7, 64, 200])
+    @pytest.mark.parametrize("cells", [1, 3, 128, 129, 255, 256], ids=["1", "3", "n/2", "n/2+1", "n-1", "n"])
+    @pytest.mark.parametrize("velocities", [(1, -1), (1, 0, -1)], ids=["2v", "3v"])
+    def test_every_record_is_bit_identical(self, velocities, cells, stride):
+        n, steps = 256, 333
+        sig, dt = self.PROFILE.sample(n), cells * 2 * np.pi / n
+        f = np.random.default_rng(cells).standard_normal((len(velocities), n))
+        want = rowwise_split_step(velocities, sig, dt, n)
+        advance, finish = solver._split_step(velocities, sig, dt, n, f)
+        g, done = f.copy(), 0
+        for step in [*range(stride, steps, stride), steps]:
+            g, got = want(g, step - done), advance(step - done)
+            assert got.shape == g.shape
+            assert np.array_equal(got, g), step
+            assert np.array_equal(finish(got.copy()), finish(g.copy())), step
+            done = step
+
+
 class TestRK4Oracle:
     """Both RK4 paths, step matrix and Horner stages, against the four stages k1..k4 written out."""
 
@@ -558,7 +640,7 @@ class TestRK4Oracle:
         sig = self.PROFILE.sample(n)
         tracemalloc.start()
         try:
-            advance, _ = solver._rk4_step((1, -1), sig, np.pi / n, n, stride)
+            advance, _ = solver._rk4_step((1, -1), sig, np.pi / n, n, stride, np.zeros((2, n)))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
