@@ -31,9 +31,8 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
 abbreviation of a flag, is an error (exit 2). A number flag takes only a
 finite number: nan and +-inf are exit 2. A file: field must hold --n
 samples. --n is at most 2**20, and --kmax and the COUNT of --grid are at
-most 100 000, each checked before any array is built. simulate-2v refuses a
---u0 with a Nyquist component above rounding, which neither scheme damps.
-An argument error is one line, like every other error. A config file
+most 100 000, each checked before any array is built. --seed is an integer
+>= 0. An argument error is one line, like every other error. A config file
 (--config PATH or --config=PATH) holds flat KEY = VALUE lines, overridden by
 CLI flags; a key the subcommand does not take is an error that names the
 file.
@@ -235,35 +234,12 @@ def _pair_norm_rows(traj, profile, rep) -> list:
     return rows
 
 
-#: Largest Nyquist component of --u0, relative to its largest value, taken as rounding.
-_NYQUIST_ROUNDING = 1e-12
-
-
-def _without_nyquist(u: GridFunction) -> GridFunction:
-    """u, refused if its Nyquist component sum_j (-1)^j u_j / n stands above rounding.
-
-    Both two-velocity schemes conserve L(u) = sum_j (-1)^j u_j up to sign, for
-    any sigma: a split step with an odd shift anticommutes with diag((-1)^j),
-    one with an even shift conserves the mass of the even and of the odd
-    nodes apart, and the spectral derivative of RK4 is zero at Nyquist. That
-    grid-scale mode never decays, so a fit of its entropy would read as a
-    counterexample to the decay theorem.
-    """
-    component = (u.values[::2].sum() - u.values[1::2].sum()) / u.n
-    if abs(component) > _NYQUIST_ROUNDING * np.max(np.abs(u.values)):
-        raise ValidationError(
-            f"--u0 has Nyquist component sum_j (-1)^j u_j / n = {component:.6g}; "
-            "the two-velocity schemes conserve it, so it never decays"
-        )
-    return u
-
-
 def cmd_simulate_2v(args):
     return _simulate_command(
         args,
         lambda profile: rate_2v(profile, args.eps),
         lambda rng: MacroState2V(
-            _without_nyquist(parse_field(args.u0, args.n, rng, zero_mean=True)),
+            parse_field(args.u0, args.n, rng, zero_mean=True),
             parse_field(args.v0, args.n, rng),
         ),
         simulate_2v,
@@ -462,6 +438,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: an integer >= 0 in decimal digits, as numpy's default_rng takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 #: Every flag of every subcommand, with its add_argument keywords.
 FLAGS = {
     "sigma": dict(default="const:1", help="const:V | pc:V@B,... | file:PATH"),
@@ -471,7 +454,7 @@ FLAGS = {
     "theta": dict(type=_finite, help="entropy twist weight"),
     "alpha": dict(type=_finite, help="decay rate in the weight (default alpha*)"),
     "eps": dict(type=_finite, help="epsilon for the defective sigma = 2"),
-    "seed": dict(type=int, default=0, help="seed for random initial data"),
+    "seed": dict(type=_seed, default=0, help="seed for random initial data"),
     "plot": dict(action="store_true", help="emit SVG plots"),
     "scheme": dict(choices=["split", "rk4"], default="split"),
     "record-every": dict(type=int, default=1),

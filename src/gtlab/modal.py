@@ -14,6 +14,7 @@ Mode k is defective iff |sigma - 2|k|| <= ``rates.DEFECT_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,12 +45,21 @@ def c_matrix(k: int, sigma: float) -> np.ndarray:
 
 
 def eigenvalues(k: int, sigma: float) -> ModeEigenvalues:
-    """Both eigenvalues of C_k, smaller (Re, Im) first; flags the defective case."""
-    root = np.sqrt(complex(sigma**2 / 4.0 - k**2))
-    lam_minus = sigma / 2.0 - root
-    lam_plus = sigma / 2.0 + root
-    defective = k != 0 and abs(sigma - 2.0 * abs(k)) <= DEFECT_TOL
-    return ModeEigenvalues(complex(lam_minus), complex(lam_plus), defective)
+    """Both eigenvalues of C_k, smaller (Re, Im) first; flags the defective case.
+
+    The root sqrt(sigma^2/4 - k^2) is taken as sqrt(sigma/2 - |k|) sqrt(sigma/2 + |k|),
+    which does not overflow for any float sigma, even at the integer
+    k = round(sigma/2), and a real lam_minus as k^2 / lam_plus, which does
+    not cancel.
+    """
+    half, k = sigma / 2.0, abs(float(k))
+    near, far = half - k, half + k
+    defective = k != 0 and abs(sigma - 2.0 * k) <= DEFECT_TOL
+    if near < 0.0:  # a complex pair
+        root = 1j * math.sqrt(-near) * math.sqrt(far)
+        return ModeEigenvalues(half - root, half + root, defective)
+    lam_plus = half + math.sqrt(near) * math.sqrt(far)
+    return ModeEigenvalues(complex(k / lam_plus * k), complex(lam_plus), defective)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,14 @@ binary powering from the Horner stages and a whole record interval is one
 vector-matrix product; on larger grids the Horner stages step the state.
 So the record stride changes the rounding of an RK4 run, not its scheme.
 
+Relaxation keeps the summed density S = sum_i f_i pointwise, so a scheme
+whose transport keeps |L|, L = sum_j (-1)^j S_j / n the checkerboard of S,
+never damps it: RK4, whose spectral derivative is zero at Nyquist, and the
+split scheme when every shift c_i m has the same parity, always for (+1, -1)
+and for (+1, 0, -1) when m is even. A fit of such a run would read as a
+counterexample to the decay theorem, so a run refuses it before any step
+when |L| exceeds _CHECKERBOARD_ROUNDING of the largest kinetic value.
+
 Each stepper is built on the initial kinetic array and advances the state
 it carries k steps per call; the run advances it one record interval at a
 time.
@@ -194,13 +202,6 @@ _SYSTEM_3V = _System(
     columns=("entropy", "norm_u1_dev", "norm_u2", "norm_u3", "u2_avg", "mass"),
     state=MacroState3V,
 )
-
-
-def _resolve_steps(t_final: float, dt: float) -> int:
-    if t_final <= 0:
-        raise ValidationError(f"t_final must be positive, got {t_final}")
-    steps = max(1, round(t_final / dt))
-    return steps
 
 
 def _split_shift_cells(dt: float, dx: float) -> int:
@@ -445,6 +446,9 @@ def _step_power(horner, count: int, n: int, stride: int) -> np.ndarray:
 #: n = 4096, two and three velocities (BENCH_split_frames.json). The largest
 #: benchmark run asks for 4e7.
 _MAX_CELL_UPDATES = 10**10
+#: Largest |L| taken as rounding, relative to max |f|, not max |S|: S rounds
+#: relative to f, so a small S beside a large f is not refused for its rounding.
+_CHECKERBOARD_ROUNDING = 1e-12
 #: Most records staged for one record pass.
 _BLOCK_RECORDS = 64
 #: Most bytes of kinetic states staged for one record pass: 64 records at
@@ -496,7 +500,11 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
         raise ValidationError(f"dt must be positive, got {dt}")
     if record_every < 1:
         raise ValidationError(f"record_every must be at least 1, got {record_every}")
-    steps = _resolve_steps(t_final, dt)
+    if t_final <= 0:
+        raise ValidationError(f"t_final must be positive, got {t_final}")
+    if dt > t_final:
+        raise ValidationError(f"dt = {dt:.6g} exceeds t_final = {t_final:.6g}; lower --dt")
+    steps = round(t_final / dt)
     if scheme not in (SCHEME_SPLIT, SCHEME_RK4):
         raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
 
@@ -516,6 +524,15 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
             f"{steps} steps of {f.size} cells exceed the bound of {_MAX_CELL_UPDATES:.0e} "
             "cell updates; raise --dt or lower --t-final"
         )
+    shift = _split_shift_cells(dt, dx) if scheme == SCHEME_SPLIT else None
+    if shift is None or len({c * shift % 2 for c in system.velocities}) == 1:
+        checkerboard = (f[:, ::2].sum() - f[:, 1::2].sum()) / n
+        if abs(checkerboard) > _CHECKERBOARD_ROUNDING * np.max(np.abs(f)):
+            how = "rk4" if shift is None else f"split with shift m = {shift} cells"
+            raise ValidationError(
+                f"the initial data has checkerboard component L = sum_j (-1)^j S_j / n = "
+                f"{checkerboard:.6g}, S = sum_i f_i; scheme {how} conserves |L|, so it never decays"
+            )
     times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
     done, staged, previous = 1, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,10 +22,10 @@ The root search is certified: it counts the zeros of D in its strip by the
 argument principle (Delves & Lyness, Math. Comp. 1967), then finds exactly
 that many, all by Newton on D: from the sign changes of a real-axis scan,
 then from a seed grid, refined while roots are missing. Two squares of
-half-side 1e-6 are left out of the strip, for the count and the roots alike:
-one around gamma = 0, the mass mode, and one around the right edge's real
-point gamma = re_max, where a constant profile has the simple zero 2 sigma~
-(the k = 0 flux mode) at the default re_max.
+half-side 1e-6, or re_max/4 if smaller, are left out of the strip, for the
+count and the roots alike: one around gamma = 0, the mass mode, and one
+around the right edge's real point gamma = re_max, where a constant profile
+has the simple zero 2 sigma~ (the k = 0 flux mode) at the default re_max.
 """
 
 from __future__ import annotations
@@ -258,10 +258,20 @@ def _outside_square(z: np.ndarray, center: complex, half: float) -> np.ndarray:
     return z[(np.abs(z.real - center.real) >= half) | (np.abs(z.imag - center.imag) >= half)]
 
 
+def _notch(problem: TelegrapherProblem) -> float:
+    """Half-side of the squares left out around 0 and re_max: _EXCLUSION, or re_max/4 if smaller.
+
+    Capped so that the notches never meet: on a narrower strip they would
+    overlap, and the contour would wind backwards, counting negatively.
+    """
+    return min(_EXCLUSION, problem.re_max / 4.0)
+
+
 def _in_strip(z: np.ndarray, problem: TelegrapherProblem) -> np.ndarray:
     ok = (z.real > 0.0) & (z.real < problem.re_max) & (np.abs(z.imag) <= problem.im_max)
+    rho = _notch(problem)
     for p in (0.0, problem.re_max):
-        ok &= (np.abs(z.real - p) >= _EXCLUSION) | (np.abs(z.imag) >= _EXCLUSION)
+        ok &= (np.abs(z.real - p) >= rho) | (np.abs(z.imag) >= rho)
     return ok
 
 
@@ -274,7 +284,7 @@ def _strip_count(problem: TelegrapherProblem) -> int:
     flux mode of a constant profile at re_max), so one batch of D resolves
     the phase there.
     """
-    rho, b, y = _EXCLUSION, problem.re_max, problem.im_max
+    rho, b, y = _notch(problem), problem.re_max, problem.im_max
     right = [b - 1j * y, b - 1j * rho, b - rho - 1j * rho, b - rho + 1j * rho, b + 1j * rho]
     left = [b + 1j * y, 1j * y, 1j * rho, rho + 1j * rho, rho - 1j * rho, -1j * rho]
     return _zeros_inside([-1j * y] + right + left, problem, centres=(0.0, complex(b)))
@@ -364,8 +374,9 @@ def telegrapher_gap(
     3. Anything but exactly the counted number raises NumericalError, as
        does an empty strip.
 
-    Squares of half-side 1e-6 around gamma = 0 and gamma = re_max are left
-    out of the strip, for the count and the roots alike.
+    Squares of half-side min(1e-6, re_max/4) around gamma = 0 and
+    gamma = re_max are left out of the strip, for the count and the roots
+    alike.
     """
     if min(seeds) < 1:
         raise ValidationError(f"seeds must be positive, got {seeds}")
@@ -373,7 +384,7 @@ def telegrapher_gap(
     if count == 0:
         raise NumericalError("no eigenvalues found in the search strip; enlarge re_max/im_max")
 
-    xs = np.linspace(_EXCLUSION, problem.re_max - _EXCLUSION, 4001)
+    xs = np.linspace(_notch(problem), problem.re_max - _notch(problem), 4001)
     ds = _d_batch(xs, problem)[0].real
     change = np.flatnonzero(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)
     roots = _add_roots(_newton(0.5 * (xs[change] + xs[change + 1]), problem, []), problem, [])

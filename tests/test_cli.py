@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtlab import cli
+from gtlab import cli, solver
 from gtlab.cli import build_parser, main
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.profiles import RelaxationProfile, as_profile
@@ -454,6 +454,12 @@ class TestExitCodes:
             (["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-300"], 2, "do not fit in memory"),
             # 0 nodes: refused, not a division by zero while the nodes are built
             (["simulate-2v", "--n", "0", "--u0", "sin"], 2, "a grid needs at least one node, got n = 0"),
+            # numpy's default_rng takes no negative seed
+            (["simulate-2v", "--seed", "-1", "--u0", "random"], 2, "--seed: expected an integer >= 0, got '-1'"),
+            # one step would overshoot T = 30, leaving the fit no point
+            (["simulate-2v", "--dt", "1e300"], 2, "dt = 1e+300 exceeds t_final = 30; lower --dt"),
+            # re_max = 2 pi 1e-8 is narrower than two 1e-6 notches: the count is 0, not -1
+            (["telegrapher", "--sigma", "pc:1e-8@pi,1@2pi"], 3, "no eigenvalues found in the search strip"),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
@@ -471,6 +477,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert (out.read_text() == "kept") if out_is_file else not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["rates", "--sigma", "const:1e12"], "constant-sharp             4e-12          2e-12          1"),
+        (["rates", "--sigma", "const:1e300"], "constant-sharp             4e-300          2e-300          1"),
+        (["modal-report", "--sigma", "const:1e300"], "spectral gap mu(1e+300) = 1e-300 (defective)"),
+        (["rate-curve", "--grid", "1e300:1e301:10"], "tabulated mu(sigma) at 10 points into"),
+        (["simulate-2v", "--sigma", "const:1e300", "--n", "64", "--u0", "random"], "entropy    4e-300  2e-300"),
+    ],
+)
+def test_large_constant_sigma_has_a_positive_rate(tmp_path, capsys, argv, line):
+    # mu(sigma) = 2/(sigma (1 + sqrt(1 - 4/sigma^2))) neither cancels to 0 nor overflows
+    assert run(*argv, "--out", str(tmp_path / "o")) == 0
+    assert any(printed.startswith(line) for printed in capsys.readouterr().out.splitlines())
 
 
 def assert_printed_summary(out, printed_text, rows):
@@ -577,25 +599,32 @@ def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
 
 
 class TestNyquistInvariant:
-    """Both two-velocity schemes conserve sum_j (-1)^j u_j up to sign, so that mode never decays."""
+    """Runs whose scheme conserves the checkerboard of the summed density exit 2 unstepped."""
 
     ARGV = ("simulate-2v", "--sigma", "const:1", "--n", "64", "--v0", "zero", "--t-final", "30")
 
     @pytest.fixture
     def no_simulation(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("simulated")
+            raise AssertionError("stepped")
 
-        monkeypatch.setattr(cli, "simulate_2v", refuse)
+        monkeypatch.setattr(solver, "_split_step", refuse)
+        monkeypatch.setattr(solver, "_rk4_step", refuse)
 
-    @pytest.mark.parametrize("scheme", ["split", "rk4"])
-    def test_nyquist_u0_exits_two_before_simulating(self, tmp_path, capsys, no_simulation, scheme):
+    @staticmethod
+    def refusal(scheme):
+        return [
+            "error: the initial data has checkerboard component L = sum_j (-1)^j S_j / n = 1, "
+            f"S = sum_i f_i; scheme {scheme} conserves |L|, so it never decays"
+        ]
+
+    @pytest.mark.parametrize(
+        "scheme, named", [("split", "split with shift m = 1 cells"), ("rk4", "rk4")], ids=["split", "rk4"]
+    )
+    def test_nyquist_u0_exits_two_before_simulating(self, tmp_path, capsys, no_simulation, scheme, named):
         out = tmp_path / "o"
         assert run(*self.ARGV, "--u0", "cos:32", "--scheme", scheme, "--out", str(out)) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --u0 has Nyquist component sum_j (-1)^j u_j / n = 1; "
-            "the two-velocity schemes conserve it, so it never decays"
-        ]
+        assert capsys.readouterr().err.splitlines() == self.refusal(named)
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["split", "rk4"])
@@ -605,7 +634,29 @@ class TestNyquistInvariant:
         GridFunction(np.sin(x) + (-1.0) ** np.arange(64)).to_csv(path)
         code = run(*self.ARGV, "--u0", f"file:{path}", "--scheme", scheme, "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "--u0 has Nyquist component sum_j (-1)^j u_j / n = 1;" in capsys.readouterr().err
+        assert "checkerboard component L = sum_j (-1)^j S_j / n = 1," in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--scheme", "rk4"), "rk4"),
+            (("--dt", "0.19634954084936207"), "split with shift m = 2 cells"),  # dt = 2 dx
+        ],
+        ids=["rk4", "split-even-shift"],
+    )
+    def test_three_velocity_checkerboard_exits_two_before_simulating(
+        self, tmp_path, capsys, no_simulation, flags, named
+    ):
+        out = tmp_path / "o"
+        argv = ("simulate-3v", "--f1", "cos:32", "--n", "64", "--t-final", "30", *flags)
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == self.refusal(named)
+        assert not out.exists()
+
+    def test_three_velocity_split_with_an_odd_shift_decays(self, tmp_path, capsys):
+        argv = ("simulate-3v", "--f1", "cos:32", "--n", "64", "--t-final", "30")
+        assert run(*argv, "--out", str(tmp_path / "o")) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[3] == "0.66917662"
 
     @pytest.mark.parametrize(
         "u0, scheme",

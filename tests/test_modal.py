@@ -1,5 +1,6 @@
 """Mode matrices, twist matrices, and Lyapunov gaps."""
 
+import decimal
 import math
 
 import numpy as np
@@ -57,6 +58,22 @@ class TestEigenvalues:
         assert eigenvalues(1, 2.0).defective
         assert eigenvalues(2, 4.0).defective
         assert not eigenvalues(2, 2.0).defective
+
+    @pytest.mark.parametrize("sigma", [2.5, 1e4, 1e8, 1e300])
+    def test_closed_form_at_any_size(self, sigma):
+        # sigma/2 -+ sqrt(sigma^2/4 - k^2) in 1000 digits, at k = 1, at the
+        # integer k = round(sigma/2) (300 digits at 1e300) and, where floats
+        # hold it, one mode past it, whose pair is complex
+        ks = {1, round(sigma / 2.0)} | ({round(sigma / 2.0) + 1} if sigma < 1e15 else set())
+        for k in ks:
+            with decimal.localcontext(decimal.Context(prec=1000)):
+                half = decimal.Decimal(sigma) / 2
+                disc = half * half - k * k
+                root = abs(disc).sqrt()
+                pair = (half - root, half + root) if disc >= 0 else (-root, root)
+                pair = [complex(half, z) if disc < 0 else complex(z) for z in pair]
+            eig = eigenvalues(k, sigma)
+            assert (eig.lam_minus, eig.lam_plus) == pytest.approx(pair, rel=1e-15)
 
     def test_ordering_convention(self):
         eig = eigenvalues(2, 2.0)
@@ -157,6 +174,10 @@ class TestSpectralGap:
             if abs(s / 2.0 - round(s / 2.0)) < 1e-9 and s >= 2.0:
                 continue
             assert spectral_gap(float(s)).mu == pytest.approx(constant_rate(float(s)).mu)
+
+    def test_huge_sigma(self):
+        # every float above 2^53 is an integer; 1e300 is even, so mode sigma/2 is defective
+        assert spectral_gap(1e300) == (pytest.approx(1e-300, rel=1e-15), True)
 
     def test_defective_flags(self):
         assert spectral_gap(4.0).defective

@@ -1,5 +1,6 @@
 """Closed-form rate formulas and admissibility checks."""
 
+import decimal
 import math
 
 import numpy as np
@@ -32,6 +33,15 @@ class TestConstantRate:
         assert r.mu == pytest.approx((5.0 - math.sqrt(21.0)) / 2.0)
         assert r.theta == pytest.approx(0.8)
         assert r.prefactor == pytest.approx(math.sqrt(7.0 / 3.0))
+
+    @pytest.mark.parametrize("sigma", [2.5, 1e4, 1e8, 1e300])
+    def test_mu_is_the_closed_form_at_any_size(self, sigma):
+        # sigma/2 - sqrt(sigma^2/4 - 1) in 1000 digits; in floats it would
+        # cancel (-25 % at 1e8, 0 at 1e12) and overflow past 1.3e154
+        with decimal.localcontext(decimal.Context(prec=1000)):
+            s = decimal.Decimal(sigma)
+            mu = float(s / 2 - (s * s / 4 - 1).sqrt())
+        assert constant_rate(sigma).mu == pytest.approx(mu, rel=1e-15)
 
     def test_defective_value(self):
         r = constant_rate(2.0, eps=0.5)
@@ -165,6 +175,14 @@ class TestRate3V:
 
     def test_one_four(self):
         assert rate_3v(1.0, 4.0).rate == pytest.approx(3.0 / 145.0)
+
+    @pytest.mark.parametrize("sigma", [1e8, 1e300])
+    def test_large_sigma_keeps_a_positive_rate_and_its_conditions(self, sigma):
+        # 3 sigma/(9 sigma^2 + 1), without squaring sigma, which overflows past 1.3e154
+        r = rate_3v(sigma, sigma)
+        assert r.rate == pytest.approx(1.0 / (3.0 * sigma), rel=1e-15)
+        check = check_conditions_3v(r.theta, r.rate, sigma)
+        assert check and all(math.isfinite(m) for m in check.margins.values())
 
     def test_returned_pair_passes_conditions(self):
         rng = np.random.default_rng(1)

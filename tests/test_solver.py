@@ -117,19 +117,6 @@ class TestSimulate2V:
         for name in ("entropy", "rhs"):
             assert_allclose(big[name], 1e8 * base[name], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("scheme, cells", [("split", 1), ("split", 2), ("rk4", None)])
-    def test_nyquist_sum_of_u_is_conserved_up_to_sign(self, scheme, cells):
-        # L(u) = sum_j (-1)^j u_j: an odd shift anticommutes with diag((-1)^j),
-        # an even one conserves the even and the odd nodes' mass apart, and
-        # the spectral derivative is zero at Nyquist. So this mode never decays
-        n = 64
-        alternating = (-1.0) ** np.arange(n)
-        u0 = random_band_limited(n, seed=1).values + alternating
-        init = MacroState2V(GridFunction(u0), random_band_limited(n, seed=2))
-        dt = None if cells is None else cells * 2 * np.pi / n
-        traj = simulate_2v(init, RelaxationProfile.two_piece(1.0, 4.0), 20.0, dt=dt, scheme=scheme)
-        assert abs(traj.final.u.values @ alternating) == pytest.approx(n, rel=1e-12)
-
     def test_defective_sigma_needs_theta(self):
         init = MacroState2V(GridFunction.zeros(64), gf(np.cos, 64))
         with pytest.raises(ValidationError):
@@ -209,6 +196,14 @@ class TestSimulate2V:
         init = MacroState2V(GridFunction.zeros(64), GridFunction.zeros(64))
         with pytest.raises(ValidationError):
             simulate_2v(init, 1.0, 1.0, dt=0.01, scheme="split")
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    def test_step_longer_than_the_run_is_refused(self, scheme):
+        # one step of 2 dx would overshoot t_final = dx by a whole step
+        init = MacroState2V(GridFunction.zeros(64), GridFunction(np.cos(nodes(64))))
+        dx = 2 * np.pi / 64
+        with pytest.raises(ValidationError, match=r"^dt = 0.19635 exceeds t_final = 0.0981748; lower --dt$"):
+            simulate_2v(init, 1.0, dx, dt=2 * dx, scheme=scheme)
 
     @pytest.mark.parametrize(
         "n, record_every, t_named",
@@ -291,6 +286,78 @@ class TestSimulate3V:
             norm(a.final.u3 - b.final.u3),
         )
         assert diff < 1e-3
+
+
+class TestCheckerboardRule:
+    """Runs whose scheme conserves the checkerboard of S = sum_i f_i are refused.
+
+    Relaxation keeps S pointwise. RK4's spectral derivative is zero at
+    Nyquist, and a split step multiplies row i's share of
+    L = sum_j (-1)^j S_j by (-1)^(c_i m). So |L| is conserved under RK4, and
+    under the split scheme when every c_i m has the same parity: always for
+    (+1, -1), and for (+1, 0, -1) only when m is even.
+    """
+
+    N = 64
+    ALTERNATING = (-1.0) ** np.arange(N)
+
+    def checkerboard(self, f):
+        return f.sum(axis=0) @ self.ALTERNATING / self.N
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    @pytest.mark.parametrize("velocities", [(1, -1), (1, 0, -1)], ids=["2v", "3v"])
+    def test_conserved_exactly_when_the_rule_says(self, velocities, scheme, m):
+        n, dx = self.N, 2 * np.pi / self.N
+        f = np.vstack([random_band_limited(n, seed=s).values for s in range(len(velocities))])
+        f[0] += self.ALTERNATING
+        sig = RelaxationProfile.two_piece(1.0, 4.0).sample(n)
+        if scheme == "split":
+            advance, finish = solver._split_step(velocities, sig, m * dx, n, f)
+        else:  # m scales the step, which RK4's rule does not depend on
+            advance, finish = solver._rk4_step(velocities, sig, m * dx / 4, n, 1, f)
+        after = abs(self.checkerboard(finish(advance(100).copy())))
+        if scheme == "rk4" or len(velocities) == 2 or m % 2 == 0:
+            assert after == pytest.approx(1.0, rel=1e-12)
+        else:  # the rows of c_i = 0 and c_i = +-1 flip apart and relaxation damps their difference
+            assert after < 1e-2
+
+    @pytest.fixture
+    def no_steps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(solver, "_split_step", refuse)
+        monkeypatch.setattr(solver, "_rk4_step", refuse)
+
+    @pytest.mark.parametrize(
+        "system, scheme, cells, named",
+        [
+            ("2v", "split", 1, "scheme split with shift m = 1 cells"),
+            ("2v", "rk4", None, "scheme rk4"),
+            ("3v", "split", 2, "scheme split with shift m = 2 cells"),
+            ("3v", "rk4", None, "scheme rk4"),
+        ],
+        ids=["2v-split", "2v-rk4", "3v-split-even", "3v-rk4"],
+    )
+    def test_library_runs_are_refused_before_any_step(self, no_steps, system, scheme, cells, named):
+        n = self.N
+        board = GridFunction(0.5 * self.ALTERNATING + random_band_limited(n, seed=1).values)
+        dt = None if cells is None else cells * 2 * np.pi / n
+        if system == "2v":
+            init, simulate = MacroState2V(board, random_band_limited(n, seed=2)), simulate_2v
+        else:
+            init, simulate = to_macro3(board, GridFunction.zeros(n), GridFunction.zeros(n)), simulate_3v
+        match = rf"sum_j \(-1\)\^j S_j / n = 0.5, S = sum_i f_i; {named} conserves \|L\|"
+        with pytest.raises(ValidationError, match=match):
+            simulate(init, 1.0, 30.0, dt=dt, scheme=scheme)
+
+    def test_rounding_is_measured_against_the_kinetic_values(self):
+        # S = f_+ + f_- rounds relative to v, not to u; against max |S| the
+        # rounding of this L would read 1.5e-12 and the run would be refused
+        u0 = GridFunction(1e-7 * random_band_limited(256, seed=1, zero_mean=True).values)
+        traj = simulate_2v(MacroState2V(u0, random_band_limited(256, seed=2)), 1.0, 1.0)
+        assert np.isfinite(traj["entropy"]).all() and traj.times.size == 42
 
 
 class TestTrajectory:

@@ -268,6 +268,22 @@ class TestCertificate:
                 box = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
                 assert tele._zeros_inside(box, p) == 2
 
+    @pytest.mark.parametrize("re_max", [1e-7, 1.5e-6, 1e-3])
+    def test_narrow_strip_counts_none_and_keeps_its_middle(self, re_max):
+        # notches of half-side min(1e-6, re_max/4) never meet: two of 1e-6 on a
+        # strip 1e-7 wide overlapped, and its contour counted -1
+        p = TelegrapherProblem(math.pi, 4 * math.pi, re_max=re_max)
+        assert tele._strip_count(p) == 0
+        middle = np.array([re_max / 2, re_max / 2 + 1e-9j])
+        assert tele._in_strip(middle, p).all()
+
+    def test_strip_narrower_than_the_notches_exits_on_an_empty_count(self):
+        # pc:1e-8@pi,1@2pi: re_max = 2 pi 1e-8
+        p = rescale_sigma(RelaxationProfile.two_piece(1e-8, 1.0))
+        assert tele._strip_count(p) == 0
+        with pytest.raises(NumericalError, match="no eigenvalues found in the search strip"):
+            telegrapher_gap(p)
+
     @pytest.mark.parametrize("pair", [(1.0, 4.0), (1.34, 5.46), (17.02, 17.24)])
     def test_strip_count_takes_at_most_three_batches(self, pair, monkeypatch):
         # samples graded toward the notches at 0 and re_max resolve the phase
