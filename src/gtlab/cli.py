@@ -158,10 +158,10 @@ def _decay_plot(traj, theory_rate, label):
     return draw
 
 
-def _eigenvalue_plot(rows, gap):
+def _eigenvalue_plot(columns, gap):
     def draw(plt, fig):
-        re = [r["re_lam_minus"] for r in rows] + [r["re_lam_plus"] for r in rows]
-        im = [r["im_lam_minus"] for r in rows] + [r["im_lam_plus"] for r in rows]
+        re = np.concatenate([columns["re_lam_minus"], columns["re_lam_plus"]])
+        im = np.concatenate([columns["im_lam_minus"], columns["im_lam_plus"]])
         plt.scatter(re, im, s=12)
         plt.axvline(gap, linestyle="--", color="tab:red", label=f"gap {gap:.5g}")
         plt.xlabel("Re lambda")
@@ -287,12 +287,11 @@ def cmd_modal_report(args):
     if not profile.is_constant:
         raise ValidationError("modal-report needs a constant sigma")
     s = profile.sigma_min
-    rows = modal_report(s, args.kmax, eps=args.eps)
+    columns = modal_report(s, args.kmax, eps=args.eps)
     gap = spectral_gap(s)
-    header = ["k", "re_lam_minus", "im_lam_minus", "re_lam_plus", "im_lam_plus", "lyapunov_gap", "case"]
-    files = {"modal_report.csv": (header, [[r[h] for h in header] for r in rows])}
+    files = {"modal_report.csv": (list(columns), list(zip(*(c.tolist() for c in columns.values()))))}
     if args.plot:
-        files["eigenvalues.svg"] = _eigenvalue_plot(rows, gap.mu)
+        files["eigenvalues.svg"] = _eigenvalue_plot(columns, gap.mu)
     return files, [f"spectral gap mu({s:g}) = {gap.mu:.8g}" + (" (defective)" if gap.defective else "")]
 
 

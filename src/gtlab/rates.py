@@ -9,9 +9,10 @@ with twist theta(sigma) = sigma resp. 4/sigma and L2 prefactor
 C_sigma = sqrt((2+sigma)/|2-sigma|). The defective value sigma = 2 trades an
 epsilon of rate for a finite prefactor sqrt(2)/epsilon.
 
-For sigma > 2, mu is evaluated as 2/(sigma (1 + sqrt(1 - 4/sigma^2))), which
+For sigma > 2, mu is evaluated as (2/sigma)/(1 + sqrt(1 - (2/sigma)^2)), which
 neither cancels (sigma/2 - sqrt(...) is 25 % low at sigma = 1e8 and 0 past
-1e12) nor overflows (sigma^2 does past 1.3e154).
+1e12) nor overflows (sigma^2 does past 1.3e154, and sigma (1 + sqrt(...))
+past 9e307).
 
 For variable sigma the perturbative route uses theta* = min(sigma_min,
 4/sigma_max) and the guaranteed entropy rate alpha* = gamma_max(theta*); the
@@ -104,7 +105,7 @@ def constant_rate(sigma: float, eps: float | None = None) -> RateReport:
         pref = math.sqrt((2.0 + sigma) / (2.0 - sigma))
     else:
         theta = 4.0 / sigma
-        mu = 2.0 / (sigma * (1.0 + math.sqrt(1.0 - (2.0 / sigma) ** 2)))
+        mu = (2.0 / sigma) / (1.0 + math.sqrt(1.0 - (2.0 / sigma) ** 2))
         pref = math.sqrt((sigma + 2.0) / (sigma - 2.0))
     return RateReport(source=SOURCE_CONSTANT, rate=2.0 * mu, theta=theta, prefactor=pref)
 
@@ -205,13 +206,15 @@ def check_conditions_3v(theta: float, alpha: float, sigma) -> ConditionCheck:
         "alpha_le_sqrt23_theta": s23t - alpha,
     }
     svals = np.array([v for _, v in profile.pieces])
-    den1 = 8.0 * svals - 4.0 * s23t - 4.0 * alpha
-    den2 = 12.0 * (2.0 * svals - alpha)
+    # the denominators 8 sigma - 4 s23t - 4 alpha and 12 (2 sigma - alpha), over 8 and 24,
+    # which do not overflow below the largest float
+    den1 = svals - (s23t + alpha) / 2.0
+    den2 = svals - alpha / 2.0
     if np.min(den1) <= 0.0 or np.min(den2) <= 0.0:
         margins["supremum_bound"] = -math.inf  # denominators collapse with condition I
     else:
-        sup1 = float(np.max((theta * (svals - alpha)) ** 2 / den1))  # no overflow at large sigma
-        sup2 = float(np.max(theta**2 / den2))
+        sup1 = float(np.max((theta * (svals - alpha)) ** 2 / 8.0 / den1))  # no overflow at large sigma
+        sup2 = float(np.max(theta**2 / 24.0 / den2))
         margins["supremum_bound"] = (s23t - alpha) - (sup1 + sup2)
     return _verdict(margins, strict={"transport_budget"})
 
@@ -220,8 +223,9 @@ def rate_3v(sigma_min: float, sigma_max: float) -> RateReport:
     """Explicit three-velocity rate: alpha = min(s_min/2, 3 s_min/(9 s_max^2 + 1))."""
     if not 0.0 < sigma_min <= sigma_max:
         raise ValidationError(f"need 0 < sigma_min <= sigma_max, got ({sigma_min}, {sigma_max})")
-    # 3 sigma_min/(9 sigma_max^2 + 1), without the overflow of sigma_max^2
-    alpha = min(sigma_min / 2.0, 3.0 * (sigma_min / sigma_max) / (9.0 * sigma_max + 1.0 / sigma_max))
+    # 3 sigma_min/(9 sigma_max^2 + 1) as (r/3)/(s + 1/(9 s)), r = sigma_min/sigma_max and
+    # s = sigma_max, without the overflow of sigma_max^2 (past 1.3e154) or 9 sigma_max (past 2e307)
+    alpha = min(sigma_min / 2.0, (sigma_min / sigma_max / 3.0) / (sigma_max + 1.0 / (9.0 * sigma_max)))
     return RateReport(source=SOURCE_THREE_VELOCITY, rate=alpha, theta=math.sqrt(6.0) * alpha)
 
 

@@ -37,7 +37,10 @@ never damps it: RK4, whose spectral derivative is zero at Nyquist, and the
 split scheme when every shift c_i m has the same parity, always for (+1, -1)
 and for (+1, 0, -1) when m is even. A fit of such a run would read as a
 counterexample to the decay theorem, so a run refuses it before any step
-when |L| exceeds _CHECKERBOARD_ROUNDING of the largest kinetic value.
+when |L| exceeds _CHECKERBOARD_ROUNDING of the largest kinetic value. It
+refuses a twist |theta| >= 2 there too: E_theta is a norm only for
+|theta| < 2 (``entropy.equivalence_bounds``), so its fitted decay rate would
+say nothing about the state's.
 
 Each stepper is built on the initial kinetic array and advances the state
 it carries k steps per call; the run advances it one record interval at a
@@ -504,6 +507,8 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
         raise ValidationError(f"t_final must be positive, got {t_final}")
     if dt > t_final:
         raise ValidationError(f"dt = {dt:.6g} exceeds t_final = {t_final:.6g}; lower --dt")
+    if not abs(theta) < 2.0:
+        raise ValidationError(f"theta = {theta:g}: the entropy E_theta is a norm only for |theta| < 2")
     steps = round(t_final / dt)
     if scheme not in (SCHEME_SPLIT, SCHEME_RK4):
         raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
@@ -533,9 +538,9 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
                 f"the initial data has checkerboard component L = sum_j (-1)^j S_j / n = "
                 f"{checkerboard:.6g}, S = sum_i f_i; scheme {how} conserves |L|, so it never decays"
             )
-    times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
     done, staged, previous = 1, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
+        times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
         if scheme == SCHEME_SPLIT:
             advance, finish = _split_step(system.velocities, sig, dt, n, f)
         else:

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -487,12 +488,46 @@ class TestExitCodes:
         (["modal-report", "--sigma", "const:1e300"], "spectral gap mu(1e+300) = 1e-300 (defective)"),
         (["rate-curve", "--grid", "1e300:1e301:10"], "tabulated mu(sigma) at 10 points into"),
         (["simulate-2v", "--sigma", "const:1e300", "--n", "64", "--u0", "random"], "entropy    4e-300  2e-300"),
+        (["rates", "--sigma", "const:8e307"], "constant-sharp             5e-308          2.5e-308        1"),
+        (["rates", "--sigma", "const:1.7e308"], "constant-sharp             2.3529412e-308  1.1764706e-308  1"),
+        (["rate-curve", "--grid", "8e307:1.79e308:3"], "tabulated mu(sigma) at 3 points into"),
     ],
 )
 def test_large_constant_sigma_has_a_positive_rate(tmp_path, capsys, argv, line):
-    # mu(sigma) = 2/(sigma (1 + sqrt(1 - 4/sigma^2))) neither cancels to 0 nor overflows
-    assert run(*argv, "--out", str(tmp_path / "o")) == 0
+    # mu(sigma) = (2/sigma)/(1 + sqrt(1 - (2/sigma)^2)) neither cancels to 0 nor overflows,
+    # and rate_3v's (r/3)/(s + 1/(9s)) does not overflow either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out", str(tmp_path / "o")) == 0
     assert any(printed.startswith(line) for printed in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("sigma", ["1e300", "8e307", "1.7e308"])
+def test_modal_report_keeps_the_gap_at_huge_sigma(tmp_path, sigma):
+    # theta = 4/sigma and s -> 1, so the gap of mode k is (2 - 1/k^2)/sigma
+    out = tmp_path / "o"
+    assert run("modal-report", "--sigma", f"const:{sigma}", "--kmax", "3", "--out", str(out)) == 0
+    rows = [line.split(",") for line in (out / "modal_report.csv").read_text().splitlines()[1:]]
+    gaps = [float(row[5]) for row in rows]
+    assert gaps == pytest.approx([(2.0 - 1.0 / k**2) / float(sigma) for k in (1, 2, 3)], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("simulate-2v",), 3),  # the t0 rhs sums sigma v^2 over the grid before dividing by n
+        (("simulate-2v", "--u0", "random", "--v0", "random"), 3),
+        (("simulate-2v", "--scheme", "rk4"), 3),  # the stiff relaxation term blows RK4 up
+        (("simulate-3v",), 0),
+        (("simulate-3v", "--scheme", "rk4"), 3),
+    ],
+)
+@pytest.mark.parametrize("sigma", ["8e307", "1.7e308"])
+def test_simulations_at_the_top_of_the_float_range_end_in_one_line(tmp_path, capsys, sigma, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--sigma", f"const:{sigma}", "--n", "64", "--out", str(tmp_path / "o")) == code
+    assert len(capsys.readouterr().err.splitlines()) == (code != 0)
 
 
 def assert_printed_summary(out, printed_text, rows):
@@ -598,18 +633,19 @@ def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(solver, "_split_step", refuse)
+    monkeypatch.setattr(solver, "_rk4_step", refuse)
+
+
 class TestNyquistInvariant:
     """Runs whose scheme conserves the checkerboard of the summed density exit 2 unstepped."""
 
     ARGV = ("simulate-2v", "--sigma", "const:1", "--n", "64", "--v0", "zero", "--t-final", "30")
-
-    @pytest.fixture
-    def no_simulation(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("stepped")
-
-        monkeypatch.setattr(solver, "_split_step", refuse)
-        monkeypatch.setattr(solver, "_rk4_step", refuse)
 
     @staticmethod
     def refusal(scheme):
@@ -664,6 +700,26 @@ class TestNyquistInvariant:
     )
     def test_data_without_it_still_runs(self, tmp_path, u0, scheme):
         assert run(*self.ARGV, "--u0", u0, "--scheme", scheme, "--out", str(tmp_path / "o")) == 0
+
+
+class TestThetaBound:
+    """E_theta is a norm only for |theta| < 2; any other --theta exits 2 before any step."""
+
+    @pytest.mark.parametrize(
+        "command, theta",
+        [("simulate-2v", "3"), ("simulate-2v", "2"), ("simulate-2v", "-2.5"), ("simulate-3v", "100")],
+    )
+    def test_exits_two_before_any_step(self, tmp_path, capsys, no_simulation, command, theta):
+        out = tmp_path / "o"
+        assert run(command, "--theta", theta, "--t-final", "5", "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: theta = {theta}: the entropy E_theta is a norm only for |theta| < 2"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", ["1.9", "-1"])
+    def test_a_twist_inside_the_bound_runs(self, tmp_path, theta):
+        assert run("simulate-2v", "--theta", theta, "--t-final", "5", "--out", str(tmp_path / "o")) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate-2v", "simulate-3v"])

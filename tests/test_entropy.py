@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs, equivalence_bounds
 from gtlab.errors import GridMismatchError, ValidationError
-from gtlab.modal import p_matrix
+from gtlab.rates import constant_rate
 from gtlab.profiles import RelaxationProfile
 from gtlab.torus import GridFunction, nodes, norm_sq, random_band_limited
 
@@ -107,9 +107,12 @@ class TestModalConsistency:
         f = random_band_limited(n, seed=21, zero_mean=True)
         g = random_band_limited(n, seed=22)
         fc, gc = np.fft.fft(f.values) / n, np.fft.fft(g.values) / n
+        theta = constant_rate(sigma).theta
         total = abs(gc[0]) ** 2
         for k in range(-n // 2 + 1, n // 2):
             if k == 0:
                 continue
-            total += p_matrix(k, sigma).weighted_norm_sq([fc[k % n], gc[k % n]])
+            p = np.array([[1.0, -1j * theta / (2.0 * k)], [1j * theta / (2.0 * k), 1.0]])
+            y = np.array([fc[k % n], gc[k % n]])
+            total += (y.conj() @ p @ y).real
         assert total == pytest.approx(entropy_2v(f, g, sigma), abs=1e-10)

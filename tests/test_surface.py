@@ -40,15 +40,12 @@ ORACLES = {
     "entropy.entropy_3v",  # the record pass's 3v columns
     "entropy.entropy_evolution_rhs",  # the record pass's rhs column
     "entropy.equivalence_bounds",  # the entropy-norm sandwich
-    "modal.p_low_mode",  # the low-mode twist of the paper
-    "modal.p_defective",  # the sigma = 2 twist of the paper
     "rates.gamma_bounds",  # alpha* as the maximum of gamma_max
     "torus.antiderivative",  # operator identities on grid functions
     "torus.derivative",  # operator identities on grid functions
     "torus.inner",  # the normalised inner product
     "torus.norm",  # norm bounds on trajectories
     # members: each checks the program's own output, and a run manifest would report it
-    "modal.TwistMatrix.weighted_norm_sq",  # the entropy as a sum of twisted mode norms
     "rates.ConditionCheck.margins",  # the slack of each admissibility inequality
     "rates.ConditionCheck.failures",  # which admissibility inequalities fail
     "solver.Trajectory.entropy_increases",  # the entropy never grows along a run
