@@ -101,11 +101,11 @@ def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = F
     tag, _, body = spec.partition(":")
     try:
         if tag == "zero":
-            return GridFunction.zeros(n)
+            return GridFunction(np.zeros(n))
         if tag == "one":
-            return GridFunction.constant(1.0, n)
+            return GridFunction(np.ones(n))
         if tag == "const":
-            return GridFunction.constant(float(body), n)
+            return GridFunction(np.full(n, float(body)))
         if tag in ("sin", "cos"):
             k = int(body) if body else 1
             fn = np.sin if tag == "sin" else np.cos

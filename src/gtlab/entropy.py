@@ -43,12 +43,13 @@ def _mean_dot(a: np.ndarray, b: np.ndarray):
     return np.einsum("...i,...i->...", a, b) / a.shape[-1]
 
 
-def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
+def entropy_terms(f, g, theta: float, h=None, sigma=None) -> EntropyTerms:
     """E_theta(f, g) (+ ||h||^2 when h is given) on plain sample arrays.
 
     The samples run along the last axis; leading axes index separate states
-    and give one value each. f is mean-zero and prim its mean-zero
-    primitive, torus.primitive(f). Given sigma samples, rhs is the exact
+    and give one value each. f is mean-zero; prim is its mean-zero
+    primitive, torus.primitive(f), formed here once for both the entropy
+    and the rhs. Given sigma samples, rhs is the exact
     d/dt of E_theta(u - u_avg, v) along the two-velocity flow, for
     f = u - u_avg and g = v:
 
@@ -57,9 +58,10 @@ def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
         + (theta/2pi) int sigma * prim * g dx
         - theta * g_avg^2.
     """
-    parts = (g, prim) if h is None else (g, prim, h)
+    parts = (g,) if h is None else (g, h)
     if any(np.shape(a) != np.shape(f) for a in parts):
         raise GridMismatchError(f"incompatible grids: {[np.shape(a) for a in (f,) + parts]}")
+    prim = primitive(f)
     f_sq, g_sq = _mean_dot(f, f), _mean_dot(g, g)
     h_sq = 0.0 if h is None else _mean_dot(h, h)
     entropy = f_sq + g_sq - theta * _mean_dot(g, prim) + h_sq
@@ -73,12 +75,12 @@ def entropy_terms(f, g, prim, theta: float, h=None, sigma=None) -> EntropyTerms:
 
 def entropy_2v(f: GridFunction, g: GridFunction, theta: float) -> float:
     """E_theta(f, g); the caller passes f mean-shifted (e.g. u - u_avg)."""
-    return float(entropy_terms(f.values, g.values, primitive(f.values), theta).entropy)
+    return float(entropy_terms(f.values, g.values, theta).entropy)
 
 
 def entropy_3v(f: GridFunction, g: GridFunction, h: GridFunction, theta: float) -> float:
     """Three-velocity entropy: entropy_2v(f, g, theta) + ||h||^2."""
-    return float(entropy_terms(f.values, g.values, primitive(f.values), theta, h=h.values).entropy)
+    return float(entropy_terms(f.values, g.values, theta, h=h.values).entropy)
 
 
 def equivalence_bounds(theta: float) -> tuple[float, float]:
@@ -97,4 +99,4 @@ def entropy_evolution_rhs(u: GridFunction, v: GridFunction, sigma, theta: float)
     """
     sig = as_profile(sigma).sample(u.n)
     udev = u.values - average(u)
-    return float(entropy_terms(udev, v.values, primitive(udev), theta, sigma=sig).rhs)
+    return float(entropy_terms(udev, v.values, theta, sigma=sig).rhs)

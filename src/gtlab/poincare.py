@@ -273,12 +273,15 @@ def weight_from_sigma(sigma, theta: float, alpha: float) -> TwoPieceWeight:
     s1, s2 = profile.as_two_piece()
     vals = []
     for s in (s1, s2):
-        den = 2.0 * s - theta - alpha
-        if den <= 0:
+        # (s - alpha) ((s - alpha)/den), den = 2 s - theta - alpha held as its half: neither the
+        # square (past 1.3e154) nor 2 s (past 9e307) overflows
+        half_den = s - (theta + alpha) / 2.0
+        if half_den <= 0:
             raise ValidationError(
                 f"nonpositive denominator 2*{s} - {theta} - {alpha} in the weight"
             )
-        vals.append((s - alpha) ** 2 / den)
+        d = s - alpha
+        vals.append(d * (d / 2.0 / half_den))
     return TwoPieceWeight(*vals)
 
 

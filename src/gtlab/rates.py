@@ -15,9 +15,10 @@ neither cancels (sigma/2 - sqrt(...) is 25 % low at sigma = 1e8 and 0 past
 past 9e307).
 
 For variable sigma the perturbative route uses theta* = min(sigma_min,
-4/sigma_max) and the guaranteed entropy rate alpha* = gamma_max(theta*); the
-three-velocity system gets alpha = min(sigma_min/2, 3 sigma_min/(9 sigma_max^2+1))
-with twist sqrt(6)*alpha.
+4/sigma_max) and the guaranteed entropy rate alpha* = gamma_max(theta*),
+which is 2 mu(sigma_max) when sigma_min >= 4/sigma_max; the three-velocity
+system gets alpha = min(sigma_min/2, 3 sigma_min/(9 sigma_max^2+1)) with
+twist sqrt(6)*alpha.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .profiles import RelaxationProfile, as_profile
 
 #: Sources a RateReport can come from.
@@ -105,9 +106,14 @@ def constant_rate(sigma: float, eps: float | None = None) -> RateReport:
         pref = math.sqrt((2.0 + sigma) / (2.0 - sigma))
     else:
         theta = 4.0 / sigma
-        mu = (2.0 / sigma) / (1.0 + math.sqrt(1.0 - (2.0 / sigma) ** 2))
+        mu = _mu_above_two(sigma)
         pref = math.sqrt((sigma + 2.0) / (sigma - 2.0))
     return RateReport(source=SOURCE_CONSTANT, rate=2.0 * mu, theta=theta, prefactor=pref)
+
+
+def _mu_above_two(sigma: float) -> float:
+    """mu(sigma) = sigma/2 - sqrt(sigma^2/4 - 1), sigma >= 2, in a form that neither cancels nor overflows."""
+    return (2.0 / sigma) / (1.0 + math.sqrt(1.0 - (2.0 / sigma) ** 2))
 
 
 def theta_star(sigma_min: float, sigma_max: float) -> float:
@@ -124,7 +130,7 @@ def alpha_star(sigma_min: float, sigma_max: float) -> float:
     if sigma_min < 4.0 / sigma_max:
         root = 2.0 * _safe_sqrt(4.0 - sigma_min**2, "alpha_star branch 1")
         return sigma_min * (4.0 + root - sigma_min * sigma_max) / (4.0 + root - sigma_min**2)
-    return sigma_max - _safe_sqrt(sigma_max**2 - 4.0, "alpha_star branch 2")
+    return 2.0 * _mu_above_two(sigma_max)  # sigma_max - sqrt(sigma_max^2 - 4), sigma_max > 2 here
 
 
 def gamma_bounds(theta: float, sigma_min: float, sigma_max: float) -> tuple[float, float]:
@@ -159,10 +165,11 @@ class ConditionCheck:
 
 
 def _verdict(margins: dict, strict: set) -> ConditionCheck:
+    """A NaN slack is a failure: it satisfies neither comparison."""
     failures = tuple(
         name
         for name, slack in margins.items()
-        if (slack <= 0.0 if name in strict else slack < -_CONDITION_ATOL)
+        if not (slack > 0.0 if name in strict else slack >= -_CONDITION_ATOL)
     )
     return ConditionCheck(satisfied=not failures, margins=margins, failures=failures)
 
@@ -178,9 +185,9 @@ def check_conditions_2v(theta: float, alpha: float, sigma) -> ConditionCheck:
         raise ValidationError(f"need theta, alpha in (0, 2), got ({theta}, {alpha})")
     profile = as_profile(sigma)
     svals = np.array([v for _, v in profile.pieces])
-    quad = theta**2 * (svals - alpha) ** 2 - 4.0 * (theta - alpha) * (
-        2.0 * svals - theta - alpha
-    )
+    # (theta (sigma - alpha))^2 - 8 (theta - alpha)(sigma - (theta + alpha)/2): neither theta^2
+    # (0 at theta = 4e-200) times (sigma - alpha)^2 (inf) nor 2 sigma (past 9e307) is formed
+    quad = (theta * (svals - alpha)) ** 2 - 8.0 * (theta - alpha) * (svals - (theta + alpha) / 2.0)
     margins = {
         "alpha_lt_theta": theta - alpha,
         "theta_plus_alpha_lt_2sigma_min": 2.0 * profile.sigma_min - theta - alpha,
@@ -223,9 +230,17 @@ def rate_3v(sigma_min: float, sigma_max: float) -> RateReport:
     """Explicit three-velocity rate: alpha = min(s_min/2, 3 s_min/(9 s_max^2 + 1))."""
     if not 0.0 < sigma_min <= sigma_max:
         raise ValidationError(f"need 0 < sigma_min <= sigma_max, got ({sigma_min}, {sigma_max})")
-    # 3 sigma_min/(9 sigma_max^2 + 1) as (r/3)/(s + 1/(9 s)), r = sigma_min/sigma_max and
-    # s = sigma_max, without the overflow of sigma_max^2 (past 1.3e154) or 9 sigma_max (past 2e307)
-    alpha = min(sigma_min / 2.0, (sigma_min / sigma_max / 3.0) / (sigma_max + 1.0 / (9.0 * sigma_max)))
+    # 3 sigma_min/(9 sigma_max^2 + 1) is below sigma_min/2 only for sigma_max > sqrt(5)/3; there it is
+    # (r/3)/(s + 1/(9 s)), r = sigma_min/sigma_max and s = sigma_max, which overflows nowhere
+    # (sigma_max^2 does past 1.3e154, 9 sigma_max past 2e307, and 1/(9 s) below 6e-310)
+    alpha = sigma_min / 2.0
+    if sigma_max > math.sqrt(5.0) / 3.0:
+        alpha = min(alpha, (sigma_min / sigma_max / 3.0) / (sigma_max + 1.0 / (9.0 * sigma_max)))
+    if alpha == 0.0:
+        raise NumericalError(
+            f"the three-velocity rate min(sigma_min/2, 3 sigma_min/(9 sigma_max^2 + 1)) underflows "
+            f"to 0 at sigma_min = {sigma_min:g}, sigma_max = {sigma_max:g}"
+        )
     return RateReport(source=SOURCE_THREE_VELOCITY, rate=alpha, theta=math.sqrt(6.0) * alpha)
 
 

@@ -67,7 +67,7 @@ from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entro
 from .errors import NumericalError, ValidationError
 from .profiles import as_profile
 from .rates import rate_2v, rate_3v
-from .torus import TWO_PI, GridFunction, primitive, write_csv
+from .torus import TWO_PI, GridFunction, write_csv
 
 SCHEME_SPLIT = "split"
 SCHEME_RK4 = "rk4"
@@ -463,18 +463,15 @@ def _diagnostics(u: np.ndarray, sig: np.ndarray, theta: float) -> tuple:
     """The record columns of macroscopic rows u = (mass density, flux[, u3]).
 
     u has shape (..., V, n); each column comes back with the leading shape.
-    The mean-zero primitive of the mass deviation is computed once and serves
-    both the entropy and, for two velocities, its evolution rhs.
     """
     mass = np.mean(u[..., 0, :], axis=-1)
     dev = u[..., 0, :] - mass[..., None]
-    prim = primitive(dev)
     flux = u[..., 1, :]
     flux_avg = np.mean(flux, axis=-1)
     if u.shape[-2] == 2:
-        e = entropy_terms(dev, flux, prim, theta, sigma=sig)
+        e = entropy_terms(dev, flux, theta, sigma=sig)
         return e.entropy, np.sqrt(e.f_sq), np.sqrt(e.g_sq), flux_avg, mass, e.rhs
-    e = entropy_terms(dev, flux, prim, theta, h=u[..., 2, :])
+    e = entropy_terms(dev, flux, theta, h=u[..., 2, :])
     return e.entropy, np.sqrt(e.f_sq), np.sqrt(e.g_sq), np.sqrt(e.h_sq), flux_avg, mass
 
 
@@ -521,7 +518,7 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
         values = np.empty((len(system.columns), records))
     except (MemoryError, ValueError):  # ValueError: a length past numpy's largest dimension
         raise ValidationError(
-            f"{records} records ({steps} steps, one record every {record_every}) "
+            f"{records:.3g} records ({steps:.3g} steps, one record every {record_every}) "
             "do not fit in memory; raise --record-every"
         ) from None
     if steps * f.size > _MAX_CELL_UPDATES:

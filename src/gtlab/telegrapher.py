@@ -82,6 +82,11 @@ class TelegrapherProblem:
             object.__setattr__(self, "re_max", 2.0 * min(self.sigma1, self.sigma2))
         if self.im_max is None:
             object.__setattr__(self, "im_max", 4.0 * max(self.sigma1, self.sigma2))
+        if not (math.isfinite(self.re_max) and math.isfinite(self.im_max)):  # sigma past 1.4e307
+            raise NumericalError(
+                f"the search strip of damping ({self.sigma1:g}, {self.sigma2:g}) overflows: "
+                f"re_max = {self.re_max:g}, im_max = {self.im_max:g}"
+            )
         if self.re_max <= 0 or self.im_max <= 0:
             raise ValidationError("search strip must have positive extent")
 

@@ -60,54 +60,9 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    # -- construction -------------------------------------------------
-    @classmethod
-    def zeros(cls, n: int) -> "GridFunction":
-        _validate_n(n)
-        return cls(np.zeros(n))
-
-    @classmethod
-    def constant(cls, value: float, n: int) -> "GridFunction":
-        _validate_n(n)
-        return cls(np.full(n, value))
-
-    # -- basic queries -------------------------------------------------
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        return nodes(self.n)
-
-    # -- arithmetic ------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, GridFunction):
-            if other.n != self.n:
-                raise GridMismatchError(
-                    f"incompatible grids: N={self.n} vs N={other.n}"
-                )
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return GridFunction(self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return GridFunction(self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return GridFunction(self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return GridFunction(self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(-self.values)
 
     def __repr__(self) -> str:
         return f"GridFunction(n={self.n})"
@@ -115,7 +70,7 @@ class GridFunction:
     # -- serialization -----------------------------------------------------
     def to_csv(self, path) -> None:
         """Write rows (x_j, value)."""
-        write_csv(path, ["x", "value"], np.column_stack([self.x, self.values]))
+        write_csv(path, ["x", "value"], np.column_stack([nodes(self.n), self.values]))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
@@ -139,13 +94,14 @@ class GridFunction:
                     f"{path}, line {reader.line_num}: expected a row (x, value) of numbers"
                 ) from exc
         f = cls(np.asarray(vals))
+        x = nodes(f.n)
         # negated, so that a NaN x is off the grid too
-        off = np.flatnonzero(~(np.abs(np.asarray(xs) - f.x) <= 0.01 * TWO_PI / f.n))
+        off = np.flatnonzero(~(np.abs(np.asarray(xs) - x) <= 0.01 * TWO_PI / f.n))
         if off.size:
             j = off[0]
             raise ValidationError(
                 f"{path}, line {lines[j]}: x = {xs[j]!r} is not the grid node "
-                f"2*pi*{j}/{f.n} = {float(f.x[j])!r}"
+                f"2*pi*{j}/{f.n} = {float(x[j])!r}"
             )
         return f
 

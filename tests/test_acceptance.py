@@ -53,7 +53,7 @@ class Stopwatch:
 def test_criterion_1_constant_sigma_sharp_rate():
     with Stopwatch() as sw:
         init = MacroState2V(
-            GridFunction.zeros(256), GridFunction(np.cos(nodes(256)))
+            GridFunction(np.zeros(256)), GridFunction(np.cos(nodes(256)))
         )
         traj = simulate_2v(init, 1.0, 30.0)
         fitted, _ = fit_decay_rate(traj.times, traj.pair_norm())
@@ -67,7 +67,7 @@ def test_criterion_2_sigma_five_spectral_gap():
     mu = (5.0 - math.sqrt(21.0)) / 2.0
     with Stopwatch() as sw:
         init = MacroState2V(
-            GridFunction.zeros(256), GridFunction(np.cos(nodes(256)))
+            GridFunction(np.zeros(256)), GridFunction(np.cos(nodes(256)))
         )
         traj = simulate_2v(init, 5.0, 30.0)
         fitted, _ = fit_decay_rate(traj.times, traj.pair_norm())

@@ -37,7 +37,7 @@ class TestSigmaParsing:
         assert len(p.pieces) == 2
 
     def test_file(self, tmp_path):
-        f = GridFunction.constant(2.0, 32)
+        f = GridFunction(np.full(32, 2.0))
         path = tmp_path / "sigma.csv"
         f.to_csv(path)
         p = RelaxationProfile.parse(f"file:{path}")
@@ -530,6 +530,40 @@ def test_simulations_at_the_top_of_the_float_range_end_in_one_line(tmp_path, cap
     assert len(capsys.readouterr().err.splitlines()) == (code != 0)
 
 
+TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300", "1.7e308")}
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["rates", "--sigma", TWO_PIECE_HUGE["1e8"]], 0, "perturbative               4e-08          2e-08          1"),
+        (["rates", "--sigma", TWO_PIECE_HUGE["1e12"]], 0, "perturbative               4e-12          2e-12          1"),
+        (["simulate-2v", "--sigma", TWO_PIECE_HUGE["1e12"], "--n", "64"], 0, "entropy  4e-12  2e-12"),
+        (["simulate-2v", "--sigma", TWO_PIECE_HUGE["1e200"], "--n", "64"], 0, "entropy  4e-200  2e-200"),
+        (["simulate-2v", "--sigma", TWO_PIECE_HUGE["1e300"], "--n", "64"], 0, "entropy  4e-300  2e-300"),
+        (["rates", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: the three-velocity rate"),
+        (["rates", "--sigma", TWO_PIECE_HUGE["1.7e308"]], 3, "numerical failure: the three-velocity rate"),
+        (["poincare", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: valley refinement failed"),
+        (["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]], 3, "numerical failure: valley refinement failed"),
+        pytest.param(
+            ["appendix-a", "--sigma", TWO_PIECE_HUGE["1.7e308"]], 3, "numerical failure: the search strip",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # the Poincare scan at w2 = 8.5e307
+        ),
+        (["rates", "--sigma", "const:1e-310"], 0, "three-velocity             1.2247449e-310  5e-311"),
+        (["simulate-3v", "--sigma", "const:1e-310", "--n", "64", "--t-final", "5"], 0, "entropy3  1.2247449e-310"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_rates_at_the_ends_of_the_float_range_end_in_one_line(tmp_path, capsys, argv, code, line):
+    # alpha* = 2 mu(sigma_max) without sigma_max^2, the Poincare weight without (s - alpha)^2,
+    # and the three-velocity rate without 1/(9 sigma_max) at 1e-310; what still fails says where
+    assert run(*argv, "--out", str(tmp_path / "o")) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines() if code else captured.out.splitlines()
+    assert any(printed.startswith(line) for printed in lines)
+    assert len(captured.err.splitlines()) == (code != 0)
+
+
 def assert_printed_summary(out, printed_text, rows):
     """The printed table holds the rows of summary.csv, each number to 8 digits."""
     printed = [line.split() for line in printed_text.splitlines()[1:]]
@@ -574,15 +608,17 @@ def run_capped(out, *argv):
 
 
 def test_records_beyond_memory_exit_two(tmp_path):
-    # 3e10 records of RK4 steps at dt = 1e-9
-    out = tmp_path / "o"
-    proc = run_capped(out, "simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-9", "--t-final", "30")
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        "error: 30000000001 records (30000000000 steps, one record every 1) "
-        "do not fit in memory; raise --record-every"
-    ]
-    assert not out.exists()
+    # 3e10 records of RK4 steps at dt = 1e-9, and 3e301 at dt = 1e-300: counts in 3 digits,
+    # not the 301-digit integers
+    for dt, count in (("1e-9", "3e+10"), ("1e-300", "3e+301")):
+        out = tmp_path / "o"
+        proc = run_capped(out, "simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", dt, "--t-final", "30")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: {count} records ({count} steps, one record every 1) "
+            "do not fit in memory; raise --record-every"
+        ]
+        assert not out.exists()
 
 
 def test_steps_beyond_the_work_bound_exit_two(tmp_path):

@@ -1,5 +1,6 @@
 """Weighted Poincare constants and the rate-improvement iteration."""
 
+import decimal
 import math
 
 import numpy as np
@@ -262,6 +263,17 @@ class TestWeightFromSigma:
     def test_nonpositive_denominator(self):
         with pytest.raises(ValidationError):
             weight_from_sigma(PROFILE_14, 1.5, 0.5)  # 2*1 - 1.5 - 0.5 = 0
+
+    @pytest.mark.parametrize("sigma_max", [4.0, 1e8, 1e200, 1.7e308])
+    def test_weight_at_any_size(self, sigma_max):
+        # (s - alpha)^2 / (2 s - theta - alpha) in 1000 digits; in floats the square
+        # overflows past 1.3e154 and 2 s past 9e307
+        theta, alpha = theta_star(1.0, sigma_max), alpha_star(1.0, sigma_max)
+        w = weight_from_sigma(RelaxationProfile.two_piece(1.0, sigma_max), theta, alpha)
+        with decimal.localcontext(decimal.Context(prec=1000)):
+            t, a = decimal.Decimal(theta), decimal.Decimal(alpha)
+            exact = [float((s - a) ** 2 / (2 * s - t - a)) for s in map(decimal.Decimal, (1.0, sigma_max))]
+        assert [w.w1, w.w2] == pytest.approx(exact, rel=4e-16, abs=0.0)
 
     def test_unsupported_profile_shape(self):
         three = RelaxationProfile.piecewise([(1.0, 1.0), (2.0, 2.0), (2 * math.pi, 3.0)])

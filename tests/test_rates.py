@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gtlab.errors import ValidationError
+from gtlab.errors import NumericalError, ValidationError
 from gtlab.profiles import RelaxationProfile
 from gtlab.rates import (
     alpha_star,
@@ -18,6 +18,7 @@ from gtlab.rates import (
     rate_3v,
     theta_star,
 )
+from gtlab.rates import _verdict
 
 
 class TestConstantRate:
@@ -104,6 +105,15 @@ class TestAlphaStar:
             assert smin > 4.0 / smax
             assert alpha_star(smin, smax) == pytest.approx(2.0 * constant_rate(smax).mu)
 
+    @pytest.mark.parametrize("sigma_max", [10.0, 1e4, 1e8, 1e300])
+    def test_branch_two_is_twice_mu_at_any_size(self, sigma_max):
+        # sigma_max - sqrt(sigma_max^2 - 4) in 1000 digits; in floats it reads
+        # 1.4901161e-08 at 1e8 (-25 %), 0 at 1e12 and overflows past 1.3e154
+        with decimal.localcontext(decimal.Context(prec=1000)):
+            s = decimal.Decimal(sigma_max)
+            rate = float(s - (s * s - 4).sqrt())
+        assert alpha_star(1.0, sigma_max) == pytest.approx(rate, rel=1e-15, abs=0.0)
+
 
 class TestGammaBounds:
     def test_gamma_max_at_theta_star_is_alpha_star(self):
@@ -157,6 +167,19 @@ class TestConditions2V:
         assert not check
         assert "quadratic_nonpositive" in check.failures
 
+    @pytest.mark.parametrize("sigma_max", [1e200, 1e300, 1.7e308])
+    def test_optimal_pair_keeps_finite_margins_at_huge_sigma_max(self, sigma_max):
+        # theta^2 (sigma - alpha)^2 is 0 * inf at 1e200, and 2 sigma overflows at 1.7e308
+        prof = RelaxationProfile.two_piece(1.0, sigma_max)
+        with np.errstate(over="raise", invalid="raise"):  # the square of 4e-200 may underflow
+            check = check_conditions_2v(theta_star(1.0, sigma_max), alpha_star(1.0, sigma_max), prof)
+        assert check and all(math.isfinite(m) for m in check.margins.values())
+
+    @pytest.mark.parametrize("strict", [set(), {"m"}])
+    def test_nan_margin_fails(self, strict):
+        check = _verdict({"m": math.nan}, strict)
+        assert not check and check.failures == ("m",)
+
     def test_sampled_profile(self):
         from gtlab.torus import GridFunction, nodes
 
@@ -183,6 +206,19 @@ class TestRate3V:
         assert r.rate == pytest.approx(1.0 / (3.0 * sigma), rel=1e-15)
         check = check_conditions_3v(r.theta, r.rate, sigma)
         assert check and all(math.isfinite(m) for m in check.margins.values())
+
+    @pytest.mark.parametrize("sigma", [1e-310, 1e-320, 1.7e308])
+    def test_rate_at_the_ends_of_the_float_range(self, sigma):
+        # 1/(9 sigma) overflows below 1e-309, and 9 sigma above 2e307
+        with decimal.localcontext(decimal.Context(prec=1000)):
+            s = decimal.Decimal(sigma)
+            exact = float(min(s / 2, 3 * s / (9 * s * s + 1)))
+        assert rate_3v(sigma, sigma).rate == exact
+
+    def test_underflow_is_named(self):
+        # 3 sigma_min/(9 sigma_max^2 + 1) is about 3e-401
+        with pytest.raises(NumericalError, match="three-velocity rate .* underflows to 0"):
+            rate_3v(1.0, 1e200)
 
     def test_returned_pair_passes_conditions(self):
         rng = np.random.default_rng(1)

@@ -57,14 +57,14 @@ class TestTransform3V:
         assert np.max(np.abs(TRANSFORM_3V @ TRANSFORM_3V.T - np.eye(3))) < 1e-15
 
     def test_kernel_of_relaxation(self):
-        c = GridFunction.constant(2.0, 64)
+        c = GridFunction(np.full(64, 2.0))
         m = to_macro3(c, c, c)
         assert_allclose(m.u1.values, 2.0 * np.sqrt(3.0))
         assert_allclose(m.u2.values, 0.0, atol=1e-15)
         assert_allclose(m.u3.values, 0.0, atol=1e-15)
 
     def test_equilibrium_value(self):
-        one = GridFunction.constant(1.0, 64)
+        one = GridFunction(np.ones(64))
         m = to_macro3(one, one, one)
         # u_inf = (1/(2 sqrt(3) pi)) * integral of (f1+f2+f3) = sqrt(3)
         assert average(m.u1) == pytest.approx(np.sqrt(3.0))
@@ -81,7 +81,7 @@ class TestTransform3V:
 
 class TestSimulate2V:
     def test_steady_state_both_schemes(self):
-        init = MacroState2V(GridFunction.constant(2.0, 64), GridFunction.zeros(64))
+        init = MacroState2V(GridFunction(np.full(64, 2.0)), GridFunction(np.zeros(64)))
         for scheme in ("split", "rk4"):
             traj = simulate_2v(init, 1.3, 2.0, scheme=scheme)
             assert np.max(traj["norm_u_dev"]) < 1e-12
@@ -89,13 +89,13 @@ class TestSimulate2V:
 
     def test_zero_mode_closed_form(self):
         # u0 = 0, v0 = 1: v(t) = e^{-sigma t} uniformly, u stays 0
-        init = MacroState2V(GridFunction.zeros(64), GridFunction.constant(1.0, 64))
+        init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.ones(64)))
         traj = simulate_2v(init, 1.0, 5.0)
         assert np.max(np.abs(traj["norm_v"] - np.exp(-traj.times))) < 1e-13
         assert np.max(traj["norm_u_dev"]) < 1e-14
 
     def test_first_mode_sharp_rate(self):
-        init = MacroState2V(GridFunction.zeros(256), gf(np.cos))
+        init = MacroState2V(GridFunction(np.zeros(256)), gf(np.cos))
         traj = simulate_2v(init, 1.0, 30.0)
         rate, r2 = fit_decay_rate(traj.times, traj.pair_norm(), window=(5.0, 25.0))
         assert rate == pytest.approx(0.5, rel=0.02)
@@ -103,7 +103,7 @@ class TestSimulate2V:
 
     def test_constant_sigma_entropy_is_exact_exponential(self):
         # with v_avg = 0 the entropy identity closes: E(t) = E(0) e^{-sigma t}
-        init = MacroState2V(GridFunction.zeros(256), gf(np.cos))
+        init = MacroState2V(GridFunction(np.zeros(256)), gf(np.cos))
         traj = simulate_2v(init, 1.0, 10.0)
         expected = traj["entropy"][0] * np.exp(-traj.times)
         # the law is exact for the flow; the trajectory carries O(dt^2) error
@@ -114,12 +114,12 @@ class TestSimulate2V:
         # change how the record computes the primitive of u - u_avg
         u0, v0 = random_band_limited(256, seed=3), random_band_limited(256, seed=4)
         base = simulate_2v(MacroState2V(u0, v0), 1.0, 10.0)
-        big = simulate_2v(MacroState2V(1e4 * u0, 1e4 * v0), 1.0, 10.0)
+        big = simulate_2v(MacroState2V(GridFunction(1e4 * u0.values), GridFunction(1e4 * v0.values)), 1.0, 10.0)
         for name in ("entropy", "rhs"):
             assert_allclose(big[name], 1e8 * base[name], rtol=1e-12, atol=0.0)
 
     def test_defective_sigma_needs_theta(self):
-        init = MacroState2V(GridFunction.zeros(64), gf(np.cos, 64))
+        init = MacroState2V(GridFunction(np.zeros(64)), gf(np.cos, 64))
         with pytest.raises(ValidationError):
             simulate_2v(init, 2.0, 1.0)
 
@@ -148,7 +148,8 @@ class TestSimulate2V:
         a = simulate_2v(init, sigma, 1.0, dt=dt, scheme="split")
         b = simulate_2v(init, sigma, 1.0, dt=dt, scheme="rk4")
         diff = np.sqrt(
-            norm_sq(a.final.u - b.final.u) + norm_sq(a.final.v - b.final.v)
+            norm_sq(GridFunction(a.final.u.values - b.final.u.values))
+            + norm_sq(GridFunction(a.final.v.values - b.final.v.values))
         )
         assert diff < 1e-4
 
@@ -175,12 +176,12 @@ class TestSimulate2V:
         for s in (1.0, 4.0):
             rep = constant_rate(s)
             for seed in range(20):
-                fp = random_band_limited(256, seed=seed)
-                fm = random_band_limited(256, seed=500 + seed)
-                mac = MacroState2V(fp + fm, fp - fm)
+                fp = random_band_limited(256, seed=seed).values
+                fm = random_band_limited(256, seed=500 + seed).values
+                mac = MacroState2V(GridFunction(fp + fm), GridFunction(fp - fm))
                 traj = simulate_2v(mac, s, 10.0, record_every=8)
                 f_inf = average(mac.u) / 2.0
-                d0 = np.sqrt(norm_sq(fp - f_inf) + norm_sq(fm - f_inf))
+                d0 = np.sqrt(norm_sq(GridFunction(fp - f_inf)) + norm_sq(GridFunction(fm - f_inf)))
                 dist = np.sqrt((traj["norm_u_dev"] ** 2 + traj["norm_v"] ** 2) / 2.0)
                 bound = rep.prefactor * d0 * np.exp(-rep.mu * traj.times)
                 assert np.all(dist <= bound * (1.0 + 1e-9))
@@ -194,14 +195,14 @@ class TestSimulate2V:
         assert np.max(traj.evolution_residuals()) < 1e-4
 
     def test_split_requires_commensurate_dt(self):
-        init = MacroState2V(GridFunction.zeros(64), GridFunction.zeros(64))
+        init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.zeros(64)))
         with pytest.raises(ValidationError):
             simulate_2v(init, 1.0, 1.0, dt=0.01, scheme="split")
 
     @pytest.mark.parametrize("scheme", ["split", "rk4"])
     def test_step_longer_than_the_run_is_refused(self, scheme):
         # one step of 2 dx would overshoot t_final = dx by a whole step
-        init = MacroState2V(GridFunction.zeros(64), GridFunction(np.cos(nodes(64))))
+        init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.cos(nodes(64))))
         dx = 2 * np.pi / 64
         with pytest.raises(ValidationError, match=r"^dt = 0.19635 exceeds t_final = 0.0981748; lower --dt$"):
             simulate_2v(init, 1.0, dx, dt=2 * dx, scheme=scheme)
@@ -244,12 +245,12 @@ class TestSimulate2V:
 
     def test_mismatched_grids_name_the_sizes(self):
         with pytest.raises(ValidationError, match="share one grid, got n = 64, 32"):
-            MacroState2V(GridFunction.zeros(64), GridFunction.zeros(32))
+            MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.zeros(32)))
 
 
 class TestSimulate3V:
     def test_steady_state(self):
-        c = GridFunction.constant(0.7, 64)
+        c = GridFunction(np.full(64, 0.7))
         traj = simulate_3v(to_macro3(c, c, c), 1.7, 3.0)
         assert np.max(traj["norm_u2"]) < 1e-14
         assert np.max(traj["norm_u3"]) < 1e-14
@@ -272,19 +273,19 @@ class TestSimulate3V:
         u_inf = average(init.u1)
         alpha = rate_3v(1.0, 1.0).rate
         traj = simulate_3v(init, 1.0, 40.0 / alpha, record_every=64)
-        assert norm(traj.final.u1 - u_inf) < 1e-6
+        assert norm(GridFunction(traj.final.u1.values - u_inf)) < 1e-6
         assert norm(traj.final.u2) < 1e-6
         assert norm(traj.final.u3) < 1e-6
 
     def test_schemes_agree(self):
-        init = to_macro3(gf(lambda x: np.cos(x), 128), gf(np.sin, 128), GridFunction.zeros(128))
+        init = to_macro3(gf(lambda x: np.cos(x), 128), gf(np.sin, 128), GridFunction(np.zeros(128)))
         dt = 2 * np.pi / 128
         a = simulate_3v(init, 1.5, 1.0, dt=dt, scheme="split")
         b = simulate_3v(init, 1.5, 1.0, dt=dt, scheme="rk4")
         diff = max(
-            norm(a.final.u1 - b.final.u1),
-            norm(a.final.u2 - b.final.u2),
-            norm(a.final.u3 - b.final.u3),
+            norm(GridFunction(a.final.u1.values - b.final.u1.values)),
+            norm(GridFunction(a.final.u2.values - b.final.u2.values)),
+            norm(GridFunction(a.final.u3.values - b.final.u3.values)),
         )
         assert diff < 1e-3
 
@@ -349,7 +350,7 @@ class TestCheckerboardRule:
         if system == "2v":
             init, simulate = MacroState2V(board, random_band_limited(n, seed=2)), simulate_2v
         else:
-            init, simulate = to_macro3(board, GridFunction.zeros(n), GridFunction.zeros(n)), simulate_3v
+            init, simulate = to_macro3(board, GridFunction(np.zeros(n)), GridFunction(np.zeros(n))), simulate_3v
         match = rf"sum_j \(-1\)\^j S_j / n = 0.5, S = sum_i f_i; {named} conserves \|L\|"
         with pytest.raises(ValidationError, match=match):
             simulate(init, 1.0, 30.0, dt=dt, scheme=scheme)
@@ -405,7 +406,7 @@ class TestStrangSpectrum:
 
 class TestTrajectory:
     def test_csv_roundtrip(self, tmp_path):
-        init = MacroState2V(GridFunction.zeros(64), GridFunction(np.cos(nodes(64))))
+        init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.cos(nodes(64))))
         traj = simulate_2v(init, 1.0, 1.0)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
@@ -426,7 +427,7 @@ class TestRecordPass:
     @staticmethod
     def reference_2v(state, theta, sigma):
         u_avg = average(state.u)
-        udev = state.u - u_avg
+        udev = GridFunction(state.u.values - u_avg)
         return {
             "entropy": entropy_2v(udev, state.v, theta),
             "norm_u_dev": norm(udev),
@@ -439,7 +440,7 @@ class TestRecordPass:
     @staticmethod
     def reference_3v(state, theta, sigma):
         u1_avg = average(state.u1)
-        u1dev = state.u1 - u1_avg
+        u1dev = GridFunction(state.u1.values - u1_avg)
         return {
             "entropy": entropy_3v(u1dev, state.u2, state.u3, theta),
             "norm_u1_dev": norm(u1dev),
@@ -733,7 +734,7 @@ class TestRK4Oracle:
         # at dt = 0.5, far past RK4's stability limit, M^400 overflows, and a
         # product with it would turn even the zero state into NaN (0 * inf);
         # single steps keep it zero
-        zero = MacroState2V(GridFunction.zeros(64), GridFunction.zeros(64))
+        zero = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.zeros(64)))
         traj = simulate_2v(zero, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=1000)
         assert traj.times.tolist() == [0.0, 200.0]
         for name, column in traj.columns.items():
@@ -792,7 +793,7 @@ class TestFitting:
     def test_defective_sigma_two_envelope(self):
         # sigma = 2, first-mode data: the pair norm follows ~ (1+t)e^{-t};
         # the envelope fit should sit close to 1, the pure fit below it
-        init = MacroState2V(GridFunction.zeros(256), gf(np.cos))
+        init = MacroState2V(GridFunction(np.zeros(256)), gf(np.cos))
         traj = simulate_2v(init, 2.0, 25.0, theta=constant_rate(2.0, eps=0.1).theta)
         vals = traj.pair_norm()
         env_rate, _ = fit_envelope_rate(traj.times, vals, window=(8.0, 22.0))

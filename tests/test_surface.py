@@ -7,6 +7,9 @@ attribute in the syntax tree, so imports, comments and strings do not count.
 A use in another file counts only if that file also names the defining
 module.
 
+Every oracle must be used, by the same rule, in a test file other than
+this one: an oracle that no test reads is dead code.
+
 So must every public member of a public class: its methods, properties and
 dataclass or NamedTuple fields. A use of a member is a read of an attribute
 of that name, anywhere in the program outside the member's own definition.
@@ -131,6 +134,18 @@ def test_every_public_name_has_a_caller():
                 unused.append(qualified)
     assert unused == []
     assert sorted(ORACLES - defined) == []
+
+
+def test_every_oracle_has_a_test():
+    tests = [p for p in sorted((ROOT / "tests").rglob("*.py")) if p.name != Path(__file__).name]
+    trees = [ast.parse(p.read_text()) for p in tests]
+    used = [(_uses(tree), _modules_named(tree)) for tree in trees]
+    untested = []
+    for oracle in sorted(ORACLES):
+        module, *_, name = oracle.split(".")
+        if not any(name in uses and module in modules for uses, modules in used):
+            untested.append(oracle)
+    assert untested == []
 
 
 #: Runs in a fresh interpreter, since this session has imported SciPy (the

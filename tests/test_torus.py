@@ -29,13 +29,13 @@ def gf(fn, n=64):
     return GridFunction(fn(nodes(n)))
 
 
-def band_limited(draw_amplitudes, n=64):
-    """Build a real trig polynomial from (a_k, b_k) pairs, |k| <= len/1."""
+def band_limited(draw_amplitudes, c=0.0, n=64):
+    """Build a real trig polynomial c + sum_k a_k cos(kx) + b_k sin(kx) from (a_k, b_k) pairs."""
     x = nodes(n)
     vals = np.zeros(n)
     for k, (a, b) in enumerate(draw_amplitudes, start=1):
         vals += a * np.cos(k * x) + b * np.sin(k * x)
-    return GridFunction(vals)
+    return GridFunction(vals + c)
 
 
 amplitude = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -52,25 +52,18 @@ class TestGridFunction:
             GridFunction(np.zeros((4, 4)))
 
     def test_immutability(self):
-        f = GridFunction.zeros(16)
+        f = GridFunction(np.zeros(16))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            inner(GridFunction.zeros(16), GridFunction.zeros(32))
-
-    def test_arithmetic(self):
-        f = gf(np.sin)
-        g = gf(np.cos)
-        assert_allclose((f + g).values, f.values + g.values)
-        assert_allclose((2.0 * f - g).values, 2 * f.values - g.values)
-        assert_allclose((-f).values, -f.values)
+            inner(GridFunction(np.zeros(16)), GridFunction(np.zeros(32)))
 
 
 class TestAverage:
     def test_constant(self):
-        assert average(GridFunction.constant(3.25, 32)) == pytest.approx(3.25)
+        assert average(GridFunction(np.full(32, 3.25))) == pytest.approx(3.25)
 
     def test_sin(self):
         assert abs(average(gf(np.sin))) < 1e-14
@@ -88,7 +81,7 @@ class TestInner:
         assert abs(inner(gf(np.sin), gf(np.cos))) < 1e-14
 
     def test_ones(self):
-        one = GridFunction.constant(1.0, 64)
+        one = GridFunction(np.ones(64))
         assert inner(one, one) == pytest.approx(1.0)
 
 
@@ -97,7 +90,7 @@ class TestDerivative:
         assert_allclose(derivative(gf(np.sin)).values, np.cos(nodes(64)), atol=1e-12)
 
     def test_constant(self):
-        assert_allclose(derivative(GridFunction.constant(5.0, 32)).values, 0.0, atol=1e-13)
+        assert_allclose(derivative(GridFunction(np.full(32, 5.0))).values, 0.0, atol=1e-13)
 
     def test_cos4x_against_finite_differences(self):
         # derived oracle: centered differences at N=256
@@ -117,7 +110,7 @@ class TestAntiderivative:
         assert_allclose(antiderivative(gf(np.sin)).values, -np.cos(nodes(64)), atol=1e-13)
 
     def test_zero(self):
-        assert_allclose(antiderivative(GridFunction.zeros(32)).values, 0.0)
+        assert_allclose(antiderivative(GridFunction(np.zeros(32))).values, 0.0)
 
     def test_cos2x_against_cumsum_oracle(self):
         # derived oracle: high-resolution left-endpoint cumulative sum,
@@ -144,13 +137,13 @@ class TestOperatorIdentities:
 
     @given(amplitude_pairs, amplitude)
     def test_antiderivative_of_derivative(self, amps, c):
-        f = band_limited(amps) + c
+        f = band_limited(amps, c)
         expected = f.values - average(f)
         assert np.max(np.abs(antiderivative(derivative(f)).values - expected)) < 1e-10
 
     @given(amplitude_pairs, amplitude)
     def test_antiderivative_has_zero_average(self, amps, c):
-        f = band_limited(amps) + c
+        f = band_limited(amps, c)
         assert abs(average(antiderivative(f))) < 1e-12
 
     @given(amplitude_pairs)
@@ -164,7 +157,7 @@ class TestOperatorIdentities:
 
     @given(amplitude_pairs, amplitude)
     def test_plancherel(self, amps, c):
-        f = band_limited(amps) + c
+        f = band_limited(amps, c)
         coeffs = np.fft.fft(f.values) / f.n
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(norm_sq(f), abs=1e-12)
 
