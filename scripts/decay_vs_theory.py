@@ -14,13 +14,14 @@ below. A quick end-to-end sanity run:
 import argparse
 
 from gtlab.profiles import RelaxationProfile
-from gtlab.rates import constant_rate, perturbative_rate
+from gtlab.rates import rate_2v
 from gtlab.solver import MacroState2V, fit_decay_rate, simulate_2v
-from gtlab.telegrapher import bs_rate
+from gtlab.telegrapher import optimal_rate, rescale_sigma, telegrapher_gap
 from gtlab.torus import random_band_limited
 
 
-def run_case(label, profile, rep, optimal, n, t_final, seed):
+def run_case(label, profile, optimal, n, t_final, seed):
+    rep = rate_2v(profile)
     init = MacroState2V(
         random_band_limited(n, seed=seed, zero_mean=False),
         random_band_limited(n, seed=seed + 1),
@@ -43,26 +44,13 @@ def main():
     args = ap.parse_args()
 
     for sigma in (0.5, 1.0, 5.0):
-        rep = constant_rate(sigma)  # sharp, so its pair-norm rate is the optimal one
-        run_case(
-            f"const {sigma:g}",
-            RelaxationProfile.constant(sigma),
-            rep,
-            rep.rate / 2,
-            args.n,
-            args.t_final,
-            args.seed,
-        )
+        profile = RelaxationProfile.constant(sigma)
+        # the constant rate is sharp, so its pair-norm rate is the optimal one
+        run_case(f"const {sigma:g}", profile, rate_2v(profile).mu, args.n, args.t_final, args.seed)
     profile = RelaxationProfile.two_piece(1.0, 4.0)
-    run_case(
-        "pc {1,4}",
-        profile,
-        perturbative_rate(profile),
-        bs_rate(profile).rate / 2,
-        args.n,
-        args.t_final,
-        args.seed,
-    )
+    problem = rescale_sigma(profile)
+    optimal = optimal_rate(problem, telegrapher_gap(problem)) / 2
+    run_case("pc {1,4}", profile, optimal, args.n, args.t_final, args.seed)
 
 
 if __name__ == "__main__":

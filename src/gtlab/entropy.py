@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError
-from .profiles import as_profile
 from .torus import GridFunction, average, primitive
 
 
@@ -91,12 +90,12 @@ def equivalence_bounds(theta: float) -> tuple[float, float]:
     return 1.0 - abs(theta) / 2.0, 1.0 + abs(theta) / 2.0
 
 
-def entropy_evolution_rhs(u: GridFunction, v: GridFunction, sigma, theta: float) -> float:
+def entropy_evolution_rhs(u: GridFunction, v: GridFunction, profile, theta: float) -> float:
     """Exact d/dt of E_theta(u - u_avg, v) along the two-velocity flow.
 
-    u may be passed raw; its average is subtracted internally. The formula
-    is in ``entropy_terms``.
+    u may be passed raw; its average is subtracted internally. ``profile``
+    is the RelaxationProfile sigma. The formula is in ``entropy_terms``.
     """
-    sig = as_profile(sigma).sample(u.n)
+    sig = profile.sample(u.n)
     udev = u.values - average(u)
     return float(entropy_terms(udev, v.values, theta, sigma=sig).rhs)

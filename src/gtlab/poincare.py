@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .profiles import as_profile
 
 _ROOT_XTOL = 1e-12
 #: the scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0
@@ -267,9 +266,8 @@ def weighted_poincare(
     return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, roots=tuple(roots), close_root_flag=close)
 
 
-def weight_from_sigma(sigma, theta: float, alpha: float) -> TwoPieceWeight:
-    """Weight (sigma - alpha)^2 / (2 sigma - theta - alpha), piece by piece."""
-    profile = as_profile(sigma)
+def weight_from_sigma(profile, theta: float, alpha: float) -> TwoPieceWeight:
+    """Weight (sigma - alpha)^2 / (2 sigma - theta - alpha) on each piece of a two-piece profile."""
     s1, s2 = profile.as_two_piece()
     vals = []
     for s in (s1, s2):

@@ -7,6 +7,10 @@ value of the last piece. A constant is one piece. Node samples s_j at
 x_j = 2*pi*j/n are n pieces: the piece ending at x_j carries s_j and the
 last one, ending at 2*pi, carries s_0. Such a profile keeps its n and is
 sampled only at that n.
+
+Every library function that takes sigma takes a RelaxationProfile; build
+one with ``constant``, ``two_piece``, ``piecewise``, ``from_grid`` or
+``parse``.
 """
 
 from __future__ import annotations
@@ -142,13 +146,3 @@ class RelaxationProfile:
         breaks, vals = np.array(self.pieces).T
         return vals[np.searchsorted(breaks, x - _BREAK_TOL, side="left")]
 
-
-def as_profile(sigma) -> RelaxationProfile:
-    """Coerce a profile, scalar, grid function or 1-D array of node samples to a profile."""
-    if isinstance(sigma, RelaxationProfile):
-        return sigma
-    if np.isscalar(sigma):
-        return RelaxationProfile.constant(float(sigma))
-    if not isinstance(sigma, GridFunction):
-        sigma = GridFunction(np.asarray(sigma, dtype=float))
-    return RelaxationProfile.from_grid(sigma)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .profiles import RelaxationProfile, as_profile
+from .profiles import RelaxationProfile
 
 #: Sources a RateReport can come from.
 SOURCE_CONSTANT = "constant-sharp"
@@ -101,14 +101,13 @@ def constant_rate(sigma: float, eps: float | None = None) -> RateReport:
     if eps is not None:
         raise ValidationError("eps applies only to the defective value sigma = 2")
     if sigma < 2.0:
-        theta = sigma
-        mu = sigma / 2.0
+        rate = theta = sigma  # 2 mu = sigma, taken whole: sigma/2 underflows to 0 at 5e-324
         pref = math.sqrt((2.0 + sigma) / (2.0 - sigma))
     else:
         theta = 4.0 / sigma
-        mu = _mu_above_two(sigma)
+        rate = 2.0 * _mu_above_two(sigma)
         pref = math.sqrt((sigma + 2.0) / (sigma - 2.0))
-    return RateReport(source=SOURCE_CONSTANT, rate=2.0 * mu, theta=theta, prefactor=pref)
+    return RateReport(source=SOURCE_CONSTANT, rate=rate, theta=theta, prefactor=pref)
 
 
 def _mu_above_two(sigma: float) -> float:
@@ -174,7 +173,7 @@ def _verdict(margins: dict, strict: set) -> ConditionCheck:
     return ConditionCheck(satisfied=not failures, margins=margins, failures=failures)
 
 
-def check_conditions_2v(theta: float, alpha: float, sigma) -> ConditionCheck:
+def check_conditions_2v(theta: float, alpha: float, profile: RelaxationProfile) -> ConditionCheck:
     """Admissibility of (theta, alpha) for the two-velocity entropy decay.
 
     Condition I: alpha < theta and theta + alpha < 2 sigma_min. Condition II:
@@ -183,7 +182,6 @@ def check_conditions_2v(theta: float, alpha: float, sigma) -> ConditionCheck:
     """
     if not (0.0 < theta < 2.0 and 0.0 < alpha < 2.0):
         raise ValidationError(f"need theta, alpha in (0, 2), got ({theta}, {alpha})")
-    profile = as_profile(sigma)
     svals = np.array([v for _, v in profile.pieces])
     # (theta (sigma - alpha))^2 - 8 (theta - alpha)(sigma - (theta + alpha)/2): neither theta^2
     # (0 at theta = 4e-200) times (sigma - alpha)^2 (inf) nor 2 sigma (past 9e307) is formed
@@ -196,7 +194,7 @@ def check_conditions_2v(theta: float, alpha: float, sigma) -> ConditionCheck:
     return _verdict(margins, strict={"alpha_lt_theta", "theta_plus_alpha_lt_2sigma_min"})
 
 
-def check_conditions_3v(theta: float, alpha: float, sigma) -> ConditionCheck:
+def check_conditions_3v(theta: float, alpha: float, profile: RelaxationProfile) -> ConditionCheck:
     """Admissibility of (theta, alpha) for the three-velocity entropy decay.
 
     Condition I: sqrt(2/3) theta + alpha < 2 sigma_min and alpha <= sqrt(2/3) theta.
@@ -206,7 +204,6 @@ def check_conditions_3v(theta: float, alpha: float, sigma) -> ConditionCheck:
     """
     if not (theta > 0.0 and alpha > 0.0):
         raise ValidationError(f"need theta, alpha > 0, got ({theta}, {alpha})")
-    profile = as_profile(sigma)
     s23t = math.sqrt(2.0 / 3.0) * theta
     margins = {
         "transport_budget": 2.0 * profile.sigma_min - s23t - alpha,
@@ -247,19 +244,14 @@ def rate_3v(sigma_min: float, sigma_max: float) -> RateReport:
 def rate_2v(profile: RelaxationProfile, eps: float | None = None) -> RateReport:
     """Two-velocity theoretical rate: sharp for constant sigma (eps at 2), else perturbative.
 
-    eps is used only at sigma = 2, where it is required.
+    eps is used only at sigma = 2, where it is required. A non-constant
+    profile gets the (theta*, alpha*) bundle.
     """
-    if profile.is_constant:
-        s = profile.sigma_min
-        return constant_rate(s, eps=eps if needs_eps(s) else None)
-    return perturbative_rate(profile)
-
-
-def perturbative_rate(sigma) -> RateReport:
-    """theta*, alpha* bundle for a genuinely non-constant profile."""
-    profile = as_profile(sigma)
     s_min, s_max = profile.sigma_min, profile.sigma_max
+    if profile.is_constant:
+        return constant_rate(s_min, eps=eps if needs_eps(s_min) else None)
     theta = theta_star(s_min, s_max)
-    alpha = alpha_star(s_min, s_max)
     pref = math.sqrt((2.0 + theta) / (2.0 - theta))
-    return RateReport(source=SOURCE_PERTURBATIVE, rate=alpha, theta=theta, prefactor=pref)
+    return RateReport(
+        source=SOURCE_PERTURBATIVE, rate=alpha_star(s_min, s_max), theta=theta, prefactor=pref
+    )

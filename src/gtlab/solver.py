@@ -65,8 +65,6 @@ import numpy as np
 
 from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
 from .errors import NumericalError, ValidationError
-from .profiles import as_profile
-from .rates import rate_2v, rate_3v
 from .torus import TWO_PI, GridFunction, write_csv
 
 SCHEME_SPLIT = "split"
@@ -572,61 +570,52 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
 
 def simulate_2v(
     init,
-    sigma,
+    profile,
     t_final: float,
     dt: float | None = None,
     scheme: str = SCHEME_SPLIT,
-    theta: float | None = None,
+    *,
+    theta: float,
     record_every: int = 1,
 ) -> Trajectory:
     """Advance the two-velocity system (velocities +1, -1) from a macroscopic state.
 
-    The recorded entropy is E_theta(u - u_avg, v) together with its exact
-    evolution right-hand side; theta defaults to the twist of
-    ``rates.rate_2v``, so the defective constant sigma = 2 needs an explicit
-    theta. dt defaults to dx for the split scheme and dx/2 for RK4 (spectral
+    ``profile`` is the RelaxationProfile sigma. The recorded entropy is
+    E_theta(u - u_avg, v) together with its exact evolution right-hand side,
+    for the caller's twist theta (``rates.rate_2v`` gives the theoretical
+    one). dt defaults to dx for the split scheme and dx/2 for RK4 (spectral
     advection stability).
     """
     if not isinstance(init, MacroState2V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    profile = as_profile(sigma)
-    if theta is None:
-        theta = rate_2v(profile).theta
     f = _SYSTEM_2V.kinetic @ np.vstack([init.u.values, init.v.values])
     return _simulate(f, _SYSTEM_2V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
 def simulate_3v(
     init: MacroState3V,
-    sigma,
+    profile,
     t_final: float,
     dt: float | None = None,
     scheme: str = SCHEME_SPLIT,
-    theta: float | None = None,
+    *,
+    theta: float,
     record_every: int = 1,
 ) -> Trajectory:
     """Advance the three-velocity system (velocities +1, 0, -1).
 
     The recorded entropy is the three-velocity functional of
-    (u1 - avg, u2, u3); theta defaults to the twist of ``rate_3v``.
+    (u1 - avg, u2, u3), for the caller's twist theta (``rates.rate_3v``
+    gives the theoretical one).
     """
     if not isinstance(init, MacroState3V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    profile = as_profile(sigma)
-    if theta is None:
-        theta = rate_3v(profile.sigma_min, profile.sigma_max).theta
     f = _SYSTEM_3V.kinetic @ np.vstack([init.u1.values, init.u2.values, init.u3.values])
     return _simulate(f, _SYSTEM_3V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
 # ---------------------------------------------------------------------------
 # decay-rate fitting
-
-
-def default_window(times) -> tuple[float, float]:
-    """Fit window [0.25 T, 0.9 T] used when none is given."""
-    t_end = float(times[-1])
-    return 0.25 * t_end, 0.9 * t_end
 
 
 VALUE_FLOOR = 1e-12
@@ -636,20 +625,28 @@ MIN_FIT_POINTS = 10
 def fit_decay_rate(times, values, window=None) -> tuple[float, float]:
     """Least-squares exponential rate of a positive series: value ~ C e^{-rate t}.
 
-    Points below the floating-point floor 1e-12 are dropped; the fit errors
-    out if fewer than MIN_FIT_POINTS usable points remain in the window.
+    The window defaults to [0.25 T, 0.9 T], T the last time. Points below
+    the floating-point floor 1e-12 are dropped; the fit errors out if fewer
+    than MIN_FIT_POINTS usable points remain in the window, naming the time
+    the series crosses the floor when that is before the window opens.
     Returns (rate, r_squared).
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
-    if window is None:
-        window = default_window(t)
-    lo, hi = window
+    lo, hi = (0.25 * t[-1], 0.9 * t[-1]) if window is None else window
     mask = (t >= lo) & (t <= hi) & (y > VALUE_FLOOR)
-    if np.count_nonzero(mask) < MIN_FIT_POINTS:
+    usable = np.count_nonzero(mask)
+    if usable < MIN_FIT_POINTS:
+        where = f"the window [{lo:.6g}, {hi:.6g}]"
+        below = np.flatnonzero(y <= VALUE_FLOOR)
+        if below.size and t[below[0]] < lo:
+            raise NumericalError(
+                f"decay fit: the series falls below the floor {VALUE_FLOOR:g} at "
+                f"t = {t[below[0]]:.6g}, before {where} opens, which leaves {usable} of "
+                f"the {MIN_FIT_POINTS} points the fit needs; lower t_final"
+            )
         raise NumericalError(
-            f"only {np.count_nonzero(mask)} usable points in window {window}; "
-            "shrink the window or lower t_final"
+            f"decay fit: only {usable} usable points in {where}, {MIN_FIT_POINTS} needed"
         )
     tt, yy = t[mask], np.log(y[mask])
     slope, intercept = np.polyfit(tt, yy, 1)

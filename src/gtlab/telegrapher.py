@@ -1,5 +1,5 @@
 """Spectral gap of the damped wave (telegrapher) form of the two-velocity
-system, and the optimal-rate bundle it yields for two-piece relaxation.
+system, and the optimal decay rate it yields for two-piece relaxation.
 
 After rescaling the torus to unit length, sigma~(xi) = pi * sigma(2 pi xi),
 v = exp(-gamma t) phi(xi) solves v_tt + 2 sigma~ v_t = v_xixi exactly when
@@ -16,7 +16,8 @@ exactly where
 
 Every entry of T_j is even in t_j, so D is entire in gamma, real on the real
 axis, and the branch of t_j never matters. D(0) = 0 is the mass mode. The
-optimal rate is (1/pi) min(|sigma~|_L1, gap).
+optimal rate is (1/pi) min(|sigma~|_L1, gap): ``rescale_sigma``, then
+``telegrapher_gap``, then ``optimal_rate``.
 
 The root search is certified: it counts the zeros of D in its strip by the
 argument principle (Delves & Lyness, Math. Comp. 1967), then finds exactly
@@ -36,8 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .profiles import as_profile
-from .rates import SOURCE_BERNARD_SALVARANI, RateReport
 
 #: half-side of the squares left out of the strip around gamma = 0 and gamma = re_max
 _EXCLUSION = 1e-6
@@ -96,9 +95,8 @@ class TelegrapherProblem:
         return 0.5 * (self.sigma1 + self.sigma2)
 
 
-def rescale_sigma(sigma) -> TelegrapherProblem:
-    """sigma~ = pi * sigma(2 pi xi) for a constant or two-piece profile."""
-    profile = as_profile(sigma)
+def rescale_sigma(profile) -> TelegrapherProblem:
+    """sigma~ = pi * sigma(2 pi xi) for a constant or two-piece RelaxationProfile."""
     s1, s2 = profile.as_two_piece()
     return TelegrapherProblem(math.pi * s1, math.pi * s2)
 
@@ -419,11 +417,3 @@ def telegrapher_gap(
 def optimal_rate(problem: TelegrapherProblem, result: GapResult) -> float:
     """The optimal decay rate (1/pi) min(|sigma~|_L1, gap) from a search of ``problem``."""
     return min(problem.l1_norm, result.gap) / math.pi
-
-
-def bs_rate(sigma) -> RateReport:
-    """Optimal-rate bundle for a two-piece profile: one search, then ``optimal_rate``."""
-    problem = rescale_sigma(sigma)
-    return RateReport(
-        source=SOURCE_BERNARD_SALVARANI, rate=optimal_rate(problem, telegrapher_gap(problem))
-    )

@@ -24,7 +24,7 @@ from gtlab.solver import (
     simulate_3v,
     to_macro3,
 )
-from gtlab.telegrapher import TelegrapherProblem, bs_rate, telegrapher_gap
+from gtlab.telegrapher import TelegrapherProblem, optimal_rate, rescale_sigma, telegrapher_gap
 from gtlab.torus import (
     GridFunction,
     antiderivative,
@@ -55,7 +55,7 @@ def test_criterion_1_constant_sigma_sharp_rate():
         init = MacroState2V(
             GridFunction(np.zeros(256)), GridFunction(np.cos(nodes(256)))
         )
-        traj = simulate_2v(init, 1.0, 30.0)
+        traj = simulate_2v(init, RelaxationProfile.constant(1.0), 30.0, theta=constant_rate(1.0).theta)
         fitted, _ = fit_decay_rate(traj.times, traj.pair_norm())
     rel = abs(fitted - 0.5) / 0.5
     ok = rel < 0.02 and sw.elapsed < 5.0
@@ -69,7 +69,7 @@ def test_criterion_2_sigma_five_spectral_gap():
         init = MacroState2V(
             GridFunction(np.zeros(256)), GridFunction(np.cos(nodes(256)))
         )
-        traj = simulate_2v(init, 5.0, 30.0)
+        traj = simulate_2v(init, RelaxationProfile.constant(5.0), 30.0, theta=constant_rate(5.0).theta)
         fitted, _ = fit_decay_rate(traj.times, traj.pair_norm())
     rel = abs(fitted - mu) / mu
     ok = rel < 0.02 and sw.elapsed < 5.0
@@ -156,15 +156,21 @@ def test_criterion_6_improved_iteration():
 
 def test_criterion_7_telegrapher_gap_and_rate():
     with Stopwatch() as sw:
-        gap = telegrapher_gap(TelegrapherProblem(math.pi, 4.0 * math.pi))
-        rep = bs_rate(RelaxationProfile.two_piece(1.0, 4.0))
+        problem = rescale_sigma(RelaxationProfile.two_piece(1.0, 4.0))
+        gap = telegrapher_gap(problem)
+        rate = optimal_rate(problem, gap)
     gap_err = abs(gap.gap - 2.72831)
-    rate_err = abs(rep.rate - 0.86845)
-    ok = gap_err < 1e-3 and rate_err < 1e-3 and sw.elapsed < 30.0
+    rate_err = abs(rate - 0.86845)
+    ok = (
+        problem == TelegrapherProblem(math.pi, 4.0 * math.pi)
+        and gap_err < 1e-3
+        and rate_err < 1e-3
+        and sw.elapsed < 30.0
+    )
     report(
         7,
         ok,
-        f"gap = {gap.gap:.5f} (|diff| {gap_err:.1e}), alpha_BS = {rep.rate:.5f} "
+        f"gap = {gap.gap:.5f} (|diff| {gap_err:.1e}), alpha_BS = {rate:.5f} "
         f"(|diff| {rate_err:.1e}), {sw.elapsed:.1f}s",
     )
     assert ok
@@ -214,7 +220,7 @@ def test_criterion_10_three_velocity_decay():
             GridFunction(np.sin(nodes(256))),
             GridFunction(np.cos(2 * nodes(256))),
         )
-        traj = simulate_3v(init, 1.0, 30.0, theta=rep.theta)
+        traj = simulate_3v(init, RelaxationProfile.constant(1.0), 30.0, theta=rep.theta)
         increase = float(np.max(traj.entropy_increases()))
         fitted, _ = fit_decay_rate(traj.times, traj["entropy"])
     ok = increase < 1e-8 and fitted >= 0.3 * 0.98 and sw.elapsed < 10.0
@@ -271,7 +277,7 @@ def test_criterion_11_property_suites():
         init = MacroState2V(
             random_band_limited(256, seed=7), random_band_limited(256, seed=8)
         )
-        traj = simulate_2v(init, 2.5, 8.0)
+        traj = simulate_2v(init, RelaxationProfile.constant(2.5), 8.0, theta=constant_rate(2.5).theta)
         mass_ok = float(np.max(np.abs(traj["mass"] - traj["mass"][0]))) < 1e-12
         v_expected = traj["v_avg"][0] * np.exp(-2.5 * traj.times)
         v_ok = float(np.max(np.abs(traj["v_avg"] - v_expected))) < 1e-8

@@ -13,7 +13,7 @@ import pytest
 from gtlab import cli, solver
 from gtlab.cli import build_parser, main
 from gtlab.errors import GridMismatchError, ValidationError
-from gtlab.profiles import RelaxationProfile, as_profile
+from gtlab.profiles import RelaxationProfile
 from gtlab.rates import constant_rate
 from gtlab.torus import GridFunction, random_band_limited
 
@@ -80,7 +80,7 @@ class TestSigmaParsing:
         p = RelaxationProfile.parse(f"file:{path}")
         assert p.n == n and len(p.pieces) == n
         assert p.sample(n).tobytes() == values.tobytes()
-        assert p == as_profile(values) == as_profile(GridFunction(values))
+        assert p == RelaxationProfile.from_grid(GridFunction(values))
         with pytest.raises(GridMismatchError):
             p.sample(2 * n)
         with pytest.raises(ValidationError, match="not two-piece"):
@@ -551,6 +551,14 @@ TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300
         ),
         (["rates", "--sigma", "const:1e-310"], 0, "three-velocity             1.2247449e-310  5e-311"),
         (["simulate-3v", "--sigma", "const:1e-310", "--n", "64", "--t-final", "5"], 0, "entropy3  1.2247449e-310"),
+        # the sharp rate below sigma = 2 is sigma itself, not 2 (sigma/2), which is 0 at 5e-324
+        (["rates", "--sigma", "const:1e-320"], 0, "constant-sharp             9.9998887e-321  9.9998887e-321  1"),
+        (
+            ["rates", "--sigma", "const:5e-324"],
+            3,
+            "numerical failure: the three-velocity rate min(sigma_min/2, 3 sigma_min/(9 sigma_max^2 + 1)) "
+            "underflows to 0 at sigma_min = 4.94066e-324",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -769,3 +777,44 @@ def test_split_run_at_the_grid_bound_fits_the_memory_cap(tmp_path, command):
     proc = run_capped(out, *argv, *(["--u0", "random"] if command == "simulate-2v" else []))
     assert proc.returncode == 0, proc.stderr
     assert len((out / "trajectory.csv").read_text().splitlines()) == 17
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["simulate-2v", "--sigma", "const:1.5", "--u0", "random", "--v0", "random", "--t-final", "90"],
+            "decay fit: the series falls below the floor 1e-12 at t = 20.5676, "
+            "before the window [22.5004, 81.0015] opens",
+        ),
+        (
+            ["simulate-3v", "--sigma", "const:1.5", "--f1", "random", "--f2", "random", "--f3", "random",
+             "--t-final", "400"],
+            "decay fit: the series falls below the floor 1e-12 at t = 28.2989, "
+            "before the window [99.9971, 359.99] opens",
+        ),
+    ],
+    ids=["2v", "3v"],
+)
+def test_a_series_below_the_floor_before_the_fit_window_names_the_crossing(tmp_path, capsys, argv, message):
+    # the old message asked to shrink the window, which no flag sets
+    assert run(*argv, "--out", str(tmp_path / "o")) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: {message}")
+    assert "shrink the window" not in line
+
+
+def _csv_rows(path) -> list:
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("sigma", ["pc:1@pi,4@2pi", "pc:2.93@pi,0.402@2pi"])
+def test_each_rate_has_one_value_across_subcommands(tmp_path, sigma):
+    # appendix-a, telegrapher and rates reach each rate by the same library path
+    for command in ("appendix-a", "telegrapher", "rates"):
+        assert run(command, "--sigma", sigma, "--out", str(tmp_path / command)) == 0
+    comparison = dict(_csv_rows(tmp_path / "appendix-a" / "comparison.csv")[1:])
+    header, summary = _csv_rows(tmp_path / "telegrapher" / "telegrapher_summary.csv")
+    (perturbative,) = [r for r in _csv_rows(tmp_path / "rates" / "rates.csv") if r[0] == "perturbative"]
+    assert float(comparison["bernard-salvarani"]) == float(summary[header.index("alpha_bs")])
+    assert float(comparison["perturbative"]) == float(perturbative[2])

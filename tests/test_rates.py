@@ -14,7 +14,7 @@ from gtlab.rates import (
     check_conditions_3v,
     constant_rate,
     gamma_bounds,
-    perturbative_rate,
+    rate_2v,
     rate_3v,
     theta_star,
 )
@@ -43,6 +43,11 @@ class TestConstantRate:
             s = decimal.Decimal(sigma)
             mu = float(s / 2 - (s * s / 4 - 1).sqrt())
         assert constant_rate(sigma).mu == pytest.approx(mu, rel=1e-15)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-320, 1e-310, 0.3, 1.9])
+    def test_rate_below_two_is_sigma_itself(self, sigma):
+        # 2 * (sigma/2) would be 0 at 5e-324, where sigma/2 underflows
+        assert constant_rate(sigma).rate == sigma
 
     def test_defective_value(self):
         r = constant_rate(2.0, eps=0.5)
@@ -186,7 +191,7 @@ class TestConditions2V:
         sig = RelaxationProfile.from_grid(
             GridFunction(2.0 + 0.5 * np.sin(nodes(64)))
         )
-        rep = perturbative_rate(sig)
+        rep = rate_2v(sig)
         assert check_conditions_2v(rep.theta, rep.rate, sig)
 
 
@@ -204,7 +209,7 @@ class TestRate3V:
         # 3 sigma/(9 sigma^2 + 1), without squaring sigma, which overflows past 1.3e154
         r = rate_3v(sigma, sigma)
         assert r.rate == pytest.approx(1.0 / (3.0 * sigma), rel=1e-15)
-        check = check_conditions_3v(r.theta, r.rate, sigma)
+        check = check_conditions_3v(r.theta, r.rate, RelaxationProfile.constant(sigma))
         assert check and all(math.isfinite(m) for m in check.margins.values())
 
     @pytest.mark.parametrize("sigma", [1e-310, 1e-320, 1.7e308])

@@ -22,7 +22,7 @@ from gtlab.solver import (
     simulate_3v,
     to_macro3,
 )
-from gtlab.telegrapher import bs_rate
+from gtlab.telegrapher import optimal_rate, rescale_sigma, telegrapher_gap
 from gtlab.torus import (
     GridFunction,
     average,
@@ -32,6 +32,9 @@ from gtlab.torus import (
     norm_sq,
     random_band_limited,
 )
+
+
+const = RelaxationProfile.constant
 
 
 def gf(fn, n=256):
@@ -83,20 +86,20 @@ class TestSimulate2V:
     def test_steady_state_both_schemes(self):
         init = MacroState2V(GridFunction(np.full(64, 2.0)), GridFunction(np.zeros(64)))
         for scheme in ("split", "rk4"):
-            traj = simulate_2v(init, 1.3, 2.0, scheme=scheme)
+            traj = simulate_2v(init, const(1.3), 2.0, scheme=scheme, theta=1.3)
             assert np.max(traj["norm_u_dev"]) < 1e-12
             assert np.max(traj["norm_v"]) < 1e-12
 
     def test_zero_mode_closed_form(self):
         # u0 = 0, v0 = 1: v(t) = e^{-sigma t} uniformly, u stays 0
         init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.ones(64)))
-        traj = simulate_2v(init, 1.0, 5.0)
+        traj = simulate_2v(init, const(1.0), 5.0, theta=1.0)
         assert np.max(np.abs(traj["norm_v"] - np.exp(-traj.times))) < 1e-13
         assert np.max(traj["norm_u_dev"]) < 1e-14
 
     def test_first_mode_sharp_rate(self):
         init = MacroState2V(GridFunction(np.zeros(256)), gf(np.cos))
-        traj = simulate_2v(init, 1.0, 30.0)
+        traj = simulate_2v(init, const(1.0), 30.0, theta=1.0)
         rate, r2 = fit_decay_rate(traj.times, traj.pair_norm(), window=(5.0, 25.0))
         assert rate == pytest.approx(0.5, rel=0.02)
         assert r2 > 0.99
@@ -104,7 +107,7 @@ class TestSimulate2V:
     def test_constant_sigma_entropy_is_exact_exponential(self):
         # with v_avg = 0 the entropy identity closes: E(t) = E(0) e^{-sigma t}
         init = MacroState2V(GridFunction(np.zeros(256)), gf(np.cos))
-        traj = simulate_2v(init, 1.0, 10.0)
+        traj = simulate_2v(init, const(1.0), 10.0, theta=1.0)
         expected = traj["entropy"][0] * np.exp(-traj.times)
         # the law is exact for the flow; the trajectory carries O(dt^2) error
         assert np.max(np.abs(traj["entropy"] - expected)) < 1e-4
@@ -113,29 +116,37 @@ class TestSimulate2V:
         # entropy and rhs are quadratic in the state; large data must not
         # change how the record computes the primitive of u - u_avg
         u0, v0 = random_band_limited(256, seed=3), random_band_limited(256, seed=4)
-        base = simulate_2v(MacroState2V(u0, v0), 1.0, 10.0)
-        big = simulate_2v(MacroState2V(GridFunction(1e4 * u0.values), GridFunction(1e4 * v0.values)), 1.0, 10.0)
+        base = simulate_2v(MacroState2V(u0, v0), const(1.0), 10.0, theta=1.0)
+        big = simulate_2v(
+            MacroState2V(GridFunction(1e4 * u0.values), GridFunction(1e4 * v0.values)),
+            const(1.0),
+            10.0,
+            theta=1.0,
+        )
         for name in ("entropy", "rhs"):
             assert_allclose(big[name], 1e8 * base[name], rtol=1e-12, atol=0.0)
 
-    def test_defective_sigma_needs_theta(self):
+    def test_theta_is_required(self):
+        # the twist is the caller's choice: rates.rate_2v or rate_3v gives the theoretical one
         init = MacroState2V(GridFunction(np.zeros(64)), gf(np.cos, 64))
-        with pytest.raises(ValidationError):
-            simulate_2v(init, 2.0, 1.0)
+        with pytest.raises(TypeError, match="theta"):
+            simulate_2v(init, const(2.0), 1.0)
+        with pytest.raises(TypeError, match="theta"):
+            simulate_3v(to_macro3(init.u, init.v, init.v), const(1.0), 1.0)
 
     def test_mass_conservation_split(self):
         init = MacroState2V(random_band_limited(256, seed=3), random_band_limited(256, seed=4))
-        traj = simulate_2v(init, RelaxationProfile.two_piece(1.0, 4.0), 10.0)
+        traj = simulate_2v(init, RelaxationProfile.two_piece(1.0, 4.0), 10.0, theta=theta_star(1.0, 4.0))
         assert np.max(np.abs(traj["mass"] - traj["mass"][0])) < 1e-12
 
     def test_mass_conservation_rk4(self):
         init = MacroState2V(random_band_limited(256, seed=5), random_band_limited(256, seed=6))
-        traj = simulate_2v(init, 1.5, 5.0, scheme="rk4")
+        traj = simulate_2v(init, const(1.5), 5.0, scheme="rk4", theta=1.5)
         assert np.max(np.abs(traj["mass"] - traj["mass"][0])) < 1e-10
 
     def test_flux_average_law(self):
         init = MacroState2V(random_band_limited(256, seed=7), random_band_limited(256, seed=8))
-        traj = simulate_2v(init, 2.5, 8.0)
+        traj = simulate_2v(init, const(2.5), 8.0, theta=constant_rate(2.5).theta)
         expected = traj["v_avg"][0] * np.exp(-2.5 * traj.times)
         assert np.max(np.abs(traj["v_avg"] - expected)) < 1e-8
 
@@ -145,8 +156,8 @@ class TestSimulate2V:
         sigma = RelaxationProfile.from_grid(GridFunction(1.5 + 0.25 * np.sin(x)))
         init = MacroState2V(GridFunction(np.cos(x)), GridFunction(0.5 * np.sin(x)))
         dt = 2 * np.pi / n
-        a = simulate_2v(init, sigma, 1.0, dt=dt, scheme="split")
-        b = simulate_2v(init, sigma, 1.0, dt=dt, scheme="rk4")
+        a = simulate_2v(init, sigma, 1.0, dt=dt, scheme="split", theta=1.0)
+        b = simulate_2v(init, sigma, 1.0, dt=dt, scheme="rk4", theta=1.0)
         diff = np.sqrt(
             norm_sq(GridFunction(a.final.u.values - b.final.u.values))
             + norm_sq(GridFunction(a.final.v.values - b.final.v.values))
@@ -179,7 +190,7 @@ class TestSimulate2V:
                 fp = random_band_limited(256, seed=seed).values
                 fm = random_band_limited(256, seed=500 + seed).values
                 mac = MacroState2V(GridFunction(fp + fm), GridFunction(fp - fm))
-                traj = simulate_2v(mac, s, 10.0, record_every=8)
+                traj = simulate_2v(mac, const(s), 10.0, theta=rep.theta, record_every=8)
                 f_inf = average(mac.u) / 2.0
                 d0 = np.sqrt(norm_sq(GridFunction(fp - f_inf)) + norm_sq(GridFunction(fm - f_inf)))
                 dist = np.sqrt((traj["norm_u_dev"] ** 2 + traj["norm_v"] ** 2) / 2.0)
@@ -197,7 +208,7 @@ class TestSimulate2V:
     def test_split_requires_commensurate_dt(self):
         init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.zeros(64)))
         with pytest.raises(ValidationError):
-            simulate_2v(init, 1.0, 1.0, dt=0.01, scheme="split")
+            simulate_2v(init, const(1.0), 1.0, dt=0.01, scheme="split", theta=1.0)
 
     @pytest.mark.parametrize("scheme", ["split", "rk4"])
     def test_step_longer_than_the_run_is_refused(self, scheme):
@@ -205,7 +216,7 @@ class TestSimulate2V:
         init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.cos(nodes(64))))
         dx = 2 * np.pi / 64
         with pytest.raises(ValidationError, match=r"^dt = 0.19635 exceeds t_final = 0.0981748; lower --dt$"):
-            simulate_2v(init, 1.0, dx, dt=2 * dx, scheme=scheme)
+            simulate_2v(init, const(1.0), dx, dt=2 * dx, scheme=scheme, theta=1.0)
 
     @pytest.mark.parametrize(
         "n, record_every, t_named",
@@ -219,14 +230,14 @@ class TestSimulate2V:
         # is over the matrix bound, so the Horner stages step it
         init = MacroState2V(random_band_limited(n, seed=0), random_band_limited(n, seed=1))
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=rf"t = {t_named}$"):
-            simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=record_every)
+            simulate_2v(init, const(1.0), 200.0, dt=0.5, scheme="rk4", theta=1.0, record_every=record_every)
 
     def test_blow_up_raises_no_numpy_warning(self):
         init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"state detected at t = 48.5$"):
-                simulate_2v(init, 1.0, 200.0, dt=0.5, scheme="rk4")
+                simulate_2v(init, const(1.0), 200.0, dt=0.5, scheme="rk4", theta=1.0)
 
     @pytest.mark.parametrize("record_every, t_named", [(1, "25.5"), (7, "28")])
     def test_non_finite_diagnostic_of_a_finite_state_raises(self, record_every, t_named):
@@ -235,13 +246,15 @@ class TestSimulate2V:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=rf"diagnostics at t = {t_named}$"):
-                simulate_2v(init, 1.0, 30.0, dt=0.5, scheme="rk4", record_every=record_every)
+                simulate_2v(
+                    init, const(1.0), 30.0, dt=0.5, scheme="rk4", theta=1.0, record_every=record_every
+                )
 
     def test_complex_rejected(self):
         # a complex state cannot be built: the grid function rejects it
         with pytest.raises(ValidationError, match="must be real"):
             c = GridFunction(np.exp(1j * nodes(64)))
-            simulate_2v(MacroState2V(GridFunction(c.values.real), c), 1.0, 1.0)
+            simulate_2v(MacroState2V(GridFunction(c.values.real), c), const(1.0), 1.0, theta=1.0)
 
     def test_mismatched_grids_name_the_sizes(self):
         with pytest.raises(ValidationError, match="share one grid, got n = 64, 32"):
@@ -251,19 +264,19 @@ class TestSimulate2V:
 class TestSimulate3V:
     def test_steady_state(self):
         c = GridFunction(np.full(64, 0.7))
-        traj = simulate_3v(to_macro3(c, c, c), 1.7, 3.0)
+        traj = simulate_3v(to_macro3(c, c, c), const(1.7), 3.0, theta=rate_3v(1.7, 1.7).theta)
         assert np.max(traj["norm_u2"]) < 1e-14
         assert np.max(traj["norm_u3"]) < 1e-14
 
     def test_mass_conservation(self):
         init = to_macro3(*(random_band_limited(128, seed=s) for s in (11, 12, 13)))
-        traj = simulate_3v(init, RelaxationProfile.two_piece(1.0, 2.0), 8.0)
+        traj = simulate_3v(init, RelaxationProfile.two_piece(1.0, 2.0), 8.0, theta=rate_3v(1.0, 2.0).theta)
         assert np.max(np.abs(traj["mass"] - traj["mass"][0])) < 1e-12
 
     def test_corollary_rate_observed(self):
         rep = rate_3v(1.0, 1.0)
         init = to_macro3(gf(lambda x: 1 + np.cos(x)), gf(np.sin), gf(lambda x: np.cos(2 * x)))
-        traj = simulate_3v(init, 1.0, 30.0, theta=rep.theta)
+        traj = simulate_3v(init, const(1.0), 30.0, theta=rep.theta)
         assert np.max(traj.entropy_increases()) < 1e-8
         rate, _ = fit_decay_rate(traj.times, traj["entropy"])
         assert rate >= rep.rate * 0.98
@@ -271,8 +284,8 @@ class TestSimulate3V:
     def test_convergence_to_equilibrium(self):
         init = to_macro3(gf(lambda x: 1 + np.cos(x)), gf(np.sin), gf(lambda x: np.cos(2 * x)))
         u_inf = average(init.u1)
-        alpha = rate_3v(1.0, 1.0).rate
-        traj = simulate_3v(init, 1.0, 40.0 / alpha, record_every=64)
+        rep = rate_3v(1.0, 1.0)
+        traj = simulate_3v(init, const(1.0), 40.0 / rep.rate, theta=rep.theta, record_every=64)
         assert norm(GridFunction(traj.final.u1.values - u_inf)) < 1e-6
         assert norm(traj.final.u2) < 1e-6
         assert norm(traj.final.u3) < 1e-6
@@ -280,8 +293,9 @@ class TestSimulate3V:
     def test_schemes_agree(self):
         init = to_macro3(gf(lambda x: np.cos(x), 128), gf(np.sin, 128), GridFunction(np.zeros(128)))
         dt = 2 * np.pi / 128
-        a = simulate_3v(init, 1.5, 1.0, dt=dt, scheme="split")
-        b = simulate_3v(init, 1.5, 1.0, dt=dt, scheme="rk4")
+        theta = rate_3v(1.5, 1.5).theta
+        a = simulate_3v(init, const(1.5), 1.0, dt=dt, scheme="split", theta=theta)
+        b = simulate_3v(init, const(1.5), 1.0, dt=dt, scheme="rk4", theta=theta)
         diff = max(
             norm(GridFunction(a.final.u1.values - b.final.u1.values)),
             norm(GridFunction(a.final.u2.values - b.final.u2.values)),
@@ -353,13 +367,13 @@ class TestCheckerboardRule:
             init, simulate = to_macro3(board, GridFunction(np.zeros(n)), GridFunction(np.zeros(n))), simulate_3v
         match = rf"sum_j \(-1\)\^j S_j / n = 0.5, S = sum_i f_i; {named} conserves \|L\|"
         with pytest.raises(ValidationError, match=match):
-            simulate(init, 1.0, 30.0, dt=dt, scheme=scheme)
+            simulate(init, const(1.0), 30.0, dt=dt, scheme=scheme, theta=1.0)
 
     def test_rounding_is_measured_against_the_kinetic_values(self):
         # S = f_+ + f_- rounds relative to v, not to u; against max |S| the
         # rounding of this L would read 1.5e-12 and the run would be refused
         u0 = GridFunction(1e-7 * random_band_limited(256, seed=1, zero_mean=True).values)
-        traj = simulate_2v(MacroState2V(u0, random_band_limited(256, seed=2)), 1.0, 1.0)
+        traj = simulate_2v(MacroState2V(u0, random_band_limited(256, seed=2)), const(1.0), 1.0, theta=1.0)
         assert np.isfinite(traj["entropy"]).all() and traj.times.size == 42
 
 
@@ -368,9 +382,9 @@ def test_a_twist_outside_the_norm_range_is_refused_before_any_step(no_steps, the
     # E_theta is a norm only for |theta| < 2
     init = MacroState2V(random_band_limited(64, seed=1, zero_mean=True), random_band_limited(64, seed=2))
     with pytest.raises(ValidationError, match=r"a norm only for \|theta\| < 2"):
-        simulate_2v(init, 1.0, 5.0, theta=theta)
+        simulate_2v(init, const(1.0), 5.0, theta=theta)
     with pytest.raises(ValidationError, match=r"a norm only for \|theta\| < 2"):
-        simulate_3v(to_macro3(init.u, init.v, init.v), 1.0, 5.0, theta=theta)
+        simulate_3v(to_macro3(init.u, init.v, init.v), const(1.0), 5.0, theta=theta)
 
 
 class TestStrangSpectrum:
@@ -401,13 +415,15 @@ class TestStrangSpectrum:
     def test_richardson_rate_is_half_the_optimal_rate(self, pair):
         profile = RelaxationProfile.two_piece(*pair)
         coarse, fine = self.scheme_rate(profile, 128), self.scheme_rate(profile, 256)
-        assert abs((4.0 * fine - coarse) / 3.0 - bs_rate(profile).rate / 2.0) < 1e-5
+        problem = rescale_sigma(profile)
+        optimal = optimal_rate(problem, telegrapher_gap(problem))
+        assert abs((4.0 * fine - coarse) / 3.0 - optimal / 2.0) < 1e-5
 
 
 class TestTrajectory:
     def test_csv_roundtrip(self, tmp_path):
         init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.cos(nodes(64))))
-        traj = simulate_2v(init, 1.0, 1.0)
+        traj = simulate_2v(init, const(1.0), 1.0, theta=1.0)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         data = np.genfromtxt(path, delimiter=",", names=True)
@@ -724,7 +740,9 @@ class TestRK4Oracle:
     def test_stride_past_the_run_is_the_whole_run(self):
         # a stride beyond the step count builds M^steps, not M^record_every
         init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
-        runs = [simulate_2v(init, 1.0, 5.0, scheme="rk4", record_every=r) for r in (10**9, 102)]
+        runs = [
+            simulate_2v(init, const(1.0), 5.0, scheme="rk4", theta=1.0, record_every=r) for r in (10**9, 102)
+        ]
         assert len(runs[1].times) == 2  # 102 steps: t0 and the end
         for name in runs[1].columns:
             assert np.array_equal(runs[0][name], runs[1][name]), name
@@ -735,7 +753,7 @@ class TestRK4Oracle:
         # product with it would turn even the zero state into NaN (0 * inf);
         # single steps keep it zero
         zero = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.zeros(64)))
-        traj = simulate_2v(zero, 1.0, 200.0, dt=0.5, scheme="rk4", record_every=1000)
+        traj = simulate_2v(zero, const(1.0), 200.0, dt=0.5, scheme="rk4", theta=1.0, record_every=1000)
         assert traj.times.tolist() == [0.0, 200.0]
         for name, column in traj.columns.items():
             assert np.array_equal(column, [0.0, 0.0]), name
@@ -787,14 +805,21 @@ class TestFitting:
     def test_floor_crossing_errors_out(self):
         t = np.linspace(0.0, 50.0, 200)
         vals = np.exp(-3.0 * t)  # deep underflow past t ~ 10
-        with pytest.raises(NumericalError):
+        match = r"^decay fit: the series falls below the floor 1e-12 at t = 9.29648, before the window \[40, 50\]"
+        with pytest.raises(NumericalError, match=match):
             fit_decay_rate(t, vals, window=(40.0, 50.0))
+
+    def test_sparse_window_names_the_count(self):
+        t = np.linspace(0.0, 10.0, 11)
+        match = r"^decay fit: only 7 usable points in the window \[2.5, 9\], 10 needed$"
+        with pytest.raises(NumericalError, match=match):
+            fit_decay_rate(t, np.exp(-t))
 
     def test_defective_sigma_two_envelope(self):
         # sigma = 2, first-mode data: the pair norm follows ~ (1+t)e^{-t};
         # the envelope fit should sit close to 1, the pure fit below it
         init = MacroState2V(GridFunction(np.zeros(256)), gf(np.cos))
-        traj = simulate_2v(init, 2.0, 25.0, theta=constant_rate(2.0, eps=0.1).theta)
+        traj = simulate_2v(init, const(2.0), 25.0, theta=constant_rate(2.0, eps=0.1).theta)
         vals = traj.pair_norm()
         env_rate, _ = fit_envelope_rate(traj.times, vals, window=(8.0, 22.0))
         pure_rate, _ = fit_decay_rate(traj.times, vals, window=(8.0, 22.0))

@@ -21,6 +21,10 @@ flag the handler reads must be registered. ``main`` reads --out for every
 subcommand, since it alone writes the files, so --out counts as read by
 ``main``; --config is read from argv before parsing. Every number flag
 refuses nan and +-inf in one line, with exit 2.
+
+The numerical layers take a RelaxationProfile and an explicit twist from
+their caller: ``solver``, ``entropy``, ``poincare`` and ``telegrapher``
+import neither ``gtlab.rates`` nor ``gtlab.profiles``.
 """
 
 import argparse
@@ -134,6 +138,33 @@ def test_every_public_name_has_a_caller():
                 unused.append(qualified)
     assert unused == []
     assert sorted(ORACLES - defined) == []
+
+
+#: Modules that must not import LAYERED_ABOVE, and what they must not import.
+LAYERED = ("solver", "entropy", "poincare", "telegrapher")
+LAYERED_ABOVE = {"gtlab.rates", "gtlab.profiles"}
+
+
+def _imported_modules(tree) -> set:
+    """The gtlab modules a module of the package imports, relative imports resolved."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "gtlab" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_numerical_layers_import_neither_rates_nor_profiles():
+    wrong = {
+        name: sorted(_imported_modules(ast.parse((PACKAGE / f"{name}.py").read_text())) & LAYERED_ABOVE)
+        for name in LAYERED
+    }
+    assert {name: found for name, found in wrong.items() if found} == {}
 
 
 def test_every_oracle_has_a_test():
