@@ -21,14 +21,15 @@ an even-order touch of det, and nearly equal weights split it into two
 simple eigenvalues closer than one scan step; the scan finds both as valleys
 of |det|, and refines each valley's bottom first.
 
-The rate-improvement iteration scans once per iterate, and every scan after
-the first is confined to a window proven to hold c_min:
+Every scan covers only the window that the two Rayleigh bounds prove to
+hold c_min = min int f'^2 / int f^2 w over f of zero mean:
 
-- lower end, the previous c_min: while each piece of the weight is no larger
-  than at the previous scan, c_min = min int f'^2 / int f^2 w is no smaller;
+- lower end, 1/max w: int f^2 w <= max w int f^2 <= max w int f'^2, the
+  second step Wirtinger's inequality;
 - upper end, 2/(w1 + w2): sin x and cos x have zero mean and
-  int sin^2 w = int cos^2 w = pi (w1 + w2)/2, so the two smallest
-  eigenvalues (the close-root pair among them) lie at or below it.
+  int sin^2 w = int cos^2 w = pi (w1 + w2)/2, with int sin cos w = 0, so
+  the two smallest eigenvalues (the close-root pair among them) lie at or
+  below it.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ from .errors import NumericalError, ValidationError
 _ROOT_XTOL = 1e-12
 #: the scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0
 _SCAN_STEP = 1e-3
-#: Most lattice points a scan may ask numpy for: half the float64 elements
-#: an array can index (np.iinfo(np.intp).max // 8), as np.arange already
-#: refuses a few dozen points below that. numpy refuses a grid past that
-#: size with ValueError, not MemoryError; every grid under the bound is left
-#: to the allocator.
-_MAX_SCAN_POINTS = np.iinfo(np.intp).max // 16
+#: Most lattice points a scan may evaluate. A window holds up to about
+#: 1000/max w of them; 2^20 take about 300 MiB at peak (the (..., 5, 5)
+#: matrices and LU's copy of them), well under a 2 GiB address space.
+_MAX_SCAN_POINTS = 1 << 20
 #: |det|/scale below this at a refined local minimum counts as an even root.
 _TOUCH_RTOL = 1e-8
 #: half-width, relative to lambda, of the symmetric difference that locates a touch;
@@ -57,9 +56,9 @@ _TOUCH_STEP = 1e-6
 _CLOSE_ROOT_WINDOW = 1e-3
 #: improved_alpha stops, unconverged, after this many updates
 _MAX_ITER = 100
-#: a warm scan reaches this many _SCAN_STEP lattice steps beyond both ends of
-#: its window, past the 50-point half-width of the touch test's local scale
-_WARM_PAD = 64
+#: a scan reaches this many _SCAN_STEP lattice steps beyond both Rayleigh
+#: bounds, past the 50-point half-width of the touch test's local scale
+_PAD = 64
 
 
 @dataclass(frozen=True)
@@ -170,22 +169,38 @@ def _refine(f, lo, hi, flo, fhi) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def weighted_poincare(
-    weight: TwoPieceWeight,
-    lam_max: float | None = None,
-    *,
-    lam_min: float = 0.0,
-) -> PoincareResult:
-    """Scan [lam_min, lam_max] for the first singular lambda; C_w^2 = 1/c_min.
+def weighted_poincare(weight: TwoPieceWeight) -> PoincareResult:
+    """c_min from a scan of the window [1/max w, 2/(w1 + w2)]; C_w^2 = 1/c_min.
 
-    The scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0, from its last
-    point at or below lam_min, so a window of the full scan evaluates the
-    same lambdas as the full scan does there; a grid that holds no point of
-    the lattice is a NumericalError, and so are a grid of more than
-    _MAX_SCAN_POINTS points, raised before any array is built, and a grid
-    with no root on it.
-    That error names the Rayleigh bound c_min >= 1/max w when the bound lies
-    below the grid's first point, where no larger lam_max can help.
+    The grid is the lattice _SCAN_STEP * (i + 1), i >= 0, from its last
+    point below the window less _PAD steps up to the window plus _PAD steps.
+    A window whose upper end lies below the lattice's first point cannot
+    show c_min and is a NumericalError, raised before any scan; so is a
+    first root above the upper end, which the lattice missed.
+    """
+    upper = 2.0 / (weight.w1 + weight.w2)  # 0 where w1 + w2 overflows
+    if upper < _SCAN_STEP:
+        raise NumericalError(
+            f"c_min <= 2/(w1 + w2) = {upper:.6g} lies below the scan lattice's first point {_SCAN_STEP:g}"
+        )
+    pad = _PAD * _SCAN_STEP
+    result = _scan(weight, 1.0 / weight.sup - pad, upper + pad)
+    if result.c_min > upper + _SCAN_STEP:
+        raise NumericalError(
+            f"the scan's first root {result.c_min:.10g} lies above the bound 2/(w1 + w2) = {upper:.6g} "
+            "on c_min: the lattice missed c_min"
+        )
+    return result
+
+
+def _scan(weight: TwoPieceWeight, lam_min: float, lam_max: float) -> PoincareResult:
+    """The roots of det on the lattice _SCAN_STEP * (i + 1) over [lam_min, lam_max].
+
+    The grid runs from the lattice's last point at or below lam_min, so a
+    window of a wider scan evaluates the same lambdas as that scan does
+    there. A grid of more than _MAX_SCAN_POINTS points, refused before any
+    array is built, a determinant that overflows on the grid, and a grid
+    with no root on it are NumericalErrors.
 
     _refine takes the grid's sign changes of det. Every other local minimum
     of |det| near zero is a valley, whose bottom is refined first, as the
@@ -195,22 +210,16 @@ def weighted_poincare(
     rounding, the bottom is an even-order touch (equal weights), and is the
     root. A valley whose symmetric difference keeps its sign raises.
     """
-    if lam_max is None:
-        lam_max = 4.0 / min(weight.w1, weight.w2)  # classical bound with margin
-    # the points of np.arange(step, lam_max + step / 2, step) from index first on
     step = _SCAN_STEP
+    points = (lam_max - lam_min) / step
+    if not points <= _MAX_SCAN_POINTS:  # an infinite window fails this too
+        raise NumericalError(
+            f"scan window [{lam_min:.6g}, {lam_max:.6g}] holds {points:.3g} lattice points, "
+            f"past the bound of {_MAX_SCAN_POINTS} scan points"
+        )
+    # the points of np.arange(step, lam_max + step / 2, step) from index first on
     first = max(0, math.floor(lam_min / step) - 1)
-    last = (lam_max + step / 2.0 - step) / step
-    if not last - first <= _MAX_SCAN_POINTS:  # an infinite lam_max fails this too
-        raise NumericalError(
-            f"scan grid of {last - first:.3g} points up to lam_max = {lam_max:.6g} "
-            f"exceeds the bound of {_MAX_SCAN_POINTS:.3g} scan points"
-        )
-    count = math.ceil(last)
-    if count <= first:
-        raise NumericalError(
-            f"empty scan grid: lam_max = {lam_max:.6g} lies below its first point {step * (first + 1):g}"
-        )
+    count = math.ceil((lam_max + step / 2.0 - step) / step)
 
     def det(lam):
         return np.linalg.det(matching_matrix(lam, weight))
@@ -220,7 +229,12 @@ def weighted_poincare(
         return d[: lam.size] - d[lam.size :]
 
     grid = step + np.arange(first, count) * step
-    dets = det(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny weight overflows the tau column
+        dets = det(grid)
+    if not np.isfinite(dets).all():
+        raise NumericalError(
+            f"the matching determinant of weight ({weight.w1:g}, {weight.w2:g}) overflows on the scan grid"
+        )
     absdet = np.abs(dets)
     scale = float(np.max(absdet))
     if scale == 0.0:
@@ -254,13 +268,7 @@ def weighted_poincare(
     roots.append(_refine(det, lam[i], lam[i + 1], d[i], d[i + 1]))
     roots = np.sort(np.concatenate(roots)).tolist()
     if not roots:
-        bound = 1.0 / weight.sup  # c_min >= 1/max w, by Wirtinger's inequality
-        advice = (
-            f"the Rayleigh bound 1/max w = {bound:.6g} lies below the scan's first point {grid[0]:g}"
-            if bound < grid[0]
-            else "increase lam_max"
-        )
-        raise NumericalError(f"no singular lambda in [{lam_min}, {lam_max}]; {advice}")
+        raise NumericalError(f"no singular lambda on the scan grid over [{grid[0]:g}, {grid[-1]:g}]")
     c_min = roots[0]
     close = len(roots) > 1 and roots[1] - c_min < _CLOSE_ROOT_WINDOW
     return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, roots=tuple(roots), close_root_flag=close)
@@ -308,37 +316,17 @@ def improved_alpha(
     monotonically to the improved rate alpha_max. Stops early, unconverged,
     if an iterate leaves the admissible set.
 
-    Only the first scan, at alpha0, covers (0, 4/min w]. Each later one is
-    warm: it scans [c_min of the previous scan, 2/(w1 + w2)], padded by
-    _WARM_PAD steps of the _SCAN_STEP lattice, on that same lattice, so it
-    returns the same c_min.
-    - Lower end: c_min = min int f'^2 / int f^2 w cannot fall while no piece
-      of the weight grows, and that is checked before each warm scan. Along
-      the iterates it holds: w_j = (sigma_j - alpha)^2 / (2 sigma_j - theta
-      - alpha) decreases in alpha for sigma_j >= theta > alpha, and the
-      iterates never decrease, because the cap increases in alpha.
-    - Upper end: sin x and cos x have zero mean and Rayleigh quotient
-      2/(w1 + w2), so the two smallest eigenvalues lie at or below it.
-    A candidate whose weight exceeds the previous one on either piece (one
-    below the previous alpha, which the admission slack allows) is scanned
-    in full.
+    Each iterate's constant comes from one scan of the window that the two
+    Rayleigh bounds prove to hold c_min of its weight w:
+    1/max w <= c_min <= 2/(w1 + w2) (see weighted_poincare).
     """
 
-    def scan(alpha: float, previous=None):
-        """(weight, PoincareResult) at alpha, warm from the previous pair where that is proven."""
+    def cap(alpha: float) -> float:
         weight = weight_from_sigma(sigma, theta, alpha)
-        if previous is None or weight.w1 > previous[0].w1 or weight.w2 > previous[0].w2:
-            return weight, weighted_poincare(weight)
-        pad = _WARM_PAD * _SCAN_STEP
-        lam_max = 2.0 / (weight.w1 + weight.w2) + pad
-        return weight, weighted_poincare(weight, lam_max, lam_min=previous[1].c_min - pad)
-
-    def cap(scanned) -> float:
-        return theta - theta**2 * scanned[1].c_omega_sq / 4.0
+        return theta - theta**2 * weighted_poincare(weight).c_omega_sq / 4.0
 
     slack = max(10.0 * tol, 1e-9)
-    current = scan(alpha0)
-    current_cap = cap(current)
+    current_cap = cap(alpha0)
     if not 0.0 < alpha0 <= current_cap + slack:
         raise ValidationError(
             f"alpha0 = {alpha0} is inadmissible: needs 0 < alpha0 <= {current_cap}"
@@ -349,10 +337,9 @@ def improved_alpha(
     for _ in range(_MAX_ITER):
         candidate = current_cap  # theta - theta^2 C^2_{w_alpha}/4
         try:
-            scanned = scan(candidate, current)
+            candidate_cap = cap(candidate)
         except (ValidationError, NumericalError):
             break
-        candidate_cap = cap(scanned)
         if candidate <= 0.0 or candidate > candidate_cap + slack:
             break
         iterates.append(candidate)
@@ -360,6 +347,5 @@ def improved_alpha(
             alpha = candidate
             converged = True
             break
-        alpha = candidate
-        current, current_cap = scanned, candidate_cap
+        alpha, current_cap = candidate, candidate_cap
     return ImprovedAlphaResult(alpha_max=alpha, iterates=tuple(iterates), converged=converged)

@@ -19,6 +19,12 @@ axis, and the branch of t_j never matters. D(0) = 0 is the mass mode. The
 optimal rate is (1/pi) min(|sigma~|_L1, gap): ``rescale_sigma``, then
 ``telegrapher_gap``, then ``optimal_rate``.
 
+The default strip is 0 < Re gamma < max(2 min sigma~, |sigma~|_L1),
+|Im gamma| <= 4 max sigma~. It reaches the L1 norm, where min(|sigma~|_L1,
+gap) is set; 2 min sigma~ is kept where it is wider (max/min < 3), so a
+constant profile's high modes, on Re gamma = sigma~ = |sigma~|_L1, never
+sit on the strip's edge.
+
 The root search is certified: it counts the zeros of D in its strip by the
 argument principle (Delves & Lyness, Math. Comp. 1967), then finds exactly
 that many, all by Newton on D: from the sign changes of a real-axis scan,
@@ -78,7 +84,7 @@ class TelegrapherProblem:
                 f"damping values must be positive, got ({self.sigma1}, {self.sigma2})"
             )
         if self.re_max is None:
-            object.__setattr__(self, "re_max", 2.0 * min(self.sigma1, self.sigma2))
+            object.__setattr__(self, "re_max", max(2.0 * min(self.sigma1, self.sigma2), self.l1_norm))
         if self.im_max is None:
             object.__setattr__(self, "im_max", 4.0 * max(self.sigma1, self.sigma2))
         if not (math.isfinite(self.re_max) and math.isfinite(self.im_max)):  # sigma past 1.4e307

@@ -217,10 +217,27 @@ class TestSubcommands:
         values = dict(zip(header, summary[1].split(",")))
         assert float(values["gap"]) == pytest.approx(2.72831, abs=1e-3)
         assert float(values["alpha_bs"]) == pytest.approx(0.86845, abs=1e-3)
-        assert "9 eigenvalues in the strip (certified count" in capsys.readouterr().out
+        assert "17 eigenvalues in the strip (certified count" in capsys.readouterr().out
         roots = (out / "telegrapher_roots.csv").read_text().splitlines()
-        assert roots[0] == "re_gamma,im_gamma,abs_d" and len(roots) == 10
+        assert roots[0] == "re_gamma,im_gamma,abs_d" and len(roots) == 18
         assert all(float(row.split(",")[2]) < 1e-12 for row in roots[1:])
+
+    def test_telegrapher_strip_reaches_the_l1_norm(self, tmp_path, capsys):
+        # 0 < Re < 2 min sigma~ = 2 pi 1e-8 held no eigenvalue; 0 < Re < |sigma~|_L1 holds four
+        assert run("telegrapher", "--sigma", "pc:1e-8@pi,1@2pi", "--out", str(tmp_path / "o")) == 0
+        assert "gap = 1.22111 at gamma = 1.22111+5.56196j (complex)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "sigma, line",
+        [
+            ("pc:0.05@pi,1@2pi", "perturbative 0.049703 < improved 0.0498219 < optimal 0.421803"),
+            ("pc:0.25@pi,4@2pi", "perturbative 0.220355 < improved 0.232237 < optimal 0.599659"),
+        ],
+    )
+    def test_appendix_a_on_the_profiles_that_failed(self, tmp_path, capsys, sigma, line):
+        # the Poincare scan of (0.05, 1) ran out of memory, and the strip of either held no root
+        assert run("appendix-a", "--sigma", sigma, "--out", str(tmp_path / "o")) == 0
+        assert f"rates: {line}: ordering holds" in capsys.readouterr().out
 
     def test_appendix_a_ordering(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -410,13 +427,16 @@ class TestExitCodes:
             (["simulate-2v", "--u0", "file:/nonexistent"], 2, "cannot parse field spec"),
             # --out names an existing file
             (["rates"], 2, "cannot write --out"),
-            # 4/min w = 4e-4 lies below the first lattice point 1e-3
-            (["poincare", "--w1", "10000", "--w2", "10000"], 3, "lam_max = 0.0004"),
-            # c_min = 1/w = 3.3e-4 lies below the one scan point 1e-3 of (0, 4/w]
+            # c_min <= 2/(w1 + w2) = 1/w lies below the first lattice point 1e-3: refused unscanned
+            (
+                ["poincare", "--w1", "10000", "--w2", "10000"],
+                3,
+                "c_min <= 2/(w1 + w2) = 0.0001 lies below the scan lattice's first point 0.001",
+            ),
             (
                 ["poincare", "--w1", "3000", "--w2", "3000"],
                 3,
-                "1/max w = 0.000333333 lies below the scan's first point 0.001",
+                "c_min <= 2/(w1 + w2) = 0.000333333 lies below the scan lattice's first point 0.001",
             ),
             # non-finite numbers are refused as the flags are read
             (["simulate-2v", "--t-final", "nan"], 2, "--t-final: expected a finite number, got 'nan'"),
@@ -459,8 +479,12 @@ class TestExitCodes:
             (["simulate-2v", "--seed", "-1", "--u0", "random"], 2, "--seed: expected an integer >= 0, got '-1'"),
             # one step would overshoot T = 30, leaving the fit no point
             (["simulate-2v", "--dt", "1e300"], 2, "dt = 1e+300 exceeds t_final = 30; lower --dt"),
-            # re_max = 2 pi 1e-8 is narrower than two 1e-6 notches: the count is 0, not -1
-            (["telegrapher", "--sigma", "pc:1e-8@pi,1@2pi"], 3, "no eigenvalues found in the search strip"),
+            # the weight (0.5, 8.5e307): its scan found only the lattice floor 0.0012178196
+            (
+                ["poincare", "--sigma", "pc:1@pi,1.7e308@2pi"],
+                3,
+                "c_min <= 2/(w1 + w2) = 2.35294e-308 lies below the scan lattice's first point 0.001",
+            ),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
@@ -543,11 +567,13 @@ TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300
         (["simulate-2v", "--sigma", TWO_PIECE_HUGE["1e300"], "--n", "64"], 0, "entropy  4e-300  2e-300"),
         (["rates", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: the three-velocity rate"),
         (["rates", "--sigma", TWO_PIECE_HUGE["1.7e308"]], 3, "numerical failure: the three-velocity rate"),
-        (["poincare", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: valley refinement failed"),
-        (["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]], 3, "numerical failure: valley refinement failed"),
-        pytest.param(
-            ["appendix-a", "--sigma", TWO_PIECE_HUGE["1.7e308"]], 3, "numerical failure: the search strip",
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # the Poincare scan at w2 = 8.5e307
+        # the weight's 2/(w1 + w2) bound on c_min lies below the Poincare scan's lattice
+        (["poincare", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: c_min <= 2/(w1 + w2) = 4e-200"),
+        (["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]], 3, "numerical failure: c_min <= 2/(w1 + w2) = 4e-300"),
+        (
+            ["appendix-a", "--sigma", TWO_PIECE_HUGE["1.7e308"]],
+            3,
+            "numerical failure: c_min <= 2/(w1 + w2) = 2.35294e-308",
         ),
         (["rates", "--sigma", "const:1e-310"], 0, "three-velocity             1.2247449e-310  5e-311"),
         (["simulate-3v", "--sigma", "const:1e-310", "--n", "64", "--t-final", "5"], 0, "entropy3  1.2247449e-310"),
@@ -652,17 +678,35 @@ def test_grid_beyond_the_node_bound_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "w1, points, lam_max", [("1e-300", "4e+303", "4e+300"), ("1e-320", "inf", "inf")]
+    "w1, code, line",
+    [
+        ("1e-300", 0, "weight (1e-300, 1): c_min = 0.93674216, C^2 = 1.0675296, C = 1.0332133"),
+        # 1/(lambda w1 w2), the tau column, overflows
+        ("1e-320", 3, "numerical failure: the matching determinant of weight (9.99989e-321, 1) overflows"),
+    ],
 )
-def test_scan_beyond_what_numpy_can_index_exits_three(tmp_path, w1, points, lam_max):
-    # lam_max = 4/w1 puts the 1e-3 lattice past any array numpy can describe
+def test_poincare_of_a_vanishing_weight_ends_in_one_line(tmp_path, w1, code, line):
+    # the window [1/max w, 2/(w1 + w2)] = [1, 2] does not grow as w1 falls, where (0, 4/w1] did
     out = tmp_path / "o"
     proc = run_capped(out, "poincare", "--w1", w1, "--w2", "1")
+    assert proc.returncode == code
+    assert (proc.stderr if code else proc.stdout).splitlines()[0].startswith(line)
+    assert proc.stderr.count("\n") == (code != 0)
+
+
+@pytest.mark.parametrize(
+    "sigma, line",
+    [
+        # the scan, 20M points, asked for 3.73 GiB
+        ("pc:1e-4@pi,2e-4@2pi", "scan window [19999.9, 40000.1] holds 2e+07 lattice points"),
+        ("pc:1@pi,1.0000001@2pi", "scan window [1.61603e+07, 2.58564e+07] holds 9.7e+09 lattice points"),
+    ],
+)
+def test_scan_beyond_the_point_bound_exits_three(tmp_path, sigma, line):
+    out = tmp_path / "o"
+    proc = run_capped(out, "appendix-a", "--sigma", sigma)
     assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [
-        f"numerical failure: scan grid of {points} points up to lam_max = {lam_max} "
-        "exceeds the bound of 5.76e+17 scan points"
-    ]
+    assert proc.stderr.splitlines() == [f"numerical failure: {line}, past the bound of 1048576 scan points"]
     assert not out.exists()
 
 

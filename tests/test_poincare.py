@@ -33,6 +33,12 @@ def det(lam, weight):
     return np.linalg.det(matching_matrix(lam, weight))
 
 
+def full_lattice_scan(weight: TwoPieceWeight):
+    """The scan of the whole lattice over (0, 4/min w], with the same valley and root
+    refinement: every Poincare constant came from it before the Rayleigh window."""
+    return poincare._scan(weight, 0.0, 4.0 / min(weight.w1, weight.w2))
+
+
 class TestDeterminant:
     def test_uniform_weight_root_at_one(self):
         # equal weights reduce to the classical problem with eigenvalue 1
@@ -127,6 +133,20 @@ class TestMatchingMatrixOracle:
             assert not m[..., [0, 2, 2, 3], [0, 1, 4, 4]].any()
 
 
+def _appendix_a_weight(pair):
+    lo, hi = min(pair), max(pair)
+    w = weight_from_sigma(RelaxationProfile.two_piece(*pair), theta_star(lo, hi), alpha_star(lo, hi))
+    return w.w1, w.w2
+
+
+#: the weights of the rate-certify profiles at alpha*, a nearly double pair, equal weights
+NAMED_WEIGHTS = [_appendix_a_weight(pair) for pair in ((1.0, 4.0), (2.93, 0.402), (1.34, 5.46))] + [
+    (0.3, 0.30009),
+    (0.2, 0.2),
+    (3.7, 3.7),
+]
+
+
 class TestWeightedPoincare:
     def test_uniform_weight_recovers_classical_constant(self):
         res = weighted_poincare(TwoPieceWeight(1.0, 1.0))
@@ -171,14 +191,14 @@ class TestWeightedPoincare:
         # equal weights: c_min = 1/c is a touch of det, flat to rounding around it
         assert weighted_poincare(TwoPieceWeight(c, c)).c_min * c == pytest.approx(1.0, rel=1e-10)
 
-    @pytest.mark.parametrize("w1, w2", [(0.5, 2.0), (1.0, 1.0), (3.14, 3.2), (0.46, 2.1)])
+    @pytest.mark.parametrize("w1, w2", [(0.5, 2.0), (1.0, 1.0), (3.14, 3.2), (0.46, 2.1)] + NAMED_WEIGHTS)
     def test_window_of_the_lattice_gives_the_full_scan_c_min(self, w1, w2):
         weight = TwoPieceWeight(w1, w2)
-        full = weighted_poincare(weight)
-        pad = 0.064  # 64 scan steps
-        window = weighted_poincare(weight, 2.0 / (w1 + w2) + pad, lam_min=full.c_min - pad)
+        window, full = weighted_poincare(weight), full_lattice_scan(weight)
         assert window.c_min == full.c_min
         assert window.close_root_flag == full.close_root_flag
+        # the Rayleigh bounds, to the touch refinement's 5e-13 relative at equal weights
+        assert (1.0 - 1e-12) / weight.sup <= window.c_min <= (1.0 + 1e-12) * 2.0 / (w1 + w2)
 
     @pytest.mark.parametrize(
         "w1, w2",
@@ -196,9 +216,23 @@ class TestWeightedPoincare:
             assert det(r - offset, weight) * det(r + offset, weight) < 0.0
         assert res.close_root_flag
 
-    def test_no_root_reports_numerical_error(self):
-        with pytest.raises(NumericalError, match="increase lam_max"):
-            weighted_poincare(TwoPieceWeight(1.0, 1.0), lam_max=0.5)
+    def test_no_root_reports_numerical_error(self, monkeypatch):
+        # c_min = 1/w: below the lattice's first point 1e-3 at w = 3000, refused unscanned;
+        # on it at w = 1000, where the scan sees only the roots above 2/(w1 + w2)
+        evaluated = []
+        real = poincare.matching_matrix
+        monkeypatch.setattr(poincare, "matching_matrix", lambda lam, w: evaluated.append(1) or real(lam, w))
+        with pytest.raises(NumericalError, match=r"2/\(w1 \+ w2\) = 0.000333333 lies below the scan lattice"):
+            weighted_poincare(TwoPieceWeight(3000.0, 3000.0))
+        assert not evaluated
+        with pytest.raises(NumericalError, match=r"first root 0.004 lies above the bound 2/\(w1 \+ w2\) = 0.001"):
+            weighted_poincare(TwoPieceWeight(1000.0, 1000.0))
+
+    def test_window_beyond_the_point_bound_is_refused_unscanned(self, monkeypatch):
+        # the window [1/max w, 2/(w1 + w2)] of (1e-4, 2e-4), padded, holds 1.67M lattice points
+        monkeypatch.setattr(poincare, "matching_matrix", None)
+        with pytest.raises(NumericalError, match=r"holds 1.67e\+06 lattice points, past the bound of 1048576"):
+            weighted_poincare(TwoPieceWeight(1e-4, 2e-4))
 
 
 def finite_difference_eigenvalues(weight: TwoPieceWeight, n: int) -> np.ndarray:
@@ -247,6 +281,26 @@ class TestFiniteDifferenceOracle:
         res = weighted_poincare(weight)
         assert res.roots[:2] == pytest.approx(self.oracle(weight), rel=1e-8)
         assert res.close_root_flag
+
+
+class TestFullLatticeOracle:
+    """The window [1/max w, 2/(w1 + w2)] gives the bits of the scan over all of (0, 4/min w]."""
+
+    def test_seeded_log_uniform_and_near_equal_weights(self):
+        rng = np.random.default_rng(27)
+        log_uniform = np.exp(rng.uniform(math.log(0.05), math.log(20.0), (24, 2)))
+        base = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 12))
+        near_equal = np.stack([base, base * (1.0 + 10.0 ** rng.uniform(-6.0, -1.0, 12))], axis=1)
+        for w1, w2 in np.concatenate([log_uniform, near_equal]).tolist():
+            weight = TwoPieceWeight(w1, w2)
+            window, full = weighted_poincare(weight), full_lattice_scan(weight)
+            assert (window.c_min, window.close_root_flag) == (full.c_min, full.close_root_flag), weight
+
+    def test_a_root_below_the_lattice_fails_on_both_sides(self):
+        weight = TwoPieceWeight(3000.0, 3000.0)
+        for scan in (weighted_poincare, full_lattice_scan):
+            with pytest.raises(NumericalError):
+                scan(weight)
 
 
 class TestWeightFromSigma:
@@ -317,66 +371,25 @@ class TestImprovedAlpha:
         with pytest.raises(ValidationError):
             improved_alpha(PROFILE_14, 1.0, 0.9)
 
-
-# the rate-certify profiles, and nearly equal pieces whose c_min lies just below
-# 2/(w1 + w2); with the appendix-a theta and starting rate
-WARM_START_PROFILES = [(1.0, 4.0), (1.34, 5.46), (2.93, 0.402), (3.0, 3.1)]
-
-
-def _appendix_a_iteration(pair):
-    lo, hi = min(pair), max(pair)
-    profile = RelaxationProfile.two_piece(*pair)
-    return improved_alpha(profile, theta_star(lo, hi), alpha_star(lo, hi))
-
-
-class TestWarmStart:
-    """Every scan after the first covers [previous c_min, 2/(w1 + w2)] only."""
-
-    @pytest.mark.parametrize("pair", WARM_START_PROFILES, ids=str)
+    # the rate-certify profiles, and nearly equal pieces whose c_min lies just below 2/(w1 + w2)
+    @pytest.mark.parametrize("pair", [(1.0, 4.0), (1.34, 5.46), (2.93, 0.402), (3.0, 3.1)], ids=str)
     def test_iterates_equal_the_cold_loop_and_c_min_never_falls(self, pair, monkeypatch):
-        warm = _appendix_a_iteration(pair)
-        real = poincare.weighted_poincare
+        lo, hi = min(pair), max(pair)
+        profile = RelaxationProfile.two_piece(*pair)
+
+        def iteration():
+            return improved_alpha(profile, theta_star(lo, hi), alpha_star(lo, hi))
+
+        windowed = iteration()
         c_min = []
 
-        def full_scan(weight, *args, **kwargs):
-            res = real(weight)
+        def full_scan(weight):
+            res = full_lattice_scan(weight)
             c_min.append(res.c_min)
             return res
 
         monkeypatch.setattr(poincare, "weighted_poincare", full_scan)
-        cold = _appendix_a_iteration(pair)
-        assert warm.iterates == cold.iterates
-        assert warm.alpha_max == cold.alpha_max
+        cold = iteration()
+        assert windowed.iterates == cold.iterates
+        assert windowed.alpha_max == cold.alpha_max
         assert all(b >= a for a, b in zip(c_min, c_min[1:]))
-
-    @pytest.mark.parametrize("pair", WARM_START_PROFILES, ids=str)
-    def test_later_scans_evaluate_fewer_points_than_the_first(self, pair, monkeypatch):
-        points = []  # lambda values given to matching_matrix, per scan
-        real_scan, real_matrix = poincare.weighted_poincare, poincare.matching_matrix
-
-        def scan(*args, **kwargs):
-            points.append(0)
-            return real_scan(*args, **kwargs)
-
-        def matrix(lam, weight):
-            points[-1] += np.size(lam)
-            return real_matrix(lam, weight)
-
-        monkeypatch.setattr(poincare, "weighted_poincare", scan)
-        monkeypatch.setattr(poincare, "matching_matrix", matrix)
-        res = _appendix_a_iteration(pair)
-        assert len(points) == len(res.iterates)
-        assert sum(points[1:]) < points[0]
-
-    def test_candidate_below_the_previous_alpha_is_scanned_in_full(self, monkeypatch):
-        fixed = improved_alpha(PROFILE_14, 1.0, ALPHA0).alpha_max
-        weight = weight_from_sigma(PROFILE_14, 1.0, fixed)
-        alpha0 = 1.0 - weighted_poincare(weight).c_omega_sq / 4.0 + 5e-6  # inside the slack
-        kwargs = []
-        real = poincare.weighted_poincare
-        monkeypatch.setattr(
-            poincare, "weighted_poincare", lambda *a, **k: kwargs.append(k) or real(*a, **k)
-        )
-        res = improved_alpha(PROFILE_14, 1.0, alpha0)
-        assert res.iterates[1] < alpha0
-        assert kwargs[:2] == [{}, {}]  # alpha0, then the candidate below it: full scans

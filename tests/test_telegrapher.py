@@ -67,8 +67,11 @@ class TestRescale:
         assert p.sigma1 == p.sigma2 == pytest.approx(2.0 * math.pi)
 
     def test_strip_defaults(self):
-        assert P_14.re_max == pytest.approx(2.0 * math.pi)
-        assert P_14.im_max > 0
+        # re_max = max(2 min sigma~, |sigma~|_L1): the L1 norm past max/min = 3, else 2 min sigma~
+        assert P_14.re_max == P_14.l1_norm == pytest.approx(2.5 * math.pi)
+        assert P_14.im_max == 16.0 * math.pi
+        assert TelegrapherProblem(math.pi, 2.9 * math.pi).re_max == 2.0 * math.pi
+        assert TelegrapherProblem(math.pi, math.pi).re_max == 2.0 * math.pi
 
     def test_unsupported_profile(self):
         three = RelaxationProfile.piecewise([(1.0, 1.0), (2.0, 2.0), (2 * math.pi, 3.0)])
@@ -204,9 +207,9 @@ class TestGap:
                 TelegrapherProblem(math.pi, 4 * math.pi, re_max=0.5, im_max=0.5),
                 seeds=(10, 10),
             )
-        # the default strip Re < 2 min sigma~ of (0.25, 4) holds no eigenvalue
+        # the strip Re < 2 min sigma~ of (0.25, 4) holds no eigenvalue
         with pytest.raises(NumericalError, match="no eigenvalues found"):
-            telegrapher_gap(TelegrapherProblem(0.25 * math.pi, 4.0 * math.pi))
+            telegrapher_gap(TelegrapherProblem(0.25 * math.pi, 4.0 * math.pi, re_max=0.5 * math.pi))
 
 
 def _is_double(r: complex, problem: TelegrapherProblem) -> bool:
@@ -217,7 +220,8 @@ def _is_double(r: complex, problem: TelegrapherProblem) -> bool:
 
 
 #: (sigma~ / pi, re_max, count, distinct roots, gap, sum of Re, sum of |Im|)
-#: over the roots, as found by the earlier search on H = t1 t2 det M, which
+#: over the roots, re_max None standing for the strip 0 < Re < 2 min sigma~
+#: that these were found on by the earlier search on H = t1 t2 det M, which
 #: cut squares out of the strip around 2 sigma_j. Its one error: for (2, 2)
 #: with re_max = 6 pi it subtracted the simple root 4 pi = 2 sigma~ as a
 #: hole, so that row has one root, 4 pi, more than H's search found.
@@ -252,6 +256,8 @@ class TestCertificate:
     def test_reference_searches(self, pair, re_max, count, distinct, gap, sum_re, sum_im):
         # simple roots agree to 1e-13, the fourfold sigma == 2 root and the
         # near-double (17.02, 17.24) pair to 3e-7
+        if re_max is None:
+            re_max = 2.0 * math.pi * min(pair)
         res = telegrapher_gap(TelegrapherProblem(math.pi * pair[0], math.pi * pair[1], re_max=re_max))
         assert (res.count, len(res.roots)) == (count, distinct)
         assert res.gap == pytest.approx(gap, abs=1e-7)
@@ -279,8 +285,8 @@ class TestCertificate:
         assert tele._in_strip(middle, p).all()
 
     def test_strip_narrower_than_the_notches_exits_on_an_empty_count(self):
-        # pc:1e-8@pi,1@2pi: re_max = 2 pi 1e-8
-        p = rescale_sigma(RelaxationProfile.two_piece(1e-8, 1.0))
+        # pc:1e-8@pi,1@2pi on the strip 0 < Re < 2 min sigma~ = 2 pi 1e-8
+        p = TelegrapherProblem(1e-8 * math.pi, math.pi, re_max=2e-8 * math.pi)
         assert tele._strip_count(p) == 0
         with pytest.raises(NumericalError, match="no eigenvalues found in the search strip"):
             telegrapher_gap(p)
@@ -302,7 +308,7 @@ class TestCertificate:
         "pair, count", [((1.0, 4.0), 9), ((2.93, 0.402), 2), ((1.34, 5.46), 18)]
     )
     def test_count_met_by_simple_roots(self, pair, count):
-        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1], re_max=2.0 * math.pi * min(pair))
         res = telegrapher_gap(problem)
         assert res.count == count
         assert len(res.roots) == count
@@ -339,7 +345,7 @@ class TestCertificate:
     def test_wide_strip_past_two_sigma(self):
         # re_max past 2 sigma_2 = 2 pi, where det M breaks down: D is regular
         # there, and the strip's roots left of 2 pi are the default strip's
-        p41 = TelegrapherProblem(4.0 * math.pi, math.pi)
+        p41 = TelegrapherProblem(4.0 * math.pi, math.pi, re_max=2.0 * math.pi)
         default = telegrapher_gap(p41)
         wide = telegrapher_gap(TelegrapherProblem(4.0 * math.pi, math.pi, re_max=3.0 * math.pi))
         assert wide.count == len(wide.roots) >= default.count == 9
@@ -360,7 +366,7 @@ class TestCertificate:
         # the rounding bound of D reaches 1e-4 at some roots here, and 16 of
         # the 25 have |D| >= 1e-9: a root passes when |D| is within its
         # rounding bound
-        res = telegrapher_gap(TelegrapherProblem(0.728 * math.pi, 20.274 * math.pi))
+        res = telegrapher_gap(TelegrapherProblem(0.728 * math.pi, 20.274 * math.pi, re_max=1.456 * math.pi))
         assert res.count == len(res.roots) == 25
 
     def test_small_seed_grid_refined(self, gap_14):
@@ -371,12 +377,38 @@ class TestCertificate:
 
     def test_shortfall_raises(self, monkeypatch):
         monkeypatch.setattr(tele, "_newton", lambda seeds, *args: seeds)
-        with pytest.raises(NumericalError, match="found 0 of 9 counted roots"):
+        with pytest.raises(NumericalError, match="found 0 of 17 counted roots"):
             telegrapher_gap(P_14)
 
     def test_bad_seed_grid_rejected(self):
         with pytest.raises(ValidationError):
             telegrapher_gap(P_14, seeds=(0, 30))
+
+
+class TestDefaultStrip:
+    """0 < Re < max(2 min sigma~, |sigma~|_L1): the strip reaches the L1 norm, where
+    min(|sigma~|_L1, gap) is set, and keeps the gap found on 0 < Re < 2 min sigma~."""
+
+    @pytest.mark.parametrize(
+        "pair, count, gap",
+        [((0.05, 1.0), 4, 1.325133981), ((0.25, 4.0), 17, 1.883884360)],
+    )
+    def test_profiles_whose_narrow_strip_held_no_root(self, pair, count, gap):
+        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        assert problem.re_max == problem.l1_norm
+        res = telegrapher_gap(problem)
+        assert res.count == len(res.roots) == count
+        assert res.gap == pytest.approx(gap, abs=1e-9)
+        assert res.gap < problem.l1_norm
+
+    @pytest.mark.parametrize("pair, count", [((1.0, 4.0), 17), ((2.93, 0.402), 12), ((1.34, 5.46), 24)])
+    def test_rate_certify_profiles_keep_their_gap(self, pair, count):
+        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        narrow = TelegrapherProblem(problem.sigma1, problem.sigma2, re_max=2.0 * math.pi * min(pair))
+        res = telegrapher_gap(problem)
+        assert res.count == len(res.roots) == count
+        assert not any(_is_double(r, problem) for r in res.roots)
+        assert res.gap == pytest.approx(telegrapher_gap(narrow).gap, abs=1e-9)
 
 
 def bs_rate(profile) -> float:
