@@ -5,31 +5,43 @@ For a weight w1 on (0, pi], w2 on (pi, 2pi] the sharp constant in
 
     int (f - f_avg)^2 w dx <= C_w^2 int (f')^2 dx
 
-is C_w^2 = 1/c_min, where c_min is the smallest lambda > 0 at which the 5x5
-matching matrix of the constrained Euler-Lagrange problem
+is C_w^2 = 1/c_min, where c_min is the smallest constrained eigenvalue
 
-    u'' + lambda w u = tau,  periodic C^1 matching, zero mean
+    c_min = min int f'^2 / int w f^2  over periodic f with int f = 0.
 
-becomes singular. The matrix is filled in place, entry by entry, each from
-its literal formula (no symbolic simplification), so every entry can be
-audited; the determinant is evaluated by LU with partial pivoting.
+It is found by bisecting N_c(lambda), the number of constrained eigenvalues
+below lambda, which _count evaluates exactly: the bordered form
 
-Every root is refined from a sign change of det on the scan grid to one at
-most 1e-12 wide, by regula falsi batched over the sign changes. Equal
-weights make the smallest eigenvalue doubly degenerate (the sin/cos pair),
-an even-order touch of det, and nearly equal weights split it into two
-simple eigenvalues closer than one scan step; the scan finds both as valleys
-of |det|, and refines each valley's bottom first.
+    B(f, mu) = int f'^2 - lambda int w f^2 + 2 mu int f
 
-Every scan covers only the window that the two Rayleigh bounds prove to
-hold c_min = min int f'^2 / int f^2 w over f of zero mean:
+on periodic f has N_c + 1 negative directions. Splitting f into its part
+vanishing at 0 = 2 pi and the rest, Haynsworth's inertia additivity gives
+
+    N_c = N_D + n_-(S) - 1,
+
+with N_D the number of Dirichlet eigenvalues of u'' + lambda w u = 0 on
+(0, 2 pi) below lambda, and S the 2x2 Schur complement on (h(0), mu):
+
+    S = [[h'(2 pi) - h'(0), int h], [int h, int p]],
+
+where h'' + lambda w h = 0 with h(0) = h(2 pi) = 1, and p'' + lambda w p = 1
+with p(0) = p(2 pi) = 0. One pass carries three solutions through each
+piece, each with its integral: y'' + lambda w y = 0 from (y, y') = (1, 0)
+and from (0, 1), and p's equation from (0, 0). By Sturm's theorem N_D is
+the number of zeros of the (0, 1) solution y_s in (0, 2 pi). S is built
+times y_s(2 pi)^2 > 0, which keeps its inertia and needs no division.
+
+The bisection runs over the window that the two Rayleigh bounds prove to
+hold c_min:
 
 - lower end, 1/max w: int f^2 w <= max w int f^2 <= max w int f'^2, the
   second step Wirtinger's inequality;
 - upper end, 2/(w1 + w2): sin x and cos x have zero mean and
   int sin^2 w = int cos^2 w = pi (w1 + w2)/2, with int sin cos w = 0, so
-  the two smallest eigenvalues (the close-root pair among them) lie at or
-  below it.
+  the two smallest eigenvalues (a close pair among them) lie at or below it.
+
+Equal weights close the window to the point 1/w, the double eigenvalue that
+is also a Dirichlet eigenvalue, and it is returned with no count.
 """
 
 from __future__ import annotations
@@ -37,28 +49,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
 
-_ROOT_XTOL = 1e-12
-#: the scan grid is the lattice _SCAN_STEP * (i + 1), i >= 0
-_SCAN_STEP = 1e-3
-#: Most lattice points a scan may evaluate. A window holds up to about
-#: 1000/max w of them; 2^20 take about 300 MiB at peak (the (..., 5, 5)
-#: matrices and LU's copy of them), well under a 2 GiB address space.
-_MAX_SCAN_POINTS = 1 << 20
-#: |det|/scale below this at a refined local minimum counts as an even root.
-_TOUCH_RTOL = 1e-8
-#: half-width, relative to lambda, of the symmetric difference that locates a touch;
-#: its truncation error is about half its square, relative
-_TOUCH_STEP = 1e-6
+#: the bisection stops once its bracket is at most this wide, relative to its upper end
+_ROOT_RTOL = 1e-12
+#: close_root_flag is N_c(c_min + _CLOSE_ROOT_WINDOW) >= 2
 _CLOSE_ROOT_WINDOW = 1e-3
 #: improved_alpha stops, unconverged, after this many updates
 _MAX_ITER = 100
-#: a scan reaches this many _SCAN_STEP lattice steps beyond both Rayleigh
-#: bounds, past the 50-point half-width of the touch test's local scale
-_PAD = 64
+#: (1 - sin x / x) / x^2 below x = 1, summed from its series: sum (-x^2)^n / (2n + 3)!
+_SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
 
 
 @dataclass(frozen=True)
@@ -79,64 +79,13 @@ class TwoPieceWeight:
         return max(self.w1, self.w2)
 
 
-def matching_matrix(lam, weight: TwoPieceWeight) -> np.ndarray:
-    """The 5x5 matrix of periodic C^1 matching + zero-mean constraints.
-
-    Columns weight the coefficients (c1, c2, c3, c4, tau) of the piecewise
-    solution c1 sin(sqrt(lam w1) x) + c2 cos(...) + tau/(lam w1) (and the
-    w2 analogue); rows are value/derivative matching at 0 and pi and the
-    zero-average constraint. ``lam`` may be a scalar or an array; the result
-    is (..., 5, 5).
-
-    The result is allocated once and filled in place, entry by entry, each
-    from its literal formula with no symbolic simplification, so every entry
-    can be audited; the sines and cosines of the two phases and of twice the
-    second are computed once each.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ValidationError("lambda must be positive")
-    w1, w2 = weight.w1, weight.w2
-    r1 = math.pi * np.sqrt(lam * w1)  # phase of the first piece over its half period
-    r2 = math.pi * np.sqrt(lam * w2)
-    sin1, cos1 = np.sin(r1), np.cos(r1)
-    sin2, cos2 = np.sin(r2), np.cos(r2)
-    sin22, cos22 = np.sin(2 * r2), np.cos(2 * r2)
-    tau_col = (w2 - w1) / (lam * w1 * w2)
-    # entries (0, 0), (2, 1), (2, 4) and (3, 4) are structural zeros
-    m = np.zeros(lam.shape + (5, 5))
-    m[..., 0, 1] = 1.0
-    m[..., 0, 2] = -sin22
-    m[..., 0, 3] = -cos22
-    m[..., 0, 4] = tau_col
-    m[..., 1, 0] = sin1
-    m[..., 1, 1] = cos1
-    m[..., 1, 2] = -sin2
-    m[..., 1, 3] = -cos2
-    m[..., 1, 4] = tau_col
-    m[..., 2, 0] = math.sqrt(w1)
-    m[..., 2, 2] = -math.sqrt(w2) * cos22
-    m[..., 2, 3] = math.sqrt(w2) * sin22
-    m[..., 3, 0] = math.sqrt(w1) * cos1
-    m[..., 3, 1] = -math.sqrt(w1) * sin1
-    m[..., 3, 2] = -math.sqrt(w2) * cos2
-    m[..., 3, 3] = math.sqrt(w2) * sin2
-    m[..., 4, 0] = (1.0 - cos1) / math.sqrt(w1)
-    m[..., 4, 1] = sin1 / math.sqrt(w1)
-    m[..., 4, 2] = (cos2 - cos22) / math.sqrt(w2)
-    m[..., 4, 3] = (sin22 - sin2) / math.sqrt(w2)
-    m[..., 4, 4] = math.pi * (w2 + w1) / (np.sqrt(lam) * w1 * w2)
-    return m
-
-
 @dataclass(frozen=True)
 class PoincareResult:
     """Smallest constrained eigenvalue and the resulting sharp constant."""
 
     c_min: float
     c_omega_sq: float
-    roots: tuple
-    close_root_flag: bool = False  # another root within 1e-3 of the first
+    close_root_flag: bool = False  # another eigenvalue, or c_min's multiplicity, within 1e-3 of c_min
 
     @property
     def c_omega(self) -> float:
@@ -144,134 +93,92 @@ class PoincareResult:
         return math.sqrt(self.c_omega_sq)
 
 
-def _refine(f, lo, hi, flo, fhi) -> np.ndarray:
-    """A root of f in each bracket [lo, hi] whose ends f takes with opposite signs flo, fhi.
+def _positive(y: float, dy: float) -> bool:
+    """The sign of a solution at a point, or just past it where it vanishes there."""
+    return y > 0.0 if y else dy > 0.0
 
-    Illinois regula falsi on every bracket at once: each step moves the end
-    whose sign f shares at the secant point, and halves the value at an end
-    kept twice in a row, so both ends close in. A bracket stops once it is
-    at most _ROOT_XTOL wide, or is two adjacent doubles; the sign change it
-    keeps certifies the root, and its midpoint is returned.
+
+def _count(lam: float, pieces) -> int:
+    """N_c(lam): the constrained eigenvalues below lam, with multiplicity.
+
+    pieces holds (length, w) pairs whose lengths sum to 2 pi. On a piece
+    with k = sqrt(lam w) and x = k L, each term of the transfer map on
+    (y, y', int y) is written in x and L, so that none overflows or cancels
+    at any k >= 0, k = 0 included: sin(k L)/k = L sinc x, (1 - cos k L)/k^2
+    = L^2 sinc(x/2)^2 / 2 and (k L - sin k L)/k^3 = L^3 (1 - sinc x)/x^2.
+    The zeros of the (0, 1) solution on a piece number floor(x/pi) or one
+    more, as the sign change across the piece decides.
     """
-    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
-    kept = np.zeros(lo.shape)  # +1: lo was kept by the last step, -1: hi was
-    while (active := np.flatnonzero((hi - lo > _ROOT_XTOL) & (np.nextafter(lo, hi) < hi))).size:
-        a, b, fa, fb, k = lo[active], hi[active], flo[active], fhi[active], kept[active]
-        x = (a * fb - b * fa) / (fb - fa)
-        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        fx = f(x)
-        up = np.sign(fx) == np.sign(fa)  # the root lies in [x, b]
-        lo[active] = np.where(up | (fx == 0.0), x, a)
-        hi[active] = np.where(up, b, x)
-        flo[active] = np.where(up, fx, np.where(k == 1.0, 0.5 * fa, fa))
-        fhi[active] = np.where(up, np.where(k == -1.0, 0.5 * fb, fb), fx)
-        kept[active] = np.where(up, -1.0, 1.0)
-    return 0.5 * (lo + hi)
+    y1, d1, i1 = 1.0, 0.0, 0.0
+    ys, ds, i_s = 0.0, 1.0, 0.0
+    yp, dp, ip = 0.0, 0.0, 0.0
+    zeros = 0
+    for length, w in pieces:
+        k = math.sqrt(lam * w)
+        x = k * length
+        cos_x, sin_x = math.cos(x), math.sin(x)
+        sinc = sin_x / x if x else 1.0
+        sinc_half = math.sin(x / 2.0) / (x / 2.0) if x else 1.0
+        if x < 1.0:
+            x2, rest = x * x, 0.0
+            for c in reversed(_SERIES):
+                rest = c - x2 * rest
+        else:
+            rest = (1.0 - sinc) / x / x
+        s_k = length * sinc  # sin(k L)/k
+        k_s = k * sin_x  # k sin(k L)
+        p = 0.5 * length * length * sinc_half * sinc_half  # (1 - cos k L)/k^2
+        q = length * length * length * rest  # (k L - sin k L)/k^3
+        # floor(x/pi), lowered where x lies below the multiple of pi that x/pi rounds up to
+        m = math.floor(x / math.pi)
+        if m % 2 != (sin_x < 0.0):
+            m -= 1
+        before = _positive(ys, ds)
+        y1, d1, i1 = cos_x * y1 + s_k * d1, cos_x * d1 - k_s * y1, i1 + s_k * y1 + p * d1
+        ys, ds, i_s = cos_x * ys + s_k * ds, cos_x * ds - k_s * ys, i_s + s_k * ys + p * ds
+        yp, dp, ip = cos_x * yp + s_k * dp + p, cos_x * dp - k_s * yp + s_k, ip + s_k * yp + p * dp + q
+        zeros += m + (m + (before != _positive(ys, ds))) % 2
+    # y_s(2 pi) S. Each entry is a sum of products of two factors that vanish together where
+    # the monodromy is the identity (a double eigenvalue), so it keeps its relative accuracy there.
+    s11 = ys * d1 + (1.0 - y1) * (ds - 1.0)
+    s12 = ys * i1 + (1.0 - y1) * i_s
+    s22 = ys * ip - yp * i_s
+    # divided by +-max |entry|: the sign makes it the inertia of S, and the size keeps det finite
+    scale = max(abs(s11), abs(s12), abs(s22)) * (1.0 if _positive(ys, ds) else -1.0)
+    if scale == 0.0:
+        return zeros - 1
+    s11, s12, s22 = s11 / scale, s12 / scale, s22 / scale
+    det = s11 * s22 - s12 * s12
+    if det < 0.0:
+        negative = 1
+    elif det > 0.0:
+        negative = 2 if s11 < 0.0 else 0
+    else:
+        negative = int(s11 + s22 < 0.0)
+    return zeros + negative - 1
 
 
 def weighted_poincare(weight: TwoPieceWeight) -> PoincareResult:
-    """c_min from a scan of the window [1/max w, 2/(w1 + w2)]; C_w^2 = 1/c_min.
+    """c_min by bisection of N_c over the window [1/max w, 2/(w1 + w2)]; C_w^2 = 1/c_min.
 
-    The grid is the lattice _SCAN_STEP * (i + 1), i >= 0, from its last
-    point below the window less _PAD steps up to the window plus _PAD steps.
-    A window whose upper end lies below the lattice's first point cannot
-    show c_min and is a NumericalError, raised before any scan; so is a
-    first root above the upper end, which the lattice missed.
+    The bisection stops once the bracket is at most _ROOT_RTOL of its upper
+    end wide, and returns its midpoint. A window past the largest double is
+    a NumericalError.
     """
-    upper = 2.0 / (weight.w1 + weight.w2)  # 0 where w1 + w2 overflows
-    if upper < _SCAN_STEP:
-        raise NumericalError(
-            f"c_min <= 2/(w1 + w2) = {upper:.6g} lies below the scan lattice's first point {_SCAN_STEP:g}"
-        )
-    pad = _PAD * _SCAN_STEP
-    result = _scan(weight, 1.0 / weight.sup - pad, upper + pad)
-    if result.c_min > upper + _SCAN_STEP:
-        raise NumericalError(
-            f"the scan's first root {result.c_min:.10g} lies above the bound 2/(w1 + w2) = {upper:.6g} "
-            "on c_min: the lattice missed c_min"
-        )
-    return result
-
-
-def _scan(weight: TwoPieceWeight, lam_min: float, lam_max: float) -> PoincareResult:
-    """The roots of det on the lattice _SCAN_STEP * (i + 1) over [lam_min, lam_max].
-
-    The grid runs from the lattice's last point at or below lam_min, so a
-    window of a wider scan evaluates the same lambdas as that scan does
-    there. A grid of more than _MAX_SCAN_POINTS points, refused before any
-    array is built, a determinant that overflows on the grid, and a grid
-    with no root on it are NumericalErrors.
-
-    _refine takes the grid's sign changes of det. Every other local minimum
-    of |det| near zero is a valley, whose bottom is refined first, as the
-    zero of det(lambda + h) - det(lambda - h), h = 1e-6 lambda. Where det has
-    the other sign there, two roots closer than a scan step flank the bottom
-    (nearly equal weights), and each is refined; where det vanishes to
-    rounding, the bottom is an even-order touch (equal weights), and is the
-    root. A valley whose symmetric difference keeps its sign raises.
-    """
-    step = _SCAN_STEP
-    points = (lam_max - lam_min) / step
-    if not points <= _MAX_SCAN_POINTS:  # an infinite window fails this too
-        raise NumericalError(
-            f"scan window [{lam_min:.6g}, {lam_max:.6g}] holds {points:.3g} lattice points, "
-            f"past the bound of {_MAX_SCAN_POINTS} scan points"
-        )
-    # the points of np.arange(step, lam_max + step / 2, step) from index first on
-    first = max(0, math.floor(lam_min / step) - 1)
-    count = math.ceil((lam_max + step / 2.0 - step) / step)
-
-    def det(lam):
-        return np.linalg.det(matching_matrix(lam, weight))
-
-    def slope(lam):
-        d = det(np.concatenate([lam * (1.0 + _TOUCH_STEP), lam * (1.0 - _TOUCH_STEP)]))
-        return d[: lam.size] - d[lam.size :]
-
-    grid = step + np.arange(first, count) * step
-    with np.errstate(over="ignore", invalid="ignore"):  # a tiny weight overflows the tau column
-        dets = det(grid)
-    if not np.isfinite(dets).all():
-        raise NumericalError(
-            f"the matching determinant of weight ({weight.w1:g}, {weight.w2:g}) overflows on the scan grid"
-        )
-    absdet = np.abs(dets)
-    scale = float(np.max(absdet))
-    if scale == 0.0:
-        raise NumericalError("determinant vanished identically on the scan grid")
-
-    change = np.sign(dets[:-1]) * np.sign(dets[1:]) < 0
-    interior = np.flatnonzero(
-        (absdet[1:-1] < absdet[:-2]) & (absdet[1:-1] < absdet[2:]) & ~change[:-1] & ~change[1:]
-    ) + 1
-    valley = interior[(absdet[interior] <= 1e-3 * scale) & (dets[interior] != 0.0)]
-    roots = [grid[dets == 0.0]]
-    lam, d = grid, dets
-    if valley.size:
-        lo, hi = grid[valley - 1], grid[valley + 1]
-        s_lo, s_hi = np.split(slope(np.concatenate([lo, hi])), 2)
-        if (flat := np.flatnonzero(np.sign(s_lo) == np.sign(s_hi))).size:
-            raise NumericalError(
-                "valley refinement failed: det(lambda + h) - det(lambda - h) keeps its sign "
-                f"around lambda = {grid[valley[flat[0]]]:.10g}"
-            )
-        bottom = _refine(slope, lo, hi, s_lo, s_hi)
-        d_bottom = det(bottom)
-        side = np.sign(dets[valley])
-        split = side * d_bottom < 0.0  # two roots, one on each side of the bottom
-        local_scale = np.array([max(absdet[max(0, i - 50) : i + 50].max(), 1e-30) for i in valley])
-        roots.append(bottom[~split & (side * d_bottom < _TOUCH_RTOL * local_scale)])
-        # a split bottom joins the grid, where it brackets both roots
-        at = np.searchsorted(grid, bottom[split])
-        lam, d = np.insert(grid, at, bottom[split]), np.insert(dets, at, d_bottom[split])
-    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
-    roots.append(_refine(det, lam[i], lam[i + 1], d[i], d[i + 1]))
-    roots = np.sort(np.concatenate(roots)).tolist()
-    if not roots:
-        raise NumericalError(f"no singular lambda on the scan grid over [{grid[0]:g}, {grid[-1]:g}]")
-    c_min = roots[0]
-    close = len(roots) > 1 and roots[1] - c_min < _CLOSE_ROOT_WINDOW
-    return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, roots=tuple(roots), close_root_flag=close)
+    pieces = ((math.pi, weight.w1), (math.pi, weight.w2))
+    lo = 1.0 / weight.sup
+    hi = 1.0 / (0.5 * weight.w1 + 0.5 * weight.w2)
+    if lo == math.inf:
+        raise NumericalError(f"c_min >= 1/max w = 1/{weight.sup:.6g} overflows")
+    while hi - lo > _ROOT_RTOL * hi:
+        mid = lo + 0.5 * (hi - lo)
+        if _count(mid, pieces) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    c_min = lo + 0.5 * (hi - lo)
+    close = _count(c_min + _CLOSE_ROOT_WINDOW, pieces) >= 2
+    return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, close_root_flag=close)
 
 
 def weight_from_sigma(profile, theta: float, alpha: float) -> TwoPieceWeight:
@@ -316,9 +223,9 @@ def improved_alpha(
     monotonically to the improved rate alpha_max. Stops early, unconverged,
     if an iterate leaves the admissible set.
 
-    Each iterate's constant comes from one scan of the window that the two
-    Rayleigh bounds prove to hold c_min of its weight w:
-    1/max w <= c_min <= 2/(w1 + w2) (see weighted_poincare).
+    Each iterate's constant comes from one bisection of the window that the
+    two Rayleigh bounds prove to hold c_min of its weight w:
+    1/max w <= c_min <= 2/(w1 + w2) (see the module docstring).
     """
 
     def cap(alpha: float) -> float:

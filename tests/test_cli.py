@@ -346,7 +346,7 @@ class TestExitCodes:
             ["rate-curve", "--seed", "1"],
             ["simulate-2v", "--alpha", "1"],
             ["simulate-2v", "--t-fin", "5"],  # abbreviations are not accepted
-            ["poincare", "--w1", "1", "--w2", "1", "--scan-step", "10"],  # the scan lattice is fixed
+            ["poincare", "--w1", "1", "--w2", "1", "--scan-step", "10"],  # no scan step to set
         ],
     )
     def test_flag_no_handler_reads(self, tmp_path, capsys, argv):
@@ -427,17 +427,9 @@ class TestExitCodes:
             (["simulate-2v", "--u0", "file:/nonexistent"], 2, "cannot parse field spec"),
             # --out names an existing file
             (["rates"], 2, "cannot write --out"),
-            # c_min <= 2/(w1 + w2) = 1/w lies below the first lattice point 1e-3: refused unscanned
-            (
-                ["poincare", "--w1", "10000", "--w2", "10000"],
-                3,
-                "c_min <= 2/(w1 + w2) = 0.0001 lies below the scan lattice's first point 0.001",
-            ),
-            (
-                ["poincare", "--w1", "3000", "--w2", "3000"],
-                3,
-                "c_min <= 2/(w1 + w2) = 0.000333333 lies below the scan lattice's first point 0.001",
-            ),
+            # c_min >= 1/max w lies past the largest double when both weights are subnormal
+            (["poincare", "--w1", "1e-320", "--w2", "1e-320"], 3, "c_min >= 1/max w = 1/9.99989e-321 overflows"),
+            (["poincare", "--w1", "1e-320", "--w2", "5e-324"], 3, "c_min >= 1/max w = 1/9.99989e-321 overflows"),
             # non-finite numbers are refused as the flags are read
             (["simulate-2v", "--t-final", "nan"], 2, "--t-final: expected a finite number, got 'nan'"),
             (["simulate-2v", "--t-final", "inf"], 2, "--t-final: expected a finite number, got 'inf'"),
@@ -479,11 +471,11 @@ class TestExitCodes:
             (["simulate-2v", "--seed", "-1", "--u0", "random"], 2, "--seed: expected an integer >= 0, got '-1'"),
             # one step would overshoot T = 30, leaving the fit no point
             (["simulate-2v", "--dt", "1e300"], 2, "dt = 1e+300 exceeds t_final = 30; lower --dt"),
-            # the weight (0.5, 8.5e307): its scan found only the lattice floor 0.0012178196
+            # the Poincare constants are found; the telegrapher strip then holds no root
             (
-                ["poincare", "--sigma", "pc:1@pi,1.7e308@2pi"],
+                ["appendix-a", "--sigma", "pc:1e-4@pi,2e-4@2pi"],
                 3,
-                "c_min <= 2/(w1 + w2) = 2.35294e-308 lies below the scan lattice's first point 0.001",
+                "no eigenvalues found in the search strip; enlarge re_max/im_max",
             ),
         ],
     )
@@ -567,13 +559,17 @@ TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300
         (["simulate-2v", "--sigma", TWO_PIECE_HUGE["1e300"], "--n", "64"], 0, "entropy  4e-300  2e-300"),
         (["rates", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: the three-velocity rate"),
         (["rates", "--sigma", TWO_PIECE_HUGE["1.7e308"]], 3, "numerical failure: the three-velocity rate"),
-        # the weight's 2/(w1 + w2) bound on c_min lies below the Poincare scan's lattice
-        (["poincare", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: c_min <= 2/(w1 + w2) = 4e-200"),
-        (["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]], 3, "numerical failure: c_min <= 2/(w1 + w2) = 4e-300"),
+        # c_min = 1.6680946/w2 as w1/w2 -> 0; past the constant, the telegrapher search fails
+        (["poincare", "--sigma", TWO_PIECE_HUGE["1e200"]], 0, "weight (0.5, 5e+199): c_min = 3.3361891e-200"),
+        (
+            ["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]],
+            3,
+            "numerical failure: argument-principle count failed: over 2000000 samples on one contour",
+        ),
         (
             ["appendix-a", "--sigma", TWO_PIECE_HUGE["1.7e308"]],
             3,
-            "numerical failure: c_min <= 2/(w1 + w2) = 2.35294e-308",
+            "numerical failure: the search strip of damping (3.14159, inf) overflows",
         ),
         (["rates", "--sigma", "const:1e-310"], 0, "three-velocity             1.2247449e-310  5e-311"),
         (["simulate-3v", "--sigma", "const:1e-310", "--n", "64", "--t-final", "5"], 0, "entropy3  1.2247449e-310"),
@@ -680,13 +676,14 @@ def test_grid_beyond_the_node_bound_exits_two(tmp_path):
 @pytest.mark.parametrize(
     "w1, code, line",
     [
-        ("1e-300", 0, "weight (1e-300, 1): c_min = 0.93674216, C^2 = 1.0675296, C = 1.0332133"),
-        # 1/(lambda w1 w2), the tau column, overflows
-        ("1e-320", 3, "numerical failure: the matching determinant of weight (9.99989e-321, 1) overflows"),
+        # c_min(w1, 1) -> 1.6680946 as w1 -> 0, a subnormal w1 included (a Fourier-Galerkin
+        # solve with 800 modes agrees with the count to 1e-7 at w1 = 1e-4)
+        ("1e-300", 0, "weight (1e-300, 1): c_min = 1.6680946, C^2 = 0.5994864, C = 0.77426507"),
+        ("1e-320", 0, "weight (9.99989e-321, 1): c_min = 1.6680946, C^2 = 0.5994864, C = 0.77426507"),
     ],
 )
 def test_poincare_of_a_vanishing_weight_ends_in_one_line(tmp_path, w1, code, line):
-    # the window [1/max w, 2/(w1 + w2)] = [1, 2] does not grow as w1 falls, where (0, 4/w1] did
+    # the window [1/max w, 2/(w1 + w2)] = [1, 2] does not grow as w1 falls
     out = tmp_path / "o"
     proc = run_capped(out, "poincare", "--w1", w1, "--w2", "1")
     assert proc.returncode == code
@@ -695,19 +692,46 @@ def test_poincare_of_a_vanishing_weight_ends_in_one_line(tmp_path, w1, code, lin
 
 
 @pytest.mark.parametrize(
-    "sigma, line",
+    "argv, line",
     [
-        # the scan, 20M points, asked for 3.73 GiB
-        ("pc:1e-4@pi,2e-4@2pi", "scan window [19999.9, 40000.1] holds 2e+07 lattice points"),
-        ("pc:1@pi,1.0000001@2pi", "scan window [1.61603e+07, 2.58564e+07] holds 9.7e+09 lattice points"),
+        # c_min = 1/w at equal weights
+        (["--w1", "10000", "--w2", "10000"], "weight (10000, 10000): c_min = 0.0001, C^2 = 10000"),
+        (["--w1", "3000", "--w2", "3000"], "weight (3000, 3000): c_min = 0.00033333333, C^2 = 3000"),
+        (["--w1", "1000", "--w2", "1000"], "weight (1000, 1000): c_min = 0.001, C^2 = 1000"),
+        # the vanishing weight first: x -> x + pi swaps the pieces
+        (["--w1", "1", "--w2", "1e-300"], "weight (1, 1e-300): c_min = 1.6680946, C^2 = 0.5994864"),
+        # c_min(0.7, 1.3)/1000
+        (["--w1", "700", "--w2", "1300"], "weight (700, 1300): c_min = 0.00097858617, C^2 = 1021.8824"),
+        # the weight (0.5, 8.5e307): 1.6680946/8.5e307
+        (["--sigma", "pc:1@pi,1.7e308@2pi"], "weight (0.5, 8.5e+307): c_min = 1.9624642e-308"),
     ],
 )
-def test_scan_beyond_the_point_bound_exits_three(tmp_path, sigma, line):
+@pytest.mark.filterwarnings("error")
+def test_poincare_constants_of_large_and_vanishing_weights(tmp_path, capsys, argv, line):
+    assert run("poincare", *argv, "--out", str(tmp_path / "o")) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith(line)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "sigma, code, line",
+    [
+        # weights near 1e-4 and 6e-8 at alpha*; the first exits 3 in the telegrapher
+        # strip, after its Poincare constants
+        ("pc:1e-4@pi,2e-4@2pi", 3, "numerical failure: no eigenvalues found in the search strip"),
+        ("pc:1@pi,1.0000001@2pi", 0, "rates: perturbative 1 < improved 1 < optimal 1: ordering holds"),
+    ],
+)
+def test_appendix_a_with_tiny_poincare_weights_ends_in_one_line(tmp_path, sigma, code, line):
     out = tmp_path / "o"
     proc = run_capped(out, "appendix-a", "--sigma", sigma)
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [f"numerical failure: {line}, past the bound of 1048576 scan points"]
-    assert not out.exists()
+    assert proc.returncode == code
+    assert (proc.stderr if code else proc.stdout).splitlines()[0].startswith(line)
+    assert proc.stderr.count("\n") == (code != 0)
+    if code == 0:
+        rates = dict(row.split(",") for row in (out / "comparison.csv").read_text().splitlines()[1:])
+        assert float(rates["perturbative"]) < float(rates["improved-poincare"]) < float(rates["bernard-salvarani"])
 
 
 def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
