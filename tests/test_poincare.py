@@ -224,6 +224,25 @@ class TestWeightedPoincare:
         assert count(res.c_min * (1.0 - 2e-12), weight) == 0
         assert count(res.c_min * (1.0 + 2e-12), weight) >= (2 if w1 == w2 else 1)
 
+    @pytest.mark.parametrize("w1, w2", [(0.5, 2.0), (1.0, 1.0), (3.14, 3.2), (0.46, 2.1)] + NAMED_WEIGHTS)
+    def test_window_of_the_lattice_gives_the_full_scan_c_min(self, w1, w2):
+        # the whole 1e-3 lattice over (0, 4/min w], with no Rayleigh window: N_c is 0 and det
+        # keeps its sign up to the first cell where N_c rises, which bisects to the same c_min
+        weight = TwoPieceWeight(w1, w2)
+        res = weighted_poincare(weight)
+        lattice = 1e-3 * np.arange(1, math.ceil(4.0 / min(w1, w2) / 1e-3) + 1)
+        counts = np.array([count(lam, weight) for lam in lattice])
+        i = np.flatnonzero(counts)[0]
+        assert np.all(counts[:i] == 0)
+        signs = np.sign(det(lattice[:i], weight))
+        assert np.all(signs == signs[0]) and signs[0] != 0.0
+        lo, hi = lattice[i - 1], lattice[i]
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if count(mid, weight) >= 1 else (mid, hi)
+        assert res.c_min == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
+        assert 1.0 / weight.sup <= res.c_min <= 2.0 / (w1 + w2)
+
     @pytest.mark.parametrize(
         "w1, w2",
         [(0.3, 0.30009), (0.25, 0.250025), (0.4, 0.40012), (0.340016178836712, 0.34004447898160256)],
