@@ -53,8 +53,10 @@ from .errors import NumericalError, ValidationError
 
 #: the bisection stops once its bracket is at most this wide, relative to its upper end
 _ROOT_RTOL = 1e-12
-#: close_root_flag is N_c(c_min + _CLOSE_ROOT_WINDOW) >= 2
+#: close_root_flag is N_c(c_min + w) >= 2, w = max(_CLOSE_ROOT_WINDOW, _CLOSE_ROOT_ULPS ulp of
+#: c_min): past c_min ~ 5e12 the absolute window alone rounds away
 _CLOSE_ROOT_WINDOW = 1e-3
+_CLOSE_ROOT_ULPS = 8
 #: improved_alpha stops, unconverged, after this many updates
 _MAX_ITER = 100
 #: (1 - sin x / x) / x^2 below x = 1, summed from its series: sum (-x^2)^n / (2n + 3)!
@@ -85,7 +87,7 @@ class PoincareResult:
 
     c_min: float
     c_omega_sq: float
-    close_root_flag: bool = False  # another eigenvalue, or c_min's multiplicity, within 1e-3 of c_min
+    close_root_flag: bool = False  # another eigenvalue, or c_min's multiplicity, within max(1e-3, 8 ulp)
 
     @property
     def c_omega(self) -> float:
@@ -177,7 +179,8 @@ def weighted_poincare(weight: TwoPieceWeight) -> PoincareResult:
         else:
             lo = mid
     c_min = lo + 0.5 * (hi - lo)
-    close = _count(c_min + _CLOSE_ROOT_WINDOW, pieces) >= 2
+    window = max(_CLOSE_ROOT_WINDOW, _CLOSE_ROOT_ULPS * math.ulp(c_min))
+    close = _count(c_min + window, pieces) >= 2
     return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, close_root_flag=close)
 
 

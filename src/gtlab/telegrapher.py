@@ -25,20 +25,18 @@ gap) is set; 2 min sigma~ is kept where it is wider (max/min < 3), so a
 constant profile's high modes, on Re gamma = sigma~ = |sigma~|_L1, never
 sit on the strip's edge.
 
-The root search is certified: it counts the zeros of D in its strip by the
-argument principle (Delves & Lyness, Math. Comp. 1967), then finds exactly
-that many, all by Newton on D: from the sign changes of a real-axis scan,
-then from a seed grid, refined while roots are missing. Two squares of
-half-side 1e-6, or re_max/4 if smaller, are left out of the strip, for the
-count and the roots alike: one around gamma = 0, the mass mode, and one
-around the right edge's real point gamma = re_max, where a constant profile
-has the simple zero 2 sigma~ (the k = 0 flux mode) at the default re_max.
+The root search is certified, and isolates every root by counting (Delves &
+Lyness, Math. Comp. 1967; Kravanja & Van Barel, LNM 1727, 2000): the strip
+is cut into boxes, the argument principle counts the zeros of D in each, and
+Newton runs in each box that holds one, until every box holds its count. It
+leaves out squares around gamma = 0, the mass mode, and around re_max, where
+a constant profile has the simple zero 2 sigma~ (the k = 0 flux mode).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,11 +60,22 @@ _MIN_SEGMENT = 1e-11
 _MAX_SAMPLES = 2_000_000
 #: half-sides of the squares a root's multiplicity is counted on, tried in turn
 _MULTIPLICITY_SQUARES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-#: the Newton seed grid doubles up to this many points a side while roots are missing
-_SEED_CAP = 200
-#: Newton stops a seed once its step is below _NEWTON_TOL, or after _NEWTON_ITERS steps
+#: the strip is cut into rows as tall as it is wide, and at least this tall
+_BOX_SIDE = 2.0 * math.pi
+#: the rows' inner cuts are shifted by these fractions of a row's height, tried in turn
+#: until every box counts
+_ROW_SHIFTS = (0.0, 0.1)
+#: a box is split at these fractions of its sides, the next pair tried where a child
+#: fails to count; one missing more than _BUSY zeros is split before any Newton
+_SPLITS = ((0.47, 0.46), (0.41, 0.43))
+_BUSY = 4
+#: Newton stops a seed once its step is below _NEWTON_TOL, once it leaves its box,
+#: after _NEWTON_WANDER steps unless D is near zero there, and after _NEWTON_ITERS steps
 _NEWTON_TOL = 1e-12
+_NEWTON_WANDER = 20
 _NEWTON_ITERS = 60
+#: a zero is located once its Newton step and its rounding radius _TRUST err / |D'| are below this
+_LOCATED = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,8 +174,10 @@ class GapResult:
     """Smallest real part over the eigenvalues found in the search strip.
 
     ``count`` is the number of eigenvalues in the strip, multiplicity
-    included, by the argument principle; ``roots`` holds every one of them
-    once.
+    included: the sum of the argument-principle counts of the boxes the
+    strip is cut into. ``roots`` holds every one of them once, and
+    ``eigenvalue`` is the minimiser, of a conjugate pair the one with
+    Im >= 0.
     """
 
     gap: float
@@ -209,179 +220,305 @@ def _edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
     return a + unit * arc[(arc >= 0.0) & (arc < length)]
 
 
-def _zeros_inside(vertices: list, problem: TelegrapherProblem, centres: tuple = ()) -> int:
-    """Zeros of D inside a counter-clockwise polygon, by the argument principle.
+def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = ()) -> np.ndarray:
+    """Zeros of D inside each counter-clockwise polygon, by the argument principle; -1 where it fails.
 
-    arg D is sampled along the edges (graded toward ``centres``, see
-    _edge_samples), and every step is bisected until its
-    phase change, and its length times the larger |D'/D| at its two ends,
-    are both at most pi/4; the winding number is the sum of the steps over
-    2 pi. The second test sees a pair of zeros close to an edge, whose
-    2 pi turn can fall between two samples. A sample where |D| does not
-    stand clear of its rounding error, or a step that cannot be bisected
-    further, raises. So does a contour of more than _MAX_SAMPLES samples,
-    checked on the evenly spaced samples before any is built, and again
-    after each round of bisection.
+    arg D is sampled along each polygon's edges (graded toward ``centres``,
+    see _edge_samples), and every step is bisected until its phase change,
+    and its length times the larger |D'/D| at its two ends, are both at
+    most pi/4; a polygon's count is the sum of its steps over 2 pi. The
+    second test sees a pair of zeros close to an edge, whose 2 pi turn can
+    fall between two samples. The polygons are sampled and refined in one
+    batch. A polygon fails where |D| at a sample does not stand clear of its
+    rounding error, or where a step cannot be bisected further. A batch of
+    more than _MAX_SAMPLES samples raises, checked on the evenly spaced
+    samples before any is built, and again after each round of bisection.
     """
-    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
-    too_many = f"argument-principle count failed: over {_MAX_SAMPLES} samples on one contour"
-    if sum(math.ceil(abs(b - a) / _SAMPLE_SPACING) for a, b in edges) > _MAX_SAMPLES:
+    if not polygons:
+        return np.zeros(0, dtype=int)
+    edges = [list(zip(vertices, vertices[1:] + vertices[:1])) for vertices in polygons]
+    too_many = f"argument-principle count failed: over {_MAX_SAMPLES} samples in one batch of contours"
+    if sum(math.ceil(abs(b - a) / _SAMPLE_SPACING) for sides in edges for a, b in sides) > _MAX_SAMPLES:
         raise NumericalError(too_many)
-    pieces = [_edge_samples(a, b, centres) for a, b in edges]
-    z = np.concatenate(pieces + [np.array(vertices[:1], dtype=complex)])
+    pieces = []
+    for vertices, sides in zip(polygons, edges):
+        samples = [_edge_samples(a, b, centres) for a, b in sides]
+        pieces.append(np.concatenate(samples + [np.array(vertices[:1], dtype=complex)]))
+    owner = np.repeat(np.arange(len(polygons)), [piece.size for piece in pieces])
+    z = np.concatenate(pieces)
     d, dd, err = _d_batch(z, problem)
+    failed = np.zeros(len(polygons), dtype=bool)
     while True:
-        lost = ~(np.abs(d) > _TRUST * err)
-        if lost.any():
-            raise NumericalError(
-                "argument-principle count failed: D is lost in rounding "
-                f"near gamma = {z[np.argmax(lost)]:.6g}"
-            )
+        failed[owner[~(np.abs(d) > _TRUST * err)]] = True
         if z.size > _MAX_SAMPLES:
             raise NumericalError(too_many)
-        step = np.angle(d[1:] / d[:-1])
-        slope = np.abs(dd / d)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = np.angle(d[1:] / d[:-1])
+            slope = np.abs(dd / d)
         width = np.abs(np.diff(z))
         turn = width * np.maximum(slope[1:], slope[:-1])
-        coarse = np.flatnonzero((np.abs(step) > _MAX_PHASE_STEP) | (turn > _MAX_PHASE_STEP))
+        within = owner[1:] == owner[:-1]
+        coarse = within & ((np.abs(step) > _MAX_PHASE_STEP) | (turn > _MAX_PHASE_STEP))
+        failed[owner[1:][coarse & (width < _MIN_SEGMENT)]] = True
+        coarse = np.flatnonzero(coarse & ~failed[owner[1:]])
         if coarse.size == 0:
-            return round(step.sum() / (2.0 * math.pi))
-        if width[coarse].min() < _MIN_SEGMENT:
-            raise NumericalError(
-                "argument-principle count failed: D vanishes on the contour "
-                f"near gamma = {z[coarse[np.argmin(width[coarse])]]:.6g}"
-            )
+            break
         mid = 0.5 * (z[coarse] + z[coarse + 1])
         dm, ddm, errm = _d_batch(mid, problem)
         z = np.insert(z, coarse + 1, mid)
         d = np.insert(d, coarse + 1, dm)
         dd = np.insert(dd, coarse + 1, ddm)
         err = np.insert(err, coarse + 1, errm)
+        owner = np.insert(owner, coarse + 1, owner[coarse])
+    winding = np.bincount(owner[1:][within], weights=step[within], minlength=len(polygons))
+    winding[failed] = 0.0
+    return np.where(failed, -1, np.rint(winding / (2.0 * math.pi)).astype(int))
 
 
-def _square(center: complex, half: float) -> list:
-    return [center + half * complex(a, b) for a, b in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+def _box(x0: float, x1: float, y0: float, y1: float) -> list:
+    """The box x0 < Re < x1, y0 < Im < y1 as a counter-clockwise polygon."""
+    return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
 
-def _outside_square(z: np.ndarray, center: complex, half: float) -> np.ndarray:
-    return z[(np.abs(z.real - center.real) >= half) | (np.abs(z.imag - center.imag) >= half)]
+def _strip_boxes(problem: TelegrapherProblem) -> tuple:
+    """(boxes, the zeros of D in each): the strip less its notches, cut into (x0, x1, y0, y1) boxes.
 
-
-def _notch(problem: TelegrapherProblem) -> float:
-    """Half-side of the squares left out around 0 and re_max: _EXCLUSION, or re_max/4 if smaller.
-
-    Capped so that the notches never meet: on a narrower strip they would
-    overlap, and the contour would wind backwards, counting negatively.
+    The notches around 0 and re_max have half-side rho = min(_EXCLUSION,
+    re_max/4), so that they never meet. The strip is cut into rows, odd in
+    number so that no cut lies on the real axis. The middle row runs from
+    rho to re_max - rho, with slivers of width rho above and below the
+    notches. A cut through a zero fails its two boxes: then the inner cuts
+    move by the next fraction of a row's height in _ROW_SHIFTS, and past
+    the last the search raises.
     """
-    return min(_EXCLUSION, problem.re_max / 4.0)
+    rho = min(_EXCLUSION, problem.re_max / 4.0)
+    b = problem.re_max
+    y = problem.im_max
+    rows = 2 * max(0, round(y / max(b, _BOX_SIDE) - 0.5)) + 1
+    height = 2.0 * y / rows
+    for shift in _ROW_SHIFTS:
+        ys = [-y] + [-y + (j + shift) * height for j in range(1, rows)] + [y]
+        boxes = [(0.0, b, ys[j], ys[j + 1]) for j in range(rows)]
+        lo, hi = ys[rows // 2], ys[rows // 2 + 1]
+        boxes[rows // 2] = (rho, b - rho, lo, hi)
+        if lo < -rho and hi > rho:
+            boxes += [(x, x + rho, lo, -rho) for x in (0.0, b - rho)]
+            boxes += [(x, x + rho, rho, hi) for x in (0.0, b - rho)]
+        counts = _zeros_inside([_box(*box) for box in boxes], problem, (0.0, complex(b)))
+        if (counts >= 0).all() or rows == 1:
+            break
+    if (counts < 0).any():
+        raise NumericalError(f"argument-principle count failed on {np.sum(counts < 0)} of {len(boxes)} boxes")
+    return boxes, counts
 
 
-def _in_strip(z: np.ndarray, problem: TelegrapherProblem) -> np.ndarray:
-    ok = (z.real > 0.0) & (z.real < problem.re_max) & (np.abs(z.imag) <= problem.im_max)
-    rho = _notch(problem)
-    for p in (0.0, problem.re_max):
-        ok &= (np.abs(z.real - p) >= rho) | (np.abs(z.imag) >= rho)
-    return ok
+@dataclass(eq=False)
+class _Box:
+    """A box x0 < Re < x1, y0 < Im < y1 of the root search, holding ``count`` zeros of D.
 
-
-def _strip_count(problem: TelegrapherProblem) -> int:
-    """Eigenvalues in the search strip, multiplicity included.
-
-    The contour is the strip's rectangle, notched inwards around 0 on its
-    left edge and around re_max on its right edge. Its samples are graded
-    toward both notches, where D may vanish (the mass mode at 0, and the
-    flux mode of a constant profile at re_max), so one batch of D resolves
-    the phase there.
+    ``roots`` are the (root, multiplicity, half-side of its counting square)
+    found in it, ``squares`` the (centre, half-side) squares counted in it,
+    and ``split`` whether it is to be cut in four.
     """
-    rho, b, y = _notch(problem), problem.re_max, problem.im_max
-    right = [b - 1j * y, b - 1j * rho, b - rho - 1j * rho, b - rho + 1j * rho, b + 1j * rho]
-    left = [b + 1j * y, 1j * y, 1j * rho, rho + 1j * rho, rho - 1j * rho, -1j * rho]
-    return _zeros_inside([-1j * y] + right + left, problem, centres=(0.0, complex(b)))
+
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+    count: int
+    roots: list = field(default_factory=list)
+    squares: list = field(default_factory=list)
+    split: bool = False
+
+    def missing(self) -> int:
+        return self.count - sum(m for _, m, _ in self.roots)
+
+    def size(self) -> float:
+        return max(self.x1 - self.x0, self.y1 - self.y0)
 
 
-def _newton(seeds: np.ndarray, problem: TelegrapherProblem, known: list) -> np.ndarray:
-    """Newton on D from every seed, deflated by the known (root, multiplicity, _) triples.
+def _inside(owner: list, z: np.ndarray) -> np.ndarray:
+    """Whether each z lies inside its own box."""
+    x0, x1, y0, y1 = np.array([[box.x0, box.x1, box.y0, box.y1] for box in owner]).reshape(-1, 4).T
+    return (x0 < z.real) & (z.real < x1) & (y0 < z.imag) & (z.imag < y1)
+
+
+def _spent(z: complex, squares: list) -> bool:
+    """Whether z lies in one of the (centre, half-side) squares."""
+    return any(abs(z.real - c.real) < h and abs(z.imag - c.imag) < h for c, h in squares)
+
+
+def _newton(z: np.ndarray, owner: list, problem: TelegrapherProblem) -> np.ndarray:
+    """Newton on D from each seed z, deflated by the roots found in its box, owner[i].
 
     Deflation divides D by prod (gamma - r)^m, so no seed returns to a root
-    already found. A seed leaves the active set once its step is below
-    _NEWTON_TOL, and every seed stops after _NEWTON_ITERS steps.
+    already found. A seed stops once its step is below _NEWTON_TOL or it
+    leaves its box. After _NEWTON_WANDER steps only the seeds where D is
+    near zero, slowed by a multiple root or a close pair, go on. D is real
+    on the real axis, so a limit within _NEWTON_TOL of it is put on it.
     """
-    z = seeds.astype(complex)
+    z = z.astype(complex)
+    index = {box: i for i, box in enumerate(dict.fromkeys(owner))}
+    which = np.array([index[box] for box in owner], dtype=int)
+    poles = [(which == i, r, m) for box, i in index.items() for r, m, _ in box.roots]
     active = np.arange(z.size)
-    for _ in range(_NEWTON_ITERS):
+    for k in range(_NEWTON_ITERS):
+        za = z[active]
+        d, dd, err = _d_batch(za, problem)
+        if k >= _NEWTON_WANDER:
+            near = (np.abs(d) < _ROOT_TOL) | (np.abs(d) <= _TRUST * err)
+            active = active[near]
+            za = za[near]
+            d = d[near]
+            dd = dd[near]
         if not active.size:
             break
-        za = z[active]
-        d, dd, _ = _d_batch(za, problem)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             rate = dd / d
-            for r, m, _ in known:
-                rate -= m / (za - r)
+            for mine, r, m in poles:
+                rate -= np.where(mine[active], m / (za - r), 0.0)
             step = 1.0 / rate
         moving = np.isfinite(step)
-        z[active[moving]] -= step[moving]
-        active = active[moving & (np.abs(step) >= _NEWTON_TOL)]
+        z[active] = np.where(moving, za - step, za)
+        inside = _inside([owner[i] for i in active], z[active])
+        active = active[moving & (np.abs(step) >= _NEWTON_TOL) & inside]
+    z.imag[np.abs(z.imag) < _NEWTON_TOL] = 0.0
     return z
 
 
-def _multiplicity(root: complex, problem: TelegrapherProblem) -> tuple:
-    """(zeros of D in a square around root, its half-side), on the smallest square that counts.
+def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
+    """Newton from a ``seeds`` grid in each box; then meet each box's count, or mark it to split.
 
-    A root of multiplicity m is fixed only to about eps^(1/m), and near it D
-    is lost in rounding, so the square grows tenfold until D stands clear of
-    its rounding error all round.
+    A candidate is a Newton limit in its box, outside the squares counted
+    there, where |D| < 1e-9 or is within its rounding error. The best
+    (smallest |D| against that error) stands for every candidate within
+    1e-6 of it. If a box has as many candidates as it misses zeros, all
+    located, they are that many distinct zeros, so simple. Elsewhere the
+    candidates' multiplicities are counted on the _MULTIPLICITY_SQUARES,
+    all in one batch, and the smallest square that counts is taken, best
+    candidate first, until the box's count is met. A box that gains no root
+    is marked to split.
     """
-    for half in _MULTIPLICITY_SQUARES:
-        try:
-            return _zeros_inside(_square(root, half), problem), half
-        except NumericalError:
-            continue
-    raise NumericalError(
-        f"root search: cannot count the multiplicity of the root near gamma = {root:.6g}"
-    )
-
-
-def _add_roots(cand: np.ndarray, problem: TelegrapherProblem, known: list) -> list:
-    """The known (root, multiplicity, half-side) triples, extended by the candidates.
-
-    A candidate must lie in the strip and be a zero: |D| < 1e-9, or |D|
-    within its rounding error where D is too large for an absolute test.
-    The best (smallest |D| against its rounding error) stands for every
-    candidate in the square its multiplicity is counted on. A candidate
-    inside a known square, or with no zero in its own, adds nothing.
-    """
-    cand = cand[np.isfinite(cand)]
-    cand = cand[_in_strip(cand, problem)]
-    d, _, err = _d_batch(cand, problem)
+    u = (np.arange(seeds[0]) + 0.5) / seeds[0]
+    v = (np.arange(seeds[1]) + 0.5) / seeds[1]
+    grids = []
+    owner = []
+    for box in boxes:
+        re = box.x0 + (box.x1 - box.x0) * u
+        im = box.y0 + (box.y1 - box.y0) * v
+        grids.append((re[:, None] + 1j * im[None, :]).ravel())
+        owner += [box] * (u.size * v.size)
+    z = _newton(np.concatenate(grids), owner, problem)
+    keep = np.flatnonzero(np.isfinite(z) & _inside(owner, z))
+    z = z[keep]
+    owner = [owner[i] for i in keep]
+    d, dd, err = _d_batch(z, problem)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ok = (np.abs(d) < _ROOT_TOL) | (np.abs(d) <= _TRUST * err)
-        rest = cand[ok][np.argsort(np.abs(d[ok]) / err[ok])]
-    found = list(known)
-    for r, _, half in known:
-        rest = _outside_square(rest, r, half)
-    while rest.size:
-        r = complex(rest[0])
-        m, half = _multiplicity(r, problem)
-        rest = _outside_square(rest, r, half)
-        if m > 0:
-            found.append((r, m, half))
-    return found
+        located = np.maximum(np.abs(d), _TRUST * err) <= _LOCATED * np.abs(dd)
+        zero = (np.abs(d) < _ROOT_TOL) | (np.abs(d) <= _TRUST * err)
+        order = np.argsort(np.abs(d) / err)
+    picked = {box: [] for box in boxes}
+    for i in order[zero[order]]:
+        mine = picked[owner[i]]
+        taken = owner[i].squares + [(z[j], _MULTIPLICITY_SQUARES[0]) for j in mine]
+        if not _spent(z[i], taken):
+            mine.append(i)
+    ladder = []
+    for box, mine in picked.items():
+        if len(mine) == box.missing() and located[mine].all():
+            box.roots += [(complex(z[i]), 1, _MULTIPLICITY_SQUARES[0]) for i in mine]
+        else:
+            box.split = True
+            ladder += [(box, complex(z[i])) for i in mine]
+    rungs = [_box(r.real - h, r.real + h, r.imag - h, r.imag + h) for _, r in ladder for h in _MULTIPLICITY_SQUARES]
+    counts = _zeros_inside(rungs, problem).reshape(len(ladder), len(_MULTIPLICITY_SQUARES))
+    for (box, r), row in zip(ladder, counts):
+        if box.missing() <= 0 or _spent(r, box.squares):
+            continue
+        counted = np.flatnonzero(row >= 0)
+        if counted.size == 0:
+            raise NumericalError(f"root search: cannot count the multiplicity of the root near gamma = {r:.6g}")
+        half = _MULTIPLICITY_SQUARES[counted[0]]
+        box.squares.append((r, half))
+        if row[counted[0]] > 0:  # a root gained: Newton runs again, deflated by it
+            box.roots.append((r, int(row[counted[0]]), half))
+            box.split = False
+
+
+def _split(boxes: list, problem: TelegrapherProblem) -> list:
+    """The boxes cut in up to four, each child with its count and the parent's roots inside it.
+
+    Each side at least half as long as the other is cut at its fraction in
+    the first pair of _SPLITS. A box with a child that fails to count, its
+    edge through a zero, is cut at the next pair instead; past the last the
+    search raises. Children that hold no zero are dropped.
+    """
+    children = []
+    for fx, fy in _SPLITS:
+        cuts = []
+        for box in boxes:
+            w = box.x1 - box.x0
+            h = box.y1 - box.y0
+            xs = (box.x0, box.x0 + fx * w, box.x1) if 2.0 * w >= h else (box.x0, box.x1)
+            ys = (box.y0, box.y0 + fy * h, box.y1) if 2.0 * h >= w else (box.y0, box.y1)
+            cuts += [(box, (a, b, c, d)) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])]
+        counts = _zeros_inside([_box(*cut) for _, cut in cuts], problem, (0.0, complex(problem.re_max)))
+        failed = {box for (box, _), n in zip(cuts, counts) if n < 0}
+        for (box, (x0, x1, y0, y1)), n in zip(cuts, counts):
+            if box in failed or n == 0:
+                continue
+            roots = [r for r in box.roots if x0 < r[0].real < x1 and y0 < r[0].imag < y1]
+            children.append(_Box(x0, x1, y0, y1, int(n), roots, list(box.squares)))
+        boxes = [box for box in boxes if box in failed]
+        if not boxes:
+            return children
+    raise NumericalError(f"root search: a box split at {complex(boxes[0].x0, boxes[0].y0):.6g} fails to count")
+
+
+def _locate(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> list:
+    """Every (root, multiplicity, half-side) in the boxes, by rounds of Newton (_seek) and splitting.
+
+    A box where Newton gains no root is split (_split), as is one that
+    misses more than _BUSY zeros while larger than _BOX_SIDE / 16. A box
+    that gains a root is searched again. A box leaves once its count is met
+    or passed, or, still short, once it is too small to split.
+    """
+    done = []
+    work = list(boxes)
+    while work:
+        for box in work:
+            if box.missing() > _BUSY and box.size() > _BOX_SIDE / 16:
+                box.split = True
+        searched = [box for box in work if not box.split]
+        if searched:
+            _seek(searched, problem, seeds)
+        kept = []
+        parents = []
+        for box in work:
+            if box.missing() <= 0 or box.split and box.size() < _MULTIPLICITY_SQUARES[0]:
+                done.append(box)
+            elif box.split:
+                parents.append(box)
+            else:
+                kept.append(box)
+        work = kept + _split(parents, problem)
+    return [r for box in done for r in box.roots]
 
 
 def telegrapher_gap(
     problem: TelegrapherProblem,
-    seeds: tuple[int, int] = (30, 30),
+    seeds: tuple[int, int] = (3, 3),
 ) -> GapResult:
     """Find every eigenvalue in the strip 0 < Re < re_max, |Im| <= im_max.
 
-    1. Count them, multiplicity included, by the argument principle on D.
-    2. Locate them by Newton on D: from the sign changes of a dense real-axis
-       scan (D is real there), then from a ``seeds`` grid over the strip.
-       Each root's multiplicity is counted on a small square around it.
-       While the roots found fall short of the count, the grid doubles, up
-       to 200 x 200, and Newton is deflated by the roots already found.
-    3. Anything but exactly the counted number raises NumericalError, as
-       does an empty strip.
+    1. Count them, multiplicity included, by the argument principle on D,
+       box by box over the strip (_strip_boxes).
+    2. Locate them by Newton on D, from a ``seeds`` grid laid in each box
+       that holds one; split the boxes where Newton falls short, and count
+       the multiplicity of the roots where a box's distinct roots are fewer
+       than its count (_locate).
+    3. Anything but exactly the counted number, multiplicity included,
+       raises NumericalError, as does an empty strip.
 
     Squares of half-side min(1e-6, re_max/4) around gamma = 0 and
     gamma = re_max are left out of the strip, for the count and the roots
@@ -389,35 +526,17 @@ def telegrapher_gap(
     """
     if min(seeds) < 1:
         raise ValidationError(f"seeds must be positive, got {seeds}")
-    count = _strip_count(problem)
+    boxes, counts = _strip_boxes(problem)
+    count = int(counts.sum())
     if count == 0:
         raise NumericalError("no eigenvalues found in the search strip; enlarge re_max/im_max")
-
-    xs = np.linspace(_notch(problem), problem.re_max - _notch(problem), 4001)
-    ds = _d_batch(xs, problem)[0].real
-    change = np.flatnonzero(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)
-    roots = _add_roots(_newton(0.5 * (xs[change] + xs[change + 1]), problem, []), problem, [])
-
-    # then over the complex strip, on finer seed grids until the count is met
-    nre, nim = seeds
-    cap = (max(nre, _SEED_CAP), max(nim, _SEED_CAP))
-    while sum(m for _, m, _ in roots) < count:
-        re_seeds = np.linspace(1e-3, problem.re_max, nre)
-        im_seeds = np.linspace(-problem.im_max, problem.im_max, nim)
-        grid = (re_seeds[:, None] + 1j * im_seeds[None, :]).ravel()
-        roots = _add_roots(_newton(grid, problem, roots), problem, roots)
-        if (nre, nim) == cap:
-            break
-        nre, nim = min(2 * nre, cap[0]), min(2 * nim, cap[1])
+    roots = _locate([_Box(*box, int(n)) for box, n in zip(boxes, counts) if n > 0], problem, seeds)
     found = sum(m for _, m, _ in roots)
     if found != count:
-        raise NumericalError(
-            f"root search: found {found} of {count} counted roots "
-            f"with Newton from seed grids up to {nre}x{nim}"
-        )
+        raise NumericalError(f"root search: found {found} of {count} counted roots")
     located = sorted((r for r, _, _ in roots), key=lambda c: (c.real, c.imag))
-    best = located[0]  # the smallest real part
-    return GapResult(best.real, best, tuple(located), count)
+    best = located[0]  # the smallest real part; of a conjugate pair, Im >= 0
+    return GapResult(best.real, complex(best.real, abs(best.imag)), tuple(located), count)
 
 
 def optimal_rate(problem: TelegrapherProblem, result: GapResult) -> float:

@@ -222,6 +222,12 @@ class TestSubcommands:
         assert roots[0] == "re_gamma,im_gamma,abs_d" and len(roots) == 18
         assert all(float(row.split(",")[2]) < 1e-12 for row in roots[1:])
 
+    def test_telegrapher_finds_every_counted_root_of_a_stiff_profile(self, tmp_path, capsys):
+        # the seed-grid search found 425 of the 443 counted roots and exited 3
+        assert run("telegrapher", "--sigma", "pc:1@pi,100@2pi", "--out", str(tmp_path / "o")) == 0
+        assert "gap = 0.104364 at gamma = 0.104364+0j (real)" in capsys.readouterr().out
+        assert len((tmp_path / "o" / "telegrapher_roots.csv").read_text().splitlines()) == 444
+
     def test_telegrapher_strip_reaches_the_l1_norm(self, tmp_path, capsys):
         # 0 < Re < 2 min sigma~ = 2 pi 1e-8 held no eigenvalue; 0 < Re < |sigma~|_L1 holds four
         assert run("telegrapher", "--sigma", "pc:1e-8@pi,1@2pi", "--out", str(tmp_path / "o")) == 0
@@ -564,7 +570,7 @@ TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300
         (
             ["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]],
             3,
-            "numerical failure: argument-principle count failed: over 2000000 samples on one contour",
+            "numerical failure: argument-principle count failed: over 2000000 samples in one batch of contours",
         ),
         (
             ["appendix-a", "--sigma", TWO_PIECE_HUGE["1.7e308"]],
@@ -735,12 +741,12 @@ def test_appendix_a_with_tiny_poincare_weights_ends_in_one_line(tmp_path, sigma,
 
 
 def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
-    # the strip's contour would take 125.7M samples, 959 MiB for their positions alone
+    # the strip's boxes would take 1041M samples, 7.8 GiB for their positions alone
     out = tmp_path / "o"
     proc = run_capped(out, "telegrapher", "--sigma", "pc:1e-6@pi,1e6@2pi")
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
-        "numerical failure: argument-principle count failed: over 2000000 samples on one contour"
+        "numerical failure: argument-principle count failed: over 2000000 samples in one batch of contours"
     ]
     assert not out.exists()
 

@@ -25,10 +25,19 @@ refuses nan and +-inf in one line, with exit 2.
 The numerical layers take a RelaxationProfile and an explicit twist from
 their caller: ``solver``, ``entropy``, ``poincare`` and ``telegrapher``
 import neither ``gtlab.rates`` nor ``gtlab.profiles``.
+
+The benchmark's tracer (``perfbench/tracing.py``) wraps ``gtlab`` names by
+the keys of its ``HOOKS`` table, and its telegrapher hook reads arguments
+and fields by name. Every hooked name must exist, and so must what the hook
+reads; the table is parsed, not imported.
 """
 
 import argparse
 import ast
+import dataclasses
+import importlib
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -293,3 +302,33 @@ def test_every_number_flag_refuses_non_finite_values(tmp_path, capsys):
                 checked.add(flag)
     assert wrong == []
     assert checked == {flag for flag, kw in FLAGS.items() if kw.get("type") is not None}
+
+
+#: hooked names the program no longer defines: the count that replaced the lattice
+#: scan left poincare.matching_matrix to the tests, and its hook counts nothing
+DEAD_HOOKS = {"poincare.matching_matrix"}
+
+
+def test_benchmark_hooks_find_their_names():
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    table = next(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "HOOKS" for t in node.targets)
+    )
+    hooked = {key.value for key in table.keys}
+    assert DEAD_HOOKS <= hooked
+    for name in sorted(hooked):
+        module, attr = name.split(".", 1)
+        assert hasattr(importlib.import_module(f"gtlab.{module}"), attr) != (name in DEAD_HOOKS), name
+
+    # the telegrapher hook binds the call, applies the defaults and reads seeds as two counts,
+    # then the problem's sigma1 and sigma2 and the result's gap and roots
+    from gtlab.telegrapher import GapResult, TelegrapherProblem, telegrapher_gap
+
+    bound = inspect.signature(telegrapher_gap).bind(TelegrapherProblem(math.pi, 4.0 * math.pi))
+    bound.apply_defaults()
+    nre, nim = bound.arguments["seeds"]
+    assert all(isinstance(n, int) and n > 0 for n in (nre, nim))
+    assert {"sigma1", "sigma2"} <= {f.name for f in dataclasses.fields(TelegrapherProblem)}
+    assert {"gap", "roots"} <= {f.name for f in dataclasses.fields(GapResult)}

@@ -273,36 +273,37 @@ class TestCertificate:
         for x0, x1, y0 in ((0.36, 0.38, -0.01), (0.3, 0.45, -0.05)):
             for y1 in (1.2e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
                 box = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-                assert tele._zeros_inside(box, p) == 2
+                assert tele._zeros_inside([box], p).tolist() == [2]
 
     @pytest.mark.parametrize("re_max", [1e-7, 1.5e-6, 1e-3])
     def test_narrow_strip_counts_none_and_keeps_its_middle(self, re_max):
         # notches of half-side min(1e-6, re_max/4) never meet: two of 1e-6 on a
         # strip 1e-7 wide overlapped, and its contour counted -1
         p = TelegrapherProblem(math.pi, 4 * math.pi, re_max=re_max)
-        assert tele._strip_count(p) == 0
-        middle = np.array([re_max / 2, re_max / 2 + 1e-9j])
-        assert tele._in_strip(middle, p).all()
+        boxes, counts = tele._strip_boxes(p)
+        assert counts.tolist() == [0] * len(boxes)
+        for middle in (re_max / 2, re_max / 2 + 1e-9j):
+            assert sum(x0 < middle.real < x1 and y0 < middle.imag < y1 for x0, x1, y0, y1 in boxes) == 1
 
     def test_strip_narrower_than_the_notches_exits_on_an_empty_count(self):
         # pc:1e-8@pi,1@2pi on the strip 0 < Re < 2 min sigma~ = 2 pi 1e-8
         p = TelegrapherProblem(1e-8 * math.pi, math.pi, re_max=2e-8 * math.pi)
-        assert tele._strip_count(p) == 0
+        assert tele._strip_boxes(p)[1].sum() == 0
         with pytest.raises(NumericalError, match="no eigenvalues found in the search strip"):
             telegrapher_gap(p)
 
     @pytest.mark.parametrize("pair", [(1.0, 4.0), (1.34, 5.46), (17.02, 17.24)])
-    def test_strip_count_takes_at_most_three_batches(self, pair, monkeypatch):
+    def test_strip_boxes_take_at_most_four_batches(self, pair, monkeypatch):
         # samples graded toward the notches at 0 and re_max resolve the phase
         # there at once; evenly spaced ones took 17 rounds of bisection toward 0
         p = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
         batches = []
         real_batch, real_inside = tele._d_batch, tele._zeros_inside
         monkeypatch.setattr(tele, "_d_batch", lambda g, q: batches.append(1) or real_batch(g, q))
-        count = tele._strip_count(p)
-        assert len(batches) <= 3
+        counts = tele._strip_boxes(p)[1]
+        assert len(batches) <= 4
         monkeypatch.setattr(tele, "_zeros_inside", lambda v, q, centres=(): real_inside(v, q))
-        assert tele._strip_count(p) == count  # the same on evenly spaced samples
+        assert tele._strip_boxes(p)[1].tolist() == counts.tolist()  # the same on evenly spaced samples
 
     @pytest.mark.parametrize(
         "pair, count", [((1.0, 4.0), 9), ((2.93, 0.402), 2), ((1.34, 5.46), 18)]
@@ -313,6 +314,34 @@ class TestCertificate:
         assert res.count == count
         assert len(res.roots) == count
         assert not any(_is_double(r, problem) for r in res.roots)
+
+    def test_row_cut_through_a_double_root_moves(self, monkeypatch):
+        # sigma~ = s = 20 pi / 13: the double roots s +- i sqrt(4 pi^2 k^2 - s^2) of
+        # k = 2 lie at Im = +-12 s / 5, on the cuts of the strip's five rows
+        s = 20.0 * math.pi / 13.0
+        p = TelegrapherProblem(s, s)
+        res = telegrapher_gap(p)
+        assert res.count == 12 and len(res.roots) == 6
+        for k in (1, 2, 3):
+            for sign in (1, -1):
+                want = s + sign * 1j * math.sqrt(4.0 * math.pi**2 * k * k - s * s)
+                assert min(abs(r - want) for r in res.roots) < 1e-6
+        assert res.gap == pytest.approx(s, abs=1e-9)
+        monkeypatch.setattr(tele, "_ROW_SHIFTS", (0.0,))
+        with pytest.raises(NumericalError, match="count failed on 4 of 9 boxes"):
+            tele._strip_boxes(p)
+
+    def test_split_through_a_root_moves(self, monkeypatch):
+        # the first split of this box cuts Re = s, through the double root s + i 4.0148
+        s = 20.0 * math.pi / 13.0
+        p = TelegrapherProblem(s, s)
+        box = tele._Box(s - 0.94, s + 1.06, 3.0, 5.0, 2)
+        children = tele._split([box], p)
+        assert sum(child.count for child in children) == 2
+        assert all(child.x0 != box.x0 + 0.47 * 2.0 for child in children)
+        monkeypatch.setattr(tele, "_SPLITS", tele._SPLITS[:1])
+        with pytest.raises(NumericalError, match="fails to count"):
+            tele._split([box], p)
 
     def test_double_roots_counted_twice(self):
         # sigma~ = (pi, pi): D = 4 sin^2(t/2), double roots where t = 2 pi k,
@@ -370,15 +399,37 @@ class TestCertificate:
         assert res.count == len(res.roots) == 25
 
     def test_small_seed_grid_refined(self, gap_14):
-        res = telegrapher_gap(P_14, seeds=(2, 2))
+        # one seed a box: the boxes Newton leaves short are split, or searched again deflated
+        res = telegrapher_gap(P_14, seeds=(1, 1))
         assert res.count == gap_14.count == len(res.roots)
         for r in gap_14.roots:
             assert min(abs(r - s) for s in res.roots) < 1e-8
 
     def test_shortfall_raises(self, monkeypatch):
+        # Newton that never moves finds no root: every box is split until too small, then given up
         monkeypatch.setattr(tele, "_newton", lambda seeds, *args: seeds)
         with pytest.raises(NumericalError, match="found 0 of 17 counted roots"):
             telegrapher_gap(P_14)
+
+    @pytest.mark.parametrize(
+        "top, count, gap", [(50.0, 221, 0.2079337026326672), (100.0, 443, 0.10436391454352467)]
+    )
+    def test_stiff_profiles_find_every_counted_root(self, top, count, gap):
+        # pc:1@pi,top@2pi: 221 roots in 6-7 s from seed grids up to 200 x 200, and
+        # for top = 100 only 425 of 443; the gap of 50 is that search's
+        res = telegrapher_gap(TelegrapherProblem(math.pi, top * math.pi))
+        assert res.count == len(res.roots) == count
+        assert res.gap == pytest.approx(gap, abs=1e-8)
+
+    @pytest.mark.parametrize("pair, bound", [((1.0, 4.0), 6500), ((2.93, 0.402), 4500), ((1.34, 5.46), 8500)])
+    def test_search_work_is_bounded(self, pair, bound, monkeypatch):
+        # D evaluations of one default-strip search: 5639, 3819 and 7286, against
+        # 16927, 14468 and 20343 from a real scan and a 30 x 30 seed grid
+        evaluations = []
+        real_batch = tele._d_batch
+        monkeypatch.setattr(tele, "_d_batch", lambda g, q: evaluations.append(np.size(g)) or real_batch(g, q))
+        telegrapher_gap(TelegrapherProblem(math.pi * pair[0], math.pi * pair[1]))
+        assert sum(evaluations) <= bound
 
     def test_bad_seed_grid_rejected(self):
         with pytest.raises(ValidationError):
