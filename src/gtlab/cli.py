@@ -15,27 +15,29 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
 
     simulate-2v    --sigma --n --dt --t-final --theta --eps --seed --plot
                    --scheme --u0 --v0 --record-every
-    simulate-3v    the same with --f1 --f2 --f3 in place of --u0 --v0
+    simulate-3v    --sigma --n --dt --t-final --theta --eps --seed --plot
+                   --scheme --f1 --f2 --f3 --record-every
                    (--eps is accepted and ignored: the 3v rate has no eps)
     rates          --sigma --eps
     modal-report   --sigma --eps --kmax --plot
-    poincare       --sigma --theta --alpha --w1 --w2 --improve --alpha0
-                   (--w1 and --w2 go together and give the weight; with them
+    poincare       --sigma --theta --alpha --weight --improve --alpha0
+                   (--weight gives the weight, in the --sigma syntax; with it
                    --alpha is an error and --sigma, --theta need --improve,
                    as --alpha0 always does)
     telegrapher    --sigma
     appendix-a     --sigma
     rate-curve     --grid --plot
 
---sigma is const:V | pc:V@B,... | file:PATH. Any other flag, and any
-abbreviation of a flag, is an error (exit 2). A number flag takes only a
-finite number: nan and +-inf are exit 2. A file: field must hold --n
-samples. --n is at most 2**20, and --kmax and the COUNT of --grid are at
-most 100 000, each checked before any array is built. --seed is an integer
->= 0. An argument error is one line, like every other error. A config file
-(--config PATH or --config=PATH) holds flat KEY = VALUE lines, overridden by
-CLI flags; a key the subcommand does not take is an error that names the
-file.
+--sigma and --weight are const:V | pc:V@B,... | file:PATH; telegrapher and
+appendix-a take only a constant or a two-piece sigma broken at pi. Any other
+flag, and any abbreviation of a flag, is an error (exit 2). A number flag
+takes only a finite number: nan and +-inf are exit 2. A file: field must
+hold --n samples. --n is at most 2**20, and --kmax and the COUNT of --grid
+are at most 100 000, each checked before any array is built. --seed is an
+integer >= 0. An argument error is one line, like every other error. A
+config file (--config PATH or --config=PATH) holds flat KEY = VALUE lines,
+overridden by CLI flags; a key the subcommand does not take is an error
+that names the file.
 
 A handler computes and never writes: it returns the files of the run, by
 name under --out, and the lines it prints. main creates --out, writes the
@@ -292,9 +294,7 @@ def cmd_modal_report(args):
 
 
 def cmd_poincare(args):
-    if (args.w1 is None) != (args.w2 is None):
-        raise ValidationError("poincare takes --w1 and --w2 together, or neither")
-    weight_given = args.w1 is not None
+    weight_given = args.weight is not None
     unread = [
         flag
         for flag, value, read in (
@@ -307,7 +307,7 @@ def cmd_poincare(args):
     ]
     if unread:
         raise ValidationError(
-            f"poincare would ignore {', '.join(unread)}: with --w1/--w2 the weight is given, "
+            f"poincare would ignore {', '.join(unread)}: with --weight the weight is given, "
             "so --alpha is unused and --sigma and --theta serve only --improve, as --alpha0 does"
         )
     if not weight_given or args.improve:
@@ -318,20 +318,22 @@ def cmd_poincare(args):
         if (args.alpha is None and not weight_given) or (args.alpha0 is None and args.improve):
             a_star = alpha_star(s_min, s_max)
     if weight_given:
-        weight = poincare_mod.TwoPieceWeight(args.w1, args.w2)
+        weight = RelaxationProfile.parse(args.weight)
     else:
         alpha = args.alpha if args.alpha is not None else a_star
         weight = poincare_mod.weight_from_sigma(profile, theta, alpha)
     result = poincare_mod.weighted_poincare(weight)
     files = {
         "poincare.csv": (
-            ["w1", "w2", "c_min", "c_omega_sq", "close_root_flag"],
-            [(weight.w1, weight.w2, result.c_min, result.c_omega_sq, int(result.close_root_flag))],
-        )
+            ["c_min", "c_omega_sq", "close_root_flag"],
+            [(result.c_min, result.c_omega_sq, int(result.close_root_flag))],
+        ),
+        "weight.csv": (["x_end", "w"], weight.pieces),
     }
+    values = [w for _, w in weight.pieces]
     lines = [
-        f"weight ({weight.w1:.6g}, {weight.w2:.6g}): c_min = {result.c_min:.8g}, "
-        f"C^2 = {result.c_omega_sq:.8g}, C = {result.c_omega:.8g}"
+        f"weight ({min(values):.6g}, {max(values):.6g}): c_min = {result.c_min:.8g}, "
+        f"C^2 = {result.c_omega_sq:.8g}, C = {result.c_omega:.8g} (min, max over {len(values)} pieces)"
     ]
     if args.improve:
         alpha0 = args.alpha0 if args.alpha0 is not None else a_star
@@ -380,11 +382,11 @@ def cmd_telegrapher(args):
 
 def cmd_appendix_a(args):
     profile = RelaxationProfile.parse(args.sigma)
+    problem = tele_mod.rescale_sigma(profile)  # refuses a profile the gap cannot take, before any other work
     s_min, s_max = profile.sigma_min, profile.sigma_max
     theta = theta_star(s_min, s_max)
     a_star = alpha_star(s_min, s_max)
     imp = poincare_mod.improved_alpha(profile, theta, a_star)
-    problem = tele_mod.rescale_sigma(profile)
     optimal = tele_mod.optimal_rate(problem, tele_mod.telegrapher_gap(problem))
     rows = [
         (SOURCE_PERTURBATIVE, a_star),
@@ -460,8 +462,7 @@ FLAGS = {
     "f2": dict(default="cos"),
     "f3": dict(default="sin"),
     "kmax": dict(type=int, default=50),
-    "w1": dict(type=_finite),
-    "w2": dict(type=_finite),
+    "weight": dict(help="the Poincare weight itself, in the --sigma syntax"),
     "improve": dict(action="store_true", help="run the fixed-point improvement"),
     "alpha0": dict(type=_finite, help="starting rate for --improve"),
     "grid": dict(default="0.05:10:200", help="LO:HI:COUNT"),
@@ -501,7 +502,7 @@ SUBCOMMANDS = {
     "poincare": (
         cmd_poincare,
         "weighted Poincare constant",
-        ("sigma", "theta", "alpha", "w1", "w2", "improve", "alpha0"),
+        ("sigma", "theta", "alpha", "weight", "improve", "alpha0"),
         # no default, so that an explicit --sigma can be told apart
         {"sigma": dict(default=None, help=f"{FLAGS['sigma']['help']} (default {_PAPER_PROFILE})")},
     ),

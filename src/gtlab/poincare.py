@@ -1,7 +1,8 @@
-"""Weighted Poincare constants for two-piece weights, and the rate-improvement
-fixed-point iteration they enable.
+"""Weighted Poincare constants for piecewise-constant weights, and the
+rate-improvement fixed-point iteration they enable.
 
-For a weight w1 on (0, pi], w2 on (pi, 2pi] the sharp constant in
+A weight is a profile: pieces (x_i, w_i), w_i > 0 on (x_{i-1}, x_i], with
+x_0 = 0 and the last x_i = 2 pi. The sharp constant in
 
     int (f - f_avg)^2 w dx <= C_w^2 int (f')^2 dx
 
@@ -31,23 +32,25 @@ and from (0, 1), and p's equation from (0, 0). By Sturm's theorem N_D is
 the number of zeros of the (0, 1) solution y_s in (0, 2 pi). S is built
 times y_s(2 pi)^2 > 0, which keeps its inertia and needs no division.
 
-The bisection runs over the window that the two Rayleigh bounds prove to
-hold c_min:
+The bisection runs over the window that two Rayleigh bounds prove to hold
+c_min:
 
 - lower end, 1/max w: int f^2 w <= max w int f^2 <= max w int f'^2, the
   second step Wirtinger's inequality;
-- upper end, 2/(w1 + w2): sin x and cos x have zero mean and
-  int sin^2 w = int cos^2 w = pi (w1 + w2)/2, with int sin cos w = 0, so
-  the two smallest eigenvalues (a close pair among them) lie at or below it.
+- upper end, the smaller Rayleigh quotient of sin x and cos x, which have
+  zero mean: pi / max(int w sin^2, int w cos^2), summed piece by piece in
+  closed form. For two halves int w sin^2 = int w cos^2 = pi (w1 + w2)/2,
+  with int w sin cos = 0, so there the two smallest eigenvalues (a close
+  pair among them) lie at or below 2/(w1 + w2).
 
-Equal weights close the window to the point 1/w, the double eigenvalue that
-is also a Dirichlet eigenvalue, and it is returned with no count.
+A constant weight closes the window to the point 1/w, the double eigenvalue
+that is also a Dirichlet eigenvalue, and it is returned with no count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NumericalError, ValidationError
 
@@ -61,24 +64,6 @@ _CLOSE_ROOT_ULPS = 8
 _MAX_ITER = 100
 #: (1 - sin x / x) / x^2 below x = 1, summed from its series: sum (-x^2)^n / (2n + 3)!
 _SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
-
-
-@dataclass(frozen=True)
-class TwoPieceWeight:
-    """Positive weight w1 on (0, pi], w2 on (pi, 2pi]."""
-
-    w1: float
-    w2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.w1 < math.inf and 0.0 < self.w2 < math.inf):
-            raise ValidationError(
-                f"weights must be positive and finite, got ({self.w1}, {self.w2})"
-            )
-
-    @property
-    def sup(self) -> float:
-        return max(self.w1, self.w2)
 
 
 @dataclass(frozen=True)
@@ -160,18 +145,29 @@ def _count(lam: float, pieces) -> int:
     return zeros + negative - 1
 
 
-def weighted_poincare(weight: TwoPieceWeight) -> PoincareResult:
-    """c_min by bisection of N_c over the window [1/max w, 2/(w1 + w2)]; C_w^2 = 1/c_min.
+def weighted_poincare(weight) -> PoincareResult:
+    """c_min by bisection of N_c over its Rayleigh window; C_w^2 = 1/c_min.
 
+    ``weight`` is a profile: anything with ``pieces``, (right end, w) pairs.
     The bisection stops once the bracket is at most _ROOT_RTOL of its upper
     end wide, and returns its midpoint. A window past the largest double is
     a NumericalError.
     """
-    pieces = ((math.pi, weight.w1), (math.pi, weight.w2))
-    lo = 1.0 / weight.sup
-    hi = 1.0 / (0.5 * weight.w1 + 0.5 * weight.w2)
+    ends = [end for end, _ in weight.pieces]
+    values = [w for _, w in weight.pieces]
+    pieces = tuple((b - a, w) for a, b, w in zip([0.0] + ends, ends, values))  # (length, w)
+    sup = max(values)
+    lo = 1.0 / sup
     if lo == math.inf:
-        raise NumericalError(f"c_min >= 1/max w = 1/{weight.sup:.6g} overflows")
+        raise NumericalError(f"c_min >= 1/max w = 1/{sup:.6g} overflows")
+    # int u and int u cos 2x for u = w/max w (the plain w overflows past 1e308), summed by
+    # parts over the jumps u_i - u_{i+1} at the inner ends x_i, so a constant u gives 2 pi and 0
+    u = [w / sup for w in values]
+    inner = list(zip(ends, u, u[1:]))
+    mean = 2.0 * math.pi * u[-1] + sum(x * (a - b) for x, a, b in inner)
+    wave = sum(math.sin(2.0 * x) * (a - b) for x, a, b in inner) / 2.0
+    # pi / max(int u sin^2, int u cos^2), as int u sin^2 = (int u - int u cos 2x)/2
+    hi = 2.0 * math.pi / (mean + abs(wave)) / sup
     while hi - lo > _ROOT_RTOL * hi:
         mid = lo + 0.5 * (hi - lo)
         if _count(mid, pieces) >= 1:
@@ -184,11 +180,13 @@ def weighted_poincare(weight: TwoPieceWeight) -> PoincareResult:
     return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, close_root_flag=close)
 
 
-def weight_from_sigma(profile, theta: float, alpha: float) -> TwoPieceWeight:
-    """Weight (sigma - alpha)^2 / (2 sigma - theta - alpha) on each piece of a two-piece profile."""
-    s1, s2 = profile.as_two_piece()
-    vals = []
-    for s in (s1, s2):
+def weight_from_sigma(profile, theta: float, alpha: float):
+    """The profile with each value s mapped to (s - alpha)^2 / (2 s - theta - alpha).
+
+    The profile's own check refuses a weight that is not positive and finite.
+    """
+    pieces = []
+    for end, s in profile.pieces:
         # (s - alpha) ((s - alpha)/den), den = 2 s - theta - alpha held as its half: neither the
         # square (past 1.3e154) nor 2 s (past 9e307) overflows
         half_den = s - (theta + alpha) / 2.0
@@ -197,8 +195,8 @@ def weight_from_sigma(profile, theta: float, alpha: float) -> TwoPieceWeight:
                 f"nonpositive denominator 2*{s} - {theta} - {alpha} in the weight"
             )
         d = s - alpha
-        vals.append(d * (d / 2.0 / half_den))
-    return TwoPieceWeight(*vals)
+        pieces.append((end, d * (d / 2.0 / half_den)))
+    return replace(profile, pieces=tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -227,8 +225,9 @@ def improved_alpha(
     if an iterate leaves the admissible set.
 
     Each iterate's constant comes from one bisection of the window that the
-    two Rayleigh bounds prove to hold c_min of its weight w:
-    1/max w <= c_min <= 2/(w1 + w2) (see the module docstring).
+    two Rayleigh bounds prove to hold c_min of its weight w: from 1/max w up
+    to the smaller Rayleigh quotient of sin x and cos x (see the module
+    docstring).
     """
 
     def cap(alpha: float) -> float:

@@ -8,9 +8,9 @@ x_j = 2*pi*j/n are n pieces: the piece ending at x_j carries s_j and the
 last one, ending at 2*pi, carries s_0. Such a profile keeps its n and is
 sampled only at that n.
 
-Every library function that takes sigma takes a RelaxationProfile; build
-one with ``constant``, ``two_piece``, ``piecewise``, ``from_grid`` or
-``parse``.
+Every library function that takes sigma takes a RelaxationProfile, and a
+weighted Poincare weight is one too; build one with ``constant``,
+``two_piece``, ``piecewise``, ``from_grid`` or ``parse``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class RelaxationProfile:
         for end, value in self.pieces:
             if not 0.0 < value < math.inf:
                 raise ValidationError(
-                    f"sigma must be positive and finite everywhere, got {value} on the piece "
+                    f"values must be positive and finite everywhere, got {value} on the piece "
                     f"ending at x = {end:.6g}"
                 )
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
@@ -106,9 +106,9 @@ class RelaxationProfile:
         except ValidationError:
             raise
         except (ValueError, OSError) as exc:
-            raise ValidationError(f"cannot parse sigma spec {text!r}: {exc}") from exc
+            raise ValidationError(f"cannot parse profile spec {text!r}: {exc}") from exc
         raise ValidationError(
-            f"unknown sigma spec {text!r}; expected const:V, pc:V@B,..., or file:PATH"
+            f"unknown profile spec {text!r}; expected const:V, pc:V@B,..., or file:PATH"
         )
 
     # -- queries ----------------------------------------------------------
@@ -123,19 +123,6 @@ class RelaxationProfile:
     @property
     def sigma_max(self) -> float:
         return max(v for _, v in self.pieces)
-
-    def as_two_piece(self) -> tuple[float, float]:
-        """(value on (0, pi], value on (pi, 2pi]) or raise if not of that shape.
-
-        A profile built from node samples holds only on its own grid, so it
-        is never of that shape.
-        """
-        breaks = [b for b, _ in self.pieces]
-        if self.n is None and (
-            len(breaks) == 1 or (len(breaks) == 2 and abs(breaks[0] - math.pi) < _BREAK_TOL)
-        ):
-            return self.pieces[0][1], self.pieces[-1][1]
-        raise ValidationError("profile is not two-piece with breakpoint pi")
 
     def sample(self, n: int) -> np.ndarray:
         """Values at the grid nodes x_j = 2*pi*j/n (left limits at jumps)."""

@@ -42,6 +42,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+#: how far a two-piece profile's break may lie from pi, as a profile's last end may from 2 pi
+_BREAK_TOL = 1e-12
 #: half-side of the squares left out of the strip around gamma = 0 and gamma = re_max
 _EXCLUSION = 1e-6
 _ROOT_TOL = 1e-9
@@ -111,9 +113,17 @@ class TelegrapherProblem:
 
 
 def rescale_sigma(profile) -> TelegrapherProblem:
-    """sigma~ = pi * sigma(2 pi xi) for a constant or two-piece RelaxationProfile."""
-    s1, s2 = profile.as_two_piece()
-    return TelegrapherProblem(math.pi * s1, math.pi * s2)
+    """sigma~ = pi * sigma(2 pi xi) for a constant RelaxationProfile, or a two-piece one broken at pi.
+
+    A profile built from node samples holds only on its own grid, so it is
+    never of that shape.
+    """
+    ends = [end for end, _ in profile.pieces]
+    if profile.n is not None or not (
+        len(ends) == 1 or (len(ends) == 2 and abs(ends[0] - math.pi) < _BREAK_TOL)
+    ):
+        raise ValidationError("the telegrapher gap needs a constant or two-piece profile broken at pi")
+    return TelegrapherProblem(math.pi * profile.pieces[0][1], math.pi * profile.pieces[-1][1])
 
 
 def _piece(z):

@@ -15,6 +15,7 @@ from gtlab.cli import build_parser, main
 from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.profiles import RelaxationProfile
 from gtlab.rates import constant_rate
+from gtlab.telegrapher import rescale_sigma
 from gtlab.torus import GridFunction, random_band_limited
 
 
@@ -29,7 +30,9 @@ class TestSigmaParsing:
 
     def test_piecewise(self):
         p = RelaxationProfile.parse("pc:1@pi,4@2pi")
-        assert p.as_two_piece() == (1.0, 4.0)
+        assert p.pieces == ((np.pi, 1.0), (2 * np.pi, 4.0))
+        problem = rescale_sigma(p)
+        assert (problem.sigma1, problem.sigma2) == (np.pi, 4.0 * np.pi)
         assert p.sigma_min == 1.0 and p.sigma_max == 4.0
 
     def test_piecewise_numeric_breaks(self):
@@ -56,7 +59,8 @@ class TestSigmaParsing:
     def test_constant_is_one_piece(self):
         const, one_piece = RelaxationProfile.parse("const:5"), RelaxationProfile.parse("pc:5@2pi")
         assert const == one_piece
-        assert const.as_two_piece() == one_piece.as_two_piece() == (5.0, 5.0)
+        assert rescale_sigma(const) == rescale_sigma(one_piece)
+        assert rescale_sigma(const).sigma1 == rescale_sigma(const).sigma2 == 5.0 * np.pi
 
     @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "pc:1@pi,nan@2pi", "pc:1@pi,0@2pi"])
     def test_non_positive_or_non_finite_value_rejected(self, spec):
@@ -65,8 +69,9 @@ class TestSigmaParsing:
 
     @pytest.mark.parametrize("spec", ["pc:1@1,2@pi,4@2pi", "pc:1@1,4@2pi", "pc:1@pi,2@4,4@2pi"])
     def test_as_two_piece_rejects_other_shapes(self, spec):
-        with pytest.raises(ValidationError, match="not two-piece"):
-            RelaxationProfile.parse(spec).as_two_piece()
+        # the telegrapher takes a profile as two-piece only if it is one piece, or two broken at pi
+        with pytest.raises(ValidationError, match="needs a constant or two-piece profile broken at pi"):
+            rescale_sigma(RelaxationProfile.parse(spec))
 
     def _file_profile(self, tmp_path, n):
         values = np.random.default_rng(n).uniform(0.1, 5.0, n)
@@ -83,15 +88,15 @@ class TestSigmaParsing:
         assert p == RelaxationProfile.from_grid(GridFunction(values))
         with pytest.raises(GridMismatchError):
             p.sample(2 * n)
-        with pytest.raises(ValidationError, match="not two-piece"):
-            p.as_two_piece()
+        with pytest.raises(ValidationError, match="needs a constant or two-piece profile"):
+            rescale_sigma(p)
 
     def test_node_samples_are_never_two_piece(self):
         # two node samples give pieces that break at pi, yet hold only at n = 2
         p = RelaxationProfile(((np.pi, 1.0), (2 * np.pi, 4.0)), n=2)
         assert p.sample(2).tolist() == [4.0, 1.0]
-        with pytest.raises(ValidationError, match="not two-piece"):
-            p.as_two_piece()
+        with pytest.raises(ValidationError, match="needs a constant or two-piece profile"):
+            rescale_sigma(p)
 
     def test_file_profile_at_another_n_exits_2(self, tmp_path):
         path, _ = self._file_profile(tmp_path, 32)
@@ -203,11 +208,58 @@ class TestSubcommands:
         iterates = (out / "iterates.csv").read_text().splitlines()
         assert len(iterates) > 3
 
-    def test_poincare_given_weight(self, tmp_path):
+    def test_poincare_given_weight(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert run("poincare", "--w1", "1", "--w2", "3", "--out", str(out)) == 0
-        row = (out / "poincare.csv").read_text().splitlines()[1].split(",")
-        assert (float(row[0]), float(row[1])) == (1.0, 3.0)
+        assert run("poincare", "--weight", "pc:1@pi,3@2pi", "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("weight (1, 3): c_min = 0.47252686, C^2 = 2.1162818")
+        poincare = (out / "poincare.csv").read_text().splitlines()
+        assert poincare[0] == "c_min,c_omega_sq,close_root_flag"
+        assert float(poincare[1].split(",")[0]) == pytest.approx(0.47252686, rel=1e-8)
+        weight = [row.split(",") for row in (out / "weight.csv").read_text().splitlines()]
+        assert weight[0] == ["x_end", "w"]
+        assert [(float(x), float(w)) for x, w in weight[1:]] == [(np.pi, 1.0), (2 * np.pi, 3.0)]
+
+    def test_poincare_given_a_file_weight(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        GridFunction(2.0 + np.sin(np.arange(64) * 2 * np.pi / 64)).to_csv(path)
+        out = tmp_path / "o"
+        assert run("poincare", "--weight", f"file:{path}", "--out", str(out)) == 0
+        assert "(min, max over 64 pieces)" in capsys.readouterr().out
+        assert len((out / "weight.csv").read_text().splitlines()) == 65
+
+    def test_poincare_improves_a_rate_of_three_pieces(self, tmp_path, capsys):
+        # the telegrapher takes no three pieces, but the Poincare constant does
+        out = tmp_path / "o"
+        assert run("poincare", "--sigma", "pc:1@1,4@3,0.5@2pi", "--improve", "--out", str(out)) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "improved rate: alpha_max = 0.440748 after 5 updates"
+        iterates = [float(row.split(",")[1]) for row in (out / "iterates.csv").read_text().splitlines()[1:]]
+        assert iterates[0] == pytest.approx(0.385216, abs=1e-6)
+        assert iterates[-1] == pytest.approx(0.440748, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("pc:1@pi,0@2pi", "got 0.0 on the piece ending at x = 6.28319"),
+            ("pc:1@pi,nan@2pi", "got nan on the piece ending at x = 6.28319"),
+            ("const:inf", "got inf on the piece ending at x = 6.28319"),
+            ("nan", "unknown profile spec 'nan'"),
+            ("inf", "unknown profile spec 'inf'"),
+        ],
+    )
+    def test_poincare_refuses_a_weight_that_is_not_positive_and_finite(self, tmp_path, capsys, spec, message):
+        assert run("poincare", "--weight", spec, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_appendix_a_refuses_three_pieces_before_any_poincare_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(cli.poincare_mod, "_count", refuse)
+        assert run("appendix-a", "--sigma", "pc:1@1,4@3,0.5@2pi", "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the telegrapher gap needs a constant or two-piece profile broken at pi\n"
 
     def test_telegrapher(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -352,7 +404,8 @@ class TestExitCodes:
             ["rate-curve", "--seed", "1"],
             ["simulate-2v", "--alpha", "1"],
             ["simulate-2v", "--t-fin", "5"],  # abbreviations are not accepted
-            ["poincare", "--w1", "1", "--w2", "1", "--scan-step", "10"],  # no scan step to set
+            ["poincare", "--weight", "pc:1@pi,1@2pi", "--scan-step", "10"],  # no scan step to set
+            ["poincare", "--w1", "1", "--w2", "3"],  # the weight is --weight
         ],
     )
     def test_flag_no_handler_reads(self, tmp_path, capsys, argv):
@@ -364,13 +417,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--w1", "1"],  # one of --w1/--w2 would be dropped
-            ["--w2", "3"],
-            ["--w1", "1", "--w2", "3", "--alpha", "9"],  # the weight is given
-            ["--w1", "1", "--w2", "3", "--alpha", "9", "--improve"],
-            ["--w1", "1", "--w2", "3", "--theta", "5"],  # read only by --improve
-            ["--w1", "1", "--w2", "3", "--sigma", "const:3"],
-            ["--w1", "1", "--w2", "3", "--theta", "5", "--alpha", "9", "--sigma", "const:3"],
+            ["--weight", "pc:1@pi,3@2pi", "--alpha", "9"],  # the weight is given
+            ["--weight", "pc:1@pi,3@2pi", "--alpha", "9", "--improve"],
+            ["--weight", "pc:1@pi,3@2pi", "--theta", "5"],  # read only by --improve
+            ["--weight", "pc:1@pi,3@2pi", "--sigma", "const:3"],
+            ["--weight", "pc:1@pi,3@2pi", "--theta", "5", "--alpha", "9", "--sigma", "const:3"],
+            ["--weight", "const:1", "--alpha0", "0.5"],  # read only by --improve
+            ["--sigma", "pc:1@pi,4@2pi", "--alpha0", "0.5"],
             ["--alpha0", "0.5"],
         ],
     )
@@ -434,14 +487,14 @@ class TestExitCodes:
             # --out names an existing file
             (["rates"], 2, "cannot write --out"),
             # c_min >= 1/max w lies past the largest double when both weights are subnormal
-            (["poincare", "--w1", "1e-320", "--w2", "1e-320"], 3, "c_min >= 1/max w = 1/9.99989e-321 overflows"),
-            (["poincare", "--w1", "1e-320", "--w2", "5e-324"], 3, "c_min >= 1/max w = 1/9.99989e-321 overflows"),
+            (["poincare", "--weight", "pc:1e-320@pi,1e-320@2pi"], 3, "c_min >= 1/max w = 1/9.99989e-321 overflows"),
+            (["poincare", "--weight", "pc:1e-320@pi,5e-324@2pi"], 3, "c_min >= 1/max w = 1/9.99989e-321 overflows"),
             # non-finite numbers are refused as the flags are read
             (["simulate-2v", "--t-final", "nan"], 2, "--t-final: expected a finite number, got 'nan'"),
             (["simulate-2v", "--t-final", "inf"], 2, "--t-final: expected a finite number, got 'inf'"),
             (["simulate-2v", "--dt", "nan"], 2, "--dt: expected a finite number, got 'nan'"),
             (["simulate-3v", "--dt", "inf"], 2, "--dt: expected a finite number, got 'inf'"),
-            (["poincare", "--w1", "nan", "--w2", "1"], 2, "--w1: expected a finite number"),
+            (["poincare", "--weight", "pc:nan@pi,1@2pi"], 2, "got nan on the piece ending at x = 3.14159"),
             (["poincare", "--alpha", "nan"], 2, "--alpha: expected a finite number"),
             (["poincare", "--theta", "nan"], 2, "--theta: expected a finite number"),
             (["rates", "--sigma", "pc:1@pi,nan@2pi"], 2, "got nan on the piece ending at x = 6.28319"),
@@ -691,7 +744,7 @@ def test_grid_beyond_the_node_bound_exits_two(tmp_path):
 def test_poincare_of_a_vanishing_weight_ends_in_one_line(tmp_path, w1, code, line):
     # the window [1/max w, 2/(w1 + w2)] = [1, 2] does not grow as w1 falls
     out = tmp_path / "o"
-    proc = run_capped(out, "poincare", "--w1", w1, "--w2", "1")
+    proc = run_capped(out, "poincare", "--weight", f"pc:{w1}@pi,1@2pi")
     assert proc.returncode == code
     assert (proc.stderr if code else proc.stdout).splitlines()[0].startswith(line)
     assert proc.stderr.count("\n") == (code != 0)
@@ -701,13 +754,13 @@ def test_poincare_of_a_vanishing_weight_ends_in_one_line(tmp_path, w1, code, lin
     "argv, line",
     [
         # c_min = 1/w at equal weights
-        (["--w1", "10000", "--w2", "10000"], "weight (10000, 10000): c_min = 0.0001, C^2 = 10000"),
-        (["--w1", "3000", "--w2", "3000"], "weight (3000, 3000): c_min = 0.00033333333, C^2 = 3000"),
-        (["--w1", "1000", "--w2", "1000"], "weight (1000, 1000): c_min = 0.001, C^2 = 1000"),
-        # the vanishing weight first: x -> x + pi swaps the pieces
-        (["--w1", "1", "--w2", "1e-300"], "weight (1, 1e-300): c_min = 1.6680946, C^2 = 0.5994864"),
+        (["--weight", "pc:10000@pi,10000@2pi"], "weight (10000, 10000): c_min = 0.0001, C^2 = 10000"),
+        (["--weight", "pc:3000@pi,3000@2pi"], "weight (3000, 3000): c_min = 0.00033333333, C^2 = 3000"),
+        (["--weight", "pc:1000@pi,1000@2pi"], "weight (1000, 1000): c_min = 0.001, C^2 = 1000"),
+        # the vanishing weight last: x -> x + pi swaps the pieces; the line gives (min w, max w)
+        (["--weight", "pc:1@pi,1e-300@2pi"], "weight (1e-300, 1): c_min = 1.6680946, C^2 = 0.5994864"),
         # c_min(0.7, 1.3)/1000
-        (["--w1", "700", "--w2", "1300"], "weight (700, 1300): c_min = 0.00097858617, C^2 = 1021.8824"),
+        (["--weight", "pc:700@pi,1300@2pi"], "weight (700, 1300): c_min = 0.00097858617, C^2 = 1021.8824"),
         # the weight (0.5, 8.5e307): 1.6680946/8.5e307
         (["--sigma", "pc:1@pi,1.7e308@2pi"], "weight (0.5, 8.5e+307): c_min = 1.9624642e-308"),
     ],

@@ -9,14 +9,12 @@ import scipy.linalg
 
 import gtlab.poincare as poincare
 from gtlab.errors import ValidationError
-from gtlab.poincare import (
-    TwoPieceWeight,
-    improved_alpha,
-    weight_from_sigma,
-    weighted_poincare,
-)
+from gtlab.poincare import improved_alpha, weight_from_sigma, weighted_poincare
 from gtlab.profiles import RelaxationProfile
 from gtlab.rates import alpha_star, theta_star
+from gtlab.torus import GridFunction, nodes
+
+two_piece = RelaxationProfile.two_piece  # a weight: w1 on (0, pi], w2 on (pi, 2pi]
 
 ALPHA0 = 2.0 * (2.0 - math.sqrt(3.0))  # starting rate for the {1, 4} profile
 PROFILE_14 = RelaxationProfile.two_piece(1.0, 4.0)
@@ -26,6 +24,21 @@ PROFILE_14 = RelaxationProfile.two_piece(1.0, 4.0)
 # (N = 4096 periodic grid, generalized eigensolve on the mean-zero subspace).
 C_MIN_ALPHA0 = 0.796969
 C_SQ_ALPHA0 = 1.254753
+
+def values(weight):
+    return [w for _, w in weight.pieces]
+
+
+def equal_pieces(*weights):
+    """The weights in turn on equal pieces of the torus."""
+    return RelaxationProfile.piecewise(
+        [((i + 1) * 2.0 * math.pi / len(weights), w) for i, w in enumerate(weights)]
+    )
+
+
+def pieces_id(value):
+    """Test ids that spell a tuple of weights as its entries, joined by '-'."""
+    return "-".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def matching_matrix(lam, weight):
@@ -39,7 +52,7 @@ def matching_matrix(lam, weight):
     count: each entry is its literal formula, with no simplification.
     """
     lam = np.asarray(lam, dtype=float)
-    w1, w2 = weight.w1, weight.w2
+    w1, w2 = values(weight)
     r1 = math.pi * np.sqrt(lam * w1)
     r2 = math.pi * np.sqrt(lam * w2)
     tau_col = (w2 - w1) / (lam * w1 * w2)
@@ -77,12 +90,14 @@ def det(lam, weight):
 
 
 def count(lam, weight):
-    return poincare._count(lam, ((math.pi, weight.w1), (math.pi, weight.w2)))
+    ends = [end for end, _ in weight.pieces]
+    lengths = np.diff([0.0] + ends).tolist()
+    return poincare._count(lam, tuple(zip(lengths, values(weight))))
 
 
 def second_root(weight, c_min):
     """The second constrained eigenvalue, by bisection on N_c >= 2 up to 2/(w1 + w2)."""
-    lo, hi = c_min, 2.0 / (weight.w1 + weight.w2)
+    lo, hi = c_min, 2.0 / sum(values(weight))
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if count(mid, weight) >= 2 else (mid, hi)
@@ -92,7 +107,7 @@ def second_root(weight, c_min):
 def det_c_min(weight):
     """c_min from the determinant alone: its first sign change on a grid over the Rayleigh
     window [1/max w, 2/(w1 + w2)], widened by 0.1 % each way, bisected."""
-    grid = np.linspace(0.999 / weight.sup, 1.001 * 2.0 / (weight.w1 + weight.w2), 20001)
+    grid = np.linspace(0.999 / max(values(weight)), 1.001 * 2.0 / sum(values(weight)), 20001)
     d = det(grid, weight)
     i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
     lo, hi = grid[i], grid[i + 1]
@@ -105,10 +120,10 @@ def det_c_min(weight):
 class TestDeterminant:
     def test_uniform_weight_root_at_one(self):
         # equal weights reduce to the classical problem with eigenvalue 1
-        assert abs(det(1.0, TwoPieceWeight(1.0, 1.0))) < 1e-12
+        assert abs(det(1.0, two_piece(1.0, 1.0))) < 1e-12
 
     def test_uniform_weight_nonzero_between_roots(self):
-        assert abs(det(0.5, TwoPieceWeight(1.0, 1.0))) > 1.0
+        assert abs(det(0.5, two_piece(1.0, 1.0))) > 1.0
 
     def test_sign_change_brackets_a_root(self):
         w = weight_from_sigma(PROFILE_14, 1.0, ALPHA0)
@@ -116,13 +131,13 @@ class TestDeterminant:
         assert det(lo, w) * det(hi, w) < 0.0
 
     def test_matrix_shape_and_tau_column(self):
-        m = matching_matrix(0.8, TwoPieceWeight(0.5, 2.0))
+        m = matching_matrix(0.8, two_piece(0.5, 2.0))
         assert m.shape == (5, 5)
         assert m[2, 4] == 0.0 and m[3, 4] == 0.0
         assert m[0, 4] == m[1, 4]
 
     def test_equal_weights_kill_tau_coupling(self):
-        m = matching_matrix(0.8, TwoPieceWeight(1.5, 1.5))
+        m = matching_matrix(0.8, two_piece(1.5, 1.5))
         assert m[0, 4] == 0.0 and m[1, 4] == 0.0
 
 
@@ -134,7 +149,7 @@ class TestCountOracle:
         # with no sign change holds a close pair, and is split until det shows both roots
         rng = np.random.default_rng(28)
         for w1, w2 in np.exp(rng.uniform(math.log(0.05), math.log(20.0), (16, 2))).tolist():
-            weight = TwoPieceWeight(w1, w2)
+            weight = two_piece(w1, w2)
             grid = np.linspace(0.0, 4.0 / min(w1, w2), 2001)[1:]
             d = np.sign(det(grid, weight))
             n = np.array([count(lam, weight) for lam in grid])
@@ -152,7 +167,7 @@ class TestCountOracle:
         # c_min = 1/w is a double eigenvalue and a Dirichlet one, where y_s(2 pi) = 0: the
         # window is that one point, returned uncounted. The count there and 1e-14 either side
         # stays exact, since each entry of y_s(2 pi) S is good to a rounding of its own size.
-        weight = TwoPieceWeight(w, w)
+        weight = two_piece(w, w)
         assert [count(f / w, weight) for f in (1.0 - 1e-14, 1.0, 1.0 + 1e-14)] == [0, 0, 2]
         points = []
         real = poincare._count
@@ -166,7 +181,7 @@ class TestCountOracle:
 def _appendix_a_weight(pair):
     lo, hi = min(pair), max(pair)
     w = weight_from_sigma(RelaxationProfile.two_piece(*pair), theta_star(lo, hi), alpha_star(lo, hi))
-    return w.w1, w.w2
+    return tuple(values(w))
 
 
 #: the weights of the rate-certify profiles at alpha*, a nearly double pair, equal weights
@@ -179,7 +194,7 @@ NAMED_WEIGHTS = [_appendix_a_weight(pair) for pair in ((1.0, 4.0), (2.93, 0.402)
 
 class TestWeightedPoincare:
     def test_uniform_weight_recovers_classical_constant(self):
-        res = weighted_poincare(TwoPieceWeight(1.0, 1.0))
+        res = weighted_poincare(two_piece(1.0, 1.0))
         assert res.c_min == pytest.approx(1.0, abs=1e-6)
         assert res.c_omega_sq == pytest.approx(1.0, abs=1e-6)
 
@@ -192,35 +207,35 @@ class TestWeightedPoincare:
         # lambda * w invariance: scaling the weight by c divides c_min by c
         w = weight_from_sigma(PROFILE_14, 1.0, ALPHA0)
         base = weighted_poincare(w)
-        scaled = weighted_poincare(TwoPieceWeight(2.0 * w.w1, 2.0 * w.w2))
+        scaled = weighted_poincare(two_piece(*(2.0 * v for v in values(w))))
         assert scaled.c_min == pytest.approx(base.c_min / 2.0, rel=1e-7)
 
     def test_uniform_consistency_across_scales(self):
         for c in (0.5, 1.0, 2.0):
-            res = weighted_poincare(TwoPieceWeight(c, c))
+            res = weighted_poincare(two_piece(c, c))
             assert res.c_min * c == pytest.approx(1.0, abs=1e-5)
 
     def test_footnote_bound(self):
         for w in (
-            TwoPieceWeight(1.0, 1.0),
+            two_piece(1.0, 1.0),
             weight_from_sigma(PROFILE_14, 1.0, ALPHA0),
-            TwoPieceWeight(0.5, 2.0),
-            TwoPieceWeight(3.0, 0.2),
-            TwoPieceWeight(0.1, 20.0),
+            two_piece(0.5, 2.0),
+            two_piece(3.0, 0.2),
+            two_piece(0.1, 20.0),
         ):
             res = weighted_poincare(w)
-            assert res.c_omega_sq <= w.sup + 1e-6
+            assert res.c_omega_sq <= max(values(w)) + 1e-6
 
     @pytest.mark.parametrize("c", [0.2, 0.5, 1.0, 2.0])
     def test_double_root_located_as_a_simple_zero(self, c):
         # equal weights: c_min = 1/c is a touch of det, with no sign change to find
-        assert weighted_poincare(TwoPieceWeight(c, c)).c_min * c == pytest.approx(1.0, rel=1e-10)
+        assert weighted_poincare(two_piece(c, c)).c_min * c == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("w1, w2", [(0.5, 2.0), (1.0, 1.0), (3.14, 3.2), (0.46, 2.1)] + NAMED_WEIGHTS)
     def test_c_min_is_the_first_eigenvalue_in_the_rayleigh_window(self, w1, w2):
-        weight = TwoPieceWeight(w1, w2)
+        weight = two_piece(w1, w2)
         res = weighted_poincare(weight)
-        assert 1.0 / weight.sup <= res.c_min <= 2.0 / (w1 + w2)
+        assert 1.0 / max(w1, w2) <= res.c_min <= 2.0 / (w1 + w2)
         # to the bisection's 1e-12, relative: no eigenvalue below, at least one above
         assert count(res.c_min * (1.0 - 2e-12), weight) == 0
         assert count(res.c_min * (1.0 + 2e-12), weight) >= (2 if w1 == w2 else 1)
@@ -229,7 +244,7 @@ class TestWeightedPoincare:
     def test_window_of_the_lattice_gives_the_full_scan_c_min(self, w1, w2):
         # the whole 1e-3 lattice over (0, 4/min w], with no Rayleigh window: N_c is 0 and det
         # keeps its sign up to the first cell where N_c rises, which bisects to the same c_min
-        weight = TwoPieceWeight(w1, w2)
+        weight = two_piece(w1, w2)
         res = weighted_poincare(weight)
         lattice = 1e-3 * np.arange(1, math.ceil(4.0 / min(w1, w2) / 1e-3) + 1)
         counts = np.array([count(lam, weight) for lam in lattice])
@@ -242,7 +257,7 @@ class TestWeightedPoincare:
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if count(mid, weight) >= 1 else (mid, hi)
         assert res.c_min == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
-        assert 1.0 / weight.sup <= res.c_min <= 2.0 / (w1 + w2)
+        assert 1.0 / max(w1, w2) <= res.c_min <= 2.0 / (w1 + w2)
 
     @pytest.mark.parametrize(
         "w1, w2",
@@ -251,7 +266,7 @@ class TestWeightedPoincare:
     def test_near_double_pair_gives_two_certified_roots(self, w1, w2):
         # pairs 1.4e-8, 1.9e-9, 1.1e-8 and 9.6e-10 apart, below what the finite-difference
         # oracle resolves: each root must carry a sign change of det of its own
-        weight = TwoPieceWeight(w1, w2)
+        weight = two_piece(w1, w2)
         res = weighted_poincare(weight)
         low, high = res.c_min, second_root(weight, res.c_min)
         assert high <= 2.0 / (w1 + w2)  # the two smallest eigenvalues lie at or below it
@@ -274,53 +289,92 @@ RANGE_WEIGHTS = [
 ]
 
 
-@pytest.mark.parametrize("w1, w2", RANGE_WEIGHTS, ids=str)
-def test_swapping_the_pieces_keeps_c_min(w1, w2):
-    # x -> x + pi maps the torus onto itself and swaps the pieces
-    a, b = weighted_poincare(TwoPieceWeight(w1, w2)), weighted_poincare(TwoPieceWeight(w2, w1))
+#: weights on three and four equal pieces, across the float range
+MANY_WEIGHTS = [
+    (1.0, 4.0, 0.5),
+    (1e-300, 1.0, 3.0),
+    (2.0, 0.3, 5.0, 1.0),
+    (1e-8, 1.0, 1e8, 0.5),
+    (0.3, 0.30009, 0.3, 0.30009),
+]
+
+
+@pytest.mark.parametrize("weights", RANGE_WEIGHTS + MANY_WEIGHTS, ids=pieces_id)
+def test_swapping_the_pieces_keeps_c_min(weights):
+    # x -> 2 pi - x maps the torus onto itself and reverses equal pieces; for two, so does x -> x + pi
+    a, b = weighted_poincare(equal_pieces(*weights)), weighted_poincare(equal_pieces(*weights[::-1]))
     assert a.c_min == pytest.approx(b.c_min, rel=2e-12)
 
 
 @pytest.mark.parametrize(
-    "w1, w2, scale",
+    "spec",
     [
-        (1e-320, 1.0, 2.0),
-        (1e-320, 1.0, 1e8),
-        (1e-300, 1.0, 1e-8),
-        (1e-300, 1.0, 1e8),
-        (1e-8, 1.0, 1e-8),
-        (0.3, 2.1, 1e-300),
-        (0.3, 2.1, 2.0),
-        (0.3, 2.1, 1e300),
-        (1.0, 1e300, 1e-8),
-        (1e-300, 1e300, 1e8),
-        (5.0, 5.0, 1e-8),
-        (5.0, 5.0, 1e8),
-        # c_min = 1/3000 and 1e-3 at equal weights, c_min(0.7, 1.3)/1000, and c_min(1, 2) * 1e4
-        (1.0, 1.0, 3000.0),
-        (1.0, 1.0, 1000.0),
-        (0.7, 1.3, 1000.0),
-        (1.0, 2.0, 1e-4),
+        "pc:1@0.5pi,4@1.5pi,0.5@2pi",
+        "pc:2@0.25pi,0.3@pi,5@1.5pi,1@2pi",
+        "pc:1@1,4@3,0.5@2pi",
+        "pc:0.2@0.7,3@2,1@5,7@2pi",
+        "pc:1e-8@1,1@2,1e8@4,0.5@2pi",
     ],
-    ids=str,
 )
-def test_scaling_both_pieces_divides_c_min(w1, w2, scale):
+def test_rotating_the_pieces_keeps_c_min(spec):
+    # x -> x + x_k maps the torus onto itself and moves the first k pieces to the end
+    profile = RelaxationProfile.parse(spec)
+    lengths = np.diff([0.0] + [end for end, _ in profile.pieces])
+    base = weighted_poincare(profile).c_min
+    for k in range(1, len(lengths)):
+        ends = np.cumsum(np.roll(lengths, -k))
+        ends[-1] = 2.0 * math.pi
+        rotated = RelaxationProfile.piecewise(zip(ends.tolist(), np.roll(values(profile), -k).tolist()))
+        assert weighted_poincare(rotated).c_min == pytest.approx(base, rel=2e-12)
+
+
+@pytest.mark.parametrize(
+    "weights, scale",
+    [
+        ((1e-320, 1.0), 2.0),
+        ((1e-320, 1.0), 1e8),
+        ((1e-300, 1.0), 1e-8),
+        ((1e-300, 1.0), 1e8),
+        ((1e-8, 1.0), 1e-8),
+        ((0.3, 2.1), 1e-300),
+        ((0.3, 2.1), 2.0),
+        ((0.3, 2.1), 1e300),
+        ((1.0, 1e300), 1e-8),
+        ((1e-300, 1e300), 1e8),
+        ((5.0, 5.0), 1e-8),
+        ((5.0, 5.0), 1e8),
+        # c_min = 1/3000 and 1e-3 at equal weights, c_min(0.7, 1.3)/1000, and c_min(1, 2) * 1e4
+        ((1.0, 1.0), 3000.0),
+        ((1.0, 1.0), 1000.0),
+        ((0.7, 1.3), 1000.0),
+        ((1.0, 2.0), 1e-4),
+    ]
+    + [(weights, scale) for weights in MANY_WEIGHTS for scale in (1e-8, 1e8)],
+    ids=pieces_id,
+)
+def test_scaling_both_pieces_divides_c_min(weights, scale):
     # only lambda w enters the problem
-    base = weighted_poincare(TwoPieceWeight(w1, w2)).c_min
-    scaled = weighted_poincare(TwoPieceWeight(w1 * scale, w2 * scale)).c_min
+    base = weighted_poincare(equal_pieces(*weights)).c_min
+    scaled = weighted_poincare(equal_pieces(*(w * scale for w in weights))).c_min
     assert scaled == pytest.approx(base / scale, rel=4e-12)
 
 
-def finite_difference_eigenvalues(weight: TwoPieceWeight, n: int) -> np.ndarray:
+def finite_difference_eigenvalues(weight, n: int) -> np.ndarray:
     """The two smallest eigenvalues of K u = lambda W u on mean-zero grid functions.
 
     K = (2I - S - S^T)/h^2 on the periodic n-point grid (S the cyclic shift),
-    W = diag(w(x_j)) with (w1 + w2)/2 at the jump nodes x = 0 and x = pi.
-    The columns of q span the mean-zero subspace.
+    W = diag(w(x_j)), with the mean of the two sides at each jump node: x = 0
+    and every end of a piece, each of which must be a node. The columns of q
+    span the mean-zero subspace.
     """
     h = 2.0 * math.pi / n
-    w = np.where(np.arange(n) < n // 2, weight.w1, weight.w2)
-    w[0] = w[n // 2] = (weight.w1 + weight.w2) / 2.0
+    ends = np.array([end for end, _ in weight.pieces]) / h
+    assert np.allclose(ends, np.round(ends), rtol=0.0, atol=1e-9), "a piece ends off the grid"
+    ends = np.round(ends).astype(int)
+    v = np.array(values(weight))
+    # the piece ending at x_k holds the nodes after its start up to x_k, and node n is node 0
+    w = np.roll(np.repeat(v, np.diff(np.concatenate([[0], ends]))), 1)
+    w[ends % n] = (v + np.roll(v, -1)) / 2.0
     shift = np.roll(np.eye(n), 1, axis=1)
     k = (2.0 * np.eye(n) - shift - shift.T) / h**2
     q = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
@@ -346,13 +400,23 @@ class TestFiniteDifferenceOracle:
 
     @pytest.mark.parametrize("w1, w2", LOG_UNIFORM_WEIGHTS)
     def test_c_min_matches_the_extrapolated_discretisation(self, w1, w2):
-        weight = TwoPieceWeight(w1, w2)
+        weight = two_piece(w1, w2)
         res = weighted_poincare(weight)
         assert res.c_min == pytest.approx(self.oracle(weight)[0], rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "spec, c_min",
+        [("pc:1@0.5pi,4@1.5pi,0.5@2pi", 0.3787730774), ("pc:2@0.25pi,0.3@pi,5@1.5pi,1@2pi", 0.3528130817)],
+    )
+    def test_c_min_of_dyadic_pieces_matches_the_extrapolated_discretisation(self, spec, c_min):
+        weight = RelaxationProfile.parse(spec)
+        res = weighted_poincare(weight)
+        assert res.c_min == pytest.approx(self.oracle(weight)[0], rel=1e-8)
+        assert res.c_min == pytest.approx(c_min, rel=1e-9)
+
     def test_nearly_equal_weights_give_both_eigenvalues_of_the_split_pair(self):
         # two simple eigenvalues 5e-6 apart
-        weight = TwoPieceWeight(3.14, 3.2)
+        weight = two_piece(3.14, 3.2)
         res = weighted_poincare(weight)
         assert [res.c_min, second_root(weight, res.c_min)] == pytest.approx(self.oracle(weight), rel=1e-8)
         assert res.close_root_flag
@@ -360,14 +424,13 @@ class TestFiniteDifferenceOracle:
 
 class TestWeightFromSigma:
     def test_first_piece_simplifies(self):
-        w = weight_from_sigma(PROFILE_14, 1.0, ALPHA0)
-        assert w.w1 == pytest.approx(1.0 - ALPHA0)
-        assert w.w2 == pytest.approx((4.0 - ALPHA0) ** 2 / (7.0 - ALPHA0))
+        w1, w2 = values(weight_from_sigma(PROFILE_14, 1.0, ALPHA0))
+        assert w1 == pytest.approx(1.0 - ALPHA0)
+        assert w2 == pytest.approx((4.0 - ALPHA0) ** 2 / (7.0 - ALPHA0))
 
     def test_alpha_zero(self):
         w = weight_from_sigma(PROFILE_14, 1.0, 0.0)
-        assert w.w1 == pytest.approx(1.0)
-        assert w.w2 == pytest.approx(16.0 / 7.0)
+        assert values(w) == pytest.approx([1.0, 16.0 / 7.0])
 
     def test_nonpositive_denominator(self):
         with pytest.raises(ValidationError):
@@ -382,17 +445,29 @@ class TestWeightFromSigma:
         with decimal.localcontext(decimal.Context(prec=1000)):
             t, a = decimal.Decimal(theta), decimal.Decimal(alpha)
             exact = [float((s - a) ** 2 / (2 * s - t - a)) for s in map(decimal.Decimal, (1.0, sigma_max))]
-        assert [w.w1, w.w2] == pytest.approx(exact, rel=4e-16, abs=0.0)
+        assert values(w) == pytest.approx(exact, rel=4e-16, abs=0.0)
 
-    def test_unsupported_profile_shape(self):
+    def test_every_piece_is_mapped_in_place(self):
         three = RelaxationProfile.piecewise([(1.0, 1.0), (2.0, 2.0), (2 * math.pi, 3.0)])
-        with pytest.raises(ValidationError):
-            weight_from_sigma(three, 1.0, 0.1)
+        w = weight_from_sigma(three, 1.0, 0.1)
+        assert [end for end, _ in w.pieces] == [1.0, 2.0, 2 * math.pi] and w.n is None
+        assert values(w) == pytest.approx([(s - 0.1) ** 2 / (2 * s - 1.1) for s in (1.0, 2.0, 3.0)], rel=1e-15)
+
+    def test_node_samples_stay_node_samples(self):
+        sigma = RelaxationProfile.from_grid(GridFunction(2.0 + np.sin(nodes(16))))
+        w = weight_from_sigma(sigma, 1.0, 0.1)
+        assert w.n == 16 and [end for end, _ in w.pieces] == [end for end, _ in sigma.pieces]
 
     @pytest.mark.parametrize("w1, w2", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (0.0, 1.0)])
     def test_weight_must_be_positive_and_finite(self, w1, w2):
+        # a weight is a profile, whose own check refuses it
         with pytest.raises(ValidationError, match="positive and finite"):
-            TwoPieceWeight(w1, w2)
+            two_piece(w1, w2)
+
+    def test_a_vanishing_weight_is_refused(self):
+        # sigma = alpha on the first piece
+        with pytest.raises(ValidationError, match="got 0.0 on the piece ending at x = 3.14159"):
+            weight_from_sigma(PROFILE_14, 0.5, 1.0)
 
 
 class TestImprovedAlpha:
@@ -447,3 +522,24 @@ class TestImprovedAlpha:
         cold = iteration()
         assert counted.iterates == pytest.approx(cold.iterates, rel=1e-12, abs=0.0)
         assert all(b >= a for a, b in zip(c_min, c_min[1:]))
+
+
+#: sigma, its perturbative rate alpha*, the improved rate, and the optimal rate: 2 pi x the
+#: real part of the leading telegrapher zero of the three pieces, and twice the leading
+#: Fourier-Galerkin eigenvalue of the generator for sigma = 2 + sin x
+N_PIECE_RATES = [
+    (RelaxationProfile.parse("pc:1@1,4@3,0.5@2pi"), 0.385216, 0.440748, 2.0 * 0.386125),
+    (RelaxationProfile.from_grid(GridFunction(2.0 + np.sin(nodes(128)))), 0.690599, 0.833509, 1.553767),
+]
+
+
+@pytest.mark.parametrize("sigma, perturbative, improved, optimal", N_PIECE_RATES, ids=["three-pieces", "2+sin-n128"])
+def test_improved_rate_of_n_pieces_lies_between_the_perturbative_and_optimal_rates(
+    sigma, perturbative, improved, optimal
+):
+    lo, hi = sigma.sigma_min, sigma.sigma_max
+    res = improved_alpha(sigma, theta_star(lo, hi), alpha_star(lo, hi))
+    assert res.converged
+    assert alpha_star(lo, hi) == pytest.approx(perturbative, abs=1e-6)
+    assert res.alpha_max == pytest.approx(improved, abs=1e-6)
+    assert alpha_star(lo, hi) < res.alpha_max < optimal

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, expect",
     [
         ("decay_vs_theory.py", "optimal 0.4342"),
-        ("three_rate_comparison.py", "alpha_BS  = 0.86845"),
     ],
 )
 def test_script_exits_cleanly(script, expect):

@@ -39,6 +39,7 @@ import importlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,7 +202,7 @@ calls = [
     ["rates", "--sigma", "pc:1@pi,4@2pi"],
     ["modal-report", "--sigma", "const:5", "--kmax", "3"],
     ["rate-curve", "--grid", "0.5:5:4"],
-    ["poincare", "--w1", "1", "--w2", "3"],
+    ["poincare", "--weight", "pc:1@pi,3@2pi"],
     ["telegrapher", "--sigma", "pc:1@pi,4@2pi"],
     ["appendix-a", "--sigma", "pc:1@pi,4@2pi"],
 ]
@@ -332,3 +333,27 @@ def test_benchmark_hooks_find_their_names():
     assert all(isinstance(n, int) and n > 0 for n in (nre, nim))
     assert {"sigma1", "sigma2"} <= {f.name for f in dataclasses.fields(TelegrapherProblem)}
     assert {"gap", "roots"} <= {f.name for f in dataclasses.fields(GapResult)}
+
+
+def test_documented_flags_are_the_registered_ones():
+    registered = {name: {f"--{flag}" for flag in spec[2]} for name, spec in SUBCOMMANDS.items()}
+    # cli.py's docstring: "    name    --flags", then lines of more --flags, and lines of prose
+    doc = importlib.import_module("gtlab.cli").__doc__
+    documented = {}
+    for line in doc.split("plus --out and --config:\n\n")[1].split("\n\n")[0].splitlines():
+        words = line.split()
+        if words[0] in SUBCOMMANDS:
+            name = words.pop(0)
+        if all(re.fullmatch(r"--[a-z0-9-]+", word) for word in words):
+            documented.setdefault(name, set()).update(words)
+    assert documented == registered
+    # the README's table: | `name`, `name` | `--flags` (prose) |
+    documented = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = line.split("|")[1:-1]
+        names = re.findall(r"`([^`]+)`", cells[0]) if len(cells) == 2 else []
+        if names and set(names) <= set(SUBCOMMANDS):
+            flags = re.findall(r"--[a-z0-9-]+", " ".join(re.findall(r"`([^`]+)`", cells[1])))
+            for name in names:
+                documented.setdefault(name, set()).update(flags)
+    assert documented == registered
