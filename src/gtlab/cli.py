@@ -6,7 +6,7 @@ Subcommands:
     simulate-3v    three-velocity run, same outputs and printed summary table
     rates          theoretical rate bundles for a given sigma
     modal-report   per-mode eigenvalues and Lyapunov gaps (constant sigma)
-    poincare       weighted Poincare constant, optionally the improvement iteration
+    poincare       weighted Poincare constant, optionally the improved rate
     telegrapher    damped-wave spectral gap and the optimal-rate bundle
     appendix-a     three-rate comparison for the piecewise {1, 4} profile
     rate-curve     sharp rate mu(sigma) over a sigma grid
@@ -293,6 +293,14 @@ def cmd_modal_report(args):
     return files, [f"spectral gap mu({s:g}) = {gap.mu:.8g}" + (" (defective)" if gap.defective else "")]
 
 
+def _profile(flag: str, spec: str) -> RelaxationProfile:
+    """RelaxationProfile.parse, with a bad spec's error led by the flag that gave it."""
+    try:
+        return RelaxationProfile.parse(spec)
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
+
+
 def cmd_poincare(args):
     weight_given = args.weight is not None
     unread = [
@@ -311,14 +319,14 @@ def cmd_poincare(args):
             "so --alpha is unused and --sigma and --theta serve only --improve, as --alpha0 does"
         )
     if not weight_given or args.improve:
-        profile = RelaxationProfile.parse(args.sigma if args.sigma is not None else _PAPER_PROFILE)
+        profile = _profile("--sigma", args.sigma if args.sigma is not None else _PAPER_PROFILE)
         s_min, s_max = profile.sigma_min, profile.sigma_max
         theta = args.theta if args.theta is not None else theta_star(s_min, s_max)
         # alpha* needs s_min < s_max, so it is computed only when a default uses it
         if (args.alpha is None and not weight_given) or (args.alpha0 is None and args.improve):
             a_star = alpha_star(s_min, s_max)
     if weight_given:
-        weight = RelaxationProfile.parse(args.weight)
+        weight = _profile("--weight", args.weight)
     else:
         alpha = args.alpha if args.alpha is not None else a_star
         weight = poincare_mod.weight_from_sigma(profile, theta, alpha)
@@ -330,18 +338,17 @@ def cmd_poincare(args):
         ),
         "weight.csv": (["x_end", "w"], weight.pieces),
     }
-    values = [w for _, w in weight.pieces]
     lines = [
-        f"weight ({min(values):.6g}, {max(values):.6g}): c_min = {result.c_min:.8g}, "
-        f"C^2 = {result.c_omega_sq:.8g}, C = {result.c_omega:.8g} (min, max over {len(values)} pieces)"
+        f"weight ({weight.sigma_min:.6g}, {weight.sigma_max:.6g}): c_min = {result.c_min:.8g}, "
+        f"C^2 = {result.c_omega_sq:.8g}, C = {result.c_omega:.8g} (min, max over {len(weight.pieces)} pieces)"
     ]
     if args.improve:
         alpha0 = args.alpha0 if args.alpha0 is not None else a_star
         imp = poincare_mod.improved_alpha(profile, theta, alpha0)
         files["iterates.csv"] = (["n", "alpha"], list(enumerate(imp.iterates)))
         lines.append(
-            f"improved rate: alpha_max = {imp.alpha_max:.6g} after {imp.iterations} updates"
-            + ("" if imp.converged else " (not converged)")
+            f"improved rate: alpha_max = {imp.alpha_max:.6g}, raised by {imp.iterations} bisection steps"
+            + ("" if imp.converged else ", each one admissible up to the bracket's top")
         )
     return files, lines
 
@@ -463,8 +470,8 @@ FLAGS = {
     "f3": dict(default="sin"),
     "kmax": dict(type=int, default=50),
     "weight": dict(help="the Poincare weight itself, in the --sigma syntax"),
-    "improve": dict(action="store_true", help="run the fixed-point improvement"),
-    "alpha0": dict(type=_finite, help="starting rate for --improve"),
+    "improve": dict(action="store_true", help="bisect for the improved rate"),
+    "alpha0": dict(type=_finite, help="admissible start of the --improve bisection (default alpha*)"),
     "grid": dict(default="0.05:10:200", help="LO:HI:COUNT"),
     "out": dict(default="out", help="output directory"),
     "config": dict(help="flat KEY = VALUE config file"),

@@ -1,5 +1,5 @@
 """Weighted Poincare constants for piecewise-constant weights, and the
-rate-improvement fixed-point iteration they enable.
+improved rate they give, each by bisecting an exact eigenvalue count.
 
 A weight is a profile: pieces (x_i, w_i), w_i > 0 on (x_{i-1}, x_i], with
 x_0 = 0 and the last x_i = 2 pi. The sharp constant in
@@ -45,6 +45,15 @@ c_min:
 
 A constant weight closes the window to the point 1/w, the double eigenvalue
 that is also a Dirichlet eigenvalue, and it is returned with no count.
+
+The improved rate is the largest admissible alpha, alpha <= theta - theta^2
+C^2_{w_alpha}/4, i.e. c_min(w_alpha) >= lambda = theta^2/(4 (theta - alpha)):
+one count, N_c(lambda; w_alpha) = 0. That count sees only lambda w_alpha =
+(theta^2/4) v, v = (s - alpha)^2/((theta - alpha)(2 s - theta - alpha)), and
+with a = theta - alpha, b = s - theta, d ln v/d alpha = 1/a + 1/(a + 2b) -
+2/(a + b) >= 0 by convexity of 1/x. So v rises with alpha pointwise, N_c does
+not fall, and the admissible alpha form one interval, whose end is the one
+fixed point of the paper's iteration alpha -> theta - theta^2 C^2_{w_alpha}/4.
 """
 
 from __future__ import annotations
@@ -60,8 +69,6 @@ _ROOT_RTOL = 1e-12
 #: c_min): past c_min ~ 5e12 the absolute window alone rounds away
 _CLOSE_ROOT_WINDOW = 1e-3
 _CLOSE_ROOT_ULPS = 8
-#: improved_alpha stops, unconverged, after this many updates
-_MAX_ITER = 100
 #: (1 - sin x / x) / x^2 below x = 1, summed from its series: sum (-x^2)^n / (2n + 3)!
 _SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
 
@@ -145,6 +152,24 @@ def _count(lam: float, pieces) -> int:
     return zeros + negative - 1
 
 
+def _pieces(profile) -> tuple:
+    """The profile's (length, value) pairs, as _count takes them."""
+    ends = [end for end, _ in profile.pieces]
+    return tuple((b - a, w) for a, (b, w) in zip([0.0] + ends, profile.pieces))
+
+
+def _bisect(lo: float, hi: float, past) -> tuple[list, float]:
+    """Halve [lo, hi] about where past turns true, to _ROOT_RTOL of hi: the lower ends in turn, and hi."""
+    lows = [lo]
+    while hi - lows[-1] > _ROOT_RTOL * hi:
+        mid = lows[-1] + 0.5 * (hi - lows[-1])
+        if past(mid):
+            hi = mid
+        else:
+            lows.append(mid)
+    return lows, hi
+
+
 def weighted_poincare(weight) -> PoincareResult:
     """c_min by bisection of N_c over its Rayleigh window; C_w^2 = 1/c_min.
 
@@ -153,9 +178,8 @@ def weighted_poincare(weight) -> PoincareResult:
     end wide, and returns its midpoint. A window past the largest double is
     a NumericalError.
     """
-    ends = [end for end, _ in weight.pieces]
-    values = [w for _, w in weight.pieces]
-    pieces = tuple((b - a, w) for a, b, w in zip([0.0] + ends, ends, values))  # (length, w)
+    pieces = _pieces(weight)
+    values = [w for _, w in pieces]
     sup = max(values)
     lo = 1.0 / sup
     if lo == math.inf:
@@ -163,18 +187,13 @@ def weighted_poincare(weight) -> PoincareResult:
     # int u and int u cos 2x for u = w/max w (the plain w overflows past 1e308), summed by
     # parts over the jumps u_i - u_{i+1} at the inner ends x_i, so a constant u gives 2 pi and 0
     u = [w / sup for w in values]
-    inner = list(zip(ends, u, u[1:]))
+    inner = [(x, a, b) for (x, _), a, b in zip(weight.pieces, u, u[1:])]
     mean = 2.0 * math.pi * u[-1] + sum(x * (a - b) for x, a, b in inner)
     wave = sum(math.sin(2.0 * x) * (a - b) for x, a, b in inner) / 2.0
     # pi / max(int u sin^2, int u cos^2), as int u sin^2 = (int u - int u cos 2x)/2
     hi = 2.0 * math.pi / (mean + abs(wave)) / sup
-    while hi - lo > _ROOT_RTOL * hi:
-        mid = lo + 0.5 * (hi - lo)
-        if _count(mid, pieces) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    c_min = lo + 0.5 * (hi - lo)
+    lows, hi = _bisect(lo, hi, lambda lam: _count(lam, pieces) >= 1)
+    c_min = lows[-1] + 0.5 * (hi - lows[-1])
     window = max(_CLOSE_ROOT_WINDOW, _CLOSE_ROOT_ULPS * math.ulp(c_min))
     close = _count(c_min + window, pieces) >= 2
     return PoincareResult(c_min=c_min, c_omega_sq=1.0 / c_min, close_root_flag=close)
@@ -191,70 +210,43 @@ def weight_from_sigma(profile, theta: float, alpha: float):
         # square (past 1.3e154) nor 2 s (past 9e307) overflows
         half_den = s - (theta + alpha) / 2.0
         if half_den <= 0:
-            raise ValidationError(
-                f"nonpositive denominator 2*{s} - {theta} - {alpha} in the weight"
-            )
+            raise ValidationError(f"nonpositive denominator 2*{s} - {theta} - {alpha} in the weight")
         d = s - alpha
         pieces.append((end, d * (d / 2.0 / half_den)))
     return replace(profile, pieces=tuple(pieces))
 
 
+def _admissible(sigma, theta: float, alpha: float) -> bool:
+    """alpha <= theta - theta^2 C^2_{w_alpha}/4, i.e. no constrained eigenvalue of w_alpha below lambda."""
+    lam = theta / (4.0 * (theta - alpha)) * theta
+    return _count(lam, _pieces(weight_from_sigma(sigma, theta, alpha))) == 0
+
+
 @dataclass(frozen=True)
 class ImprovedAlphaResult:
     alpha_max: float
-    iterates: tuple
-    converged: bool
+    iterates: tuple  # the admissible lower ends of the bisection, from alpha0 up to alpha_max
+    converged: bool  # an inadmissible alpha closed the bracket below its top
 
     @property
     def iterations(self) -> int:
         return len(self.iterates) - 1
 
 
-def improved_alpha(
-    sigma,
-    theta: float,
-    alpha0: float,
-    tol: float = 1e-6,
-) -> ImprovedAlphaResult:
-    """Iterate alpha -> theta - theta^2 C^2_{w_alpha} / 4 to its fixed point.
+def improved_alpha(sigma, theta: float, alpha0: float) -> ImprovedAlphaResult:
+    """The largest admissible alpha (see the module docstring), bisected from an admissible alpha0.
 
-    Replacing the plain Poincare step by the weighted inequality turns the
-    admissibility condition into alpha <= theta - theta^2 C^2_{w_alpha}/4;
-    iterating from an admissible alpha0 (e.g. the perturbative rate) climbs
-    monotonically to the improved rate alpha_max. Stops early, unconverged,
-    if an iterate leaves the admissible set.
-
-    Each iterate's constant comes from one bisection of the window that the
-    two Rayleigh bounds prove to hold c_min of its weight w: from 1/max w up
-    to the smaller Rayleigh quotient of sin x and cos x (see the module
-    docstring).
+    The bracket is [alpha0, min(theta, 2 sigma_min - theta)), past whose top
+    lambda or w_alpha is not finite and positive. Each alpha costs one count,
+    and the admissible lower end is returned once the bracket is at most
+    _ROOT_RTOL of its top wide: the fixed point that the paper's iteration
+    climbs to from alpha0 (e.g. the perturbative rate).
     """
-
-    def cap(alpha: float) -> float:
-        weight = weight_from_sigma(sigma, theta, alpha)
-        return theta - theta**2 * weighted_poincare(weight).c_omega_sq / 4.0
-
-    slack = max(10.0 * tol, 1e-9)
-    current_cap = cap(alpha0)
-    if not 0.0 < alpha0 <= current_cap + slack:
+    top = min(theta, 2.0 * sigma.sigma_min - theta)
+    if not (0.0 < alpha0 < top and _admissible(sigma, theta, alpha0)):
         raise ValidationError(
-            f"alpha0 = {alpha0} is inadmissible: needs 0 < alpha0 <= {current_cap}"
+            f"alpha0 = {alpha0:.6g} is inadmissible: it needs 0 < alpha0 < min(theta, 2 sigma_min - theta) = "
+            f"{top:.6g} and c_min(w_alpha0) >= theta^2/(4 (theta - alpha0))"
         )
-    iterates = [alpha0]
-    alpha = alpha0
-    converged = False
-    for _ in range(_MAX_ITER):
-        candidate = current_cap  # theta - theta^2 C^2_{w_alpha}/4
-        try:
-            candidate_cap = cap(candidate)
-        except (ValidationError, NumericalError):
-            break
-        if candidate <= 0.0 or candidate > candidate_cap + slack:
-            break
-        iterates.append(candidate)
-        if abs(candidate - alpha) < tol:
-            alpha = candidate
-            converged = True
-            break
-        alpha, current_cap = candidate, candidate_cap
-    return ImprovedAlphaResult(alpha_max=alpha, iterates=tuple(iterates), converged=converged)
+    lows, hi = _bisect(alpha0, top, lambda alpha: not _admissible(sigma, theta, alpha))
+    return ImprovedAlphaResult(alpha_max=lows[-1], iterates=tuple(lows), converged=hi < top)

@@ -115,10 +115,10 @@ class TelegrapherProblem:
 def rescale_sigma(profile) -> TelegrapherProblem:
     """sigma~ = pi * sigma(2 pi xi) for a constant RelaxationProfile, or a two-piece one broken at pi.
 
-    A profile built from node samples holds only on its own grid, so it is
-    never of that shape.
+    A break at which sigma keeps its value is no break. A profile built from
+    node samples holds only on its own grid, so it is never of that shape.
     """
-    ends = [end for end, _ in profile.pieces]
+    ends = [end for (end, s), (_, t) in zip(profile.pieces, profile.pieces[1:]) if s != t] + [2.0 * math.pi]
     if profile.n is not None or not (
         len(ends) == 1 or (len(ends) == 2 and abs(ends[0] - math.pi) < _BREAK_TOL)
     ):

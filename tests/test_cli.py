@@ -231,7 +231,8 @@ class TestSubcommands:
         # the telegrapher takes no three pieces, but the Poincare constant does
         out = tmp_path / "o"
         assert run("poincare", "--sigma", "pc:1@1,4@3,0.5@2pi", "--improve", "--out", str(out)) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "improved rate: alpha_max = 0.440748 after 5 updates"
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == "improved rate: alpha_max = 0.440748, raised by 21 bisection steps"
         iterates = [float(row.split(",")[1]) for row in (out / "iterates.csv").read_text().splitlines()[1:]]
         assert iterates[0] == pytest.approx(0.385216, abs=1e-6)
         assert iterates[-1] == pytest.approx(0.440748, abs=1e-5)
@@ -251,6 +252,36 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--weight", "pc:nan@pi,1@2pi"], "--weight: values must be positive and finite everywhere, got nan"),
+            (["--sigma", "huh:1", "--improve"], "--sigma: unknown profile spec 'huh:1'"),
+        ],
+    )
+    def test_poincare_error_names_the_bad_profile_flag(self, tmp_path, capsys, argv, message):
+        assert run("poincare", *argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("spec, same", [("pc:5@1,5@2pi", "const:5"), ("pc:1@1,1@pi,4@2pi", "pc:1@pi,4@2pi")])
+    def test_a_break_where_sigma_keeps_its_value_is_no_break(self, tmp_path, spec, same):
+        spec_out, same_out = tmp_path / "spec", tmp_path / "same"
+        sides = [(spec, spec_out), (same, same_out)]
+        for sigma, out in sides:
+            assert run("telegrapher", "--sigma", sigma, "--out", str(out / "t")) == 0
+        for name in ("telegrapher_summary.csv", "telegrapher_roots.csv"):
+            assert (spec_out / "t" / name).read_text() == (same_out / "t" / name).read_text()
+        # appendix-a needs sigma_min < sigma_max, so it refuses const:5 either way
+        codes = [run("appendix-a", "--sigma", sigma, "--out", str(out / "a")) for sigma, out in sides]
+        assert codes == ([2, 2] if same == "const:5" else [0, 0])
+        if codes[0] == 0:
+            rates = [
+                np.genfromtxt(out / "a" / "comparison.csv", delimiter=",", skip_header=1, usecols=1)
+                for out in (spec_out, same_out)
+            ]
+            assert rates[0] == pytest.approx(rates[1], rel=0.0, abs=1e-9)
 
     def test_appendix_a_refuses_three_pieces_before_any_poincare_work(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
@@ -481,8 +512,12 @@ class TestExitCodes:
         [
             # the fit fails after the whole simulation
             (["simulate-2v", "--n", "64", "--t-final", "1", "--record-every", "8"], 3, "usable points"),
-            # the constant of the alpha* weight is found, then the weight at alpha0 = 5 is not one
-            (["poincare", "--sigma", "pc:1@pi,4@2pi", "--improve", "--alpha0", "5"], 2, "nonpositive"),
+            # the constant of the alpha* weight is found, then alpha0 = 5 lies past the bracket's top
+            (
+                ["poincare", "--sigma", "pc:1@pi,4@2pi", "--improve", "--alpha0", "5"],
+                2,
+                "alpha0 = 5 is inadmissible: it needs 0 < alpha0 < min(theta, 2 sigma_min - theta) = 1 and",
+            ),
             (["simulate-2v", "--u0", "file:/nonexistent"], 2, "cannot parse field spec"),
             # --out names an existing file
             (["rates"], 2, "cannot write --out"),

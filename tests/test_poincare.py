@@ -1,4 +1,4 @@
-"""Weighted Poincare constants and the rate-improvement iteration."""
+"""Weighted Poincare constants and the improved rate."""
 
 import decimal
 import math
@@ -470,6 +470,43 @@ class TestWeightFromSigma:
             weight_from_sigma(PROFILE_14, 0.5, 1.0)
 
 
+def fixed_point_loop(sigma, theta, alpha0, tol=1e-6):
+    """The iterates of the paper's alpha -> theta - theta^2 C^2_{w_alpha}/4 from alpha0, to |step| < tol.
+
+    Each update takes a whole weighted_poincare bisection. improved_alpha
+    bisects admissibility instead, and this loop is its oracle.
+    """
+
+    def cap(alpha):
+        weight = weight_from_sigma(sigma, theta, alpha)
+        return theta - theta**2 * poincare.weighted_poincare(weight).c_omega_sq / 4.0
+
+    iterates = [alpha0]
+    for _ in range(100):
+        iterates.append(cap(iterates[-1]))
+        if abs(iterates[-1] - iterates[-2]) < tol:
+            return iterates
+    raise AssertionError(f"no fixed point in 100 updates from {alpha0}")
+
+
+#: two-piece profiles: the rate-certify ones, (1.05, 1.07) whose rates lie close together, and
+#: 40 log-uniform pairs in [0.05, 12]
+TWO_PIECE_PAIRS = [(1.0, 4.0), (2.93, 0.402), (1.34, 5.46), (0.05, 1.0), (0.25, 4.0), (1.05, 1.07)] + [
+    tuple(pair) for pair in np.exp(np.random.default_rng(5).uniform(math.log(0.05), math.log(12.0), (40, 2)))
+]
+#: the same, and a three-piece sigma and the n = 128 node samples of 2 + sin x
+ORACLE_PROFILES = [two_piece(*pair) for pair in TWO_PIECE_PAIRS] + [
+    RelaxationProfile.parse("pc:1@1,4@3,0.5@2pi"),
+    RelaxationProfile.from_grid(GridFunction(2.0 + np.sin(nodes(128)))),
+]
+ORACLE_IDS = [f"{a:.4g}-{b:.4g}" for a, b in TWO_PIECE_PAIRS] + ["three-pieces", "2+sin-n128"]
+
+
+def perturbative_start(sigma):
+    """theta* and alpha* of a profile: the weight and the start of the improved rate."""
+    return theta_star(sigma.sigma_min, sigma.sigma_max), alpha_star(sigma.sigma_min, sigma.sigma_max)
+
+
 class TestImprovedAlpha:
     def test_reference_iteration(self):
         res = improved_alpha(PROFILE_14, 1.0, ALPHA0)
@@ -478,13 +515,13 @@ class TestImprovedAlpha:
         assert res.alpha_max == pytest.approx(0.7234, abs=1e-3)
 
     def test_first_update_uses_the_computed_constant(self):
-        res = improved_alpha(PROFILE_14, 1.0, ALPHA0)
-        assert res.iterates[0] == pytest.approx(ALPHA0)
-        assert res.iterates[1] == pytest.approx(1.0 - C_SQ_ALPHA0 / 4.0, abs=1e-4)
+        iterates = fixed_point_loop(PROFILE_14, 1.0, ALPHA0)
+        assert iterates[0] == pytest.approx(ALPHA0)
+        assert iterates[1] == pytest.approx(1.0 - C_SQ_ALPHA0 / 4.0, abs=1e-4)
 
     def test_fixed_point_residual(self):
         tol = 1e-6
-        res = improved_alpha(PROFILE_14, 1.0, ALPHA0, tol=tol)
+        res = improved_alpha(PROFILE_14, 1.0, ALPHA0)
         w = weight_from_sigma(PROFILE_14, 1.0, res.alpha_max)
         c2 = weighted_poincare(w).c_omega_sq
         assert abs(res.alpha_max - (1.0 - c2 / 4.0)) < 2.0 * tol
@@ -495,23 +532,25 @@ class TestImprovedAlpha:
 
     def test_monotone_iterates(self):
         res = improved_alpha(PROFILE_14, 1.0, ALPHA0)
-        assert all(b >= a for a, b in zip(res.iterates, res.iterates[1:]))
+        assert all(b > a for a, b in zip(res.iterates, res.iterates[1:]))
 
     def test_inadmissible_start_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="alpha0 = 0.9 is inadmissible"):
             improved_alpha(PROFILE_14, 1.0, 0.9)
+
+    @pytest.mark.parametrize("theta, alpha0", [(1.0, 1.0), (1.0, 0.0), (1.5, 0.5), (2.5, 0.1)])
+    def test_a_start_outside_the_bracket_is_refused_before_any_count(self, theta, alpha0, monkeypatch):
+        # min(theta, 2 sigma_min - theta) is 1, 1, 0.5 and -0.5
+        monkeypatch.setattr(poincare, "_count", None)
+        with pytest.raises(ValidationError, match=r"it needs 0 < alpha0 < min\(theta, 2 sigma_min - theta\) = "):
+            improved_alpha(PROFILE_14, theta, alpha0)
 
     # the rate-certify profiles, and nearly equal pieces whose c_min lies just below 2/(w1 + w2)
     @pytest.mark.parametrize("pair", [(1.0, 4.0), (1.34, 5.46), (2.93, 0.402), (3.0, 3.1)], ids=str)
     def test_iterates_equal_the_cold_loop_and_c_min_never_falls(self, pair, monkeypatch):
-        # the same loop with each constant from the determinant alone
-        lo, hi = min(pair), max(pair)
-        profile = RelaxationProfile.two_piece(*pair)
-
-        def iteration():
-            return improved_alpha(profile, theta_star(lo, hi), alpha_star(lo, hi))
-
-        counted = iteration()
+        # the oracle loop with each constant from the determinant alone
+        sigma = RelaxationProfile.two_piece(*pair)
+        counted = fixed_point_loop(sigma, *perturbative_start(sigma))
         c_min = []
 
         def from_det(weight):
@@ -519,9 +558,25 @@ class TestImprovedAlpha:
             return poincare.PoincareResult(c_min=c_min[-1], c_omega_sq=1.0 / c_min[-1])
 
         monkeypatch.setattr(poincare, "weighted_poincare", from_det)
-        cold = iteration()
-        assert counted.iterates == pytest.approx(cold.iterates, rel=1e-12, abs=0.0)
+        cold = fixed_point_loop(sigma, *perturbative_start(sigma))
+        assert counted == pytest.approx(cold, rel=1e-12, abs=0.0)
         assert all(b >= a for a, b in zip(c_min, c_min[1:]))
+
+    @pytest.mark.parametrize("sigma", ORACLE_PROFILES, ids=ORACLE_IDS)
+    def test_bisection_ends_at_the_fixed_point_of_the_loop(self, sigma):
+        theta, alpha0 = perturbative_start(sigma)
+        res = improved_alpha(sigma, theta, alpha0)
+        assert res.converged and res.iterates[0] == alpha0 and poincare._admissible(sigma, theta, res.alpha_max)
+        assert res.alpha_max == pytest.approx(fixed_point_loop(sigma, theta, alpha0)[-1], abs=1e-6)
+
+    @pytest.mark.parametrize("sigma", ORACLE_PROFILES, ids=ORACLE_IDS)
+    def test_admissibility_changes_sign_once_on_the_bracket(self, sigma):
+        # so the bisection's boundary is the first fixed point above alpha0, which the loop reaches
+        theta, alpha0 = perturbative_start(sigma)
+        top = min(theta, 2.0 * sigma.sigma_min - theta)
+        grid = alpha0 + (top - alpha0) * np.arange(400) / 400.0
+        admissible = [poincare._admissible(sigma, theta, alpha) for alpha in grid]
+        assert admissible[0] and sum(a != b for a, b in zip(admissible, admissible[1:])) == 1
 
 
 #: sigma, its perturbative rate alpha*, the improved rate, and the optimal rate: 2 pi x the
