@@ -8,7 +8,7 @@ Subcommands:
     modal-report   per-mode eigenvalues and Lyapunov gaps (constant sigma)
     poincare       weighted Poincare constant, optionally the improved rate
     telegrapher    damped-wave spectral gap and the optimal-rate bundle
-    appendix-a     three-rate comparison for the piecewise {1, 4} profile
+    appendix-a     three-rate comparison, by default for the piecewise {1, 4} profile
     rate-curve     sharp rate mu(sigma) over a sigma grid
 
 Each subcommand takes only the flags its handler reads, plus --out and --config:
@@ -28,8 +28,7 @@ Each subcommand takes only the flags its handler reads, plus --out and --config:
     appendix-a     --sigma
     rate-curve     --grid --plot
 
---sigma and --weight are const:V | pc:V@B,... | file:PATH; telegrapher and
-appendix-a take only a constant or a two-piece sigma broken at pi. Any other
+--sigma and --weight are const:V | pc:V@B,... | file:PATH. Any other
 flag, and any abbreviation of a flag, is an error (exit 2). A number flag
 takes only a finite number: nan and +-inf are exit 2. A file: field must
 hold --n samples. --n is at most 2**20, and --kmax and the COUNT of --grid
@@ -365,11 +364,9 @@ def cmd_telegrapher(args):
     files = {
         "telegrapher_roots.csv": (["re_gamma", "im_gamma", "abs_d"], rows),
         "telegrapher_summary.csv": (
-            ["sigma1", "sigma2", "l1_norm", "gap", "alpha_bs", "eig_re", "eig_im", "minimiser_real"],
+            ["l1_norm", "gap", "alpha_bs", "eig_re", "eig_im", "minimiser_real"],
             [
                 (
-                    problem.sigma1,
-                    problem.sigma2,
                     problem.l1_norm,
                     result.gap,
                     rate,
@@ -389,12 +386,13 @@ def cmd_telegrapher(args):
 
 def cmd_appendix_a(args):
     profile = RelaxationProfile.parse(args.sigma)
-    problem = tele_mod.rescale_sigma(profile)  # refuses a profile the gap cannot take, before any other work
     s_min, s_max = profile.sigma_min, profile.sigma_max
     theta = theta_star(s_min, s_max)
     a_star = alpha_star(s_min, s_max)
-    imp = poincare_mod.improved_alpha(profile, theta, a_star)
+    # the gap before the improved rate: a profile the search refuses costs no Poincare work
+    problem = tele_mod.rescale_sigma(profile)
     optimal = tele_mod.optimal_rate(problem, tele_mod.telegrapher_gap(problem))
+    imp = poincare_mod.improved_alpha(profile, theta, a_star)
     rows = [
         (SOURCE_PERTURBATIVE, a_star),
         (SOURCE_IMPROVED_POINCARE, imp.alpha_max),

@@ -92,7 +92,7 @@ def _positive(y: float, dy: float) -> bool:
     return y > 0.0 if y else dy > 0.0
 
 
-def _count(lam: float, pieces) -> int:
+def _count(lam: float, pieces, stage: str = "Poincaré constant") -> int:
     """N_c(lam): the constrained eigenvalues below lam, with multiplicity.
 
     pieces holds (length, w) pairs whose lengths sum to 2 pi. On a piece
@@ -101,7 +101,8 @@ def _count(lam: float, pieces) -> int:
     at any k >= 0, k = 0 included: sin(k L)/k = L sinc x, (1 - cos k L)/k^2
     = L^2 sinc(x/2)^2 / 2 and (k L - sin k L)/k^3 = L^3 (1 - sinc x)/x^2.
     The zeros of the (0, 1) solution on a piece number floor(x/pi) or one
-    more, as the sign change across the piece decides.
+    more, as the sign change across the piece decides. A lam w past the
+    largest double is a NumericalError that names ``stage``.
     """
     y1, d1, i1 = 1.0, 0.0, 0.0
     ys, ds, i_s = 0.0, 1.0, 0.0
@@ -109,6 +110,11 @@ def _count(lam: float, pieces) -> int:
     zeros = 0
     for length, w in pieces:
         k = math.sqrt(lam * w)
+        if k == math.inf:
+            raise NumericalError(
+                f"{stage}: lambda = {lam:.6g} times w = {w:.6g} overflows on piece "
+                f"{pieces.index((length, w)) + 1} of {len(pieces)}"
+            )
         x = k * length
         cos_x, sin_x = math.cos(x), math.sin(x)
         sinc = sin_x / x if x else 1.0
@@ -183,7 +189,7 @@ def weighted_poincare(weight) -> PoincareResult:
     sup = max(values)
     lo = 1.0 / sup
     if lo == math.inf:
-        raise NumericalError(f"c_min >= 1/max w = 1/{sup:.6g} overflows")
+        raise NumericalError(f"Poincaré constant: c_min >= 1/max w = 1/{sup:.6g} overflows")
     # int u and int u cos 2x for u = w/max w (the plain w overflows past 1e308), summed by
     # parts over the jumps u_i - u_{i+1} at the inner ends x_i, so a constant u gives 2 pi and 0
     u = [w / sup for w in values]
@@ -219,7 +225,7 @@ def weight_from_sigma(profile, theta: float, alpha: float):
 def _admissible(sigma, theta: float, alpha: float) -> bool:
     """alpha <= theta - theta^2 C^2_{w_alpha}/4, i.e. no constrained eigenvalue of w_alpha below lambda."""
     lam = theta / (4.0 * (theta - alpha)) * theta
-    return _count(lam, _pieces(weight_from_sigma(sigma, theta, alpha))) == 0
+    return _count(lam, _pieces(weight_from_sigma(sigma, theta, alpha)), "improved rate") == 0
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def test_criterion_7_telegrapher_gap_and_rate():
     gap_err = abs(gap.gap - 2.72831)
     rate_err = abs(rate - 0.86845)
     ok = (
-        problem == TelegrapherProblem(math.pi, 4.0 * math.pi)
+        problem == TelegrapherProblem(((0.5, math.pi), (0.5, 4.0 * math.pi)))
         and gap_err < 1e-3
         and rate_err < 1e-3
         and sw.elapsed < 30.0

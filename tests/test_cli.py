@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,13 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def fine_profile(n: int) -> str:
+    """A pc: spec of n equal pieces, with seeded values in [0.5, 2]."""
+    values = np.random.default_rng(n).uniform(0.5, 2.0, n).tolist()
+    ends = [repr(2.0 * np.pi * (j + 1) / n) for j in range(n - 1)] + ["2pi"]
+    return "pc:" + ",".join(f"{v!r}@{end}" for v, end in zip(values, ends))
+
+
 class TestSigmaParsing:
     def test_const(self):
         p = RelaxationProfile.parse("const:5")
@@ -31,8 +39,7 @@ class TestSigmaParsing:
     def test_piecewise(self):
         p = RelaxationProfile.parse("pc:1@pi,4@2pi")
         assert p.pieces == ((np.pi, 1.0), (2 * np.pi, 4.0))
-        problem = rescale_sigma(p)
-        assert (problem.sigma1, problem.sigma2) == (np.pi, 4.0 * np.pi)
+        assert rescale_sigma(p).pieces == ((0.5, np.pi), (0.5, 4.0 * np.pi))
         assert p.sigma_min == 1.0 and p.sigma_max == 4.0
 
     def test_piecewise_numeric_breaks(self):
@@ -60,7 +67,7 @@ class TestSigmaParsing:
         const, one_piece = RelaxationProfile.parse("const:5"), RelaxationProfile.parse("pc:5@2pi")
         assert const == one_piece
         assert rescale_sigma(const) == rescale_sigma(one_piece)
-        assert rescale_sigma(const).sigma1 == rescale_sigma(const).sigma2 == 5.0 * np.pi
+        assert rescale_sigma(const).pieces == ((1.0, 5.0 * np.pi),)
 
     @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "pc:1@pi,nan@2pi", "pc:1@pi,0@2pi"])
     def test_non_positive_or_non_finite_value_rejected(self, spec):
@@ -68,10 +75,12 @@ class TestSigmaParsing:
             RelaxationProfile.parse(spec)
 
     @pytest.mark.parametrize("spec", ["pc:1@1,2@pi,4@2pi", "pc:1@1,4@2pi", "pc:1@pi,2@4,4@2pi"])
-    def test_as_two_piece_rejects_other_shapes(self, spec):
-        # the telegrapher takes a profile as two-piece only if it is one piece, or two broken at pi
-        with pytest.raises(ValidationError, match="needs a constant or two-piece profile broken at pi"):
-            rescale_sigma(RelaxationProfile.parse(spec))
+    def test_every_shape_is_taken_as_its_pieces(self, spec):
+        # (x_i - x_{i-1}) / 2 pi and pi sigma_i, where only one piece, or two broken at pi, passed
+        p = RelaxationProfile.parse(spec)
+        starts = [0.0] + [end for end, _ in p.pieces[:-1]]
+        want = tuple(((end - start) / (2.0 * np.pi), np.pi * s) for start, (end, s) in zip(starts, p.pieces))
+        assert rescale_sigma(p).pieces == want
 
     def _file_profile(self, tmp_path, n):
         values = np.random.default_rng(n).uniform(0.1, 5.0, n)
@@ -88,15 +97,17 @@ class TestSigmaParsing:
         assert p == RelaxationProfile.from_grid(GridFunction(values))
         with pytest.raises(GridMismatchError):
             p.sample(2 * n)
-        with pytest.raises(ValidationError, match="needs a constant or two-piece profile"):
-            rescale_sigma(p)
+        # the telegrapher takes the n pieces as they are: s_1, ..., s_{n-1}, s_0, each 1/n long
+        problem = rescale_sigma(p)
+        assert [s for _, s in problem.pieces] == (np.pi * np.roll(values, -1)).tolist()
+        assert np.allclose([length for length, _ in problem.pieces], 1.0 / n, rtol=1e-12, atol=0.0)
 
-    def test_node_samples_are_never_two_piece(self):
-        # two node samples give pieces that break at pi, yet hold only at n = 2
+    def test_node_samples_are_taken_as_their_pieces(self):
+        # two node samples give pieces that break at pi, and hold only at n = 2: the telegrapher
+        # takes them as those two pieces
         p = RelaxationProfile(((np.pi, 1.0), (2 * np.pi, 4.0)), n=2)
         assert p.sample(2).tolist() == [4.0, 1.0]
-        with pytest.raises(ValidationError, match="needs a constant or two-piece profile"):
-            rescale_sigma(p)
+        assert rescale_sigma(p) == rescale_sigma(RelaxationProfile.two_piece(1.0, 4.0))
 
     def test_file_profile_at_another_n_exits_2(self, tmp_path):
         path, _ = self._file_profile(tmp_path, 32)
@@ -106,8 +117,12 @@ class TestSigmaParsing:
         )
         assert code == 2
 
-    def test_telegrapher_rejects_a_break_off_pi(self, tmp_path):
-        assert run("telegrapher", "--sigma", "pc:1@1,4@2pi", "--out", str(tmp_path / "o")) == 2
+    def test_telegrapher_takes_a_break_off_pi(self, tmp_path, capsys):
+        # 1.71909 is a zero of the closed-form D on pieces of length 1/(2 pi) and 1 - 1/(2 pi)
+        assert run("telegrapher", "--sigma", "pc:1@1,4@2pi", "--out", str(tmp_path / "o")) == 0
+        assert capsys.readouterr().out.startswith(
+            "gap = 1.71909 at gamma = 1.71909+0j (real); alpha_BS = 0.547203; 16 eigenvalues in the strip"
+        )
 
     @pytest.mark.parametrize(
         "pieces",
@@ -228,7 +243,6 @@ class TestSubcommands:
         assert len((out / "weight.csv").read_text().splitlines()) == 65
 
     def test_poincare_improves_a_rate_of_three_pieces(self, tmp_path, capsys):
-        # the telegrapher takes no three pieces, but the Poincare constant does
         out = tmp_path / "o"
         assert run("poincare", "--sigma", "pc:1@1,4@3,0.5@2pi", "--improve", "--out", str(out)) == 0
         line = capsys.readouterr().out.splitlines()[1]
@@ -283,14 +297,22 @@ class TestSubcommands:
             ]
             assert rates[0] == pytest.approx(rates[1], rel=0.0, abs=1e-9)
 
-    def test_appendix_a_refuses_three_pieces_before_any_poincare_work(self, tmp_path, capsys, monkeypatch):
+    def test_appendix_a_on_three_pieces(self, tmp_path, capsys):
+        assert run("appendix-a", "--sigma", "pc:1@1,4@3,0.5@2pi", "--out", str(tmp_path / "o")) == 0
+        line = "rates: perturbative 0.385216 < improved 0.440748 < optimal 0.772249: ordering holds"
+        assert capsys.readouterr().out.splitlines() == [line]
+
+    def test_appendix_a_refuses_a_too_fine_profile_before_any_poincare_work(self, tmp_path, capsys, monkeypatch):
+        # the gap comes before the improved rate, so a profile the search refuses costs no count
         def refuse(*args):
             raise AssertionError("counted")
 
         monkeypatch.setattr(cli.poincare_mod, "_count", refuse)
-        assert run("appendix-a", "--sigma", "pc:1@1,4@3,0.5@2pi", "--out", str(tmp_path / "o")) == 2
-        err = capsys.readouterr().err
-        assert err == "error: the telegrapher gap needs a constant or two-piece profile broken at pi\n"
+        assert run("appendix-a", "--sigma", fine_profile(10_000), "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: telegrapher gap: argument-principle count failed: over 400 samples "
+            "in one batch of contours, the bound at 10000 pieces\n"
+        )
 
     def test_telegrapher(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -565,7 +587,7 @@ class TestExitCodes:
             (["simulate-2v", "--seed", "-1", "--u0", "random"], 2, "--seed: expected an integer >= 0, got '-1'"),
             # one step would overshoot T = 30, leaving the fit no point
             (["simulate-2v", "--dt", "1e300"], 2, "dt = 1e+300 exceeds t_final = 30; lower --dt"),
-            # the Poincare constants are found; the telegrapher strip then holds no root
+            # the telegrapher strip holds no root, and no Poincare constant is computed
             (
                 ["appendix-a", "--sigma", "pc:1e-4@pi,2e-4@2pi"],
                 3,
@@ -653,17 +675,18 @@ TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300
         (["simulate-2v", "--sigma", TWO_PIECE_HUGE["1e300"], "--n", "64"], 0, "entropy  4e-300  2e-300"),
         (["rates", "--sigma", TWO_PIECE_HUGE["1e200"]], 3, "numerical failure: the three-velocity rate"),
         (["rates", "--sigma", TWO_PIECE_HUGE["1.7e308"]], 3, "numerical failure: the three-velocity rate"),
-        # c_min = 1.6680946/w2 as w1/w2 -> 0; past the constant, the telegrapher search fails
+        # c_min = 1.6680946/w2 as w1/w2 -> 0; appendix-a fails in the telegrapher search, before any constant
         (["poincare", "--sigma", TWO_PIECE_HUGE["1e200"]], 0, "weight (0.5, 5e+199): c_min = 3.3361891e-200"),
         (
             ["appendix-a", "--sigma", TWO_PIECE_HUGE["1e300"]],
             3,
-            "numerical failure: argument-principle count failed: over 2000000 samples in one batch of contours",
+            "numerical failure: telegrapher gap: argument-principle count failed: over 2000000 samples in one "
+            "batch of contours, the bound at 2 pieces",
         ),
         (
             ["appendix-a", "--sigma", TWO_PIECE_HUGE["1.7e308"]],
             3,
-            "numerical failure: the search strip of damping (3.14159, inf) overflows",
+            "numerical failure: telegrapher gap: the search strip of damping (3.14159, inf) overflows",
         ),
         (["rates", "--sigma", "const:1e-310"], 0, "three-velocity             1.2247449e-310  5e-311"),
         (["simulate-3v", "--sigma", "const:1e-310", "--n", "64", "--t-final", "5"], 0, "entropy3  1.2247449e-310"),
@@ -812,8 +835,8 @@ def test_poincare_constants_of_large_and_vanishing_weights(tmp_path, capsys, arg
     "sigma, code, line",
     [
         # weights near 1e-4 and 6e-8 at alpha*; the first exits 3 in the telegrapher
-        # strip, after its Poincare constants
-        ("pc:1e-4@pi,2e-4@2pi", 3, "numerical failure: no eigenvalues found in the search strip"),
+        # strip, before any Poincare constant
+        ("pc:1e-4@pi,2e-4@2pi", 3, "numerical failure: telegrapher gap: no eigenvalues found in the search strip"),
         ("pc:1@pi,1.0000001@2pi", 0, "rates: perturbative 1 < improved 1 < optimal 1: ordering holds"),
     ],
 )
@@ -834,9 +857,49 @@ def test_contour_beyond_the_sample_bound_exits_three(tmp_path):
     proc = run_capped(out, "telegrapher", "--sigma", "pc:1e-6@pi,1e6@2pi")
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
-        "numerical failure: argument-principle count failed: over 2000000 samples in one batch of contours"
+        "numerical failure: telegrapher gap: argument-principle count failed: over 2000000 samples in one "
+        "batch of contours, the bound at 2 pieces"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source, samples", [("pc", 400), ("file", 244)])
+def test_a_profile_of_many_pieces_exits_three_within_seconds(tmp_path, capsys, source, samples):
+    # D costs a pass over the pieces per sample, so the contour bound is on samples times pieces:
+    # 4e6 / 10^4 pieces, or / 2^14 samples of 2 + sin x, leaves too few samples for the strip
+    if source == "pc":
+        sigma, pieces = fine_profile(10_000), 10_000
+    else:
+        pieces = 2**14
+        GridFunction(2.0 + np.sin(2.0 * np.pi * np.arange(pieces) / pieces)).to_csv(tmp_path / "s.csv")
+        sigma = f"file:{tmp_path / 's.csv'}"
+    start = time.perf_counter()
+    assert run("telegrapher", "--sigma", sigma, "--out", str(tmp_path / "o")) == 3
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == (
+        f"numerical failure: telegrapher gap: argument-principle count failed: over {samples} samples "
+        f"in one batch of contours, the bound at {pieces} pieces\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # lambda w_alpha overflowed in the count, where math.cos(inf) raised an uncaught ValueError
+        (
+            ["poincare", "--sigma", "pc:1e200@pi,2e200@2pi", "--theta", "1e200", "--improve", "--alpha0", "1e150"],
+            "improved rate: lambda = 2.5e+199 times w = 1e+200 overflows on piece 1 of 2",
+        ),
+        # the Rayleigh window's top overflows to inf, with the same uncaught ValueError
+        (["poincare", "--weight", "pc:1@5e-324,5e-324@2pi"], "Poincaré constant: lambda = inf times w = 1"),
+        (["poincare", "--weight", "pc:1e-320@pi,1e-320@2pi"], "Poincaré constant: c_min >= 1/max w"),
+        (["telegrapher", "--sigma", "pc:1e-4@pi,2e-4@2pi"], "telegrapher gap: no eigenvalues found"),
+    ],
+)
+def test_a_numerical_failure_names_its_stage(tmp_path, capsys, argv, line):
+    assert run(*argv, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {line}") and len(err.splitlines()) == 1
 
 
 @pytest.fixture

@@ -324,14 +324,15 @@ def test_benchmark_hooks_find_their_names():
         assert hasattr(importlib.import_module(f"gtlab.{module}"), attr) != (name in DEAD_HOOKS), name
 
     # the telegrapher hook binds the call, applies the defaults and reads seeds as two counts,
-    # then the problem's sigma1 and sigma2 and the result's gap and roots
+    # then the problem's sigma1 and sigma2 (its first and last piece) and the result's gap and roots
     from gtlab.telegrapher import GapResult, TelegrapherProblem, telegrapher_gap
 
-    bound = inspect.signature(telegrapher_gap).bind(TelegrapherProblem(math.pi, 4.0 * math.pi))
+    problem = TelegrapherProblem(((0.5, math.pi), (0.5, 4.0 * math.pi)))
+    bound = inspect.signature(telegrapher_gap).bind(problem)
     bound.apply_defaults()
     nre, nim = bound.arguments["seeds"]
     assert all(isinstance(n, int) and n > 0 for n in (nre, nim))
-    assert {"sigma1", "sigma2"} <= {f.name for f in dataclasses.fields(TelegrapherProblem)}
+    assert (bound.arguments["problem"].sigma1, bound.arguments["problem"].sigma2) == (math.pi, 4.0 * math.pi)
     assert {"gap", "roots"} <= {f.name for f in dataclasses.fields(GapResult)}
 
 

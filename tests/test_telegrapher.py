@@ -1,6 +1,7 @@
-"""Damped-wave spectral gap via the transfer-matrix function D = 2 - tr(T2 T1)."""
+"""Damped-wave spectral gap via the transfer-matrix function D = 2 - tr(T_N ... T_1)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,18 +21,53 @@ from gtlab.telegrapher import (
 )
 from gtlab.torus import random_band_limited
 
+
+def halves(sigma1: float, sigma2: float, **strip) -> TelegrapherProblem:
+    """Rescaled damping sigma1 on (0, 1/2] and sigma2 on (1/2, 1]."""
+    return TelegrapherProblem(((0.5, sigma1), (0.5, sigma2)), **strip)
+
+
+def two_piece_d(gamma: complex, problem: TelegrapherProblem) -> complex:
+    """D of two pieces in closed form: 2 (1 - C1 C2) + (q1 + q2) S1 S2, with C_j = cos z_j,
+    S_j = sin(z_j)/t_j and z_j = t_j L_j, where 1 - C1 C2 = sin^2((z1 + z2)/2) + sin^2((z1 - z2)/2)
+    does not cancel. Away from t_j = 0."""
+    (l1, s1), (l2, s2) = problem.pieces
+    q1, q2 = gamma * (2.0 * s1 - gamma), gamma * (2.0 * s2 - gamma)
+    t1, t2 = np.sqrt(q1 + 0j), np.sqrt(q2 + 0j)
+    z1, z2 = t1 * l1, t2 * l2
+    return 2.0 * (np.sin((z1 + z2) / 2.0) ** 2 + np.sin((z1 - z2) / 2.0) ** 2) + (q1 + q2) * (
+        np.sin(z1) / t1
+    ) * (np.sin(z2) / t2)
+
+
 PROFILE_14 = RelaxationProfile.two_piece(1.0, 4.0)
-P_14 = TelegrapherProblem(math.pi, 4.0 * math.pi)
+P_14 = halves(math.pi, 4.0 * math.pi)
+
+
+def long_double_d(gamma, problem: TelegrapherProblem) -> np.ndarray:
+    """2 - tr(T_N ... T_1) as a plain product of the maps, in long double. Away from t_j = 0."""
+    g = np.asarray(gamma, dtype=np.clongdouble)
+    m00, m01, m10, m11 = np.ones_like(g), np.zeros_like(g), np.zeros_like(g), np.ones_like(g)
+    for length, sigma in problem.pieces:
+        q = g * (2 * np.longdouble(sigma) - g)
+        t = np.sqrt(q)
+        c, b = np.cos(t * np.longdouble(length)), np.sin(t * np.longdouble(length)) / t
+        m00, m01, m10, m11 = c * m00 + b * m10, c * m01 + b * m11, c * m10 - q * b * m00, c * m11 - q * b * m01
+    return 2 - (m00 + m11)
 
 
 def _tau(gamma, sigma_j):
     return np.sqrt(gamma * (2.0 * sigma_j - gamma) + 0j)
 
 
+def _taus(gamma, problem: TelegrapherProblem):
+    """t_j = sqrt(gamma (2 sigma_j - gamma)) of each piece."""
+    return [_tau(gamma, sigma) for _, sigma in problem.pieces]
+
+
 def matching_matrix(gamma: complex, problem: TelegrapherProblem) -> np.ndarray:
-    """The printed 4x4 C^1-matching matrix of the two pieces; det M = -(t2/t1) D."""
-    t1 = _tau(gamma, problem.sigma1)
-    t2 = _tau(gamma, problem.sigma2)
+    """The printed 4x4 C^1-matching matrix of two halves; det M = -(t2/t1) D."""
+    t1, t2 = _taus(gamma, problem)
     r = t2 / t1
     return np.array(
         [
@@ -46,37 +82,41 @@ def matching_matrix(gamma: complex, problem: TelegrapherProblem) -> np.ndarray:
 
 def _det_m(gamma: complex, problem: TelegrapherProblem) -> complex:
     """det M through D, away from t1 = 0."""
-    t1, t2 = _tau(gamma, problem.sigma1), _tau(gamma, problem.sigma2)
+    t1, t2 = _taus(gamma, problem)
     return -(t2 / t1) * characteristic(gamma, problem)
 
 
 class TestRescale:
     def test_one_four(self):
         p = rescale_sigma(PROFILE_14)
-        assert p.sigma1 == pytest.approx(math.pi)
-        assert p.sigma2 == pytest.approx(4.0 * math.pi)
+        assert p == P_14
         assert p.l1_norm == pytest.approx(5.0 * math.pi / 2.0)
 
     def test_constant(self):
-        p = rescale_sigma(RelaxationProfile.constant(1.0))
-        assert p.sigma1 == pytest.approx(math.pi)
-        assert p.sigma2 == pytest.approx(math.pi)
+        assert rescale_sigma(RelaxationProfile.constant(1.0)).pieces == ((1.0, math.pi),)
 
     def test_two_equal_pieces(self):
-        p = rescale_sigma(RelaxationProfile.two_piece(2.0, 2.0))
-        assert p.sigma1 == p.sigma2 == pytest.approx(2.0 * math.pi)
+        # a break at which sigma keeps its value is no break
+        assert rescale_sigma(RelaxationProfile.two_piece(2.0, 2.0)).pieces == ((1.0, 2.0 * math.pi),)
 
     def test_strip_defaults(self):
         # re_max = max(2 min sigma~, |sigma~|_L1): the L1 norm past max/min = 3, else 2 min sigma~
         assert P_14.re_max == P_14.l1_norm == pytest.approx(2.5 * math.pi)
         assert P_14.im_max == 16.0 * math.pi
-        assert TelegrapherProblem(math.pi, 2.9 * math.pi).re_max == 2.0 * math.pi
-        assert TelegrapherProblem(math.pi, math.pi).re_max == 2.0 * math.pi
+        assert halves(math.pi, 2.9 * math.pi).re_max == 2.0 * math.pi
+        assert halves(math.pi, math.pi).re_max == 2.0 * math.pi
 
     def test_unsupported_profile(self):
+        # every RelaxationProfile is taken as its pieces; only pieces that do not tile the
+        # unit torus with positive damping are refused
         three = RelaxationProfile.piecewise([(1.0, 1.0), (2.0, 2.0), (2 * math.pi, 3.0)])
-        with pytest.raises(ValidationError):
-            rescale_sigma(three)
+        lengths = [1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), 1.0 - 1.0 / math.pi]
+        want = list(zip(lengths, [math.pi, 2.0 * math.pi, 3.0 * math.pi]))
+        assert np.allclose(rescale_sigma(three).pieces, want, rtol=1e-15, atol=0.0)
+        refused = [(), ((0.5, 1.0),), ((0.5, 1.0), (0.6, 1.0)), ((1.0, 1.0), (0.0, 1.0)), ((0.5, 1.0), (0.5, 0.0))]
+        for pieces in refused:
+            with pytest.raises(ValidationError):
+                TelegrapherProblem(pieces)
 
 
 class TestDeterminant:
@@ -106,7 +146,7 @@ class TestDeterminant:
             return 2 * (1 - np.cos(t1 / 2) * np.cos(t2 / 2)) + (q1 + q2) * s1 * s2
 
         for g in (1.0 + 1.0j, 2.5 - 4.0j, 5.0 + 0.5j):
-            t1, t2 = _tau(g, P_14.sigma1), _tau(g, P_14.sigma2)
+            t1, t2 = _taus(g, P_14)
             q1, q2 = t1**2, t2**2
             want = characteristic(g, P_14)
             for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
@@ -116,7 +156,7 @@ class TestDeterminant:
     def test_constant_pieces_match_modal_eigenvalues(self):
         # sigma1 = sigma2 = pi: roots at gamma = pi +- sqrt(pi^2 - 4 pi^2 k^2),
         # the constant-coefficient modal eigenvalues after the torus rescaling
-        p = TelegrapherProblem(math.pi, math.pi)
+        p = halves(math.pi, math.pi)
         for k in (1, 2):
             gamma = math.pi + 1j * math.sqrt(4.0 * math.pi**2 * k**2 - math.pi**2)
             assert abs(characteristic(gamma, p)) < 1e-9
@@ -125,7 +165,7 @@ class TestDeterminant:
         # -(t2/t1) D against the printed closed form of det M, also far off the
         # real axis where the 4x4 matrix has entries of size e^|Im t|
         for g in (1.2 + 3.4j, 0.5 - 2.0j, 4.0 + 0.1j, 7.5 + 9.0j, 20.0 - 30.0j):
-            t1, t2 = _tau(g, P_14.sigma1), _tau(g, P_14.sigma2)
+            t1, t2 = _taus(g, P_14)
             r = t2 / t1
             want = -np.sin(t1 / 2) * np.sin(t2 / 2) * (1 + r**2) + 2 * r * (
                 np.cos(t1 / 2) * np.cos(t2 / 2) - 1
@@ -146,7 +186,7 @@ class TestDeterminant:
         # crosses 1e-2 and S_j and g switch to their series
         rng = np.random.default_rng(7)
         points = [complex(rng.uniform(0.1, 6.0), rng.uniform(-12.0, 12.0)) for _ in range(20)]
-        for s in (P_14.sigma1, P_14.sigma2):
+        for _, s in P_14.pieces:
             edge = 2e-4 / s
             for off in (0.0, 1e-9, -1e-9 + 1e-9j, 0.99 * edge, 1.01 * edge, -0.99 * edge, 1.01j * edge):
                 points.append(2.0 * s + off)
@@ -161,12 +201,12 @@ class TestDeterminant:
         # D is finite at 2 sigma_j, where det M breaks down, and nonzero for {1,4};
         # a constant profile has there the simple zero of its k = 0 flux mode,
         # D = 4 sin^2(t/2) ~ q
-        for g in (0.0, 2.0 * P_14.sigma1, 2.0 * P_14.sigma2):
+        for g in [0.0] + [2.0 * s for _, s in P_14.pieces]:
             d, dd, err = tele._d_batch(g, P_14)
             assert np.isfinite([d, dd, err]).all()
         assert characteristic(0.0, P_14) == 0.0
         assert characteristic(2.0 * math.pi, P_14).real == pytest.approx(-3.3906, abs=1e-4)
-        p = TelegrapherProblem(math.pi, math.pi)
+        p = halves(math.pi, math.pi)
         d, dd, _ = tele._d_batch(2.0 * math.pi, p)
         assert abs(d) < 1e-15 and abs(dd) > 1.0
 
@@ -195,21 +235,21 @@ class TestGap:
                 assert any(abs(np.conj(r) - s) < 1e-8 for s in gap_14.roots)
 
     def test_constant_case_closed_form(self):
-        res = telegrapher_gap(TelegrapherProblem(math.pi, math.pi))
+        res = telegrapher_gap(halves(math.pi, math.pi))
         assert res.gap == pytest.approx(math.pi, abs=1e-6)
 
     def test_gap_within_strip_bound(self, gap_14):
-        assert gap_14.gap <= 2.0 * min(P_14.sigma1, P_14.sigma2)
+        assert gap_14.gap <= 2.0 * min(s for _, s in P_14.pieces)
 
     def test_empty_strip_raises(self):
         with pytest.raises(NumericalError):
             telegrapher_gap(
-                TelegrapherProblem(math.pi, 4 * math.pi, re_max=0.5, im_max=0.5),
+                halves(math.pi, 4 * math.pi, re_max=0.5, im_max=0.5),
                 seeds=(10, 10),
             )
         # the strip Re < 2 min sigma~ of (0.25, 4) holds no eigenvalue
         with pytest.raises(NumericalError, match="no eigenvalues found"):
-            telegrapher_gap(TelegrapherProblem(0.25 * math.pi, 4.0 * math.pi, re_max=0.5 * math.pi))
+            telegrapher_gap(halves(0.25 * math.pi, 4.0 * math.pi, re_max=0.5 * math.pi))
 
 
 def _is_double(r: complex, problem: TelegrapherProblem) -> bool:
@@ -258,7 +298,7 @@ class TestCertificate:
         # near-double (17.02, 17.24) pair to 3e-7
         if re_max is None:
             re_max = 2.0 * math.pi * min(pair)
-        res = telegrapher_gap(TelegrapherProblem(math.pi * pair[0], math.pi * pair[1], re_max=re_max))
+        res = telegrapher_gap(halves(math.pi * pair[0], math.pi * pair[1], re_max=re_max))
         assert (res.count, len(res.roots)) == (count, distinct)
         assert res.gap == pytest.approx(gap, abs=1e-7)
         assert sum(r.real for r in res.roots) == pytest.approx(sum_re, abs=1e-6)
@@ -269,7 +309,7 @@ class TestCertificate:
         # apart: a box whose top edge runs close above them sees their 2 pi
         # turn between two phase samples unless the step is also held to
         # pi/4 / max|D'/D|; on phase steps alone 9 of these 12 boxes count 1
-        p = TelegrapherProblem(17.02 * math.pi, 17.24 * math.pi)
+        p = halves(17.02 * math.pi, 17.24 * math.pi)
         for x0, x1, y0 in ((0.36, 0.38, -0.01), (0.3, 0.45, -0.05)):
             for y1 in (1.2e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
                 box = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
@@ -279,7 +319,7 @@ class TestCertificate:
     def test_narrow_strip_counts_none_and_keeps_its_middle(self, re_max):
         # notches of half-side min(1e-6, re_max/4) never meet: two of 1e-6 on a
         # strip 1e-7 wide overlapped, and its contour counted -1
-        p = TelegrapherProblem(math.pi, 4 * math.pi, re_max=re_max)
+        p = halves(math.pi, 4 * math.pi, re_max=re_max)
         boxes, counts = tele._strip_boxes(p)
         assert counts.tolist() == [0] * len(boxes)
         for middle in (re_max / 2, re_max / 2 + 1e-9j):
@@ -287,7 +327,7 @@ class TestCertificate:
 
     def test_strip_narrower_than_the_notches_exits_on_an_empty_count(self):
         # pc:1e-8@pi,1@2pi on the strip 0 < Re < 2 min sigma~ = 2 pi 1e-8
-        p = TelegrapherProblem(1e-8 * math.pi, math.pi, re_max=2e-8 * math.pi)
+        p = halves(1e-8 * math.pi, math.pi, re_max=2e-8 * math.pi)
         assert tele._strip_boxes(p)[1].sum() == 0
         with pytest.raises(NumericalError, match="no eigenvalues found in the search strip"):
             telegrapher_gap(p)
@@ -296,7 +336,7 @@ class TestCertificate:
     def test_strip_boxes_take_at_most_four_batches(self, pair, monkeypatch):
         # samples graded toward the notches at 0 and re_max resolve the phase
         # there at once; evenly spaced ones took 17 rounds of bisection toward 0
-        p = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        p = halves(math.pi * pair[0], math.pi * pair[1])
         batches = []
         real_batch, real_inside = tele._d_batch, tele._zeros_inside
         monkeypatch.setattr(tele, "_d_batch", lambda g, q: batches.append(1) or real_batch(g, q))
@@ -309,7 +349,7 @@ class TestCertificate:
         "pair, count", [((1.0, 4.0), 9), ((2.93, 0.402), 2), ((1.34, 5.46), 18)]
     )
     def test_count_met_by_simple_roots(self, pair, count):
-        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1], re_max=2.0 * math.pi * min(pair))
+        problem = halves(math.pi * pair[0], math.pi * pair[1], re_max=2.0 * math.pi * min(pair))
         res = telegrapher_gap(problem)
         assert res.count == count
         assert len(res.roots) == count
@@ -319,7 +359,7 @@ class TestCertificate:
         # sigma~ = s = 20 pi / 13: the double roots s +- i sqrt(4 pi^2 k^2 - s^2) of
         # k = 2 lie at Im = +-12 s / 5, on the cuts of the strip's five rows
         s = 20.0 * math.pi / 13.0
-        p = TelegrapherProblem(s, s)
+        p = halves(s, s)
         res = telegrapher_gap(p)
         assert res.count == 12 and len(res.roots) == 6
         for k in (1, 2, 3):
@@ -334,7 +374,7 @@ class TestCertificate:
     def test_split_through_a_root_moves(self, monkeypatch):
         # the first split of this box cuts Re = s, through the double root s + i 4.0148
         s = 20.0 * math.pi / 13.0
-        p = TelegrapherProblem(s, s)
+        p = halves(s, s)
         box = tele._Box(s - 0.94, s + 1.06, 3.0, 5.0, 2)
         children = tele._split([box], p)
         assert sum(child.count for child in children) == 2
@@ -346,7 +386,7 @@ class TestCertificate:
     def test_double_roots_counted_twice(self):
         # sigma~ = (pi, pi): D = 4 sin^2(t/2), double roots where t = 2 pi k,
         # gamma = pi +- i pi sqrt(4k^2 - 1); k = 1, 2 lie in the strip
-        p = TelegrapherProblem(math.pi, math.pi)
+        p = halves(math.pi, math.pi)
         res = telegrapher_gap(p)
         assert res.count == 8
         assert len(res.roots) == 4
@@ -364,7 +404,7 @@ class TestCertificate:
         # fixed only to about eps^(1/4); D is rounding noise on small squares
         # there. The wide strip also holds gamma = 4 pi = 2 sigma~, the simple
         # zero q = 0 of D = 4 sin^2(t/2): v = const solves v_tt + 2 sigma~ v_t = 0
-        res = telegrapher_gap(TelegrapherProblem(2.0 * math.pi, 2.0 * math.pi, re_max=re_max))
+        res = telegrapher_gap(halves(2.0 * math.pi, 2.0 * math.pi, re_max=re_max))
         assert res.count == count
         assert min(abs(r - 2.0 * math.pi) for r in res.roots) < 1e-6
         assert res.gap == pytest.approx(2.0 * math.pi, abs=1e-6)
@@ -374,9 +414,9 @@ class TestCertificate:
     def test_wide_strip_past_two_sigma(self):
         # re_max past 2 sigma_2 = 2 pi, where det M breaks down: D is regular
         # there, and the strip's roots left of 2 pi are the default strip's
-        p41 = TelegrapherProblem(4.0 * math.pi, math.pi, re_max=2.0 * math.pi)
+        p41 = halves(4.0 * math.pi, math.pi, re_max=2.0 * math.pi)
         default = telegrapher_gap(p41)
-        wide = telegrapher_gap(TelegrapherProblem(4.0 * math.pi, math.pi, re_max=3.0 * math.pi))
+        wide = telegrapher_gap(halves(4.0 * math.pi, math.pi, re_max=3.0 * math.pi))
         assert wide.count == len(wide.roots) >= default.count == 9
         inside = [r for r in wide.roots if r.real < p41.re_max]
         assert len(inside) == default.count
@@ -384,7 +424,7 @@ class TestCertificate:
     def test_near_double_real_pair(self):
         # D changes sign twice within 2e-5 near 0.36805: the real scan sees
         # neither root, and undeflated grid Newton finds only the second
-        p = TelegrapherProblem(17.02 * math.pi, 17.24 * math.pi)
+        p = halves(17.02 * math.pi, 17.24 * math.pi)
         assert characteristic(0.368045, p).real > 0.0 > characteristic(0.36805, p).real
         assert characteristic(0.36806, p).real < 0.0 < characteristic(0.368065, p).real
         res = telegrapher_gap(p)
@@ -395,7 +435,7 @@ class TestCertificate:
         # the rounding bound of D reaches 1e-4 at some roots here, and 16 of
         # the 25 have |D| >= 1e-9: a root passes when |D| is within its
         # rounding bound
-        res = telegrapher_gap(TelegrapherProblem(0.728 * math.pi, 20.274 * math.pi, re_max=1.456 * math.pi))
+        res = telegrapher_gap(halves(0.728 * math.pi, 20.274 * math.pi, re_max=1.456 * math.pi))
         assert res.count == len(res.roots) == 25
 
     def test_small_seed_grid_refined(self, gap_14):
@@ -417,7 +457,7 @@ class TestCertificate:
     def test_stiff_profiles_find_every_counted_root(self, top, count, gap):
         # pc:1@pi,top@2pi: 221 roots in 6-7 s from seed grids up to 200 x 200, and
         # for top = 100 only 425 of 443; the gap of 50 is that search's
-        res = telegrapher_gap(TelegrapherProblem(math.pi, top * math.pi))
+        res = telegrapher_gap(halves(math.pi, top * math.pi))
         assert res.count == len(res.roots) == count
         assert res.gap == pytest.approx(gap, abs=1e-8)
 
@@ -428,12 +468,71 @@ class TestCertificate:
         evaluations = []
         real_batch = tele._d_batch
         monkeypatch.setattr(tele, "_d_batch", lambda g, q: evaluations.append(np.size(g)) or real_batch(g, q))
-        telegrapher_gap(TelegrapherProblem(math.pi * pair[0], math.pi * pair[1]))
+        telegrapher_gap(halves(math.pi * pair[0], math.pi * pair[1]))
         assert sum(evaluations) <= bound
 
     def test_bad_seed_grid_rejected(self):
         with pytest.raises(ValidationError):
             telegrapher_gap(P_14, seeds=(0, 30))
+
+
+class TestPieces:
+    """D on N pieces, one product of the pieces' transfer maps."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [P_14, halves(17.02 * math.pi, 17.24 * math.pi), TelegrapherProblem(((0.3, 2.0), (0.7, 9.0)))],
+        ids=["1-4", "near-equal", "unequal-lengths"],
+    )
+    def test_two_pieces_match_the_closed_form_within_the_bound(self, problem):
+        rng = np.random.default_rng(11)
+        re_max, im_max = problem.re_max, problem.im_max
+        gammas = rng.uniform(0.0, re_max, 400) + 1j * rng.uniform(-im_max, im_max, 400)
+        d, _, err = tele._d_batch(gammas, problem)
+        assert np.all(np.abs(d - two_piece_d(gammas, problem)) <= err)
+
+    def test_more_pieces_match_a_long_double_product_within_the_bound(self):
+        problem = TelegrapherProblem(((0.2, 1.0), (0.3, 7.0), (0.1, 0.4), (0.4, 3.0)))
+        rng = np.random.default_rng(12)
+        gammas = rng.uniform(0.0, problem.re_max, 400) + 1j * rng.uniform(-problem.im_max, problem.im_max, 400)
+        d, dd, err = tele._d_batch(gammas, problem)
+        assert np.all(np.abs(d - long_double_d(gammas, problem).astype(complex)) <= err)
+        h = 1e-6 * (1.0 + np.abs(gammas))
+        central = (tele._d_batch(gammas + h, problem)[0] - tele._d_batch(gammas - h, problem)[0]) / (2.0 * h)
+        assert np.all(np.abs(dd - central) <= 1e-6 * np.abs(central))
+
+    @pytest.mark.parametrize(
+        "spec, zero",
+        [
+            ("pc:1@1,4@3,0.5@2pi", 0.386125 + 0.635476j),
+            ("pc:2@0.5,0.3@2,5@4,1@2pi", 0.623432 + 0.438844j),
+            # breakpoints on grid nodes: the split scheme's spectrum, extrapolated, gives 0.450377
+            ("pc:1@0.5pi,4@1.5pi,0.5@2pi", 0.450377),
+        ],
+    )
+    def test_leading_zeros_of_more_pieces(self, spec, zero):
+        res = telegrapher_gap(rescale_sigma(RelaxationProfile.parse(spec)))
+        assert abs(res.eigenvalue / (2.0 * math.pi) - zero) < 1e-6
+
+    @pytest.mark.parametrize("sigma", [math.pi, 2.0 * math.pi, 20.0 * math.pi / 13.0])
+    def test_one_piece_has_the_roots_of_its_two_halves(self, sigma):
+        # double roots, and at 2 pi the fourfold one: 2 - tr T is carried as 2 (1 - s S) - ...,
+        # with a = -2 sin^2(x/2) or 2 cos^2(x/2), so that neither form is rounding noise there
+        one, two = telegrapher_gap(TelegrapherProblem(((1.0, sigma),))), telegrapher_gap(halves(sigma, sigma))
+        assert one.count == two.count and len(one.roots) == len(two.roots)
+        assert all(min(abs(r - s) for s in two.roots) < 1e-6 for r in one.roots)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_splitting_every_piece_keeps_the_roots(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 4
+        lengths = rng.dirichlet(np.ones(n))
+        values = np.exp(rng.uniform(math.log(0.5), math.log(10.0), n))
+        problem = TelegrapherProblem(tuple(zip(lengths.tolist(), values.tolist())))
+        split = TelegrapherProblem(tuple((length / 2.0, s) for length, s in problem.pieces for _ in (0, 1)))
+        res, halved = telegrapher_gap(problem), telegrapher_gap(split)
+        assert halved.count == res.count
+        assert halved.gap == pytest.approx(res.gap, rel=1e-12, abs=0.0)
 
 
 class TestDefaultStrip:
@@ -445,7 +544,7 @@ class TestDefaultStrip:
         [((0.05, 1.0), 4, 1.325133981), ((0.25, 4.0), 17, 1.883884360)],
     )
     def test_profiles_whose_narrow_strip_held_no_root(self, pair, count, gap):
-        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
+        problem = halves(math.pi * pair[0], math.pi * pair[1])
         assert problem.re_max == problem.l1_norm
         res = telegrapher_gap(problem)
         assert res.count == len(res.roots) == count
@@ -454,8 +553,8 @@ class TestDefaultStrip:
 
     @pytest.mark.parametrize("pair, count", [((1.0, 4.0), 17), ((2.93, 0.402), 12), ((1.34, 5.46), 24)])
     def test_rate_certify_profiles_keep_their_gap(self, pair, count):
-        problem = TelegrapherProblem(math.pi * pair[0], math.pi * pair[1])
-        narrow = TelegrapherProblem(problem.sigma1, problem.sigma2, re_max=2.0 * math.pi * min(pair))
+        problem = halves(math.pi * pair[0], math.pi * pair[1])
+        narrow = replace(problem, re_max=2.0 * math.pi * min(pair))
         res = telegrapher_gap(problem)
         assert res.count == len(res.roots) == count
         assert not any(_is_double(r, problem) for r in res.roots)
