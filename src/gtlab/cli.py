@@ -389,6 +389,11 @@ def cmd_appendix_a(args):
     s_min, s_max = profile.sigma_min, profile.sigma_max
     theta = theta_star(s_min, s_max)
     a_star = alpha_star(s_min, s_max)
+    if a_star >= theta:  # alpha* < theta* exactly, but the sliver between them can round away
+        raise ValidationError(
+            f"improved rate: alpha* = theta* = {theta:.6g} in floating point; the improved rate lies "
+            "between them, so there is no bracket to bisect"
+        )
     # the gap before the improved rate: a profile the search refuses costs no Poincare work
     problem = tele_mod.rescale_sigma(profile)
     optimal = tele_mod.optimal_rate(problem, tele_mod.telegrapher_gap(problem))

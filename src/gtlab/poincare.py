@@ -69,6 +69,9 @@ _ROOT_RTOL = 1e-12
 #: c_min): past c_min ~ 5e12 the absolute window alone rounds away
 _CLOSE_ROOT_WINDOW = 1e-3
 _CLOSE_ROOT_ULPS = 8
+#: the most pieces a weight may have: poincare --improve takes about 0.25 ms per piece
+#: (2-core VM), so 12-13 s at the bound
+_MAX_PIECES = 50_000
 #: (1 - sin x / x) / x^2 below x = 1, summed from its series: sum (-x^2)^n / (2n + 3)!
 _SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
 
@@ -159,7 +162,12 @@ def _count(lam: float, pieces, stage: str = "Poincaré constant") -> int:
 
 
 def _pieces(profile) -> tuple:
-    """The profile's (length, value) pairs, as _count takes them."""
+    """The profile's (length, value) pairs, as _count takes them; more than _MAX_PIECES is refused."""
+    if len(profile.pieces) > _MAX_PIECES:
+        raise ValidationError(
+            f"a Poincaré weight of {len(profile.pieces)} pieces passes the bound of {_MAX_PIECES} pieces: "
+            "a constant and its improved rate take about 80 counts, each a pass over every piece"
+        )
     ends = [end for end, _ in profile.pieces]
     return tuple((b - a, w) for a, (b, w) in zip([0.0] + ends, profile.pieces))
 

@@ -30,13 +30,17 @@ strip's edge.
 The root search is certified, and isolates every root by counting (Delves &
 Lyness, Math. Comp. 1967; Kravanja & Van Barel, LNM 1727, 2000): the strip
 is cut into boxes, the argument principle counts the zeros of D in each, and
-Newton runs in each box that holds one, until every box holds its count. It
-leaves out squares around gamma = 0, the mass mode, and around re_max, where
-a constant profile has the simple zero 2 sigma~ (the k = 0 flux mode).
+Newton runs in each box that holds one, until every box holds its count. The
+contour that counts a box's zeros also gives their power sums, and Newton
+starts from the zeros those sums determine; a grid of seeds is laid only
+where they give none. The search leaves out squares around gamma = 0, the
+mass mode, and around re_max, where a constant profile has the simple zero
+2 sigma~ (the k = 0 flux mode).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -81,6 +85,10 @@ _BUSY = 4
 _NEWTON_TOL = 1e-12
 _NEWTON_WANDER = 20
 _NEWTON_ITERS = 60
+#: the polynomial whose roots seed Newton in a box is solved to this fraction of its root bound,
+#: in at most _ABERTH_ITERS sweeps
+_ABERTH_TOL = 1e-12
+_ABERTH_ITERS = 50
 #: a zero is located once its Newton step and its rounding radius _TRUST err / |D'| are below this
 _LOCATED = 1e-9
 
@@ -312,19 +320,14 @@ class GapResult:
         return abs(self.eigenvalue.imag) < 1e-9
 
 
-def _edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
-    """Samples of the edge [a, b): evenly spaced, at most _SAMPLE_SPACING apart,
-    and graded geometrically toward the point of the edge nearest each centre.
-
-    Around that point, at distance d from the centre, the samples are
-    _GRADING d apart out to d, then _GRADING times their offset from it,
-    until that reaches _SAMPLE_SPACING. Every step is then at most _GRADING
-    times the distance of its nearer end from each centre.
-    """
+def _edge(a: complex, b: complex, centres: tuple) -> tuple:
+    """(length, n, unit, arcs) of the edge [a, b): its length, its count of evenly spaced
+    samples, its direction, and the arcs that grade it toward the centres (_edge_samples),
+    none where no centre is near enough to grade it."""
     length = abs(b - a)
     n = max(4, math.ceil(length / _SAMPLE_SPACING))
-    arc = [length * np.arange(n) / n]
     unit = (b - a) / length
+    arcs = []
     for c in centres:
         foot = min(max(((c - a) / unit).real, 0.0), length)
         d = abs(a + unit * foot - c)
@@ -337,16 +340,40 @@ def _edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
                 d * (1.0 + _GRADING) ** np.arange(rounds + 1),
             ]
         )
-        arc += [foot - offsets, foot + offsets]
-    arc = np.unique(np.concatenate(arc))
+        arcs += [foot - offsets, foot + offsets]
+    return length, n, unit, arcs
+
+
+def _edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
+    """Samples of the edge [a, b): evenly spaced, at most _SAMPLE_SPACING apart,
+    and graded geometrically toward the point of the edge nearest each centre.
+
+    Around that point, at distance d from the centre, the samples are
+    _GRADING d apart out to d, then _GRADING times their offset from it,
+    until that reaches _SAMPLE_SPACING. Every step is then at most _GRADING
+    times the distance of its nearer end from each centre.
+    """
+    length, n, unit, arcs = _edge(a, b, centres)
+    arc = np.unique(np.concatenate([length * np.arange(n) / n] + arcs))
     return a + unit * arc[(arc >= 0.0) & (arc < length)]
 
 
-def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = ()) -> np.ndarray:
-    """Zeros of D inside each counter-clockwise polygon, by the argument principle; -1 where it fails.
+def _even_samples(edges: list) -> np.ndarray:
+    """The samples of edges that no centre grades, each given as (a, length, n, unit) (_edge), laid
+    end to end in one pass: length * arange(n) / n along each, the same samples, bit for bit, as
+    _edge_samples lays one edge at a time."""
+    a, length, n, unit = (np.array(column) for column in zip(*edges))
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return np.repeat(a, n) + np.repeat(unit, n) * (np.repeat(length, n) * k / np.repeat(n, n))
+
+
+def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = (), moments: int = 0) -> tuple:
+    """(the zeros of D inside each counter-clockwise polygon, their power sums), by the argument
+    principle; the count is -1 where it fails.
 
     arg D is sampled along each polygon's edges (graded toward ``centres``,
-    see _edge_samples), and every step is bisected until its phase change,
+    see _edge_samples; the edges that none grades are laid in one pass,
+    _even_samples), and every step is bisected until its phase change,
     and its length times the larger |D'/D| at its two ends, are both at
     most pi/4; a polygon's count is the sum of its steps over 2 pi. The
     second test sees a pair of zeros close to an edge, whose 2 pi turn can
@@ -356,9 +383,15 @@ def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = 
     costs D a pass over the pieces, so a batch whose samples times pieces
     pass 2 _MAX_SAMPLES raises, checked on the evenly spaced samples before
     any is built, and again after each round of bisection.
+
+    The power sums s_p of the zeros about the polygon's centre c (the mean
+    of its vertices), p = 1 .. ``moments``, come from the same samples
+    (Delves & Lyness): the steps' increments of log D, log|d_{k+1}/d_k| +
+    i (the phase step), each weighted by ((z_k + z_{k+1})/2 - c)^p, summed
+    and divided by 2 pi i. They are returned as a (polygons, moments) array.
     """
     if not polygons:
-        return np.zeros(0, dtype=int)
+        return np.zeros(0, dtype=int), np.zeros((0, moments), dtype=complex)
     edges = [list(zip(vertices, vertices[1:] + vertices[:1])) for vertices in polygons]
     limit = 2 * _MAX_SAMPLES // len(problem.pieces)
     too_many = (
@@ -367,12 +400,27 @@ def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = 
     )
     if sum(math.ceil(abs(b - a) / _SAMPLE_SPACING) for sides in edges for a, b in sides) > limit:
         raise NumericalError(too_many)
-    contours = []
+    parts = []  # each polygon's samples in order; None stands for a plain edge's, laid in one pass
+    plain = []
+    sizes = []
     for vertices, sides in zip(polygons, edges):
-        samples = [_edge_samples(a, b, centres) for a, b in sides]
-        contours.append(np.concatenate(samples + [np.array(vertices[:1], dtype=complex)]))
-    owner = np.repeat(np.arange(len(polygons)), [contour.size for contour in contours])
-    z = np.concatenate(contours)
+        size = 1
+        for a, b in sides:
+            length, n, unit, arcs = _edge(a, b, centres)
+            if arcs:
+                parts.append(_edge_samples(a, b, centres))
+                size += parts[-1].size
+            else:
+                parts.append(None)
+                plain.append((a, length, n, unit))
+                size += n
+        parts.append(np.array(vertices[:1], dtype=complex))
+        sizes.append(size)
+    if plain:
+        even = iter(np.split(_even_samples(plain), np.cumsum([n for _, _, n, _ in plain])[:-1]))
+        parts = [next(even) if part is None else part for part in parts]
+    owner = np.repeat(np.arange(len(polygons)), sizes)
+    z = np.concatenate(parts)
     d, dd, err = _d_batch(z, problem)
     failed = np.zeros(len(polygons), dtype=bool)
     while True:
@@ -399,7 +447,20 @@ def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = 
         owner = np.insert(owner, coarse + 1, owner[coarse])
     winding = np.bincount(owner[1:][within], weights=step[within], minlength=len(polygons))
     winding[failed] = 0.0
-    return np.where(failed, -1, np.rint(winding / (2.0 * math.pi)).astype(int))
+    counts = np.where(failed, -1, np.rint(winding / (2.0 * math.pi)).astype(int))
+    sums = np.zeros((len(polygons), moments), dtype=complex)
+    if moments:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_step = (np.diff(np.log(np.abs(d))) + 1j * step)[within] / (2j * math.pi)
+        centre = np.array([sum(vertices) / len(vertices) for vertices in polygons])
+        mine = owner[1:][within]
+        offset = (0.5 * (z[1:] + z[:-1]))[within] - centre[mine]
+        term = log_step
+        for p in range(moments):
+            term = term * offset
+            sums[:, p] = np.bincount(mine, term.real, len(polygons))
+            sums[:, p] += 1j * np.bincount(mine, term.imag, len(polygons))
+    return counts, sums
 
 
 def _box(x0: float, x1: float, y0: float, y1: float) -> list:
@@ -408,7 +469,8 @@ def _box(x0: float, x1: float, y0: float, y1: float) -> list:
 
 
 def _strip_boxes(problem: TelegrapherProblem) -> tuple:
-    """(boxes, the zeros of D in each): the strip less its notches, cut into (x0, x1, y0, y1) boxes.
+    """(boxes, the zeros of D in each, their power sums): the strip less its notches, cut into
+    (x0, x1, y0, y1) boxes.
 
     The notches around 0 and re_max have half-side rho = min(_EXCLUSION,
     re_max/4), so that they never meet. The strip is cut into rows, odd in
@@ -431,23 +493,25 @@ def _strip_boxes(problem: TelegrapherProblem) -> tuple:
         if lo < -rho and hi > rho:
             boxes += [(x, x + rho, lo, -rho) for x in (0.0, b - rho)]
             boxes += [(x, x + rho, rho, hi) for x in (0.0, b - rho)]
-        counts = _zeros_inside([_box(*box) for box in boxes], problem, (0.0, complex(b)))
+        counts, sums = _zeros_inside([_box(*box) for box in boxes], problem, (0.0, complex(b)), _BUSY)
         if (counts >= 0).all() or rows == 1:
             break
     if (counts < 0).any():
         raise NumericalError(
             f"telegrapher gap: argument-principle count failed on {np.sum(counts < 0)} of {len(boxes)} boxes"
         )
-    return boxes, counts
+    return boxes, counts, sums
 
 
 @dataclass(eq=False)
 class _Box:
     """A box x0 < Re < x1, y0 < Im < y1 of the root search, holding ``count`` zeros of D.
 
-    ``roots`` are the (root, multiplicity, half-side of its counting square)
-    found in it, ``squares`` the (centre, half-side) squares counted in it,
-    and ``split`` whether it is to be cut in four.
+    ``sums`` are their power sums about the box's centre, p = 1 .. _BUSY
+    (_zeros_inside), empty where they were not taken. ``roots`` are the
+    (root, multiplicity, half-side of its counting square) found in it,
+    ``squares`` the (centre, half-side) squares counted in it, and
+    ``split`` whether it is to be cut in four.
     """
 
     x0: float
@@ -455,6 +519,7 @@ class _Box:
     y0: float
     y1: float
     count: int
+    sums: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
     roots: list = field(default_factory=list)
     squares: list = field(default_factory=list)
     split: bool = False
@@ -492,6 +557,8 @@ def _newton(z: np.ndarray, owner: list, problem: TelegrapherProblem) -> np.ndarr
     poles = [(which == i, r, m) for box, i in index.items() for r, m, _ in box.roots]
     active = np.arange(z.size)
     for k in range(_NEWTON_ITERS):
+        if not active.size:
+            break
         za = z[active]
         d, dd, err = _d_batch(za, problem)
         if k >= _NEWTON_WANDER:
@@ -500,8 +567,6 @@ def _newton(z: np.ndarray, owner: list, problem: TelegrapherProblem) -> np.ndarr
             za = za[near]
             d = d[near]
             dd = dd[near]
-        if not active.size:
-            break
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             rate = dd / d
             for mine, r, m in poles:
@@ -515,8 +580,63 @@ def _newton(z: np.ndarray, owner: list, problem: TelegrapherProblem) -> np.ndarr
     return z
 
 
+def _polynomial_roots(coefficients: list) -> list:
+    """The roots of w^m + a_1 w^(m-1) + ... + a_m, given a_1 .. a_m, by Aberth's iteration.
+
+    m is at most _BUSY, so plain complex arithmetic does it, with no
+    eigenvalue solver to load. The roots lie within twice the largest
+    |a_k|^(1/k) (Fujiwara), and the iteration starts from m points on a
+    circle of that radius, turned off the real axis, to which real
+    coefficients would otherwise hold a real start. It stops once no root moves by more than
+    _ABERTH_TOL of the radius, or after _ABERTH_ITERS sweeps, which leaves
+    the roots of a multiple factor, where it converges only linearly, close
+    enough to seed Newton.
+    """
+    m = len(coefficients)
+    radius = max(abs(c) ** (1.0 / k) for k, c in enumerate(coefficients, 1))
+    if radius == 0.0:
+        return [0j] * m
+    w = [radius * cmath.exp(1j * (2.0 * math.pi * k / m + 0.4)) for k in range(m)]
+    for _ in range(_ABERTH_ITERS):
+        moved = 0.0
+        for i in range(m):
+            p, dp = 1.0, 0.0
+            for c in coefficients:
+                dp = dp * w[i] + p
+                p = p * w[i] + c
+            if p == 0.0:
+                continue
+            repulsion = sum(1.0 / (w[i] - w[j]) for j in range(m) if j != i)
+            step = 1.0 / (dp / p - repulsion)
+            w[i] -= step
+            moved = max(moved, abs(step))
+        if moved <= _ABERTH_TOL * radius:
+            break
+    return w
+
+
+def _moment_seeds(box: _Box) -> np.ndarray:
+    """Estimates of the m zeros a box misses, from its power sums: the roots of the degree-m
+    polynomial whose power sums are the box's, less each found root's multiplicity times
+    (root - centre)^p, by Newton's identities. Empty where m <= 0, and NaN where m passes the
+    sums the box carries (it misses more than _BUSY zeros, or was not counted with them).
+    """
+    m = box.missing()
+    if m <= 0:
+        return np.zeros(0, dtype=complex)
+    if m > box.sums.size:
+        return np.full(m, np.nan, dtype=complex)
+    c = sum(_box(box.x0, box.x1, box.y0, box.y1)) / 4.0  # the centre _zeros_inside takes the sums about
+    power = [s - sum(k * (r - c) ** p for r, k, _ in box.roots) for p, s in enumerate(box.sums[:m].tolist(), 1)]
+    elementary = [1.0]  # e_k of the missing zeros, by k e_k = sum_i (-1)^(i-1) e_(k-i) power_i
+    for k in range(1, m + 1):
+        elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power[i - 1] for i in range(1, k + 1)) / k)
+    return c + np.array(_polynomial_roots([(-1) ** k * e for k, e in enumerate(elementary[1:], 1)]), dtype=complex)
+
+
 def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
-    """Newton from a ``seeds`` grid in each box; then meet each box's count, or mark it to split.
+    """Newton from each box's moment seeds, one per zero it misses (_moment_seeds), or from a
+    ``seeds`` grid where they are not all finite; then meet each box's count, or mark it to split.
 
     A candidate is a Newton limit in its box, outside the squares counted
     there, where |D| < 1e-9 or is within its rounding error. The best
@@ -530,14 +650,17 @@ def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
     """
     u = (np.arange(seeds[0]) + 0.5) / seeds[0]
     v = (np.arange(seeds[1]) + 0.5) / seeds[1]
-    grids = []
+    starts = []
     owner = []
     for box in boxes:
-        re = box.x0 + (box.x1 - box.x0) * u
-        im = box.y0 + (box.y1 - box.y0) * v
-        grids.append((re[:, None] + 1j * im[None, :]).ravel())
-        owner += [box] * (u.size * v.size)
-    z = _newton(np.concatenate(grids), owner, problem)
+        start = _moment_seeds(box)
+        if not np.isfinite(start).all():
+            re = box.x0 + (box.x1 - box.x0) * u
+            im = box.y0 + (box.y1 - box.y0) * v
+            start = (re[:, None] + 1j * im[None, :]).ravel()
+        starts.append(start)
+        owner += [box] * start.size
+    z = _newton(np.concatenate(starts), owner, problem)
     keep = np.flatnonzero(np.isfinite(z) & _inside(owner, z))
     z = z[keep]
     owner = [owner[i] for i in keep]
@@ -560,7 +683,7 @@ def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
             box.split = True
             ladder += [(box, complex(z[i])) for i in mine]
     rungs = [_box(r.real - h, r.real + h, r.imag - h, r.imag + h) for _, r in ladder for h in _MULTIPLICITY_SQUARES]
-    counts = _zeros_inside(rungs, problem).reshape(len(ladder), len(_MULTIPLICITY_SQUARES))
+    counts = _zeros_inside(rungs, problem)[0].reshape(len(ladder), len(_MULTIPLICITY_SQUARES))
     for (box, r), row in zip(ladder, counts):
         if box.missing() <= 0 or _spent(r, box.squares):
             continue
@@ -577,7 +700,7 @@ def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
 
 
 def _split(boxes: list, problem: TelegrapherProblem) -> list:
-    """The boxes cut in up to four, each child with its count and the parent's roots inside it.
+    """The boxes cut in up to four, each child with its count, power sums and the parent's roots inside it.
 
     Each side at least half as long as the other is cut at its fraction in
     the first pair of _SPLITS. A box with a child that fails to count, its
@@ -593,13 +716,15 @@ def _split(boxes: list, problem: TelegrapherProblem) -> list:
             xs = (box.x0, box.x0 + fx * w, box.x1) if 2.0 * w >= h else (box.x0, box.x1)
             ys = (box.y0, box.y0 + fy * h, box.y1) if 2.0 * h >= w else (box.y0, box.y1)
             cuts += [(box, (a, b, c, d)) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])]
-        counts = _zeros_inside([_box(*cut) for _, cut in cuts], problem, (0.0, complex(problem.re_max)))
+        counts, sums = _zeros_inside(
+            [_box(*cut) for _, cut in cuts], problem, (0.0, complex(problem.re_max)), _BUSY
+        )
         failed = {box for (box, _), n in zip(cuts, counts) if n < 0}
-        for (box, (x0, x1, y0, y1)), n in zip(cuts, counts):
+        for (box, (x0, x1, y0, y1)), n, moments in zip(cuts, counts, sums):
             if box in failed or n == 0:
                 continue
             roots = [r for r in box.roots if x0 < r[0].real < x1 and y0 < r[0].imag < y1]
-            children.append(_Box(x0, x1, y0, y1, int(n), roots, list(box.squares)))
+            children.append(_Box(x0, x1, y0, y1, int(n), moments, roots, list(box.squares)))
         boxes = [box for box in boxes if box in failed]
         if not boxes:
             return children
@@ -645,11 +770,13 @@ def telegrapher_gap(
     """Find every eigenvalue in the strip 0 < Re < re_max, |Im| <= im_max.
 
     1. Count them, multiplicity included, by the argument principle on D,
-       box by box over the strip (_strip_boxes).
-    2. Locate them by Newton on D, from a ``seeds`` grid laid in each box
-       that holds one; split the boxes where Newton falls short, and count
-       the multiplicity of the roots where a box's distinct roots are fewer
-       than its count (_locate).
+       box by box over the strip, along with their power sums (_strip_boxes).
+    2. Locate them by Newton on D, from the zeros each box's power sums
+       give, one per zero it misses (_moment_seeds); split the boxes where
+       Newton falls short, and count the multiplicity of the roots where a
+       box's distinct roots are fewer than its count (_locate). ``seeds``
+       is the grid of Newton seeds laid instead in a box whose sums give no
+       finite seeds, or which misses more than _BUSY zeros.
     3. Anything but exactly the counted number, multiplicity included,
        raises NumericalError, as does an empty strip.
 
@@ -659,11 +786,11 @@ def telegrapher_gap(
     """
     if min(seeds) < 1:
         raise ValidationError(f"seeds must be positive, got {seeds}")
-    boxes, counts = _strip_boxes(problem)
+    boxes, counts, sums = _strip_boxes(problem)
     count = int(counts.sum())
     if count == 0:
         raise NumericalError("telegrapher gap: no eigenvalues found in the search strip; enlarge re_max/im_max")
-    roots = _locate([_Box(*box, int(n)) for box, n in zip(boxes, counts) if n > 0], problem, seeds)
+    roots = _locate([_Box(*box, int(n), s) for box, n, s in zip(boxes, counts, sums) if n > 0], problem, seeds)
     found = sum(m for _, m, _ in roots)
     if found != count:
         raise NumericalError(f"telegrapher gap: root search: found {found} of {count} counted roots")

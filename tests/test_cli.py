@@ -251,6 +251,25 @@ class TestSubcommands:
         assert iterates[0] == pytest.approx(0.385216, abs=1e-6)
         assert iterates[-1] == pytest.approx(0.440748, abs=1e-5)
 
+    @pytest.mark.parametrize("flags", [["--sigma", "{}", "--improve"], ["--weight", "{}"]], ids=["improve", "weight"])
+    def test_poincare_refuses_a_weight_past_the_piece_bound_before_any_count(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        # each count passes over every piece in Python: --improve at 2**20 samples ran for tens of minutes
+        def refuse(*args):
+            raise AssertionError("counted")
+
+        bound = cli.poincare_mod._MAX_PIECES
+        path = tmp_path / "sigma.csv"
+        GridFunction(2.0 + np.sin(np.arange(bound + 2) * 2 * np.pi / (bound + 2))).to_csv(path)
+        monkeypatch.setattr(cli.poincare_mod, "_count", refuse)
+        argv = [flag.format(f"file:{path}") for flag in flags]
+        assert run("poincare", *argv, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: a Poincaré weight of {bound + 2} pieces passes the bound of {bound} pieces"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -312,6 +331,20 @@ class TestSubcommands:
         assert capsys.readouterr().err == (
             "numerical failure: telegrapher gap: argument-principle count failed: over 400 samples "
             "in one batch of contours, the bound at 10000 pieces\n"
+        )
+
+    def test_appendix_a_refuses_alpha_star_rounded_to_theta_star(self, tmp_path, capsys, monkeypatch):
+        # alpha* = sigma_min (4 + r - sigma_min sigma_max)/(4 + r - sigma_min^2) rounds to theta* =
+        # sigma_min here, so the improved rate's bracket is empty; the refusal named --alpha0, a
+        # flag appendix-a does not take, and came after the gap
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli.tele_mod, "telegrapher_gap", refuse)
+        assert run("appendix-a", "--sigma", "pc:1e-300@pi,1@2pi", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "error: improved rate: alpha* = theta* = 1e-300 in floating point; the improved rate lies "
+            "between them, so there is no bracket to bisect\n"
         )
 
     def test_telegrapher(self, tmp_path, capsys):
