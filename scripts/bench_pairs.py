@@ -3,6 +3,8 @@
     python3 scripts/bench_pairs.py --parent HEAD --topic telegrapher_moments \\
         --workload rate-certify --seeds 10 --seconds 30
 
+A workload given as NAME:SEEDS runs seeds 1 .. SEEDS in place of --seeds.
+
 The parent commit is unpacked with ``git archive`` into a fresh directory
 (under ``--scratch``, a new temporary one by default); the change is the
 working tree. For each seed the two sides run
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit the working tree is measured against")
     parser.add_argument("--topic", required=True, help="names the output, BENCH_<topic>.json")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="NAME or NAME:SEEDS")
     parser.add_argument("--seeds", type=int, default=10, help="seeds 1 .. SEEDS, one pair each")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--scratch", help="where the parent is unpacked (default: a new temporary directory)")
@@ -112,8 +114,9 @@ def main(argv=None) -> int:
 
     workloads = {}
     machine = None
-    for workload in args.workload:
-        seeds = list(range(1, args.seeds + 1))
+    for spec in args.workload:
+        workload, _, count = spec.partition(":")
+        seeds = list(range(1, int(count or args.seeds) + 1))
         runs = {"parent": [], "change": []}
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -132,8 +135,8 @@ def main(argv=None) -> int:
                     "os": f"{platform.system()} {platform.release()}"},
         "method": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, in an "
                    "archive of the parent commit and in the working tree, one after the other, the parent first "
-                   f"on odd seeds; seeds 1-{args.seeds}. Medians and quartiles are over seeds (numpy linear "
-                   "percentiles); parent_iqr is the distance between the parent's quartiles; a gain wins at least "
+                   "on odd seeds; seeds 1 to each workload's count. Medians and quartiles are over seeds "
+                   "(numpy linear percentiles); parent_iqr is the distance between the parent's quartiles; a gain wins at least "
                    "nine tenths of the pairs with the medians further apart than parent_iqr; within_bound compares "
                    "the medians against BENCHMARK.json's bound. PYTHONDONTWRITEBYTECODE is set on both sides."),
         "workloads": workloads,

@@ -31,6 +31,15 @@ binary powering from the Horner stages and a whole record interval is one
 vector-matrix product; on larger grids the Horner stages step the state.
 So the record stride changes the rounding of an RK4 run, not its scheme.
 
+At constant sigma either scheme maps each Fourier mode of the kinetic rows
+to itself by a V x V matrix, its symbol, and a record interval of r steps
+is the symbol's r-th power. A constant-sigma run whose record stride
+r = min(record_every, steps) is at least _MODE_STRIDE is stepped by
+_mode_step: it carries the rfft of the kinetic rows and takes a record
+interval as one product with the cached power and one irfft, so its cost
+goes with the records, not the steps. It is the same scheme, rounded
+differently. Other runs keep the steppers in x.
+
 Relaxation keeps the summed density S = sum_i f_i pointwise, so a scheme
 whose transport keeps |L|, L = sum_j (-1)^j S_j / n the checkerboard of S,
 never damps it: RK4, whose spectral derivative is zero at Nyquist, and the
@@ -442,10 +451,114 @@ def _step_power(horner, count: int, n: int, stride: int) -> np.ndarray:
     return power
 
 
+#: Shortest record stride r = min(record_every, steps) that a constant-sigma
+#: run steps by _mode_step. A mode record costs one product with the symbol
+#: power and one irfft, whatever r is. On a shared 2-core Xeon VM (numpy
+#: 2.4.6), two and three velocities: 12-14 us at n = 256 and 70-120 us at
+#: n = 4096, against 4.1-4.2 us and 12-16 us for one moving-frame step. The
+#: power's build adds a few such products per run. It must stay above 7,
+#: the stride whose RK4 blow-up test pins the step matrix's rounding.
+_MODE_STRIDE = 16
+
+
+def _mode_step(velocities, sig: float, dt: float, n: int, scheme: str, stride: int, f):
+    """Either scheme at constant sigma, stepped one Fourier mode at a time; returns (advance, finish).
+
+    At constant sigma both schemes map each Fourier mode k = 0 .. n/2 of
+    the kinetic rows to itself, by a V x V matrix G_k, the scheme's symbol;
+    the symbols are one (V, V, n/2 + 1) array. The split step is the Strang
+    step itself, G_k = R(dt/2) P_k R(dt/2), with the transport phases
+    P_k = diag(exp(-2 pi i k c_i m / n)) and the relaxation
+    R(tau) = e I + (1 - e) 11^T / V, e = exp(-sigma tau). RK4's G_k is the
+    Horner polynomial of h A_k, A_k = -i k diag(c) - sigma (I - 11^T / V),
+    with the transport of mode n // 2 zeroed as in _rk4_step.
+
+    The stepper carries the rfft of f, forward-normalised so that no mode
+    exceeds max |f| and the carried state overflows no earlier than f. A
+    record interval of ``stride`` steps is the symbols' power G_k^stride,
+    built once by _symbol_power, and advance(k) steps each whole stride by
+    one product with it and a shorter rest by products with G_k, then
+    returns the irfft, a new (V, n) array. A run's last interval is its
+    only shorter one, and its steps cost about what the rest's own power
+    would cost to build; not building it keeps one (V, V, n/2 + 1) array
+    fewer. If the power has a non-finite entry, which happens only far past
+    RK4's stability limit, every step is one product with G_k, so that a
+    zero state stays zero. The carried state is f itself, so finish is the
+    identity.
+    """
+    symbol = _mode_symbol(velocities, sig, dt, n, scheme)
+    power = _symbol_power(symbol, stride)
+    if stride > 1 and not np.isfinite(power).all():
+        stride, power = 1, symbol
+    state = np.fft.rfft(f, axis=-1, norm="forward")
+
+    def advance(k):
+        nonlocal state
+        for _ in range(k // stride):
+            state = np.einsum("ijk,jk->ik", power, state)
+        for _ in range(k % stride):
+            state = np.einsum("ijk,jk->ik", symbol, state)
+        return np.fft.irfft(state, n, axis=-1, norm="forward")
+
+    return advance, lambda states: states
+
+
+def _mode_symbol(velocities, sig: float, dt: float, n: int, scheme: str) -> np.ndarray:
+    """The (V, V, n/2 + 1) symbols G_k of one step of ``scheme``, as _mode_step defines them."""
+    count, modes = len(velocities), n // 2 + 1
+    wavenumbers = np.arange(modes)
+    if scheme == SCHEME_SPLIT:
+        shift = _split_shift_cells(dt, TWO_PI / n) % n
+        # the angle reduced mod n in integers, so that it stays exact at any k c_i m
+        phases = np.exp(-1j * TWO_PI / n * (np.outer(velocities, wavenumbers) * shift % n))
+        half = math.exp(-sig * dt / 2.0)
+        relax = half * np.eye(count) + (1.0 - half) / count
+        return np.tensordot(relax[:, :, None] * relax, phases, axes=(1, 0))
+    generator = np.zeros((count, count, modes), dtype=complex)
+    generator += (-sig * (np.eye(count) - 1.0 / count))[:, :, None]
+    transport = -1j * np.outer(velocities, wavenumbers)
+    transport[:, n // 2] = 0.0
+    generator[range(count), range(count)] += transport
+    symbol = np.eye(count)[:, :, None]
+    for k in (4, 3, 2, 1):
+        symbol = _symbol_product(generator, symbol)
+        symbol *= dt / k
+        symbol[range(count), range(count)] += 1.0
+    return symbol
+
+
+def _symbol_product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """The product a_k b_k of two (V, V, K) stacks of per-mode matrices, mode by mode.
+
+    einsum sums over the inner index in its own loop, so the product holds
+    no temporary beside its (V, V, K) result.
+    """
+    return np.einsum("ijk,jlk->ilk", a, b, out=out)
+
+
+def _symbol_power(symbol: np.ndarray, k: int) -> np.ndarray:
+    """symbol_k^k for every mode, by binary powering from the leading bit of k down.
+
+    Each product goes into one spare array, which then swaps roles with the
+    power, so the build holds two arrays beside the symbol.
+    """
+    power, spare = symbol.copy(), np.empty_like(symbol)
+    for bit in bin(k)[3:]:
+        _symbol_product(power, power, out=spare)
+        power, spare = spare, power
+        if bit == "1":
+            _symbol_product(power, symbol, out=spare)
+            power, spare = spare, power
+    return power
+
+
 #: Most cell updates, steps times V*n cells, one run may ask for: about 20 s
 #: of split steps at the 4e8 to 6e8 cell updates per second measured at
 #: n = 4096, two and three velocities (BENCH_split_frames.json). The largest
-#: benchmark run asks for 4e7.
+#: benchmark run asks for 4e7. The bound holds for runs that _mode_step
+#: steps too, although they cost per record, not per step: past RK4's
+#: stability limit they fall back to one product per step, and a run is
+#: accepted or refused by its size alone, whatever its sigma.
 _MAX_CELL_UPDATES = 10**10
 #: Largest |L| taken as rounding, relative to max |f|, not max |S|: S rounds
 #: relative to f, so a small S beside a large f is not refused for its rounding.
@@ -477,8 +590,8 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     """Advance the kinetic array f, shape (V, n), and record system.columns.
 
     Records fall at t0, every ``record_every`` steps and at the last step;
-    the stepper advances one record interval per call, so the RK4 stepper
-    caches the power of its step matrix for r = min(record_every, steps).
+    the stepper advances one record interval per call, so the RK4 and mode
+    steppers cache the power of their step for r = min(record_every, steps).
     Each recorded carried state is copied into a stage; when the stage is
     full, or at the last step, one pass finishes and records the whole block.
     A blow-up is looked for once per block, before its record pass, and
@@ -536,10 +649,13 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     done, staged, previous = 1, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
-        if scheme == SCHEME_SPLIT:
+        stride = min(record_every, steps)
+        if profile.is_constant and stride >= _MODE_STRIDE:
+            advance, finish = _mode_step(system.velocities, sig[0], dt, n, scheme, stride, f)
+        elif scheme == SCHEME_SPLIT:
             advance, finish = _split_step(system.velocities, sig, dt, n, f)
         else:
-            advance, finish = _rk4_step(system.velocities, sig, dt, n, min(record_every, steps), f)
+            advance, finish = _rk4_step(system.velocities, sig, dt, n, stride, f)
         for step in itertools.chain(range(record_every, steps, record_every), [steps]):
             f = advance(step - previous)
             previous = step

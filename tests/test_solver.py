@@ -311,6 +311,7 @@ def no_steps(monkeypatch):
 
     monkeypatch.setattr(solver, "_split_step", refuse)
     monkeypatch.setattr(solver, "_rk4_step", refuse)
+    monkeypatch.setattr(solver, "_mode_step", refuse)
 
 
 class TestCheckerboardRule:
@@ -337,15 +338,19 @@ class TestCheckerboardRule:
         f = np.vstack([random_band_limited(n, seed=s).values for s in range(len(velocities))])
         f[0] += self.ALTERNATING
         sig = RelaxationProfile.two_piece(1.0, 4.0).sample(n)
+        # m scales the step, which RK4's rule does not depend on
+        dt = m * dx if scheme == "split" else m * dx / 4
         if scheme == "split":
-            advance, finish = solver._split_step(velocities, sig, m * dx, n, f)
-        else:  # m scales the step, which RK4's rule does not depend on
-            advance, finish = solver._rk4_step(velocities, sig, m * dx / 4, n, 1, f)
-        after = abs(self.checkerboard(finish(advance(100).copy())))
-        if scheme == "rk4" or len(velocities) == 2 or m % 2 == 0:
-            assert after == pytest.approx(1.0, rel=1e-12)
-        else:  # the rows of c_i = 0 and c_i = +-1 flip apart and relaxation damps their difference
-            assert after < 1e-2
+            stepper = solver._split_step(velocities, sig, dt, n, f)
+        else:
+            stepper = solver._rk4_step(velocities, sig, dt, n, 1, f)
+        # constant sigma, stepped mode by mode, follows the same rule
+        for advance, finish in (stepper, solver._mode_step(velocities, 4.0, dt, n, scheme, 100, f)):
+            after = abs(self.checkerboard(finish(advance(100).copy())))
+            if scheme == "rk4" or len(velocities) == 2 or m % 2 == 0:
+                assert after == pytest.approx(1.0, rel=1e-12)
+            else:  # the rows of c_i = 0 and c_i = +-1 flip apart and relaxation damps their difference
+                assert after < 1e-2
 
     @pytest.mark.parametrize(
         "system, scheme, cells, named",
@@ -751,12 +756,14 @@ class TestRK4Oracle:
     def test_overflowing_power_falls_back_to_single_steps(self):
         # at dt = 0.5, far past RK4's stability limit, M^400 overflows, and a
         # product with it would turn even the zero state into NaN (0 * inf);
-        # single steps keep it zero
+        # single steps keep it zero. Constant sigma runs the per-mode power,
+        # two-piece sigma the step matrix's
         zero = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.zeros(64)))
-        traj = simulate_2v(zero, const(1.0), 200.0, dt=0.5, scheme="rk4", theta=1.0, record_every=1000)
-        assert traj.times.tolist() == [0.0, 200.0]
-        for name, column in traj.columns.items():
-            assert np.array_equal(column, [0.0, 0.0]), name
+        for sigma in (const(1.0), RelaxationProfile.two_piece(1.0, 2.0)):
+            traj = simulate_2v(zero, sigma, 200.0, dt=0.5, scheme="rk4", theta=1.0, record_every=1000)
+            assert traj.times.tolist() == [0.0, 200.0]
+            for name, column in traj.columns.items():
+                assert np.array_equal(column, [0.0, 0.0]), name
 
     @pytest.mark.parametrize("stride", [1, 7, 64, 1000])
     def test_power_build_holds_at_most_one_extra_matrix(self, stride):
@@ -775,6 +782,142 @@ class TestRK4Oracle:
             tracemalloc.stop()
         assert held < 1.1 * matrix_bytes
         assert peak < (2 if stride == 1 else 3) * matrix_bytes
+
+
+class TestModeStepOracle:
+    """The per-mode stepper against the moving-frame and RK4 steppers on constant sigma.
+
+    333 steps leave a remainder for every stride but the one past the run,
+    which the stepper takes one symbol product at a time. The per-mode
+    products round differently from the steppers in x; the bounds allow
+    about five times the measured differences.
+    """
+
+    SIGMAS = (0.5, 12.0)
+    STRIDES = (16, 64, 200, 400)
+
+    @staticmethod
+    def records(steps, stride):
+        return [*range(stride, steps, stride), steps]
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("cells", [1, 3, 128, 129, 255, 256], ids=["1", "3", "n/2", "n/2+1", "n-1", "n"])
+    @pytest.mark.parametrize("velocities", [(1, -1), (1, 0, -1)], ids=["2v", "3v"])
+    def test_split_records_match_the_moving_frames(self, velocities, cells, stride):
+        # measured: within 8.3e-14 of the largest kinetic value
+        n, steps = 256, 333
+        dt = cells * 2 * np.pi / n
+        f = np.random.default_rng(cells).standard_normal((len(velocities), n))
+        for sigma in self.SIGMAS:
+            advance, finish = solver._mode_step(velocities, sigma, dt, n, "split", stride, f)
+            frames, frames_finish = solver._split_step(velocities, np.full(n, sigma), dt, n, f)
+            done = 0
+            for step in self.records(steps, stride):
+                got = finish(advance(step - done))
+                want = frames_finish(frames(step - done).copy())
+                assert np.max(np.abs(got - want)) < 4e-13 * np.max(np.abs(want)), (sigma, step)
+                done = step
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("n", [128, 512], ids=["matrix", "horner"])
+    @pytest.mark.parametrize("velocities", [(1, -1), (1, 0, -1)], ids=["2v", "3v"])
+    def test_rk4_records_match_single_steps(self, velocities, n, stride):
+        # measured: within 3e-14 of the largest kinetic value
+        steps, dt = 333, np.pi / n
+        f = np.random.default_rng(n).standard_normal((len(velocities), n))
+        for sigma in self.SIGMAS:
+            advance, _ = solver._mode_step(velocities, sigma, dt, n, "rk4", stride, f)
+            single, _ = solver._rk4_step(velocities, np.full(n, sigma), dt, n, 1, f)
+            done = 0
+            for step in self.records(steps, stride):
+                got, want = advance(step - done), single(step - done)
+                assert np.max(np.abs(got - want)) < 2e-13 * np.max(np.abs(want)), (sigma, step)
+                done = step
+
+    @pytest.mark.parametrize("scheme, n", [("split", 256), ("rk4", 128)])
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_runs_match_the_steppers_in_x(self, system, scheme, n, monkeypatch):
+        # At T = 30 the entropy falls by up to 16 orders, so its difference is
+        # bounded against sqrt(E(t) E(0)): a state that differs by rounding,
+        # eps max |f|, moves E by about eps sqrt(E(t) E(0)). Measured: columns
+        # within 3.3e-14 of their maximum, the mass within 3.9e-13 relative and
+        # the entropy within 1.4e-14 sqrt(E(t) E(0))
+        fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
+        simulate, init = (
+            (simulate_2v, MacroState2V(*fields[:2])) if system == "2v" else (simulate_3v, to_macro3(*fields))
+        )
+        for sigma in (const(1.0), const(5.0)):
+            for record_every in (16, 64, 200, 10**9):
+                got = simulate(init, sigma, 30.0, scheme=scheme, theta=0.9, record_every=record_every)
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "_MODE_STRIDE", 10**12)
+                    want = simulate(init, sigma, 30.0, scheme=scheme, theta=0.9, record_every=record_every)
+                assert np.array_equal(got.times, want.times)
+                for name, column in want.columns.items():
+                    if name == "mass":
+                        assert np.max(np.abs(got[name] - column) / np.abs(column)) < 2e-12, name
+                    else:
+                        assert np.max(np.abs(got[name] - column)) < 2e-13 * np.max(np.abs(column)), name
+                e = want["entropy"]
+                assert np.max(np.abs(got["entropy"] - e) / np.sqrt(e * e[0])) < 1e-13
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    @pytest.mark.parametrize(
+        "sigma, record_every, steps, mode",
+        [
+            ("const:1", 0, 100, True),
+            ("const:1", -1, 100, False),
+            ("const:1", 10**9, 0, True),
+            ("const:1", 10**9, -1, False),
+            ("pc:1@pi,4@2pi", 64, 100, False),
+        ],
+        ids=["const-at", "const-below", "const-run-at", "const-run-below", "two-piece"],
+    )
+    def test_taken_exactly_at_constant_sigma_and_long_strides(
+        self, scheme, sigma, record_every, steps, mode, monkeypatch
+    ):
+        # record_every and steps count from the threshold when at most 0; the
+        # stride is r = min(record_every, steps)
+        threshold = solver._MODE_STRIDE
+        assert threshold > 7  # the stride-7 blow-up pin runs the step matrix
+        record_every = threshold + record_every if record_every <= 0 else record_every
+        steps = threshold + steps if steps <= 0 else steps
+        taken = []
+        for name in ("_split_step", "_rk4_step", "_mode_step"):
+            stepper = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name, lambda *args, name=name, stepper=stepper: taken.append(name) or stepper(*args)
+            )
+        n = 64
+        dt = 2 * np.pi / n if scheme == "split" else np.pi / n
+        init = MacroState2V(random_band_limited(n, seed=0), random_band_limited(n, seed=1))
+        profile = RelaxationProfile.parse(sigma)
+        simulate_2v(init, profile, steps * dt, dt=dt, scheme=scheme, theta=1.0, record_every=record_every)
+        assert taken == ["_mode_step" if mode else f"_{scheme}_step"]
+
+    @pytest.mark.parametrize("stride", [64, 1000])
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    def test_power_build_holds_no_temporary_past_the_symbol_size(self, scheme, stride):
+        # one (V, V, n/2 + 1) stack of symbols is a matrix here. Held after
+        # the first record: the symbol, its power, the carried modes and the
+        # record (2.67 matrices at three velocities). Peak: the symbol, the
+        # power and its spare while powering, with the carried modes (3.34
+        # split); RK4's symbol build holds the generator too (3.73).
+        # Broadcasting a product over (V, V, V, n/2 + 1) would add V matrices
+        n, velocities = 4096, (1, 0, -1)
+        matrix_bytes = len(velocities) ** 2 * (n // 2 + 1) * 16
+        dt = 2 * np.pi / n if scheme == "split" else np.pi / n
+        f = np.zeros((len(velocities), n))
+        tracemalloc.start()
+        try:
+            advance, _ = solver._mode_step(velocities, 1.0, dt, n, scheme, stride, f)
+            record = advance(stride)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.shape == f.shape
+        assert held < 3 * matrix_bytes
+        assert peak < 4 * matrix_bytes
 
 
 class TestFitting:
