@@ -29,9 +29,10 @@ strip's edge.
 
 The root search is certified, and isolates every root by counting (Delves &
 Lyness, Math. Comp. 1967; Kravanja & Van Barel, LNM 1727, 2000): the strip
-is cut into boxes, the argument principle counts the zeros of D in each, and
-Newton runs in each box that holds one, until every box holds its count. The
-contour that counts a box's zeros also gives their power sums, and Newton
+is cut into axis-parallel boxes, the argument principle counts the zeros of
+D in each, on samples of every box's edges laid in one pass, and Newton runs
+in each box that holds one, until every box holds its count. The contour
+that counts a box's zeros also gives their power sums, and Newton
 starts from the zeros those sums determine; a grid of seeds is laid only
 where they give none. The search leaves out squares around gamma = 0, the
 mass mode, and around re_max, where a constant profile has the simple zero
@@ -320,113 +321,102 @@ class GapResult:
         return abs(self.eigenvalue.imag) < 1e-9
 
 
-def _edge(a: complex, b: complex, centres: tuple) -> tuple:
-    """(length, n, unit, arcs) of the edge [a, b): its length, its count of evenly spaced
-    samples, its direction, and the arcs that grade it toward the centres (_edge_samples),
-    none where no centre is near enough to grade it."""
-    length = abs(b - a)
-    n = max(4, math.ceil(length / _SAMPLE_SPACING))
-    unit = (b - a) / length
-    arcs = []
-    for c in centres:
-        foot = min(max(((c - a) / unit).real, 0.0), length)
-        d = abs(a + unit * foot - c)
-        if _GRADING * d >= _SAMPLE_SPACING:
-            continue
-        rounds = math.ceil(math.log(_SAMPLE_SPACING / (_GRADING * d)) / math.log1p(_GRADING))
-        offsets = np.concatenate(
-            [
-                _GRADING * d * np.arange(math.ceil(1.0 / _GRADING)),
-                d * (1.0 + _GRADING) ** np.arange(rounds + 1),
-            ]
-        )
-        arcs += [foot - offsets, foot + offsets]
-    return length, n, unit, arcs
+def _centre(x0: float, x1: float, y0: float, y1: float) -> complex:
+    """The centre of the box x0 < Re < x1, y0 < Im < y1, the mean of its corners."""
+    return complex(x0 + x1 + x1 + x0, y0 + y0 + y1 + y1) / 4.0
 
 
-def _edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
-    """Samples of the edge [a, b): evenly spaced, at most _SAMPLE_SPACING apart,
-    and graded geometrically toward the point of the edge nearest each centre.
+def _contours(boxes: list, centres: tuple) -> tuple:
+    """(z, owner): the samples of the counter-clockwise contours of the (x0, x1, y0, y1) boxes,
+    laid end to end, each closed by its first corner, and the box each sample is of.
 
-    Around that point, at distance d from the centre, the samples are
-    _GRADING d apart out to d, then _GRADING times their offset from it,
-    until that reaches _SAMPLE_SPACING. Every step is then at most _GRADING
-    times the distance of its nearer end from each centre.
+    Each edge [a, b) of length L takes max(4, ceil(L / _SAMPLE_SPACING))
+    evenly spaced samples, every edge's in one pass. An edge at distance
+    d < _SAMPLE_SPACING / _GRADING from a centre is also graded
+    geometrically toward its point nearest that centre: there the samples
+    are _GRADING d apart out to d, then _GRADING times their offset from
+    it, until that reaches _SAMPLE_SPACING. Every step is then at most
+    _GRADING times the distance of its nearer end from each centre. The
+    distance is taken in complex scalar arithmetic, on the edges of the
+    boxes within twice that reach of a centre, so that rounding leaves out
+    none.
     """
-    length, n, unit, arcs = _edge(a, b, centres)
-    arc = np.unique(np.concatenate([length * np.arange(n) / n] + arcs))
-    return a + unit * arc[(arc >= 0.0) & (arc < length)]
+    corners = np.array(boxes, dtype=float).reshape(-1, 4)
+    x, y = corners[:, [0, 1, 1, 0]], corners[:, [2, 2, 3, 3]]  # each edge's start; the next edge's is its end
+    dx, dy = ((np.roll(v, -1, axis=1) - v).ravel() for v in (x, y))
+    length = np.hypot(dx, dy)
+    a, unit = np.empty((2, length.size), dtype=complex)
+    a.real, a.imag = x.ravel(), y.ravel()
+    unit.real, unit.imag = dx / length, dy / length  # part by part, as complex / float divides
+    n = np.maximum(4, np.ceil(length / _SAMPLE_SPACING).astype(int))
+    first = np.cumsum(n) - n
+    arc = np.repeat(length, n) * (np.arange(n.sum()) - np.repeat(first, n)) / np.repeat(n, n)
+    reach = 2.0 * _SAMPLE_SPACING / _GRADING
+    x0, x1, y0, y1 = corners.T
+    grading = {}
+    for c in centres:
+        near = (x0 - reach < c.real) & (c.real < x1 + reach) & (y0 - reach < c.imag) & (c.imag < y1 + reach)
+        for e in (4 * np.flatnonzero(near)[:, None] + np.arange(4)).ravel().tolist():
+            start, along, side = complex(a[e]), complex(unit[e]), float(length[e])
+            foot = min(max(((c - start) / along).real, 0.0), side)
+            d = abs(start + along * foot - c)
+            if _GRADING * d >= _SAMPLE_SPACING:
+                continue
+            rounds = math.ceil(math.log(_SAMPLE_SPACING / (_GRADING * d)) / math.log1p(_GRADING))
+            ring = d * (1.0 + _GRADING) ** np.arange(rounds + 1)
+            offsets = np.concatenate([_GRADING * d * np.arange(math.ceil(1.0 / _GRADING)), ring])
+            grading.setdefault(e, []).extend([foot - offsets, foot + offsets])
+    for e in sorted(grading, reverse=True):  # from the last, so that the earlier edges keep their place
+        graded = np.unique(np.concatenate([arc[first[e] : first[e] + n[e]], *grading[e]]))
+        graded = graded[(graded >= 0.0) & (graded < length[e])]
+        arc = np.concatenate([arc[: first[e]], graded, arc[first[e] + n[e] :]])
+        n[e] = graded.size
+    sizes = n.reshape(-1, 4).sum(axis=1)
+    z = np.insert(np.repeat(a, n) + np.repeat(unit, n) * arc, np.cumsum(sizes), a[::4])
+    return z, np.repeat(np.arange(sizes.size), sizes + 1)
 
 
-def _even_samples(edges: list) -> np.ndarray:
-    """The samples of edges that no centre grades, each given as (a, length, n, unit) (_edge), laid
-    end to end in one pass: length * arange(n) / n along each, the same samples, bit for bit, as
-    _edge_samples lays one edge at a time."""
-    a, length, n, unit = (np.array(column) for column in zip(*edges))
-    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    return np.repeat(a, n) + np.repeat(unit, n) * (np.repeat(length, n) * k / np.repeat(n, n))
-
-
-def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = (), moments: int = 0) -> tuple:
-    """(the zeros of D inside each counter-clockwise polygon, their power sums), by the argument
+def _zeros_inside(boxes: list, problem: TelegrapherProblem, centres: tuple = (), moments: int = 0) -> tuple:
+    """(the zeros of D inside each (x0, x1, y0, y1) box, their power sums), by the argument
     principle; the count is -1 where it fails.
 
-    arg D is sampled along each polygon's edges (graded toward ``centres``,
-    see _edge_samples; the edges that none grades are laid in one pass,
-    _even_samples), and every step is bisected until its phase change,
-    and its length times the larger |D'/D| at its two ends, are both at
-    most pi/4; a polygon's count is the sum of its steps over 2 pi. The
-    second test sees a pair of zeros close to an edge, whose 2 pi turn can
-    fall between two samples. The polygons are sampled and refined in one
-    batch. A polygon fails where |D| at a sample does not stand clear of its
-    rounding error, or where a step cannot be bisected further. Each sample
-    costs D a pass over the pieces, so a batch whose samples times pieces
-    pass 2 _MAX_SAMPLES raises, checked on the evenly spaced samples before
-    any is built, and again after each round of bisection.
+    arg D is sampled along each box's counter-clockwise contour, on samples
+    laid for every box in one pass and graded toward ``centres``
+    (_contours), and every step is bisected until its phase change, and
+    its length times the larger |D'/D| at its two ends, are both at most
+    pi/4; a box's count is the sum of its steps over 2 pi. The second test
+    sees a pair of zeros close to an edge, whose 2 pi turn can fall between
+    two samples. The boxes are sampled and refined in one batch. A box
+    fails where |D| at a sample does not stand clear of its rounding error,
+    or where a step cannot be bisected further. Each sample costs D a pass
+    over the pieces, so a batch whose samples times pieces would pass
+    2 _MAX_SAMPLES raises before D is evaluated on it: checked on the
+    edges' lengths over _SAMPLE_SPACING before any sample is laid, on the
+    samples laid, and on each round of bisection's midpoints.
 
-    The power sums s_p of the zeros about the polygon's centre c (the mean
-    of its vertices), p = 1 .. ``moments``, come from the same samples
-    (Delves & Lyness): the steps' increments of log D, log|d_{k+1}/d_k| +
-    i (the phase step), each weighted by ((z_k + z_{k+1})/2 - c)^p, summed
-    and divided by 2 pi i. They are returned as a (polygons, moments) array.
+    The power sums s_p of the zeros about the box's centre c (_centre),
+    p = 1 .. ``moments``, come from the same samples (Delves & Lyness): the
+    steps' increments of log D, log|d_{k+1}/d_k| + i (the phase step), each
+    weighted by ((z_k + z_{k+1})/2 - c)^p, summed and divided by 2 pi i.
+    They are returned as a (boxes, moments) array.
     """
-    if not polygons:
+    if not boxes:
         return np.zeros(0, dtype=int), np.zeros((0, moments), dtype=complex)
-    edges = [list(zip(vertices, vertices[1:] + vertices[:1])) for vertices in polygons]
     limit = 2 * _MAX_SAMPLES // len(problem.pieces)
     too_many = (
         f"telegrapher gap: argument-principle count failed: over {limit} samples in one batch of contours, "
         f"the bound at {len(problem.pieces)} pieces"
     )
-    if sum(math.ceil(abs(b - a) / _SAMPLE_SPACING) for sides in edges for a, b in sides) > limit:
+    sides = np.diff(np.reshape(boxes, (-1, 2, 2)))  # each box's width and height
+    if 2 * np.ceil(sides / _SAMPLE_SPACING).sum() > limit:
         raise NumericalError(too_many)
-    parts = []  # each polygon's samples in order; None stands for a plain edge's, laid in one pass
-    plain = []
-    sizes = []
-    for vertices, sides in zip(polygons, edges):
-        size = 1
-        for a, b in sides:
-            length, n, unit, arcs = _edge(a, b, centres)
-            if arcs:
-                parts.append(_edge_samples(a, b, centres))
-                size += parts[-1].size
-            else:
-                parts.append(None)
-                plain.append((a, length, n, unit))
-                size += n
-        parts.append(np.array(vertices[:1], dtype=complex))
-        sizes.append(size)
-    if plain:
-        even = iter(np.split(_even_samples(plain), np.cumsum([n for _, _, n, _ in plain])[:-1]))
-        parts = [next(even) if part is None else part for part in parts]
-    owner = np.repeat(np.arange(len(polygons)), sizes)
-    z = np.concatenate(parts)
+    z, owner = _contours(boxes, centres)
+    if z.size > limit:
+        raise NumericalError(too_many)
     d, dd, err = _d_batch(z, problem)
-    failed = np.zeros(len(polygons), dtype=bool)
+    failed = np.zeros(len(boxes), dtype=bool)
     while True:
         failed[owner[~(np.abs(d) > _TRUST * err)]] = True
-        if z.size > limit:
-            raise NumericalError(too_many)
         with np.errstate(invalid="ignore", divide="ignore"):
             step = np.angle(d[1:] / d[:-1])
             slope = np.abs(dd / d)
@@ -438,6 +428,8 @@ def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = 
         coarse = np.flatnonzero(coarse & ~failed[owner[1:]])
         if coarse.size == 0:
             break
+        if z.size + coarse.size > limit:
+            raise NumericalError(too_many)
         mid = 0.5 * (z[coarse] + z[coarse + 1])
         dm, ddm, errm = _d_batch(mid, problem)
         z = np.insert(z, coarse + 1, mid)
@@ -445,27 +437,22 @@ def _zeros_inside(polygons: list, problem: TelegrapherProblem, centres: tuple = 
         dd = np.insert(dd, coarse + 1, ddm)
         err = np.insert(err, coarse + 1, errm)
         owner = np.insert(owner, coarse + 1, owner[coarse])
-    winding = np.bincount(owner[1:][within], weights=step[within], minlength=len(polygons))
+    winding = np.bincount(owner[1:][within], weights=step[within], minlength=len(boxes))
     winding[failed] = 0.0
     counts = np.where(failed, -1, np.rint(winding / (2.0 * math.pi)).astype(int))
-    sums = np.zeros((len(polygons), moments), dtype=complex)
+    sums = np.zeros((len(boxes), moments), dtype=complex)
     if moments:
         with np.errstate(invalid="ignore", divide="ignore"):
             log_step = (np.diff(np.log(np.abs(d))) + 1j * step)[within] / (2j * math.pi)
-        centre = np.array([sum(vertices) / len(vertices) for vertices in polygons])
+        centre = np.array([_centre(*box) for box in boxes])
         mine = owner[1:][within]
         offset = (0.5 * (z[1:] + z[:-1]))[within] - centre[mine]
         term = log_step
         for p in range(moments):
             term = term * offset
-            sums[:, p] = np.bincount(mine, term.real, len(polygons))
-            sums[:, p] += 1j * np.bincount(mine, term.imag, len(polygons))
+            sums[:, p] = np.bincount(mine, term.real, len(boxes))
+            sums[:, p] += 1j * np.bincount(mine, term.imag, len(boxes))
     return counts, sums
-
-
-def _box(x0: float, x1: float, y0: float, y1: float) -> list:
-    """The box x0 < Re < x1, y0 < Im < y1 as a counter-clockwise polygon."""
-    return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
 
 def _strip_boxes(problem: TelegrapherProblem) -> tuple:
@@ -493,7 +480,7 @@ def _strip_boxes(problem: TelegrapherProblem) -> tuple:
         if lo < -rho and hi > rho:
             boxes += [(x, x + rho, lo, -rho) for x in (0.0, b - rho)]
             boxes += [(x, x + rho, rho, hi) for x in (0.0, b - rho)]
-        counts, sums = _zeros_inside([_box(*box) for box in boxes], problem, (0.0, complex(b)), _BUSY)
+        counts, sums = _zeros_inside(boxes, problem, (0.0, complex(b)), _BUSY)
         if (counts >= 0).all() or rows == 1:
             break
     if (counts < 0).any():
@@ -626,7 +613,7 @@ def _moment_seeds(box: _Box) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if m > box.sums.size:
         return np.full(m, np.nan, dtype=complex)
-    c = sum(_box(box.x0, box.x1, box.y0, box.y1)) / 4.0  # the centre _zeros_inside takes the sums about
+    c = _centre(box.x0, box.x1, box.y0, box.y1)  # the centre _zeros_inside takes the sums about
     power = [s - sum(k * (r - c) ** p for r, k, _ in box.roots) for p, s in enumerate(box.sums[:m].tolist(), 1)]
     elementary = [1.0]  # e_k of the missing zeros, by k e_k = sum_i (-1)^(i-1) e_(k-i) power_i
     for k in range(1, m + 1):
@@ -682,7 +669,7 @@ def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
         else:
             box.split = True
             ladder += [(box, complex(z[i])) for i in mine]
-    rungs = [_box(r.real - h, r.real + h, r.imag - h, r.imag + h) for _, r in ladder for h in _MULTIPLICITY_SQUARES]
+    rungs = [(r.real - h, r.real + h, r.imag - h, r.imag + h) for _, r in ladder for h in _MULTIPLICITY_SQUARES]
     counts = _zeros_inside(rungs, problem)[0].reshape(len(ladder), len(_MULTIPLICITY_SQUARES))
     for (box, r), row in zip(ladder, counts):
         if box.missing() <= 0 or _spent(r, box.squares):
@@ -716,9 +703,7 @@ def _split(boxes: list, problem: TelegrapherProblem) -> list:
             xs = (box.x0, box.x0 + fx * w, box.x1) if 2.0 * w >= h else (box.x0, box.x1)
             ys = (box.y0, box.y0 + fy * h, box.y1) if 2.0 * h >= w else (box.y0, box.y1)
             cuts += [(box, (a, b, c, d)) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])]
-        counts, sums = _zeros_inside(
-            [_box(*cut) for _, cut in cuts], problem, (0.0, complex(problem.re_max)), _BUSY
-        )
+        counts, sums = _zeros_inside([cut for _, cut in cuts], problem, (0.0, complex(problem.re_max)), _BUSY)
         failed = {box for (box, _), n in zip(cuts, counts) if n < 0}
         for (box, (x0, x1, y0, y1)), n, moments in zip(cuts, counts, sums):
             if box in failed or n == 0:

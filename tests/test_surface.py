@@ -10,6 +10,11 @@ module.
 Every oracle must be used, by the same rule, in a test file other than
 this one: an oracle that no test reads is dead code.
 
+Every private top-level function, class and constant of a ``gtlab`` module
+must be read in ``src/`` outside its own definition: a helper that a
+refactor leaves behind is dead code, whatever the tests still read. A read
+is a name or an attribute loaded, so an import or an assignment is not one.
+
 So must every public member of a public class: its methods, properties and
 dataclass or NamedTuple fields. A use of a member is a read of an attribute
 of that name, anywhere in the program outside the member's own definition.
@@ -148,6 +153,41 @@ def test_every_public_name_has_a_caller():
                 unused.append(qualified)
     assert unused == []
     assert sorted(ORACLES - defined) == []
+
+
+def _loads(tree, skip=None) -> set:
+    """Names and attributes loaded in a tree, leaving out the subtree ``skip``."""
+    inside = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+
+
+def _private_definitions(tree):
+    """(name, definition) of a module's private top-level functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_read_by_the_program():
+    trees = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src").rglob("*.py"))}
+    loads = {p: _loads(tree) for p, tree in trees.items()}
+    unread = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name, node in _private_definitions(trees[module])
+        if name not in _loads(trees[module], node) and not any(name in loads[p] for p in trees if p != module)
+    ]
+    assert unread == []
 
 
 #: Modules that must not import LAYERED_ABOVE, and what they must not import.

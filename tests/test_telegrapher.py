@@ -252,6 +252,35 @@ class TestGap:
             telegrapher_gap(halves(0.25 * math.pi, 4.0 * math.pi, re_max=0.5 * math.pi))
 
 
+def edge_samples(a: complex, b: complex, centres: tuple) -> np.ndarray:
+    """Samples of the edge [a, b), one edge at a time in complex scalar arithmetic: evenly
+    spaced, and graded toward the point of the edge nearest each centre that is near enough."""
+    spacing, grading = tele._SAMPLE_SPACING, tele._GRADING
+    length = abs(b - a)
+    n = max(4, math.ceil(length / spacing))
+    unit = (b - a) / length
+    arcs = [length * np.arange(n) / n]
+    for c in centres:
+        foot = min(max(((c - a) / unit).real, 0.0), length)
+        d = abs(a + unit * foot - c)
+        if grading * d >= spacing:
+            continue
+        rounds = math.ceil(math.log(spacing / (grading * d)) / math.log1p(grading))
+        ring = d * (1.0 + grading) ** np.arange(rounds + 1)
+        offsets = np.concatenate([grading * d * np.arange(math.ceil(1.0 / grading)), ring])
+        arcs += [foot - offsets, foot + offsets]
+    arc = np.unique(np.concatenate(arcs))
+    return a + unit * arc[(arc >= 0.0) & (arc < length)]
+
+
+def contour_samples(box, centres: tuple) -> np.ndarray:
+    """The samples of a box's counter-clockwise contour, edge by edge, closed by its first corner."""
+    x0, x1, y0, y1 = box
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    edges = [edge_samples(a, b, centres) for a, b in zip(corners, corners[1:] + corners[:1])]
+    return np.concatenate(edges + [np.array(corners[:1])])
+
+
 def _is_double(r: complex, problem: TelegrapherProblem) -> bool:
     # D ~ c (gamma - r)^2: the central difference over +-h is O(h) of D(r + h)
     h = 1e-4
@@ -312,8 +341,7 @@ class TestCertificate:
         p = halves(17.02 * math.pi, 17.24 * math.pi)
         for x0, x1, y0 in ((0.36, 0.38, -0.01), (0.3, 0.45, -0.05)):
             for y1 in (1.2e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-                box = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-                assert tele._zeros_inside([box], p)[0].tolist() == [2]
+                assert tele._zeros_inside([(x0, x1, y0, y1)], p)[0].tolist() == [2]
 
     @pytest.mark.parametrize("re_max", [1e-7, 1.5e-6, 1e-3])
     def test_narrow_strip_counts_none_and_keeps_its_middle(self, re_max):
@@ -348,22 +376,42 @@ class TestCertificate:
         assert tele._strip_boxes(p)[1].tolist() == counts.tolist()  # the same on evenly spaced samples
 
     @pytest.mark.parametrize("pair", [(1.0, 4.0), (2.93, 0.402), (1.34, 5.46)])
-    def test_even_samples_are_the_edge_samples_bit_for_bit(self, pair):
-        # the edges no centre grades, most of them, are laid in one pass: the
-        # same samples as _edge_samples lays edge by edge, so the same counts
+    def test_contours_are_the_edge_by_edge_samples_bit_for_bit(self, pair, monkeypatch):
+        # every contour is laid in one pass: the same samples, so the same counts, as
+        # edge_samples lays one edge at a time, on the strip's boxes, one split of them
+        # and the multiplicity squares around its roots
         p = halves(math.pi * pair[0], math.pi * pair[1])
         centres = (0.0, complex(p.re_max))
-        edges = []
-        for box in tele._strip_boxes(p)[0]:
-            vertices = tele._box(*box)
-            edges += zip(vertices, vertices[1:] + vertices[:1])
-        plain = [(a, b) for a, b in edges if not tele._edge(a, b, centres)[3]]
-        assert 2 * len(plain) > len(edges)
-        one_by_one = [tele._edge_samples(a, b, centres) for a, b in plain]
-        laid = [(a, *tele._edge(a, b, centres)[:3]) for a, b in plain]
-        for edge, samples in zip(laid, one_by_one):
-            assert np.array_equal(tele._even_samples([edge]), samples)
-        assert np.array_equal(tele._even_samples(laid), np.concatenate(one_by_one))
+        strip, counts, sums = tele._strip_boxes(p)
+        batches = []
+        real_inside = tele._zeros_inside
+        monkeypatch.setattr(
+            tele, "_zeros_inside", lambda boxes, q, *args: batches.append((boxes, *args)) or real_inside(boxes, q, *args)
+        )
+        tele._split([tele._Box(*box, int(n), s) for box, n, s in zip(strip, counts, sums) if n > 0], p)
+        ((split, *_),) = batches
+        roots = telegrapher_gap(p).roots
+        ladder = [(r.real - h, r.real + h, r.imag - h, r.imag + h) for r in roots for h in tele._MULTIPLICITY_SQUARES]
+        graded = 0
+        for boxes, near in ((strip, centres), (split, centres), (ladder, ())):
+            z, owner = tele._contours(boxes, near)
+            want = [contour_samples(box, near) for box in boxes]
+            assert np.array_equal(z, np.concatenate(want))
+            assert np.array_equal(owner, np.repeat(np.arange(len(boxes)), [w.size for w in want]))
+            graded += sum(w.size > contour_samples(box, ()).size for box, w in zip(boxes, want))
+        assert graded > 0  # the notches' slivers, at least
+
+    def test_a_batch_past_the_sample_bound_raises_before_any_evaluation(self, monkeypatch):
+        # 230 squares of half-side 1e-6 lay 17 samples each, 3910 in all, past 4e6 / 1024
+        # pieces = 3906, though their edges' lengths over the spacing make only 4 each
+        p = TelegrapherProblem(tuple((1.0 / 1024.0, 1.0 + k % 7) for k in range(1024)))
+        squares = [(1.0 + k / 64 - 1e-6, 1.0 + k / 64 + 1e-6, 0.5 - 1e-6, 0.5 + 1e-6) for k in range(230)]
+        calls = []
+        monkeypatch.setattr(tele, "_d_batch", lambda *args: calls.append(1))
+        with pytest.raises(NumericalError, match="over 3906 samples in one batch of contours, the bound at 1024 pieces"):
+            tele._zeros_inside(squares, p)
+        assert calls == []
+        assert tele._contours(squares, ())[0].size == 230 * 17
 
     @pytest.mark.parametrize("pair", [(1.0, 4.0), (2.93, 0.402), (1.34, 5.46)])
     def test_moment_seeds_lie_next_to_the_roots(self, pair):
