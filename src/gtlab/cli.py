@@ -13,20 +13,20 @@ Subcommands:
 
 Each subcommand takes only the flags its handler reads, plus --out and --config:
 
-    simulate-2v    --sigma --n --dt --t-final --theta --eps --seed --plot
-                   --scheme --u0 --v0 --record-every
-    simulate-3v    --sigma --n --dt --t-final --theta --eps --seed --plot
-                   --scheme --f1 --f2 --f3 --record-every
+    simulate-2v    --sigma --n --dt --t-final --theta --eps --seed --scheme
+                   --u0 --v0 --record-every
+    simulate-3v    --sigma --n --dt --t-final --theta --eps --seed --scheme
+                   --f1 --f2 --f3 --record-every
                    (--eps is accepted and ignored: the 3v rate has no eps)
     rates          --sigma --eps
-    modal-report   --sigma --eps --kmax --plot
+    modal-report   --sigma --eps --kmax
     poincare       --sigma --theta --alpha --weight --improve --alpha0
                    (--weight gives the weight, in the --sigma syntax; with it
                    --alpha is an error and --sigma, --theta need --improve,
                    as --alpha0 always does)
     telegrapher    --sigma
     appendix-a     --sigma
-    rate-curve     --grid --plot
+    rate-curve     --grid
 
 --sigma and --weight are const:V | pc:V@B,... | file:PATH. Any other
 flag, and any abbreviation of a flag, is an error (exit 2). A number flag
@@ -39,9 +39,10 @@ overridden by CLI flags; a key the subcommand does not take is an error
 that names the file.
 
 A handler computes and never writes: it returns the files of the run, by
-name under --out, and the lines it prints. main creates --out, writes the
-files and prints only once the handler has returned, so a run that fails
-leaves no files. An --out that cannot be written is exit 2.
+name under --out, each a (header, rows) table, and the lines it prints.
+main creates --out, writes every file through write_csv and prints only
+once the handler has returned, so a run that fails leaves no files. An
+--out that cannot be written is exit 2.
 Exit codes: 0 success, 2 validation failure (or an unwritable --out),
 3 numerical failure.
 """
@@ -81,7 +82,7 @@ from .solver import (
     simulate_3v,
     to_macro3,
 )
-from .torus import GridFunction, nodes, random_band_limited, write_csv
+from .torus import GridFunction, _validate_n, nodes, random_band_limited, write_csv
 
 
 def _table(header, rows) -> list:
@@ -125,72 +126,15 @@ def parse_field(spec: str, n: int, rng: np.random.Generator, zero_mean: bool = F
 
 
 # ---------------------------------------------------------------------------
-# plotting (optional; the numeric pipeline never requires matplotlib)
-#
-# A handler returns a plot as its drawer, fn(plt, fig); main saves it.
-
-
-def _plot_or_skip(fn, path) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print(f"plot skipped (matplotlib unavailable): {path}", file=sys.stderr)
-        return
-    fig = plt.figure(figsize=(6.0, 4.0))
-    fn(plt, fig)
-    fig.tight_layout()
-    fig.savefig(path, format="svg")
-    plt.close(fig)
-
-
-def _decay_plot(traj, theory_rate, label):
-    def draw(plt, fig):
-        t = traj.times
-        e = np.maximum(traj["entropy"], 1e-300)
-        plt.semilogy(t, e, label="entropy")
-        plt.semilogy(t, e[0] * np.exp(-theory_rate * t), "--", label=f"rate {theory_rate:.4g}")
-        plt.xlabel("t")
-        plt.ylabel(label)
-        plt.legend()
-
-    return draw
-
-
-def _eigenvalue_plot(columns, gap):
-    def draw(plt, fig):
-        re = np.concatenate([columns["re_lam_minus"], columns["re_lam_plus"]])
-        im = np.concatenate([columns["im_lam_minus"], columns["im_lam_plus"]])
-        plt.scatter(re, im, s=12)
-        plt.axvline(gap, linestyle="--", color="tab:red", label=f"gap {gap:.5g}")
-        plt.xlabel("Re lambda")
-        plt.ylabel("Im lambda")
-        plt.legend()
-
-    return draw
-
-
-def _rate_curve_plot(sigmas, mus):
-    def draw(plt, fig):
-        plt.plot(sigmas, mus)
-        plt.xlabel("sigma")
-        plt.ylabel("mu(sigma)")
-
-    return draw
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers: each returns (files, lines), the files main writes
-# under --out, by name, and the lines it prints
+# subcommand handlers: each returns (files, lines), the (header, rows) tables
+# main writes under --out, by name, and the lines it prints
 
 
 _SUMMARY = ["series", "theta", "theoretical_rate", "fitted_rate", "margin", "r_squared"]
 
 
-def _simulate_command(args, rate, initial_state, simulate, series, label, extra_rows=None):
-    """The body both simulate handlers share: simulate, fit the entropy, tabulate, plot.
+def _simulate_command(args, rate, initial_state, simulate, series, extra_rows=None):
+    """The body both simulate handlers share: simulate, fit the entropy, tabulate.
 
     ``rate(profile)`` is the theoretical RateReport and ``initial_state(rng)``
     builds the initial state; ``extra_rows(traj, profile, rep)`` adds
@@ -198,6 +142,10 @@ def _simulate_command(args, rate, initial_state, simulate, series, label, extra_
     """
     if args.n > _MAX_N:
         raise ValidationError(f"--n {args.n} exceeds the bound of {_MAX_N} grid nodes")
+    try:
+        _validate_n(args.n)
+    except ValidationError as exc:
+        raise ValidationError(f"--n: {exc}") from exc
     profile = RelaxationProfile.parse(args.sigma)
     rep = rate(profile)
     traj = simulate(
@@ -213,9 +161,10 @@ def _simulate_command(args, rate, initial_state, simulate, series, label, extra_
     summary = [(series, traj.theta, rep.rate, e_rate, e_rate - rep.rate, e_r2)]
     if extra_rows is not None:
         summary += extra_rows(traj, profile, rep)
-    files = {"trajectory.csv": traj, "summary.csv": (_SUMMARY, summary)}
-    if args.plot:
-        files["entropy_decay.svg"] = _decay_plot(traj, rep.rate, label)
+    files = {
+        "trajectory.csv": (["t", *traj.columns], np.column_stack([traj.times, *traj.columns.values()])),
+        "summary.csv": (_SUMMARY, summary),
+    }
     return files, _table(["series", "theta", "theoretical", "fitted", "margin", "r2"], summary)
 
 
@@ -241,7 +190,6 @@ def cmd_simulate_2v(args):
         ),
         simulate_2v,
         "entropy",
-        "E_theta",
         _pair_norm_rows,
     )
 
@@ -253,7 +201,6 @@ def cmd_simulate_3v(args):
         lambda rng: to_macro3(*(parse_field(f, args.n, rng) for f in (args.f1, args.f2, args.f3))),
         simulate_3v,
         "entropy3",
-        "E3_theta",
     )
 
 
@@ -287,8 +234,6 @@ def cmd_modal_report(args):
     columns = modal_report(s, args.kmax, eps=args.eps)
     gap = spectral_gap(s)
     files = {"modal_report.csv": (list(columns), list(zip(*(c.tolist() for c in columns.values()))))}
-    if args.plot:
-        files["eigenvalues.svg"] = _eigenvalue_plot(columns, gap.mu)
     return files, [f"spectral gap mu({s:g}) = {gap.mu:.8g}" + (" (defective)" if gap.defective else "")]
 
 
@@ -426,8 +371,6 @@ def cmd_rate_curve(args):
         gap = spectral_gap(float(s))
         rows.append((s, gap.mu, int(gap.defective)))
     files = {"rate_curve.csv": (["sigma", "mu", "defective"], rows)}
-    if args.plot:
-        files["rate_curve.svg"] = _rate_curve_plot([r[0] for r in rows], [r[1] for r in rows])
     return files, [f"tabulated mu(sigma) at {len(rows)} points into {Path(args.out) / 'rate_curve.csv'}"]
 
 
@@ -463,7 +406,6 @@ FLAGS = {
     "alpha": dict(type=_finite, help="decay rate in the weight (default alpha*)"),
     "eps": dict(type=_finite, help="epsilon for the defective sigma = 2"),
     "seed": dict(type=_seed, default=0, help="seed for random initial data"),
-    "plot": dict(action="store_true", help="emit SVG plots"),
     "scheme": dict(choices=["split", "rk4"], default="split"),
     "record-every": dict(type=int, default=1),
     "u0": dict(default="zero", help="initial mass density preset"),
@@ -487,7 +429,7 @@ _MAX_ROWS = 100_000
 #: at the bound peaks at 446 MB resident (simulate-3v --scheme rk4, random data;
 #: 263 MB split). At T = 1 it would need 5e11 cell updates, past the solver's bound.
 _MAX_N = 2**20
-_SIMULATE = ("sigma", "n", "dt", "t-final", "theta", "eps", "seed", "plot", "scheme", "record-every")
+_SIMULATE = ("sigma", "n", "dt", "t-final", "theta", "eps", "seed", "scheme", "record-every")
 #: The paper's Appendix A profile, sigma = 1 then 4.
 _PAPER_PROFILE = "pc:1@pi,4@2pi"
 _PAPER_SIGMA = {"sigma": dict(default=_PAPER_PROFILE)}
@@ -506,7 +448,7 @@ SUBCOMMANDS = {
     "modal-report": (
         cmd_modal_report,
         "per-mode eigenvalues and gaps",
-        ("sigma", "eps", "kmax", "plot"),
+        ("sigma", "eps", "kmax"),
         {"sigma": dict(default="const:5")},
     ),
     "poincare": (
@@ -520,7 +462,7 @@ SUBCOMMANDS = {
     "appendix-a": (
         cmd_appendix_a, "three-rate comparison for pc:1@pi,4@2pi", ("sigma",), _PAPER_SIGMA
     ),
-    "rate-curve": (cmd_rate_curve, "mu(sigma) over a grid", ("grid", "plot"), {}),
+    "rate-curve": (cmd_rate_curve, "mu(sigma) over a grid", ("grid",), {}),
 }
 
 
@@ -607,13 +549,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            if isinstance(content, tuple):  # (header, rows)
-                write_csv(out / name, *content)
-            elif callable(content):  # a plot drawer
-                _plot_or_skip(content, out / name)
-            else:  # a Trajectory
-                content.to_csv(out / name)
+        for name, (header, rows) in files.items():
+            write_csv(out / name, header, rows)
     except OSError as exc:
         print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return 2

@@ -74,7 +74,7 @@ import numpy as np
 
 from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
 from .errors import NumericalError, ValidationError
-from .torus import TWO_PI, GridFunction, write_csv
+from .torus import TWO_PI, GridFunction
 
 SCHEME_SPLIT = "split"
 SCHEME_RK4 = "rk4"
@@ -138,7 +138,8 @@ class MacroState3V:
 def to_macro3(f1: GridFunction, f2: GridFunction, f3: GridFunction, t: float = 0.0) -> MacroState3V:
     """Apply the orthogonal kinetic-to-macro transform."""
     _check_same_grid(f1, f2, f3)
-    u = _SYSTEM_3V.macro @ np.vstack([f1.values, f2.values, f3.values])
+    with np.errstate(invalid="ignore"):  # inf can turn nan here; the solver refuses both before a step
+        u = _SYSTEM_3V.macro @ np.vstack([f1.values, f2.values, f3.values])
     return MacroState3V(GridFunction(u[0]), GridFunction(u[1]), GridFunction(u[2]), t)
 
 
@@ -177,10 +178,6 @@ class Trajectory:
             raise ValidationError("residuals need uniformly spaced records")
         quotient = (e[2:] - e[:-2]) / (2.0 * h[0])
         return np.abs(quotient - self.columns["rhs"][1:-1])
-
-    def to_csv(self, path) -> None:
-        table = np.column_stack([self.times, *self.columns.values()])
-        write_csv(path, ["t", *self.columns], table)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +583,11 @@ def _diagnostics(u: np.ndarray, sig: np.ndarray, theta: float) -> tuple:
     return e.entropy, np.sqrt(e.f_sq), np.sqrt(e.g_sq), np.sqrt(e.h_sq), flux_avg, mass
 
 
-def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, record_every) -> Trajectory:
-    """Advance the kinetic array f, shape (V, n), and record system.columns.
+def _simulate(u, system: _System, profile, theta, t0, t_final, dt, scheme, record_every) -> Trajectory:
+    """Advance the macroscopic rows u, shape (V, n), in kinetic form f; record system.columns.
 
+    An initial state that holds nan or inf is refused before it is turned
+    into f, so no nan is made and no numpy warning raised on the way.
     Records fall at t0, every ``record_every`` steps and at the last step;
     the stepper advances one record interval per call, so the RK4 and mode
     steppers cache the power of their step for r = min(record_every, steps).
@@ -602,7 +601,7 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     diagnostic is named too. Overflow raises no numpy warning on the way:
     the error is the one account of a blow-up.
     """
-    n = f.shape[1]
+    n = u.shape[1]
     dx = TWO_PI / n
     sig = profile.sample(n)
     if dt is None:
@@ -620,6 +619,9 @@ def _simulate(f, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     steps = round(t_final / dt)
     if scheme not in (SCHEME_SPLIT, SCHEME_RK4):
         raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")
+    if not np.isfinite(u).all():
+        raise ValidationError("the initial state is not finite: it holds nan or inf")
+    f = system.kinetic @ u
 
     records = 1 + steps // record_every + (steps % record_every > 0)
     block = max(1, min(_BLOCK_RECORDS, records - 1, _STAGE_BYTES // f.nbytes))
@@ -704,8 +706,8 @@ def simulate_2v(
     """
     if not isinstance(init, MacroState2V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    f = _SYSTEM_2V.kinetic @ np.vstack([init.u.values, init.v.values])
-    return _simulate(f, _SYSTEM_2V, profile, theta, init.t, t_final, dt, scheme, record_every)
+    u = np.vstack([init.u.values, init.v.values])
+    return _simulate(u, _SYSTEM_2V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
 def simulate_3v(
@@ -726,8 +728,8 @@ def simulate_3v(
     """
     if not isinstance(init, MacroState3V):
         raise ValidationError(f"unsupported initial state {type(init).__name__}")
-    f = _SYSTEM_3V.kinetic @ np.vstack([init.u1.values, init.u2.values, init.u3.values])
-    return _simulate(f, _SYSTEM_3V, profile, theta, init.t, t_final, dt, scheme, record_every)
+    u = np.vstack([init.u1.values, init.u2.values, init.u3.values])
+    return _simulate(u, _SYSTEM_3V, profile, theta, init.t, t_final, dt, scheme, record_every)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ gap) is set; 2 min sigma~ is kept where it is wider, so a constant
 profile's high modes, on Re gamma = sigma~ = |sigma~|_L1, never sit on the
 strip's edge.
 
-The root search is certified, and isolates every root by counting (Delves &
+The root search isolates every root in the strip by counting (Delves &
 Lyness, Math. Comp. 1967; Kravanja & Van Barel, LNM 1727, 2000): the strip
 is cut into axis-parallel boxes, the argument principle counts the zeros of
 D in each, on samples of every box's edges laid in one pass, and Newton runs
@@ -37,6 +37,13 @@ starts from the zeros those sums determine; a grid of seeds is laid only
 where they give none. The search leaves out squares around gamma = 0, the
 mass mode, and around re_max, where a constant profile has the simple zero
 2 sigma~ (the k = 0 flux mode).
+
+Two things are not proven. The strip height 4 max sigma~ is a heuristic:
+nothing shows that no root above it has a smaller real part than the gap
+found, and some profiles of small sigma, whose gap lies above it, fail
+with "no eigenvalues found". And a contour step is accepted on its two
+end samples alone: nothing bounds |D'| between them, so a pair of zeros
+close to an edge could pass between two samples uncounted.
 """
 
 from __future__ import annotations
@@ -59,8 +66,10 @@ _EPS = float(np.finfo(float).eps)
 #: a sample of D is trusted only if |D| exceeds its rounding-error bound this many times
 _TRUST = 100.0
 #: argument-principle sampling: initial spacing along the contour, the largest
-#: phase step left unbisected (measured, and predicted from D'/D), and the
-#: limits that stop a contour through a zero
+#: phase step left unbisected, and the limits that stop a contour through a
+#: zero. A step's phase change is measured between its two samples and predicted
+#: from its length times the larger |D'/D| at its ends; both are samples, and
+#: nothing bounds |D'| between them, so the step is trusted, not proven
 _SAMPLE_SPACING = 0.1
 _MAX_PHASE_STEP = math.pi / 4.0
 #: near a centre the initial spacing is at most this fraction of the distance to it,
@@ -417,11 +426,11 @@ def _zeros_inside(boxes: list, problem: TelegrapherProblem, centres: tuple = (),
     failed = np.zeros(len(boxes), dtype=bool)
     while True:
         failed[owner[~(np.abs(d) > _TRUST * err)]] = True
+        width = np.abs(np.diff(z))
         with np.errstate(invalid="ignore", divide="ignore"):
             step = np.angle(d[1:] / d[:-1])
             slope = np.abs(dd / d)
-        width = np.abs(np.diff(z))
-        turn = width * np.maximum(slope[1:], slope[:-1])
+            turn = width * np.maximum(slope[1:], slope[:-1])
         within = owner[1:] == owner[:-1]
         coarse = within & ((np.abs(step) > _MAX_PHASE_STEP) | (turn > _MAX_PHASE_STEP))
         failed[owner[1:][coarse & (width < _MIN_SEGMENT)]] = True

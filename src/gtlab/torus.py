@@ -68,10 +68,6 @@ class GridFunction:
         return f"GridFunction(n={self.n})"
 
     # -- serialization -----------------------------------------------------
-    def to_csv(self, path) -> None:
-        """Write rows (x_j, value)."""
-        write_csv(path, ["x", "value"], np.column_stack([nodes(self.n), self.values]))
-
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
         """The value column of a CSV file: a header row, then rows (x, value).

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_field
 
 from gtlab import cli, solver
 from gtlab.cli import build_parser, main
@@ -17,7 +18,7 @@ from gtlab.errors import GridMismatchError, ValidationError
 from gtlab.profiles import RelaxationProfile
 from gtlab.rates import constant_rate
 from gtlab.telegrapher import rescale_sigma
-from gtlab.torus import GridFunction, random_band_limited
+from gtlab.torus import GridFunction, nodes, random_band_limited
 
 
 def run(*argv) -> int:
@@ -47,9 +48,8 @@ class TestSigmaParsing:
         assert len(p.pieces) == 2
 
     def test_file(self, tmp_path):
-        f = GridFunction(np.full(32, 2.0))
         path = tmp_path / "sigma.csv"
-        f.to_csv(path)
+        write_field(path, np.full(32, 2.0))
         p = RelaxationProfile.parse(f"file:{path}")
         assert p.sigma_min == 2.0
 
@@ -85,7 +85,7 @@ class TestSigmaParsing:
     def _file_profile(self, tmp_path, n):
         values = np.random.default_rng(n).uniform(0.1, 5.0, n)
         path = tmp_path / "sigma.csv"
-        GridFunction(values).to_csv(path)
+        write_field(path, values)
         return path, values
 
     @pytest.mark.parametrize("n", [8, 32, 256])
@@ -152,6 +152,17 @@ class TestSubcommands:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("series,theta,theoretical_rate,fitted_rate")
         assert len(summary) >= 3
+
+    def test_trajectory_csv_holds_the_run_bit_for_bit(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["--sigma", "const:1", "--n", "64", "--t-final", "10", "--theta", "1", "--u0", "zero", "--v0", "cos"]
+        assert run("simulate-2v", *argv, "--out", str(out)) == 0
+        init = solver.MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.cos(nodes(64))))
+        traj = solver.simulate_2v(init, RelaxationProfile.parse("const:1"), 10.0, theta=1.0)
+        data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+        assert data.dtype.names == ("t", *traj.columns)
+        assert np.array_equal(data["t"], traj.times)
+        assert all(np.array_equal(data[name], column) for name, column in traj.columns.items())
 
     def test_simulate_2v_defective_envelope_row(self, tmp_path):
         out = tmp_path / "o"
@@ -236,7 +247,7 @@ class TestSubcommands:
 
     def test_poincare_given_a_file_weight(self, tmp_path, capsys):
         path = tmp_path / "w.csv"
-        GridFunction(2.0 + np.sin(np.arange(64) * 2 * np.pi / 64)).to_csv(path)
+        write_field(path, 2.0 + np.sin(np.arange(64) * 2 * np.pi / 64))
         out = tmp_path / "o"
         assert run("poincare", "--weight", f"file:{path}", "--out", str(out)) == 0
         assert "(min, max over 64 pieces)" in capsys.readouterr().out
@@ -261,7 +272,7 @@ class TestSubcommands:
 
         bound = cli.poincare_mod._MAX_PIECES
         path = tmp_path / "sigma.csv"
-        GridFunction(2.0 + np.sin(np.arange(bound + 2) * 2 * np.pi / (bound + 2))).to_csv(path)
+        write_field(path, 2.0 + np.sin(np.arange(bound + 2) * 2 * np.pi / (bound + 2)))
         monkeypatch.setattr(cli.poincare_mod, "_count", refuse)
         argv = [flag.format(f"file:{path}") for flag in flags]
         assert run("poincare", *argv, "--out", str(tmp_path / "o")) == 2
@@ -562,6 +573,7 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "o" / "summary.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, code, message",
         [
@@ -615,7 +627,11 @@ class TestExitCodes:
             # 3e301 records: past the largest array length, refused before any allocation
             (["simulate-2v", "--n", "64", "--scheme", "rk4", "--dt", "1e-300"], 2, "do not fit in memory"),
             # 0 nodes: refused, not a division by zero while the nodes are built
-            (["simulate-2v", "--n", "0", "--u0", "sin"], 2, "a grid needs at least one node, got n = 0"),
+            (
+                ["simulate-2v", "--n", "0", "--u0", "sin"],
+                2,
+                "--n: grid resolution must be an even integer >= 8, got 0",
+            ),
             # numpy's default_rng takes no negative seed
             (["simulate-2v", "--seed", "-1", "--u0", "random"], 2, "--seed: expected an integer >= 0, got '-1'"),
             # one step would overshoot T = 30, leaving the fit no point
@@ -626,6 +642,19 @@ class TestExitCodes:
                 3,
                 "no eigenvalues found in the search strip; enlarge re_max/im_max",
             ),
+            # --n is blamed, not the default field that would be sampled on it
+            (["simulate-2v", "--n", "17"], 2, "--n: grid resolution must be an even integer >= 8, got 17"),
+            # non-finite initial data is refused before any step, without a numpy warning
+            (["simulate-2v", "--n", "16", "--u0", "const:nan"], 2, "the initial state is not finite"),
+            (["simulate-2v", "--n", "16", "--v0", "const:inf"], 2, "the initial state is not finite"),
+            (["simulate-2v", "--n", "16", "--u0", "file:{tmp}/nan16.csv"], 2, "the initial state is not finite"),
+            (
+                ["simulate-3v", "--n", "16", "--f1", "const:inf", "--f2", "const:-inf"],
+                2,
+                "the initial state is not finite",
+            ),
+            # on a strip this thin no sample of D clears its rounding bound
+            (["telegrapher", "--sigma", "const:1e-300"], 3, "argument-principle count failed on 5 of 5 boxes"),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):
@@ -633,7 +662,8 @@ class TestExitCodes:
         rows = "".join(f"{x},1\n" for x in range(100, 36, -1))
         (tmp_path / "off_grid.csv").write_text("x,value\n" + rows)
         (tmp_path / "empty.csv").write_text("")
-        random_band_limited(16, seed=1).to_csv(tmp_path / "n16.csv")
+        write_field(tmp_path / "n16.csv", random_band_limited(16, seed=1).values)
+        write_field(tmp_path / "nan16.csv", np.where(np.arange(16) == 3, np.nan, 1.0))
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         out = tmp_path / "o"
         out_is_file = message == "cannot write --out"
@@ -904,7 +934,7 @@ def test_a_profile_of_many_pieces_exits_three_within_seconds(tmp_path, capsys, s
         sigma, pieces = fine_profile(10_000), 10_000
     else:
         pieces = 2**14
-        GridFunction(2.0 + np.sin(2.0 * np.pi * np.arange(pieces) / pieces)).to_csv(tmp_path / "s.csv")
+        write_field(tmp_path / "s.csv", 2.0 + np.sin(2.0 * np.pi * np.arange(pieces) / pieces))
         sigma = f"file:{tmp_path / 's.csv'}"
     start = time.perf_counter()
     assert run("telegrapher", "--sigma", sigma, "--out", str(tmp_path / "o")) == 3
@@ -969,7 +999,7 @@ class TestNyquistInvariant:
     def test_nyquist_in_a_file_field_exits_two(self, tmp_path, capsys, no_simulation, scheme):
         x = 2 * np.pi * np.arange(64) / 64
         path = tmp_path / "u0.csv"
-        GridFunction(np.sin(x) + (-1.0) ** np.arange(64)).to_csv(path)
+        write_field(path, np.sin(x) + (-1.0) ** np.arange(64))
         code = run(*self.ARGV, "--u0", f"file:{path}", "--scheme", scheme, "--out", str(tmp_path / "o"))
         assert code == 2
         assert "checkerboard component L = sum_j (-1)^j S_j / n = 1," in capsys.readouterr().err

@@ -425,17 +425,6 @@ class TestStrangSpectrum:
         assert abs((4.0 * fine - coarse) / 3.0 - optimal / 2.0) < 1e-5
 
 
-class TestTrajectory:
-    def test_csv_roundtrip(self, tmp_path):
-        init = MacroState2V(GridFunction(np.zeros(64)), GridFunction(np.cos(nodes(64))))
-        traj = simulate_2v(init, const(1.0), 1.0, theta=1.0)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert_allclose(data["t"], traj.times)
-        assert_allclose(data["entropy"], traj["entropy"])
-
-
 class TestRecordPass:
     """Every recorded column against the GridFunction reference functions.
 
