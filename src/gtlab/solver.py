@@ -33,12 +33,13 @@ So the record stride changes the rounding of an RK4 run, not its scheme.
 
 At constant sigma either scheme maps each Fourier mode of the kinetic rows
 to itself by a V x V matrix, its symbol, and a record interval of r steps
-is the symbol's r-th power. A constant-sigma run whose record stride
-r = min(record_every, steps) is at least _MODE_STRIDE is stepped by
-_mode_step: it carries the rfft of the kinetic rows and takes a record
-interval as one product with the cached power and one irfft, so its cost
+is the symbol's r-th power. Every constant-sigma run is stepped by
+_mode_step: it carries the forward-normalised rfft of the kinetic rows and
+takes a record interval as one product with the cached power, so its cost
 goes with the records, not the steps. It is the same scheme, rounded
-differently. Other runs keep the steppers in x.
+differently. Its records are read from those modes by Parseval
+(``entropy.MODES``), so the run's only irfft makes the final state. Other
+runs keep the steppers in x and record from samples.
 
 Relaxation keeps the summed density S = sum_i f_i pointwise, so a scheme
 whose transport keeps |L|, L = sum_j (-1)^j S_j / n the checkerboard of S,
@@ -72,7 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import entropy_2v, entropy_terms  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
+from .entropy import MODES, SAMPLES, Basis, entropy_terms
+from .entropy import entropy_2v  # noqa: F401 (gtlab.solver.entropy_2v stays importable)
 from .errors import NumericalError, ValidationError
 from .torus import TWO_PI, GridFunction
 
@@ -448,17 +450,7 @@ def _step_power(horner, count: int, n: int, stride: int) -> np.ndarray:
     return power
 
 
-#: Shortest record stride r = min(record_every, steps) that a constant-sigma
-#: run steps by _mode_step. A mode record costs one product with the symbol
-#: power and one irfft, whatever r is. On a shared 2-core Xeon VM (numpy
-#: 2.4.6), two and three velocities: 12-14 us at n = 256 and 70-120 us at
-#: n = 4096, against 4.1-4.2 us and 12-16 us for one moving-frame step. The
-#: power's build adds a few such products per run. It must stay above 7,
-#: the stride whose RK4 blow-up test pins the step matrix's rounding.
-_MODE_STRIDE = 16
-
-
-def _mode_step(velocities, sig: float, dt: float, n: int, scheme: str, stride: int, f):
+def _mode_step(velocities, sig: float, dt: float, n: int, scheme: str, stride: int, modes):
     """Either scheme at constant sigma, stepped one Fourier mode at a time; returns (advance, finish).
 
     At constant sigma both schemes map each Fourier mode k = 0 .. n/2 of
@@ -470,32 +462,40 @@ def _mode_step(velocities, sig: float, dt: float, n: int, scheme: str, stride: i
     Horner polynomial of h A_k, A_k = -i k diag(c) - sigma (I - 11^T / V),
     with the transport of mode n // 2 zeroed as in _rk4_step.
 
-    The stepper carries the rfft of f, forward-normalised so that no mode
-    exceeds max |f| and the carried state overflows no earlier than f. A
-    record interval of ``stride`` steps is the symbols' power G_k^stride,
-    built once by _symbol_power, and advance(k) steps each whole stride by
-    one product with it and a shorter rest by products with G_k, then
-    returns the irfft, a new (V, n) array. A run's last interval is its
-    only shorter one, and its steps cost about what the rest's own power
-    would cost to build; not building it keeps one (V, V, n/2 + 1) array
-    fewer. If the power has a non-finite entry, which happens only far past
-    RK4's stability limit, every step is one product with G_k, so that a
-    zero state stays zero. The carried state is f itself, so finish is the
-    identity.
+    The stepper carries ``modes``, the (V, n/2 + 1) rfft of the kinetic
+    rows, forward-normalised so that no mode exceeds max |f| and the carried
+    state overflows no earlier than f. A record interval of ``stride`` steps
+    is the symbols' power G_k^stride, built once by _symbol_power, and
+    advance(k) steps each whole stride by one product with it and returns
+    the carried modes, a new array. A k that is not a multiple of the
+    stride, the run's last and shorter interval, gets its own power in
+    place of the stride's: one product, where k single products cost more.
+    At n = 4096 on a shared 2-core Xeon VM (numpy 2.4.6), 60 single
+    products took 1.3-1.6 ms at two velocities and 2.6-2.7 ms at three,
+    building their power and one product 0.4-0.5 ms and 1.25-1.4 ms. The
+    stride's power is dropped before that build, so the build holds no more
+    than the first did. If a power has a non-finite entry, which happens
+    only far past RK4's stability limit, every step is one product with
+    G_k, so that a zero state stays zero. The carried state is f's own
+    modes, so finish is the identity.
     """
     symbol = _mode_symbol(velocities, sig, dt, n, scheme)
-    power = _symbol_power(symbol, stride)
-    if stride > 1 and not np.isfinite(power).all():
-        stride, power = 1, symbol
-    state = np.fft.rfft(f, axis=-1, norm="forward")
+
+    def powered(k):
+        power = symbol if k == 1 else _symbol_power(symbol, k)
+        return (k, power) if np.isfinite(power).all() else (1, symbol)
+
+    stride, power = powered(stride)
+    state = modes
 
     def advance(k):
-        nonlocal state
+        nonlocal state, stride, power
+        if k % stride:
+            power = None  # freed before the build of k's power
+            stride, power = powered(k)
         for _ in range(k // stride):
             state = np.einsum("ijk,jk->ik", power, state)
-        for _ in range(k % stride):
-            state = np.einsum("ijk,jk->ik", symbol, state)
-        return np.fft.irfft(state, n, axis=-1, norm="forward")
+        return state
 
     return advance, lambda states: states
 
@@ -567,19 +567,20 @@ _BLOCK_RECORDS = 64
 _STAGE_BYTES = 512 * 1024
 
 
-def _diagnostics(u: np.ndarray, sig: np.ndarray, theta: float) -> tuple:
+def _diagnostics(u: np.ndarray, sig, theta: float, basis: Basis) -> tuple:
     """The record columns of macroscopic rows u = (mass density, flux[, u3]).
 
-    u has shape (..., V, n); each column comes back with the leading shape.
+    u has shape (..., V, n) of samples, or (..., V, n/2 + 1) of modes with
+    the constant sigma; each column comes back with the leading shape.
     """
-    mass = np.mean(u[..., 0, :], axis=-1)
-    dev = u[..., 0, :] - mass[..., None]
+    mass = basis.mean(u[..., 0, :])
+    dev = basis.deviation(u[..., 0, :], mass)
     flux = u[..., 1, :]
-    flux_avg = np.mean(flux, axis=-1)
+    flux_avg = basis.mean(flux)
     if u.shape[-2] == 2:
-        e = entropy_terms(dev, flux, theta, sigma=sig)
+        e = entropy_terms(dev, flux, theta, sigma=sig, basis=basis)
         return e.entropy, np.sqrt(e.f_sq), np.sqrt(e.g_sq), flux_avg, mass, e.rhs
-    e = entropy_terms(dev, flux, theta, h=u[..., 2, :])
+    e = entropy_terms(dev, flux, theta, h=u[..., 2, :], basis=basis)
     return e.entropy, np.sqrt(e.f_sq), np.sqrt(e.g_sq), np.sqrt(e.h_sq), flux_avg, mass
 
 
@@ -593,6 +594,8 @@ def _simulate(u, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     steppers cache the power of their step for r = min(record_every, steps).
     Each recorded carried state is copied into a stage; when the stage is
     full, or at the last step, one pass finishes and records the whole block.
+    A constant-sigma run carries and records Fourier modes; the final state
+    is their one irfft.
     A blow-up is looked for once per block, before its record pass, and
     named by the time of the first record that holds a non-finite value:
     relaxation and transport never turn a NaN or inf back into a finite one.
@@ -626,7 +629,6 @@ def _simulate(u, system: _System, profile, theta, t0, t_final, dt, scheme, recor
     records = 1 + steps // record_every + (steps % record_every > 0)
     block = max(1, min(_BLOCK_RECORDS, records - 1, _STAGE_BYTES // f.nbytes))
     try:
-        stage = np.empty((block,) + f.shape)
         times = np.empty(records)
         values = np.empty((len(system.columns), records))
     except (MemoryError, ValueError):  # ValueError: a length past numpy's largest dimension
@@ -649,15 +651,17 @@ def _simulate(u, system: _System, profile, theta, t0, t_final, dt, scheme, recor
                 f"{checkerboard:.6g}, S = sum_i f_i; scheme {how} conserves |L|, so it never decays"
             )
     done, staged, previous = 1, 0, 0
+    stride, basis = min(record_every, steps), SAMPLES
     with np.errstate(over="ignore", invalid="ignore"):
-        times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta)
-        stride = min(record_every, steps)
-        if profile.is_constant and stride >= _MODE_STRIDE:
-            advance, finish = _mode_step(system.velocities, sig[0], dt, n, scheme, stride, f)
+        if profile.is_constant:
+            basis, sig, f = MODES, sig[0], np.fft.rfft(f, axis=-1, norm="forward")
+            advance, finish = _mode_step(system.velocities, sig, dt, n, scheme, stride, f)
         elif scheme == SCHEME_SPLIT:
             advance, finish = _split_step(system.velocities, sig, dt, n, f)
         else:
             advance, finish = _rk4_step(system.velocities, sig, dt, n, stride, f)
+        times[0], values[:, 0] = t0, _diagnostics(system.macro @ f, sig, theta, basis)
+        stage = np.empty((block,) + f.shape, f.dtype)
         for step in itertools.chain(range(record_every, steps, record_every), [steps]):
             f = advance(step - previous)
             previous = step
@@ -666,19 +670,22 @@ def _simulate(u, system: _System, profile, theta, t0, t_final, dt, scheme, recor
             stage[staged] = f
             staged += 1
             if staged == block or step == steps:
-                finite = np.isfinite(stage[:staged]).reshape(staged, -1).all(axis=1)
+                # modes are read as float pairs: the real macro matrix acts on
+                # both parts alike, about three times faster than a complex product
+                finite = np.isfinite(stage[:staged].view(float)).reshape(staged, -1).all(axis=1)
                 if not finite.all():
                     t_bad = times[done + int(np.argmin(finite))]
                     raise NumericalError(f"non-finite state detected at t = {t_bad:.6g}")
-                u = system.macro @ finish(stage[:staged])
-                values[:, done : done + staged] = _diagnostics(u, sig, theta)
+                u = (system.macro @ finish(stage[:staged]).view(float)).view(stage.dtype)
+                values[:, done : done + staged] = _diagnostics(u, sig, theta, basis)
                 done, staged = done + staged, 0
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         t_bad = times[int(np.argmin(finite))]
         raise NumericalError(f"non-finite diagnostics at t = {t_bad:.6g}")
 
-    final = system.state(*(GridFunction(row) for row in u[-1]), t)
+    rows = u[-1] if basis is SAMPLES else np.fft.irfft(u[-1], n, axis=-1, norm="forward")
+    final = system.state(*(GridFunction(row) for row in rows), t)
     return Trajectory(times, dict(zip(system.columns, values)), dt, theta, final)
 
 

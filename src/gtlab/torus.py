@@ -178,10 +178,14 @@ def primitive(values) -> np.ndarray:
     of records. The multiplier is 1/(ik), with the k = 0 and Nyquist modes
     zeroed.
     """
-    n = np.shape(values)[-1]
-    inverse_ik = np.zeros(n // 2 + 1, dtype=complex)  # 0 at k = 0 and n/2
-    inverse_ik[1 : n // 2] = -1j / np.arange(1, n // 2)
-    return _fourier_multiply(values, inverse_ik)
+    return _fourier_multiply(values, _inverse_ik(np.shape(values)[-1] // 2 + 1))
+
+
+def _inverse_ik(modes: int) -> np.ndarray:
+    """The primitive's multiplier 1/(ik) = -i/k on the modes k = 0 .. modes - 1, 0 at both ends."""
+    inverse_ik = np.zeros(modes, dtype=complex)
+    inverse_ik[1:-1] = -1j / np.arange(1, modes - 1)
+    return inverse_ik
 
 
 def antiderivative(f: GridFunction) -> GridFunction:

@@ -710,8 +710,8 @@ def test_modal_report_keeps_the_gap_at_huge_sigma(tmp_path, sigma):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("simulate-2v",), 3),  # the t0 rhs sums sigma v^2 over the grid before dividing by n
-        (("simulate-2v", "--u0", "random", "--v0", "random"), 3),
+        (("simulate-2v",), 3),  # the entropy falls below the fit's floor in one step
+        (("simulate-2v", "--u0", "random", "--v0", "random"), 3),  # 2 sigma ||v||^2 overflows
         (("simulate-2v", "--scheme", "rk4"), 3),  # the stiff relaxation term blows RK4 up
         (("simulate-3v",), 0),
         (("simulate-3v", "--scheme", "rk4"), 3),
@@ -723,6 +723,28 @@ def test_simulations_at_the_top_of_the_float_range_end_in_one_line(tmp_path, cap
         warnings.simplefilter("error")
         assert run(*argv, "--sigma", f"const:{sigma}", "--n", "64", "--out", str(tmp_path / "o")) == code
     assert len(capsys.readouterr().err.splitlines()) == (code != 0)
+
+
+@pytest.mark.parametrize(
+    "sigma, data, message",
+    [
+        ("const:8e307", (), "decay fit: the series falls below the floor 1e-12 at t = 0.0981748, "),
+        ("const:1.7e308", (), "decay fit: the series falls below the floor 1e-12 at t = 0.0981748, "),
+        ("const:8e307", ("--u0", "random", "--v0", "random"), "non-finite diagnostics at t = 0"),
+        ("pc:8e307@pi,1e308@2pi", (), "non-finite diagnostics at t = 0"),
+    ],
+    ids=["8e307", "1.7e308", "8e307-random", "two-piece"],
+)
+def test_huge_sigma_simulations_end_where_the_numbers_do(tmp_path, capsys, sigma, data, message):
+    # Constant sigma records from forward-normalised modes, whose sums divide
+    # by n before they add up, so the t0 rhs 2 sigma ||v||^2 = sigma of
+    # v = cos is finite and the run ends at the fit, which names the floor.
+    # With random v, ||v||^2 > 1/2 and the rhs itself overflows. A two-piece
+    # sigma records from samples, whose sum of sigma v^2 overflows before it
+    # is divided by n
+    assert run("simulate-2v", "--sigma", sigma, "--n", "64", *data, "--out", str(tmp_path / "o")) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: {message}")
 
 
 TWO_PIECE_HUGE = {m: f"pc:1@pi,{m}@2pi" for m in ("1e8", "1e12", "1e200", "1e300", "1.7e308")}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gtlab import solver
+from gtlab import entropy, solver
 from gtlab.entropy import entropy_2v, entropy_3v, entropy_evolution_rhs
 from gtlab.errors import NumericalError, ValidationError
 from gtlab.profiles import RelaxationProfile
@@ -35,6 +35,8 @@ from gtlab.torus import (
 
 
 const = RelaxationProfile.constant
+#: the two-piece sigma of the blow-up pins, which the steppers in x step
+TWO_PIECE = "pc:1@pi,2@2pi"
 
 
 def gf(fn, n=256):
@@ -219,35 +221,54 @@ class TestSimulate2V:
             simulate_2v(init, const(1.0), dx, dt=2 * dx, scheme=scheme, theta=1.0)
 
     @pytest.mark.parametrize(
-        "n, record_every, t_named",
-        [(64, 1, "48.5"), (64, 7, "49"), (64, 1000, "200"), (512, 1, "23")],
-        ids=["1-48.5", "7-49", "1000-200", "horner-1-23"],
+        "sigma, n, record_every, t_named",
+        [
+            (TWO_PIECE, 64, 1, "46.5"),
+            (TWO_PIECE, 64, 7, "49"),
+            (TWO_PIECE, 64, 1000, "200"),
+            (TWO_PIECE, 512, 1, "22.5"),
+            ("const:1", 64, 1, "48.5"),
+            ("const:1", 64, 7, "49"),
+            ("const:1", 64, 1000, "200"),
+            ("const:1", 512, 1, "23.5"),
+        ],
+        ids=[
+            "matrix-1-46.5", "matrix-7-49", "matrix-1000-200", "horner-1-22.5",
+            "modes-1-48.5", "modes-7-49", "modes-1000-200", "modes-512-1-23.5",
+        ],
     )
-    def test_blow_up_raises_at_the_first_record_after_it(self, n, record_every, t_named):
+    def test_blow_up_raises_at_the_first_record_after_it(self, sigma, n, record_every, t_named):
         # dt = 0.5 is far past RK4's spectral advection limit. At n = 64 the
-        # cached step matrix steps the state, which first turns non-finite at
-        # t = 48.5 (the Horner stages' irfft overflows one step earlier); n = 512
-        # is over the matrix bound, so the Horner stages step it
+        # cached step matrix steps the two-piece state, which first turns
+        # non-finite at t = 46.5; n = 512 is over the matrix bound, so the
+        # Horner stages step it. Constant sigma is stepped mode by mode
         init = MacroState2V(random_band_limited(n, seed=0), random_band_limited(n, seed=1))
+        profile = RelaxationProfile.parse(sigma)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=rf"t = {t_named}$"):
-            simulate_2v(init, const(1.0), 200.0, dt=0.5, scheme="rk4", theta=1.0, record_every=record_every)
+            simulate_2v(init, profile, 200.0, dt=0.5, scheme="rk4", theta=1.0, record_every=record_every)
 
-    def test_blow_up_raises_no_numpy_warning(self):
+    @pytest.mark.parametrize("sigma, t_named", [(TWO_PIECE, "46.5"), ("const:1", "48.5")])
+    def test_blow_up_raises_no_numpy_warning(self, sigma, t_named):
         init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+        profile = RelaxationProfile.parse(sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=r"state detected at t = 48.5$"):
-                simulate_2v(init, const(1.0), 200.0, dt=0.5, scheme="rk4", theta=1.0)
+            with pytest.raises(NumericalError, match=rf"state detected at t = {t_named}$"):
+                simulate_2v(init, profile, 200.0, dt=0.5, scheme="rk4", theta=1.0)
 
-    @pytest.mark.parametrize("record_every, t_named", [(1, "25.5"), (7, "28")])
-    def test_non_finite_diagnostic_of_a_finite_state_raises(self, record_every, t_named):
-        # at T = 30 the state stays finite, but its entropy overflows first at t = 25.5
+    @pytest.mark.parametrize(
+        "sigma, record_every, t_named",
+        [(TWO_PIECE, 1, "23.5"), (TWO_PIECE, 7, "24.5"), ("const:1", 1, "25.5"), ("const:1", 7, "28")],
+    )
+    def test_non_finite_diagnostic_of_a_finite_state_raises(self, sigma, record_every, t_named):
+        # at T = 30 the state stays finite, but its entropy overflows first
         init = MacroState2V(random_band_limited(64, seed=0), random_band_limited(64, seed=1))
+        profile = RelaxationProfile.parse(sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=rf"diagnostics at t = {t_named}$"):
                 simulate_2v(
-                    init, const(1.0), 30.0, dt=0.5, scheme="rk4", theta=1.0, record_every=record_every
+                    init, profile, 30.0, dt=0.5, scheme="rk4", theta=1.0, record_every=record_every
                 )
 
     def test_complex_rejected(self):
@@ -304,6 +325,13 @@ class TestSimulate3V:
         assert diff < 1e-3
 
 
+def mode_step_in_x(velocities, sigma, dt, n, scheme, stride, f):
+    """solver._mode_step started from the samples f, its advance returning samples; (advance, finish)."""
+    modes = np.fft.rfft(f, axis=-1, norm="forward")
+    advance, finish = solver._mode_step(velocities, sigma, dt, n, scheme, stride, modes)
+    return (lambda k: np.fft.irfft(advance(k), n, axis=-1, norm="forward")), finish
+
+
 @pytest.fixture
 def no_steps(monkeypatch):
     def refuse(*args, **kwargs):
@@ -345,7 +373,7 @@ class TestCheckerboardRule:
         else:
             stepper = solver._rk4_step(velocities, sig, dt, n, 1, f)
         # constant sigma, stepped mode by mode, follows the same rule
-        for advance, finish in (stepper, solver._mode_step(velocities, 4.0, dt, n, scheme, 100, f)):
+        for advance, finish in (stepper, mode_step_in_x(velocities, 4.0, dt, n, scheme, 100, f)):
             after = abs(self.checkerboard(finish(advance(100).copy())))
             if scheme == "rk4" or len(velocities) == 2 or m % 2 == 0:
                 assert after == pytest.approx(1.0, rel=1e-12)
@@ -777,7 +805,7 @@ class TestModeStepOracle:
     """The per-mode stepper against the moving-frame and RK4 steppers on constant sigma.
 
     333 steps leave a remainder for every stride but the one past the run,
-    which the stepper takes one symbol product at a time. The per-mode
+    which the stepper takes as one product with its own power. The per-mode
     products round differently from the steppers in x; the bounds allow
     about five times the measured differences.
     """
@@ -798,7 +826,7 @@ class TestModeStepOracle:
         dt = cells * 2 * np.pi / n
         f = np.random.default_rng(cells).standard_normal((len(velocities), n))
         for sigma in self.SIGMAS:
-            advance, finish = solver._mode_step(velocities, sigma, dt, n, "split", stride, f)
+            advance, finish = mode_step_in_x(velocities, sigma, dt, n, "split", stride, f)
             frames, frames_finish = solver._split_step(velocities, np.full(n, sigma), dt, n, f)
             done = 0
             for step in self.records(steps, stride):
@@ -815,7 +843,7 @@ class TestModeStepOracle:
         steps, dt = 333, np.pi / n
         f = np.random.default_rng(n).standard_normal((len(velocities), n))
         for sigma in self.SIGMAS:
-            advance, _ = solver._mode_step(velocities, sigma, dt, n, "rk4", stride, f)
+            advance, _ = mode_step_in_x(velocities, sigma, dt, n, "rk4", stride, f)
             single, _ = solver._rk4_step(velocities, np.full(n, sigma), dt, n, 1, f)
             done = 0
             for step in self.records(steps, stride):
@@ -828,18 +856,18 @@ class TestModeStepOracle:
     def test_runs_match_the_steppers_in_x(self, system, scheme, n, monkeypatch):
         # At T = 30 the entropy falls by up to 16 orders, so its difference is
         # bounded against sqrt(E(t) E(0)): a state that differs by rounding,
-        # eps max |f|, moves E by about eps sqrt(E(t) E(0)). Measured: columns
-        # within 3.3e-14 of their maximum, the mass within 3.9e-13 relative and
-        # the entropy within 1.4e-14 sqrt(E(t) E(0))
+        # eps max |f|, moves E by about eps sqrt(E(t) E(0)). Measured over
+        # strides 1 to 10**9: columns within 3.3e-14 of their maximum, the mass
+        # within 3.9e-13 relative and the entropy within 1.4e-14 sqrt(E(t) E(0))
         fields = [random_band_limited(n, seed=s) for s in (41, 42, 43)]
         simulate, init = (
             (simulate_2v, MacroState2V(*fields[:2])) if system == "2v" else (simulate_3v, to_macro3(*fields))
         )
         for sigma in (const(1.0), const(5.0)):
-            for record_every in (16, 64, 200, 10**9):
+            for record_every in (1, 7, 16, 64, 200, 10**9):
                 got = simulate(init, sigma, 30.0, scheme=scheme, theta=0.9, record_every=record_every)
-                with monkeypatch.context() as m:
-                    m.setattr(solver, "_MODE_STRIDE", 10**12)
+                with monkeypatch.context() as m:  # a profile taken as non-constant runs in x
+                    m.setattr(RelaxationProfile, "is_constant", property(lambda self: False))
                     want = simulate(init, sigma, 30.0, scheme=scheme, theta=0.9, record_every=record_every)
                 assert np.array_equal(got.times, want.times)
                 for name, column in want.columns.items():
@@ -851,62 +879,102 @@ class TestModeStepOracle:
                 assert np.max(np.abs(got["entropy"] - e) / np.sqrt(e * e[0])) < 1e-13
 
     @pytest.mark.parametrize("scheme", ["split", "rk4"])
-    @pytest.mark.parametrize(
-        "sigma, record_every, steps, mode",
-        [
-            ("const:1", 0, 100, True),
-            ("const:1", -1, 100, False),
-            ("const:1", 10**9, 0, True),
-            ("const:1", 10**9, -1, False),
-            ("pc:1@pi,4@2pi", 64, 100, False),
-        ],
-        ids=["const-at", "const-below", "const-run-at", "const-run-below", "two-piece"],
-    )
-    def test_taken_exactly_at_constant_sigma_and_long_strides(
-        self, scheme, sigma, record_every, steps, mode, monkeypatch
-    ):
-        # record_every and steps count from the threshold when at most 0; the
-        # stride is r = min(record_every, steps)
-        threshold = solver._MODE_STRIDE
-        assert threshold > 7  # the stride-7 blow-up pin runs the step matrix
-        record_every = threshold + record_every if record_every <= 0 else record_every
-        steps = threshold + steps if steps <= 0 else steps
-        taken = []
-        for name in ("_split_step", "_rk4_step", "_mode_step"):
-            stepper = getattr(solver, name)
-            monkeypatch.setattr(
-                solver, name, lambda *args, name=name, stepper=stepper: taken.append(name) or stepper(*args)
-            )
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_a_constant_run_makes_one_irfft(self, system, scheme, monkeypatch):
+        # its records come from the carried modes, in any number of blocks,
+        # so its one irfft makes the final state
         n = 64
         dt = 2 * np.pi / n if scheme == "split" else np.pi / n
-        init = MacroState2V(random_band_limited(n, seed=0), random_band_limited(n, seed=1))
-        profile = RelaxationProfile.parse(sigma)
-        simulate_2v(init, profile, steps * dt, dt=dt, scheme=scheme, theta=1.0, record_every=record_every)
-        assert taken == ["_mode_step" if mode else f"_{scheme}_step"]
+        simulate, init, _ = TestRecordPass.setup_run(system, n)
+        irfft, calls = np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: calls.append(1) or irfft(*args, **kwargs))
+        for record_every in (1, 7, 10**9):  # 201, 30 and 2 records
+            calls.clear()
+            traj = simulate(init, const(1.0), 200 * dt, dt=dt, scheme=scheme, theta=0.9, record_every=record_every)
+            assert len(calls) == 1, record_every
+            assert len(traj.times) == 1 + -(-200 // min(record_every, 200))
+
+    def test_the_last_interval_is_one_product_with_its_own_power(self, monkeypatch):
+        # 20 steps at stride 7: two intervals of 7, then one of 6
+        power, built = solver._symbol_power, []
+        monkeypatch.setattr(solver, "_symbol_power", lambda symbol, k: built.append(k) or power(symbol, k))
+        simulate, init, _ = TestRecordPass.setup_run("2v")
+        dt = 2 * np.pi / 64
+        simulate(init, const(1.0), 20 * dt, dt=dt, theta=0.9, record_every=7)
+        assert built == [7, 6]
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    def test_a_two_piece_run_never_steps_modes(self, scheme, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stepped mode by mode")
+
+        monkeypatch.setattr(solver, "_mode_step", refuse)
+        simulate, init, _ = TestRecordPass.setup_run("2v")
+        simulate(init, RelaxationProfile.two_piece(1.0, 4.0), 1.0, scheme=scheme, theta=0.9)
 
     @pytest.mark.parametrize("stride", [64, 1000])
     @pytest.mark.parametrize("scheme", ["split", "rk4"])
     def test_power_build_holds_no_temporary_past_the_symbol_size(self, scheme, stride):
         # one (V, V, n/2 + 1) stack of symbols is a matrix here. Held after
-        # the first record: the symbol, its power, the carried modes and the
-        # record (2.67 matrices at three velocities). Peak: the symbol, the
-        # power and its spare while powering, with the carried modes (3.34
-        # split); RK4's symbol build holds the generator too (3.73).
-        # Broadcasting a product over (V, V, V, n/2 + 1) would add V matrices
+        # the last record: the symbol, the last interval's power and the
+        # carried modes (2.34 matrices at three velocities). Peak, while the
+        # last interval's power is built: the symbol, that power, its spare,
+        # the carried modes and einsum's buffer (3.68). The first build peaks
+        # at 3.35 (split) and 3.74 (RK4, whose symbol build holds the
+        # generator too). Keeping the stride's power through the last build
+        # would add one matrix, and broadcasting a product over
+        # (V, V, V, n/2 + 1) V matrices
         n, velocities = 4096, (1, 0, -1)
         matrix_bytes = len(velocities) ** 2 * (n // 2 + 1) * 16
         dt = 2 * np.pi / n if scheme == "split" else np.pi / n
-        f = np.zeros((len(velocities), n))
+        modes = np.zeros((len(velocities), n // 2 + 1), dtype=complex)
         tracemalloc.start()
         try:
-            advance, _ = solver._mode_step(velocities, 1.0, dt, n, scheme, stride, f)
-            record = advance(stride)
+            advance, _ = solver._mode_step(velocities, 1.0, dt, n, scheme, stride, modes)
+            advance(stride)
+            record = advance(stride - 1)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert record.shape == f.shape
+        assert record.shape == modes.shape
         assert held < 3 * matrix_bytes
         assert peak < 4 * matrix_bytes
+
+
+class TestParsevalRecordPass:
+    """The record pass on rfft modes against the record pass on samples."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 4096])
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_columns_match_the_samples(self, system, n):
+        # seeded blocks with every mode present, Nyquist and mean included.
+        # irfft ignores the imaginary parts of modes 0 and n/2, and so must
+        # the record. Measured: every column within 3.5e-15 of its maximum
+        count = int(system[0])
+        rng = np.random.default_rng(n + count)
+        u = rng.standard_normal((5, count, n))
+        modes = np.fft.rfft(u, axis=-1, norm="forward")
+        modes[..., [0, -1]] += 1j * rng.standard_normal((5, count, 2))
+        sigma = 1.7
+        got = solver._diagnostics(modes, sigma, 0.9, entropy.MODES)
+        want = solver._diagnostics(u, np.full(n, sigma), 0.9, entropy.SAMPLES)
+        columns = (solver._SYSTEM_2V if count == 2 else solver._SYSTEM_3V).columns
+        assert len(got) == len(want) == len(columns)
+        for name, g, w in zip(columns, got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize("scheme", ["split", "rk4"])
+    @pytest.mark.parametrize("system", ["2v", "3v"])
+    def test_first_record_and_final_state_match_reference_functions(self, system, scheme):
+        # 20 steps at stride 7 end with a shorter interval
+        n = 64
+        dt = 2 * np.pi / n if scheme == "split" else np.pi / n
+        simulate, init, reference = TestRecordPass.setup_run(system, n)
+        traj = simulate(init, const(1.5), 20 * dt, dt=dt, scheme=scheme, theta=0.9, record_every=7)
+        assert len(traj.times) == 4
+        for k, state in ((0, init), (-1, traj.final)):
+            for name, value in reference(state, 0.9, const(1.5)).items():
+                assert traj[name][k] == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
 
 
 class TestFitting:
