@@ -33,7 +33,8 @@ is cut into axis-parallel boxes, the argument principle counts the zeros of
 D in each, on samples of every box's edges laid in one pass, and Newton runs
 in each box that holds one, until every box holds its count. The contour
 that counts a box's zeros also gives their power sums, and Newton
-starts from the zeros those sums determine; a grid of seeds is laid only
+starts from the zeros those sums determine, the eigenvalues of the
+companion matrix of the polynomial they fix; a grid of seeds is laid only
 where they give none. The search leaves out squares around gamma = 0, the
 mass mode, and around re_max, where a constant profile has the simple zero
 2 sigma~ (the k = 0 flux mode).
@@ -48,7 +49,6 @@ close to an edge could pass between two samples uncounted.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -95,10 +95,6 @@ _BUSY = 4
 _NEWTON_TOL = 1e-12
 _NEWTON_WANDER = 20
 _NEWTON_ITERS = 60
-#: the polynomial whose roots seed Newton in a box is solved to this fraction of its root bound,
-#: in at most _ABERTH_ITERS sweeps
-_ABERTH_TOL = 1e-12
-_ABERTH_ITERS = 50
 #: a zero is located once its Newton step and its rounding radius _TRUST err / |D'| are below this
 _LOCATED = 1e-9
 
@@ -576,46 +572,12 @@ def _newton(z: np.ndarray, owner: list, problem: TelegrapherProblem) -> np.ndarr
     return z
 
 
-def _polynomial_roots(coefficients: list) -> list:
-    """The roots of w^m + a_1 w^(m-1) + ... + a_m, given a_1 .. a_m, by Aberth's iteration.
-
-    m is at most _BUSY, so plain complex arithmetic does it, with no
-    eigenvalue solver to load. The roots lie within twice the largest
-    |a_k|^(1/k) (Fujiwara), and the iteration starts from m points on a
-    circle of that radius, turned off the real axis, to which real
-    coefficients would otherwise hold a real start. It stops once no root moves by more than
-    _ABERTH_TOL of the radius, or after _ABERTH_ITERS sweeps, which leaves
-    the roots of a multiple factor, where it converges only linearly, close
-    enough to seed Newton.
-    """
-    m = len(coefficients)
-    radius = max(abs(c) ** (1.0 / k) for k, c in enumerate(coefficients, 1))
-    if radius == 0.0:
-        return [0j] * m
-    w = [radius * cmath.exp(1j * (2.0 * math.pi * k / m + 0.4)) for k in range(m)]
-    for _ in range(_ABERTH_ITERS):
-        moved = 0.0
-        for i in range(m):
-            p, dp = 1.0, 0.0
-            for c in coefficients:
-                dp = dp * w[i] + p
-                p = p * w[i] + c
-            if p == 0.0:
-                continue
-            repulsion = sum(1.0 / (w[i] - w[j]) for j in range(m) if j != i)
-            step = 1.0 / (dp / p - repulsion)
-            w[i] -= step
-            moved = max(moved, abs(step))
-        if moved <= _ABERTH_TOL * radius:
-            break
-    return w
-
-
 def _moment_seeds(box: _Box) -> np.ndarray:
     """Estimates of the m zeros a box misses, from its power sums: the roots of the degree-m
     polynomial whose power sums are the box's, less each found root's multiplicity times
-    (root - centre)^p, by Newton's identities. Empty where m <= 0, and NaN where m passes the
-    sums the box carries (it misses more than _BUSY zeros, or was not counted with them).
+    (root - centre)^p, by Newton's identities, taken as the eigenvalues of its companion matrix
+    (np.roots). Empty where m <= 0, and NaN where m passes the sums the box carries (it misses
+    more than _BUSY zeros, or was not counted with them) or a coefficient is not finite.
     """
     m = box.missing()
     if m <= 0:
@@ -627,12 +589,16 @@ def _moment_seeds(box: _Box) -> np.ndarray:
     elementary = [1.0]  # e_k of the missing zeros, by k e_k = sum_i (-1)^(i-1) e_(k-i) power_i
     for k in range(1, m + 1):
         elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power[i - 1] for i in range(1, k + 1)) / k)
-    return c + np.array(_polynomial_roots([(-1) ** k * e for k, e in enumerate(elementary[1:], 1)]), dtype=complex)
+    coefficients = np.array([(-1) ** k * e for k, e in enumerate(elementary)], dtype=complex)
+    if not np.isfinite(coefficients).all():  # np.roots raises on NaN or inf
+        return np.full(m, np.nan, dtype=complex)
+    return c + np.roots(coefficients)
 
 
 def _seek(boxes: list, problem: TelegrapherProblem, seeds: tuple) -> None:
     """Newton from each box's moment seeds, one per zero it misses (_moment_seeds), or from a
-    ``seeds`` grid where they are not all finite; then meet each box's count, or mark it to split.
+    ``seeds`` grid where they are not all finite (the box misses more than its sums give, or
+    the coefficients they give are not finite); then meet each box's count, or mark it to split.
 
     A candidate is a Newton limit in its box, outside the squares counted
     there, where |D| < 1e-9 or is within its rounding error. The best
@@ -783,7 +749,11 @@ def telegrapher_gap(
     boxes, counts, sums = _strip_boxes(problem)
     count = int(counts.sum())
     if count == 0:
-        raise NumericalError("telegrapher gap: no eigenvalues found in the search strip; enlarge re_max/im_max")
+        raise NumericalError(
+            f"telegrapher gap: no eigenvalues found in the search strip 0 < Re gamma < {problem.re_max:.6g}, "
+            f"|Im gamma| <= {problem.im_max:.6g}; the default height, 4 max sigma~, is a heuristic, "
+            "and no root above it is searched"
+        )
     roots = _locate([_Box(*box, int(n), s) for box, n, s in zip(boxes, counts, sums) if n > 0], problem, seeds)
     found = sum(m for _, m, _ in roots)
     if found != count:

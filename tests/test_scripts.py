@@ -1,6 +1,8 @@
-"""The scripts: the examples run to the end on a small grid, and bench_pairs aggregates run records."""
+"""The scripts: the examples run to the end on a small grid, bench_pairs aggregates run records, and
+telegrapher_sweep searches and compares its profiles."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -31,8 +33,8 @@ def test_script_exits_cleanly(script, expect):
     assert expect in out.stdout
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -46,7 +48,7 @@ def _record(wall: float, rss: float, failed: int = 0, correct: bool = True) -> d
 
 def test_bench_pairs_aggregates_run_records():
     # the pairs' aggregation alone, on canned records: no benchmark runs
-    bench_pairs = _bench_pairs()
+    bench_pairs = _script("bench_pairs")
     end_to_end = [
         {"name": "wall_norm_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
@@ -74,7 +76,7 @@ def test_bench_pairs_aggregates_run_records():
 
 
 def test_bench_pairs_gain_and_bound_by_direction():
-    bench_pairs = _bench_pairs()
+    bench_pairs = _script("bench_pairs")
     # a higher-is-better metric that rises in every pair, by more than the parent's spread
     up = bench_pairs.compare([1.0, 1.1, 1.2, 1.3], [2.0, 2.1, 2.2, 2.3], "higher", 0.25)
     assert up["change_better_pairs"] == "4/4" and up["gain"] and up["within_bound"]
@@ -82,3 +84,35 @@ def test_bench_pairs_gain_and_bound_by_direction():
     lower = bench_pairs.compare([1.0] * 10, [0.9] * 8 + [1.1] * 2, "lower", 0.25)
     assert lower["change_better_pairs"] == "8/10" and not lower["gain"]
     assert not bench_pairs.compare([1.0] * 4, [1.3] * 4, "lower", 0.25)["within_bound"]
+
+
+def test_telegrapher_sweep_rows_and_comparison(tmp_path):
+    # four of the 333 profiles: a seeded pair whose gap lies above the strip, {1,4}, the
+    # three-piece pc:1@1,4@3,0.5@2pi and the first random many-piece profile
+    sweep = _script("telegrapher_sweep")
+    specs = sweep.profiles()
+    assert len(specs) == 333 and len(set(specs)) == 333
+    assert specs[300] == "pc:1.0@pi,4.0@2pi" and specs[307] == "pc:1@1,4@3,0.5@2pi"
+    assert specs[309].startswith("pc:") and specs[309].endswith("@2pi")
+    out = tmp_path / "sweep.json"
+    argv = [sys.executable, str(ROOT / "scripts" / "telegrapher_sweep.py"), "--out", str(out)]
+    argv += [arg for i in (2, 300, 307, 309) for arg in ("--index", str(i))]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "4 profiles: 3 ok, 1 failed {'no eigenvalues found in the search strip': 1}" in proc.stdout
+    rows = json.loads(out.read_text())
+    assert [row["index"] for row in rows] == [2, 300, 307, 309]
+    failed, pair = rows[0], rows[1]
+    assert failed["status"] == "NumericalError" and failed["count"] is None and failed["roots"] == []
+    assert failed["message"].startswith("telegrapher gap: no eigenvalues found in the search strip 0 < Re gamma <")
+    assert pair["status"] == "ok" and pair["gap"] == pytest.approx(2.72831, abs=5e-6)
+    assert pair["count"] == 17 and len(pair["roots"]) == 17 and pair["d_batch_calls"] > 0
+    # a sweep matches itself; a moved root, a changed count or a changed stage differ
+    assert sweep.compare(rows, rows, 1e-12) == ([], 0.0)
+    moved = json.loads(out.read_text())
+    moved[1]["roots"][0][0] *= 1.0 + 1e-9
+    moved[2]["count"] += 1
+    moved[0]["stage"] = "root search"
+    differ, largest = sweep.compare(rows, moved, 1e-12)
+    assert differ == [2, 300, 307] and 1e-10 < largest < 1e-8

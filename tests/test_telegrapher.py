@@ -436,6 +436,51 @@ class TestCertificate:
         assert seeded == len(roots)
 
     @pytest.mark.parametrize(
+        "zeros, found, count, sums, want, tol",
+        [
+            # three simple zeros, recovered from their exact power sums
+            ([1.5 + 0.3j, 2.2 - 0.5j, 2.7 + 0.1j], [], 3, None, [1.5 + 0.3j, 2.2 - 0.5j, 2.7 + 0.1j], 1e-12),
+            # a double zero splits into two seeds within about sqrt(eps) of it
+            ([2.3 + 0.2j] * 2, [], 2, None, [2.3 + 0.2j] * 2, 1e-6),
+            # a root already found is deflated out of the sums: two seeds for the two left
+            ([1.5 + 0.3j, 2.2 - 0.5j, 2.7 + 0.1j], [2.2 - 0.5j], 3, None, [1.5 + 0.3j, 2.7 + 0.1j], 1e-12),
+            # more zeros missing than the sums carry
+            ([], [], 5, None, [math.nan] * 5, None),
+            # sums that are not finite, or whose polynomial's coefficients overflow
+            ([], [], 2, [math.nan, 1.0, 1.0, 1.0], [math.nan] * 2, None),
+            ([], [], 3, [1.0, math.inf, 1.0, 1.0], [math.nan] * 3, None),
+            ([], [], 2, [1e200, 1e200, 0.0, 0.0], [math.nan] * 2, None),
+        ],
+        ids=["simple", "double", "deflated", "past-the-sums", "nan", "inf", "overflow"],
+    )
+    def test_moment_seeds_from_exact_power_sums(self, zeros, found, count, sums, want, tol):
+        # the box 1 < Re < 3, |Im| < 1 about its centre 2, with the power sums p = 1 .. _BUSY
+        # of the zeros it holds; np.roots raising LinAlgError on NaN or inf would fail here
+        if sums is None:
+            sums = [sum((z - 2.0) ** p for z in zeros) for p in range(1, tele._BUSY + 1)]
+        box = tele._Box(1.0, 3.0, -1.0, 1.0, count, np.array(sums, dtype=complex), [(r, 1, 1e-6) for r in found])
+        seeds = tele._moment_seeds(box)
+        assert seeds.shape == (len(want),)
+        if tol is None:
+            assert np.isnan(seeds).all()
+        else:
+            assert all(min(abs(s - z) for s in seeds) < tol for z in want)
+            assert all(min(abs(s - z) for z in want) < tol for s in seeds)
+
+    def test_seek_lays_the_grid_where_the_sums_give_no_seeds(self, monkeypatch):
+        # a box of the {1,4} strip with NaN sums: Newton starts from the 2 x 3 seeds grid
+        boxes, counts, _ = tele._strip_boxes(P_14)
+        i = int(np.flatnonzero(counts)[0])
+        box = tele._Box(*boxes[i], int(counts[i]), np.full(tele._BUSY, np.nan, dtype=complex))
+        starts = []
+        newton = tele._newton
+        monkeypatch.setattr(tele, "_newton", lambda z, *rest: starts.append(z.copy()) or newton(z, *rest))
+        tele._seek([box], P_14, (2, 3))
+        re = box.x0 + (box.x1 - box.x0) * np.array([0.25, 0.75])
+        im = box.y0 + (box.y1 - box.y0) * np.array([1.0, 3.0, 5.0]) / 6.0
+        assert np.array_equal(starts[0], (re[:, None] + 1j * im[None, :]).ravel())
+
+    @pytest.mark.parametrize(
         "pair, count", [((1.0, 4.0), 9), ((2.93, 0.402), 2), ((1.34, 5.46), 18)]
     )
     def test_count_met_by_simple_roots(self, pair, count):
