@@ -751,8 +751,8 @@ def telegrapher_gap(
     if count == 0:
         raise NumericalError(
             f"telegrapher gap: no eigenvalues found in the search strip 0 < Re gamma < {problem.re_max:.6g}, "
-            f"|Im gamma| <= {problem.im_max:.6g}; the default height, 4 max sigma~, is a heuristic, "
-            "and no root above it is searched"
+            f"|Im gamma| <= {problem.im_max:.6g}; no root above im_max (by default 4 max sigma~, "
+            "a heuristic) is searched"
         )
     roots = _locate([_Box(*box, int(n), s) for box, n, s in zip(boxes, counts, sums) if n > 0], problem, seeds)
     found = sum(m for _, m, _ in roots)

@@ -641,7 +641,7 @@ class TestExitCodes:
                 ["appendix-a", "--sigma", "pc:1e-4@pi,2e-4@2pi"],
                 3,
                 "no eigenvalues found in the search strip 0 < Re gamma < 0.000628319, |Im gamma| <= 0.00251327; "
-                "the default height, 4 max sigma~, is a heuristic, and no root above it is searched",
+                "no root above im_max (by default 4 max sigma~, a heuristic) is searched",
             ),
             # --n is blamed, not the default field that would be sampled on it
             (["simulate-2v", "--n", "17"], 2, "--n: grid resolution must be an even integer >= 8, got 17"),
