@@ -18,7 +18,8 @@ The profiles, in order (index 0 .. 332), each as the CLI's ``pc:`` spec:
 Each profile is searched by telegrapher_gap(rescale_sigma(profile)), in this
 one process. A row gives its index, its spec, its status ("ok" or the
 exception's class), the failure's stage and message, the count, the gap, the
-roots (re, im), and the number of ``_d_batch`` calls it made. The stage is the message's first clause, after
+roots (re, im), the number of ``_d_batch`` calls it made and the number of
+points of D they evaluated. The stage is the message's first clause, after
 "telegrapher gap: " and up to the first colon, semicolon, parenthesis or
 digit, so that a message's numbers and advice do not count.
 
@@ -26,8 +27,9 @@ With --compare, the rows are matched by index against an earlier output: a
 row differs when its status, stage, count or number of roots differs, or its
 gap, or a root against the nearest root of the other side, differs by more
 than RTOL = 1e-12 relative. The rows that differ, the largest relative difference of
-gaps and roots, and both sides' total ``_d_batch`` calls are printed; the exit
-status is 1 if any row differs.
+gaps and roots, and both sides' total ``_d_batch`` calls and evaluations of D are
+printed, "n/a" for a total an earlier output does not record; the exit status is
+1 if any row differs.
 """
 
 import argparse
@@ -73,14 +75,15 @@ def _stage(message: str) -> str:
 
 
 def search(index: int, spec: str) -> dict:
-    """One profile's row: the search's outcome and the ``_d_batch`` calls it made."""
-    calls = 0
+    """One profile's row: the search's outcome, the ``_d_batch`` calls it made and the points they evaluated."""
+    calls = evaluations = 0
     d_batch = tele._d_batch
 
-    def counted(*args, **kwargs):
-        nonlocal calls
+    def counted(gammas, *args, **kwargs):
+        nonlocal calls, evaluations
         calls += 1
-        return d_batch(*args, **kwargs)
+        evaluations += np.size(gammas)
+        return d_batch(gammas, *args, **kwargs)
 
     row = {"index": index, "sigma": spec, "status": "ok", "stage": "", "message": ""}
     tele._d_batch = counted
@@ -93,6 +96,7 @@ def search(index: int, spec: str) -> dict:
     finally:
         tele._d_batch = d_batch
     row["d_batch_calls"] = calls
+    row["d_evaluations"] = evaluations
     return row
 
 
@@ -107,6 +111,14 @@ def _root_distance(roots: list, earlier: list) -> float:
     b = np.array([complex(*r) for r in earlier])
     distance = np.abs(a[:, None] - b[None, :])
     return max(np.max(distance.min(axis=1) / np.abs(a)), np.max(distance.min(axis=0) / np.abs(b)))
+
+
+def totals(rows: list) -> str:
+    """The rows' total ``_d_batch`` calls and evaluations of D, "n/a" for a field a row lacks."""
+    return ", ".join(
+        f"{name} {sum(row[key] for row in rows) if all(key in row for row in rows) else 'n/a'}"
+        for name, key in (("_d_batch calls", "d_batch_calls"), ("D evaluations", "d_evaluations"))
+    )
 
 
 def compare(rows: list, earlier: list) -> tuple:
@@ -143,13 +155,13 @@ def main(argv=None) -> int:
     ok = sum(row["status"] == "ok" for row in rows)
     stages = dict(Counter(row["stage"] for row in rows if row["status"] != "ok"))
     print(f"{len(rows)} profiles: {ok} ok, {len(rows) - ok} failed {stages}")
-    print(f"_d_batch calls: {sum(row['d_batch_calls'] for row in rows)}")
+    print(totals(rows))
     if not args.compare:
         return 0
     with open(args.compare) as fh:
         earlier = json.load(fh)
     differ, largest = compare(rows, earlier)
-    print(f"earlier _d_batch calls: {sum(row['d_batch_calls'] for row in earlier)}")
+    print(f"earlier: {totals(earlier)}")
     print(f"{len(differ)} rows differ {differ}; largest relative difference of gaps and roots {largest:.3g}")
     return 1 if differ else 0
 

@@ -619,6 +619,10 @@ def _simulate(u, system: _System, profile, theta, t0, t_final, dt, scheme, recor
         raise ValidationError(f"dt = {dt:.6g} exceeds t_final = {t_final:.6g}; lower --dt")
     if not abs(theta) < 2.0:
         raise ValidationError(f"theta = {theta:g}: the entropy E_theta is a norm only for |theta| < 2")
+    if not math.isfinite(t_final / dt):
+        raise ValidationError(
+            f"t_final / dt = {t_final:.6g} / {dt:.6g} steps overflows a float; raise --dt or lower --t-final"
+        )
     steps = round(t_final / dt)
     if scheme not in (SCHEME_SPLIT, SCHEME_RK4):
         raise ValidationError(f"unknown scheme {scheme!r}; use 'split' or 'rk4'")

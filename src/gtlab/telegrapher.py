@@ -35,9 +35,16 @@ in each box that holds one, until every box holds its count. The contour
 that counts a box's zeros also gives their power sums, and Newton
 starts from the zeros those sums determine, the eigenvalues of the
 companion matrix of the polynomial they fix; a grid of seeds is laid only
-where they give none. The search leaves out squares around gamma = 0, the
-mass mode, and around re_max, where a constant profile has the simple zero
-2 sigma~ (the k = 0 flux mode).
+where they give none. Two zeros are known in advance: gamma = 0, the mass
+mode, and, where the damping is a constant sigma~ and re_max = 2 sigma~, that
+simple zero (the k = 0 flux mode). The boxes' edges stay clear of both: the
+strip's left edge lies at Re gamma = -_MARGIN, and in that constant case its
+right edge at re_max + _MARGIN. Both zeros are booked as found simple roots
+of their box and reported by neither the count nor the roots. The left margin
+adds no root: for an eigenvalue, gamma^2 |phi|^2 - 2 gamma <sigma~ phi, phi>
++ |phi'|^2 = 0, so Re gamma = <sigma~ phi, phi> / |phi|^2 > 0 where
+Im gamma != 0, and no real gamma < 0 solves it; only the mass mode has
+Re gamma <= 0.
 
 Two things are not proven. The strip height 4 max sigma~ is a heuristic:
 nothing shows that no root above it has a smaller real part than the gap
@@ -59,8 +66,6 @@ from .errors import NumericalError, ValidationError
 
 #: how far the piece lengths may sum from 1, as a profile's last end may lie from 2 pi
 _LENGTH_TOL = 1e-12
-#: half-side of the squares left out of the strip around gamma = 0 and gamma = re_max
-_EXCLUSION = 1e-6
 _ROOT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 #: a sample of D is trusted only if |D| exceeds its rounding-error bound this many times
@@ -72,9 +77,9 @@ _TRUST = 100.0
 #: nothing bounds |D'| between them, so the step is trusted, not proven
 _SAMPLE_SPACING = 0.1
 _MAX_PHASE_STEP = math.pi / 4.0
-#: near a centre the initial spacing is at most this fraction of the distance to it,
-#: so a simple zero there turns the phase by at most this much per step
-_GRADING = 0.5
+#: how far the strip's edges lie from its known zeros (_known_zeros): a simple zero at
+#: least 4 / pi spacings from every edge passes both pi/4 step tests on the first samples
+_MARGIN = 2.5 * _SAMPLE_SPACING
 _MIN_SEGMENT = 1e-11
 _MAX_SAMPLES = 2_000_000
 #: D takes at most this many samples times pieces at once
@@ -311,9 +316,9 @@ class GapResult:
 
     ``count`` is the number of eigenvalues in the strip, multiplicity
     included: the sum of the argument-principle counts of the boxes the
-    strip is cut into. ``roots`` holds every one of them once, and
-    ``eigenvalue`` is the minimiser, of a conjugate pair the one with
-    Im >= 0.
+    strip is cut into, less the known zeros booked in them. ``roots``
+    holds every one of them once, and ``eigenvalue`` is the minimiser, of
+    a conjugate pair the one with Im >= 0.
     """
 
     gap: float
@@ -331,20 +336,12 @@ def _centre(x0: float, x1: float, y0: float, y1: float) -> complex:
     return complex(x0 + x1 + x1 + x0, y0 + y0 + y1 + y1) / 4.0
 
 
-def _contours(boxes: list, centres: tuple) -> tuple:
+def _contours(boxes: list) -> tuple:
     """(z, owner): the samples of the counter-clockwise contours of the (x0, x1, y0, y1) boxes,
     laid end to end, each closed by its first corner, and the box each sample is of.
 
     Each edge [a, b) of length L takes max(4, ceil(L / _SAMPLE_SPACING))
-    evenly spaced samples, every edge's in one pass. An edge at distance
-    d < _SAMPLE_SPACING / _GRADING from a centre is also graded
-    geometrically toward its point nearest that centre: there the samples
-    are _GRADING d apart out to d, then _GRADING times their offset from
-    it, until that reaches _SAMPLE_SPACING. Every step is then at most
-    _GRADING times the distance of its nearer end from each centre. The
-    distance is taken in complex scalar arithmetic, on the edges of the
-    boxes within twice that reach of a centre, so that rounding leaves out
-    none.
+    evenly spaced samples, every edge's in one pass.
     """
     corners = np.array(boxes, dtype=float).reshape(-1, 4)
     x, y = corners[:, [0, 1, 1, 0]], corners[:, [2, 2, 3, 3]]  # each edge's start; the next edge's is its end
@@ -356,40 +353,19 @@ def _contours(boxes: list, centres: tuple) -> tuple:
     n = np.maximum(4, np.ceil(length / _SAMPLE_SPACING).astype(int))
     first = np.cumsum(n) - n
     arc = np.repeat(length, n) * (np.arange(n.sum()) - np.repeat(first, n)) / np.repeat(n, n)
-    reach = 2.0 * _SAMPLE_SPACING / _GRADING
-    x0, x1, y0, y1 = corners.T
-    grading = {}
-    for c in centres:
-        near = (x0 - reach < c.real) & (c.real < x1 + reach) & (y0 - reach < c.imag) & (c.imag < y1 + reach)
-        for e in (4 * np.flatnonzero(near)[:, None] + np.arange(4)).ravel().tolist():
-            start, along, side = complex(a[e]), complex(unit[e]), float(length[e])
-            foot = min(max(((c - start) / along).real, 0.0), side)
-            d = abs(start + along * foot - c)
-            if _GRADING * d >= _SAMPLE_SPACING:
-                continue
-            rounds = math.ceil(math.log(_SAMPLE_SPACING / (_GRADING * d)) / math.log1p(_GRADING))
-            ring = d * (1.0 + _GRADING) ** np.arange(rounds + 1)
-            offsets = np.concatenate([_GRADING * d * np.arange(math.ceil(1.0 / _GRADING)), ring])
-            grading.setdefault(e, []).extend([foot - offsets, foot + offsets])
-    for e in sorted(grading, reverse=True):  # from the last, so that the earlier edges keep their place
-        graded = np.unique(np.concatenate([arc[first[e] : first[e] + n[e]], *grading[e]]))
-        graded = graded[(graded >= 0.0) & (graded < length[e])]
-        arc = np.concatenate([arc[: first[e]], graded, arc[first[e] + n[e] :]])
-        n[e] = graded.size
     sizes = n.reshape(-1, 4).sum(axis=1)
     z = np.insert(np.repeat(a, n) + np.repeat(unit, n) * arc, np.cumsum(sizes), a[::4])
     return z, np.repeat(np.arange(sizes.size), sizes + 1)
 
 
-def _zeros_inside(boxes: list, problem: TelegrapherProblem, centres: tuple = (), moments: int = 0) -> tuple:
+def _zeros_inside(boxes: list, problem: TelegrapherProblem, moments: int = 0) -> tuple:
     """(the zeros of D inside each (x0, x1, y0, y1) box, their power sums), by the argument
     principle; the count is -1 where it fails.
 
     arg D is sampled along each box's counter-clockwise contour, on samples
-    laid for every box in one pass and graded toward ``centres``
-    (_contours), and every step is bisected until its phase change, and
-    its length times the larger |D'/D| at its two ends, are both at most
-    pi/4; a box's count is the sum of its steps over 2 pi. The second test
+    laid for every box in one pass (_contours), and every step is bisected
+    until its phase change, and its length times the larger |D'/D| at its
+    two ends, are both at most pi/4; a box's count is the sum of its steps over 2 pi. The second test
     sees a pair of zeros close to an edge, whose 2 pi turn can fall between
     two samples. The boxes are sampled and refined in one batch. A box
     fails where |D| at a sample does not stand clear of its rounding error,
@@ -415,7 +391,7 @@ def _zeros_inside(boxes: list, problem: TelegrapherProblem, centres: tuple = (),
     sides = np.diff(np.reshape(boxes, (-1, 2, 2)))  # each box's width and height
     if 2 * np.ceil(sides / _SAMPLE_SPACING).sum() > limit:
         raise NumericalError(too_many)
-    z, owner = _contours(boxes, centres)
+    z, owner = _contours(boxes)
     if z.size > limit:
         raise NumericalError(too_many)
     d, dd, err = _d_batch(z, problem)
@@ -460,39 +436,46 @@ def _zeros_inside(boxes: list, problem: TelegrapherProblem, centres: tuple = (),
     return counts, sums
 
 
-def _strip_boxes(problem: TelegrapherProblem) -> tuple:
-    """(boxes, the zeros of D in each, their power sums): the strip less its notches, cut into
-    (x0, x1, y0, y1) boxes.
+def _known_zeros(problem: TelegrapherProblem) -> tuple:
+    """The zeros of D known in advance: gamma = 0, the mass mode, and, where the damping is a
+    constant sigma~ and re_max = 2 sigma~, that simple zero (the k = 0 flux mode, v = const)."""
+    values = {s for _, s in problem.pieces}
+    if len(values) == 1 and problem.re_max == 2.0 * values.pop():
+        return (0j, complex(problem.re_max))
+    return (0j,)
 
-    The notches around 0 and re_max have half-side rho = min(_EXCLUSION,
-    re_max/4), so that they never meet. The strip is cut into rows, odd in
-    number so that no cut lies on the real axis. The middle row runs from
-    rho to re_max - rho, with slivers of width rho above and below the
-    notches. A cut through a zero fails its two boxes: then the inner cuts
-    move by the next fraction of a row's height in _ROW_SHIFTS, and past
-    the last the search raises.
+
+def _strip_boxes(problem: TelegrapherProblem) -> list:
+    """The boxes the strip is cut into that hold zeros of D, each with its count and power sums,
+    and the known zeros (_known_zeros) in it booked as found simple roots.
+
+    The strip runs from Re gamma = -_MARGIN, clear of the mass mode, to
+    re_max, or to re_max + _MARGIN where re_max is a known zero. It is cut
+    into rows, odd in number so that no cut lies on the real axis. A cut
+    through a zero fails its two boxes: then the inner cuts move by the
+    next fraction of a row's height in _ROW_SHIFTS, and past the last the
+    search raises.
     """
-    rho = min(_EXCLUSION, problem.re_max / 4.0)
-    b = problem.re_max
+    known = _known_zeros(problem)
+    x1 = problem.re_max + (_MARGIN if complex(problem.re_max) in known else 0.0)
     y = problem.im_max
-    rows = 2 * max(0, round(y / max(b, _BOX_SIDE) - 0.5)) + 1
+    rows = 2 * max(0, round(y / max(problem.re_max, _BOX_SIDE) - 0.5)) + 1
     height = 2.0 * y / rows
     for shift in _ROW_SHIFTS:
         ys = [-y] + [-y + (j + shift) * height for j in range(1, rows)] + [y]
-        boxes = [(0.0, b, ys[j], ys[j + 1]) for j in range(rows)]
-        lo, hi = ys[rows // 2], ys[rows // 2 + 1]
-        boxes[rows // 2] = (rho, b - rho, lo, hi)
-        if lo < -rho and hi > rho:
-            boxes += [(x, x + rho, lo, -rho) for x in (0.0, b - rho)]
-            boxes += [(x, x + rho, rho, hi) for x in (0.0, b - rho)]
-        counts, sums = _zeros_inside(boxes, problem, (0.0, complex(b)), _BUSY)
+        boxes = [(-_MARGIN, x1, ys[j], ys[j + 1]) for j in range(rows)]
+        counts, sums = _zeros_inside(boxes, problem, _BUSY)
         if (counts >= 0).all() or rows == 1:
             break
     if (counts < 0).any():
         raise NumericalError(
             f"telegrapher gap: argument-principle count failed on {np.sum(counts < 0)} of {len(boxes)} boxes"
         )
-    return boxes, counts, sums
+    return [
+        _Box(*box, int(n), moments, [(z, 1, _MULTIPLICITY_SQUARES[0]) for z in known if box[2] < z.imag < box[3]])
+        for box, n, moments in zip(boxes, counts, sums)
+        if n > 0
+    ]
 
 
 @dataclass(eq=False)
@@ -678,7 +661,7 @@ def _split(boxes: list, problem: TelegrapherProblem) -> list:
             xs = (box.x0, box.x0 + fx * w, box.x1) if 2.0 * w >= h else (box.x0, box.x1)
             ys = (box.y0, box.y0 + fy * h, box.y1) if 2.0 * h >= w else (box.y0, box.y1)
             cuts += [(box, (a, b, c, d)) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])]
-        counts, sums = _zeros_inside([cut for _, cut in cuts], problem, (0.0, complex(problem.re_max)), _BUSY)
+        counts, sums = _zeros_inside([cut for _, cut in cuts], problem, _BUSY)
         failed = {box for (box, _), n in zip(cuts, counts) if n < 0}
         for (box, (x0, x1, y0, y1)), n, moments in zip(cuts, counts, sums):
             if box in failed or n == 0:
@@ -740,21 +723,23 @@ def telegrapher_gap(
     3. Anything but exactly the counted number, multiplicity included,
        raises NumericalError, as does an empty strip.
 
-    Squares of half-side min(1e-6, re_max/4) around gamma = 0 and
-    gamma = re_max are left out of the strip, for the count and the roots
-    alike.
+    The boxes reach past the strip, to Re gamma = -_MARGIN and, where a
+    constant profile has the zero 2 sigma~ at re_max, to re_max + _MARGIN,
+    so that their edges stay clear of gamma = 0 and of that zero. Both are
+    booked as found, and left out of the count and the roots alike.
     """
     if min(seeds) < 1:
         raise ValidationError(f"seeds must be positive, got {seeds}")
-    boxes, counts, sums = _strip_boxes(problem)
-    count = int(counts.sum())
-    if count == 0:
+    boxes = _strip_boxes(problem)
+    booked = [r for box in boxes for r in box.roots]
+    count = sum(box.count for box in boxes) - len(booked)
+    if count <= 0:
         raise NumericalError(
             f"telegrapher gap: no eigenvalues found in the search strip 0 < Re gamma < {problem.re_max:.6g}, "
             f"|Im gamma| <= {problem.im_max:.6g}; no root above im_max (by default 4 max sigma~, "
             "a heuristic) is searched"
         )
-    roots = _locate([_Box(*box, int(n), s) for box, n, s in zip(boxes, counts, sums) if n > 0], problem, seeds)
+    roots = [r for r in _locate(boxes, problem, seeds) if r not in booked]
     found = sum(m for _, m, _ in roots)
     if found != count:
         raise NumericalError(f"telegrapher gap: root search: found {found} of {count} counted roots")

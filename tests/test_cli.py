@@ -655,7 +655,15 @@ class TestExitCodes:
                 "the initial state is not finite",
             ),
             # on a strip this thin no sample of D clears its rounding bound
-            (["telegrapher", "--sigma", "const:1e-300"], 3, "argument-principle count failed on 5 of 5 boxes"),
+            (["telegrapher", "--sigma", "const:1e-300"], 3, "argument-principle count failed on 1 of 1 boxes"),
+            # t_final / dt overflows to inf: refused before the step count is rounded
+            (
+                ["simulate-3v", "--n", "16", "--t-final", "2", "--dt", "5e-324", "--scheme", "rk4"],
+                2,
+                "t_final / dt = 2 / 4.94066e-324 steps overflows a float; raise --dt or lower --t-final",
+            ),
+            (["simulate-2v", "--n", "16", "--t-final", "2", "--dt", "5e-324"], 2, "t_final / dt = 2 / 4.94066e-324 steps"),
+            (["simulate-2v", "--n", "16", "--t-final", "1.7e308"], 2, "t_final / dt = 1.7e+308 / 0.392699 steps"),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code, message):

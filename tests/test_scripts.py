@@ -102,6 +102,12 @@ def test_telegrapher_sweep_rows_and_comparison():
     assert failed["message"].startswith("telegrapher gap: no eigenvalues found in the search strip 0 < Re gamma <")
     assert pair["gap"] == pytest.approx(2.72831, abs=5e-6)
     assert pair["count"] == 17 and len(pair["roots"]) == 17 and pair["d_batch_calls"] > 0
+    # every call evaluates D at one point at least; an earlier output without the field reads n/a
+    assert all(row["d_evaluations"] >= row["d_batch_calls"] > 0 for row in rows)
+    calls, evaluations = (sum(row[key] for row in rows) for key in ("d_batch_calls", "d_evaluations"))
+    assert sweep.totals(rows) == f"_d_batch calls {calls}, D evaluations {evaluations}"
+    older = [{key: value for key, value in row.items() if key != "d_evaluations"} for row in rows]
+    assert sweep.totals(older) == f"_d_batch calls {calls}, D evaluations n/a"
     # a sweep matches itself; a moved root, a changed count or a changed stage differ
     assert sweep.compare(rows, rows) == ([], 0.0)
     moved = json.loads(json.dumps(rows))
